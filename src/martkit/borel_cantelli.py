@@ -15,7 +15,6 @@ truncation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .condexp import condexp
 from .measure import FiniteMeasureSpace, indicator, set_measurable_wrt
-from .montecarlo import IndependentEvents, trial_rng
+from .montecarlo import IndependentEvents, _run_blocks, _uniform_block
 from .processes import Filtration, Process
 
 __all__ = [
@@ -156,14 +155,9 @@ def check_borel_cantelli(
         if ((probs < 0) | (probs > 1)).any():
             raise ValueError("event probabilities must lie in [0, 1]")
 
-    blocks = [(s, min(block_size, trials - s)) for s in range(0, trials, block_size)]
-
-    def work(blk):
-        start, count = blk
+    def work(start, count):
+        u = _uniform_block(seed, start, count, horizon)
         if independent:
-            u = np.empty((count, horizon))
-            for i in range(count):
-                u[i] = trial_rng(seed, start + i).random(horizon)
             occurred = u < probs[None, :]
             p_sum = np.full(count, float(probs.sum()))
             tail_hit = occurred[:, tail_start - 1 :].any(axis=1)
@@ -171,7 +165,6 @@ def check_borel_cantelli(
             p_sum = np.empty(count)
             tail_hit = np.empty(count, dtype=bool)
             for i in range(count):
-                u = trial_rng(seed, start + i).random(horizon)
                 history: tuple = ()
                 total = 0.0
                 hit = False
@@ -179,7 +172,7 @@ def check_borel_cantelli(
                     p = float(prob(n, history))
                     if not 0.0 <= p <= 1.0:
                         raise ValueError(f"conditional probability {p} outside [0, 1]")
-                    occ = bool(u[n - 1] < p)
+                    occ = bool(u[i, n - 1] < p)
                     total += p
                     if occ and n >= tail_start:
                         hit = True
@@ -188,19 +181,13 @@ def check_borel_cantelli(
                 tail_hit[i] = hit
         diverge = p_sum >= divergence_cut
         match = tail_hit == diverge
-        return start, int(match.sum()), float(p_sum.sum()), count
+        return int(match.sum()), float(p_sum.sum()), count
 
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, blocks))
-    else:
-        results = [work(blk) for blk in blocks]
-    results.sort(key=lambda r: r[0])
-
+    results = _run_blocks(work, trials, block_size, workers)
     rows = []
     matched = 0
     p_total = 0.0
-    for idx, (start, m, p_sum_total, count) in enumerate(results):
+    for idx, (m, p_sum_total, count) in enumerate(results):
         rows.append((idx, m / count, p_sum_total / count))
         matched += m
         p_total += p_sum_total

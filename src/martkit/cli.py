@@ -50,8 +50,11 @@ from .montecarlo import (
     IndependentEvents,
     PolyaUrn,
     RunConfig,
+    _VECTOR_RNG_MAX_HORIZON,
+    _philox_uniforms,
     exhaustive_space,
     simulate_stats,
+    trial_rng,
 )
 from .processes import (
     Filtration,
@@ -1010,10 +1013,34 @@ def _scenario_text(filename: str) -> str:
     return resources.files("martkit").joinpath("scenarios", filename).read_text()
 
 
+def _rng_streams_mismatch() -> Optional[int]:
+    """First horizon at which the in-house Philox kernel differs from numpy's
+    own ``trial_rng`` streams, testing one block at the vectorised-horizon
+    cut and one just above it; None when both agree bit for bit.  A numpy
+    whose Philox stream or double conversion changed is caught here."""
+    seed, start, count = (1 << 63) + 12345, (1 << 40) + 7, 5
+    for horizon in (_VECTOR_RNG_MAX_HORIZON, _VECTOR_RNG_MAX_HORIZON + 1):
+        want = np.stack([trial_rng(seed, start + i).random(horizon) for i in range(count)])
+        got = _philox_uniforms(seed, start, count, horizon)
+        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            return horizon
+    return None
+
+
 def cmd_selftest(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     failures = 0
+
+    bad_horizon = _rng_streams_mismatch()
+    if bad_horizon is None:
+        print(
+            "[PASS] rng-streams: vectorised Philox4x64-10 matches trial_rng at horizons "
+            f"{_VECTOR_RNG_MAX_HORIZON} and {_VECTOR_RNG_MAX_HORIZON + 1}"
+        )
+    else:
+        print(f"[FAIL] rng-streams: vectorised Philox4x64-10 differs from trial_rng at horizon {bad_horizon}")
+        failures += 1
 
     exact_doc = json.loads(_scenario_text("exact_suite.json"))
     code = run_scenario(exact_doc, "exact_suite.json", os.path.join(out, "exact"))

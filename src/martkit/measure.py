@@ -81,7 +81,10 @@ class FiniteMeasureSpace:
         return sum(self.weights, zero(self.mode))
 
     def is_probability(self) -> bool:
-        return self.total == 1
+        """Total mass 1: exactly in exact mode, within DEFAULT_FLOAT_TOL in float mode."""
+        if self.mode == "exact":
+            return self.total == 1
+        return abs(self.total - 1) <= DEFAULT_FLOAT_TOL
 
     def positive_atoms(self) -> tuple:
         return tuple(i for i, w in enumerate(self.weights) if w > 0)

@@ -15,6 +15,7 @@ from martkit import (
     event_sequence_from_counts,
     exhaustive_space,
     predictable_sum,
+    trial_rng,
 )
 
 
@@ -107,6 +108,22 @@ class TestMonteCarloSurrogate:
         assert a.match_fraction == b.match_fraction == c.match_fraction
         assert a.p_horizon_mean == b.p_horizon_mean == c.p_horizon_mean
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block_size", [1, 77, 1024])
+    def test_block_fractions_match_trial_rng(self, block_size, workers):
+        probs = [0.5 / n for n in range(1, 33)]
+        trials, tail_start = 1100, 16
+        rep = check_borel_cantelli(IndependentEvents(probs), 32, trials, 5, 1.5, tail_start,
+                                   block_size=block_size, workers=workers)
+        diverge = sum(probs) >= 1.5
+        want = []
+        for start in range(0, trials, block_size):
+            count = min(block_size, trials - start)
+            hits = [(trial_rng(5, t).random(32) < probs)[tail_start - 1 :].any()
+                    for t in range(start, start + count)]
+            want.append(sum(h == diverge for h in hits) / count)
+        assert [row[1] for row in rep.blocks] == want
+
     def test_history_dependent_model_runs(self):
         def prob(n, history):
             return 0.5 if (n == 0 or sum(history) % 2 == 0) else 0.25
@@ -115,6 +132,33 @@ class TestMonteCarloSurrogate:
                                    divergence_cut=5.0, tail_start=15)
         assert 0.0 <= rep.match_fraction <= 1.0
         assert rep.p_horizon_mean > 5.0
+
+    def test_history_dependent_model_matches_trial_rng(self):
+        def prob(n, history):
+            return 0.5 if sum(history) % 2 == 0 else 0.1
+
+        # the cut and the short tail leave both surrogates undecided per trial
+        rep = check_borel_cantelli(prob, horizon=30, trials=400, seed=3,
+                                   divergence_cut=9.0, tail_start=28, block_size=150)
+        totals, matched = [], 0
+        for t in range(400):
+            u, history, hit = trial_rng(3, t).random(30), (), False
+            for n in range(1, 31):
+                occ = bool(u[n - 1] < prob(n, history))
+                hit = hit or (occ and n >= 28)
+                history += (occ,)
+            totals.append(sum(prob(n, history[: n - 1]) for n in range(1, 31)))
+            matched += hit == (totals[-1] >= 9.0)
+        assert 0 < matched < 400 and min(totals) < 9.0 <= max(totals)
+        assert rep.match_fraction == matched / 400
+        assert rep.p_horizon_mean == pytest.approx(sum(totals) / 400, rel=1e-12)
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_block_size_must_be_positive(self, block_size):
+        # a negative size once produced no blocks and a silent match_fraction of 0
+        with pytest.raises(ValueError, match="block_size"):
+            check_borel_cantelli(IndependentEvents([0.5] * 10), 10, 100, 1, 2.0, 5,
+                                 block_size=block_size)
 
     def test_tail_start_must_sit_inside_the_horizon(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,18 @@ def test_uniform_space_totals_one():
     assert sp.is_probability()
 
 
+def test_float_probability_allows_rounding_in_the_total():
+    # ten weights of 0.1 sum to 0.9999999999999999 in IEEE doubles
+    sp = FiniteMeasureSpace.from_weights([0.1] * 10, mode="float")
+    assert sp.total != 1
+    assert sp.is_probability()
+    assert not FiniteMeasureSpace.from_weights([0.1] * 9, mode="float").is_probability()
+    # exact mode keeps strict equality, even for a deficit far below the float tolerance
+    short = [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**12)]
+    assert not FiniteMeasureSpace.from_weights(short, mode="exact").is_probability()
+    assert FiniteMeasureSpace.from_weights([float(w) for w in short], mode="float").is_probability()
+
+
 def test_integral_and_measure_basics():
     sp = FiniteMeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     f = RandomVariable.from_values([2, -4, 8], "exact")

@@ -1,9 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martkit import (
     Band,
@@ -23,7 +26,14 @@ from martkit import (
     trial_rng,
     upcrossings_before,
 )
+from martkit import montecarlo
 from oracles import upcrossings_state_machine
+
+
+def reference_uniforms(seed, start, count, horizon):
+    """Row i is trial start+i's stream, drawn by its own numpy generator."""
+    rows = [trial_rng(seed, start + i).random(horizon) for i in range(count)]
+    return np.stack(rows) if rows else np.empty((0, horizon))
 
 
 class TestExhaustiveUnroll:
@@ -93,6 +103,41 @@ class TestDeterminism:
             assert np.array_equal(base.window_osc, other.window_osc)
             assert np.array_equal(base.band_counts[band], other.band_counts[band])
             assert np.array_equal(base.checkpoint_values, other.checkpoint_values)
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block_size", [1, 77, 1024])
+    def test_short_horizon_finals_match_trial_rng(self, block_size, workers):
+        cfg = RunConfig(seed=21, trials=1100, horizon=montecarlo._VECTOR_RNG_MAX_HORIZON)
+        steps = np.where(reference_uniforms(21, 0, 1100, cfg.horizon) < 0.5, 1.0, -1.0)
+        got = simulate_stats(FairWalk(), cfg, block_size=block_size, workers=workers)
+        assert np.array_equal(got.final, steps.sum(axis=1))
+
+
+class TestVectorPhilox:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        start=st.sampled_from([1, 2**40, 2**63]) | st.integers(0, 2**40),
+        horizon=st.sampled_from([0, 1, 3, 4, 5, 127, 128, 129]),
+        count=st.integers(1, 600),
+        chunk_blocks=st.sampled_from([montecarlo._PHILOX_CHUNK_BLOCKS, 64, 7]),
+    )
+    def test_kernel_and_block_reproduce_trial_rng(self, seed, start, horizon, count, chunk_blocks):
+        want = reference_uniforms(seed, start, count, horizon).view(np.uint64)
+        with mock.patch.object(montecarlo, "_PHILOX_CHUNK_BLOCKS", chunk_blocks):
+            kernel = montecarlo._philox_uniforms(seed, start, count, horizon)
+            block = montecarlo._uniform_block(seed, start, count, horizon)
+        assert np.array_equal(kernel.view(np.uint64), want)
+        assert np.array_equal(block.view(np.uint64), want)
+
+    def test_default_chunking_crosses_a_chunk_boundary(self):
+        # 32 counter blocks per trial, so one pass covers 512 trials
+        horizon = montecarlo._VECTOR_RNG_MAX_HORIZON
+        count = 2 * montecarlo._PHILOX_CHUNK_BLOCKS // (horizon // 4) + 3
+        want = reference_uniforms(2**64 - 1, 2**40, count, horizon).view(np.uint64)
+        got = montecarlo._uniform_block(2**64 - 1, 2**40, count, horizon)
+        assert np.array_equal(got.view(np.uint64), want)
 
 
 class TestStatisticalBehavior:
