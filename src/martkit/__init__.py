@@ -55,7 +55,6 @@ from .crossings import (
     upper_crossing,
 )
 from .measure import (
-    DEFAULT_FLOAT_TOL,
     FiniteMeasureSpace,
     Partition,
     RandomVariable,
@@ -104,7 +103,7 @@ from .processes import (
     natural_filtration,
     stochastic_integral,
 )
-from .scalars import INF, Mode, ModeError, RootValue, Scalar
+from .scalars import DEFAULT_FLOAT_TOL, INF, Mode, ModeError, RootValue, Scalar, tolerance
 from .stopping import (
     OptionalStoppingReport,
     StoppingTime,
@@ -141,7 +140,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # scalars
-    "INF", "Mode", "ModeError", "RootValue", "Scalar", "DEFAULT_FLOAT_TOL",
+    "INF", "Mode", "ModeError", "RootValue", "Scalar", "DEFAULT_FLOAT_TOL", "tolerance",
     # measure
     "FiniteMeasureSpace", "Partition", "RandomVariable", "ae_equal", "ae_le",
     "ae_witness", "generated_partition", "indicator", "integral",

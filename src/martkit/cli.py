@@ -951,6 +951,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_bc(args) -> int:
+    for name in ("trials", "block_size", "workers"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')}: expected an integer >= 1")
     if args.model != "independent":
         raise ConfigError("--model: only 'independent' event streams are supported")
     if args.schedule:

@@ -34,7 +34,7 @@ from .measure import (
     set_integral,
     _check_rv,
 )
-from .scalars import Scalar, zero
+from .scalars import Scalar, tolerance, zero
 
 
 def _default_ambient(space: FiniteMeasureSpace, ambient: Partition | None) -> Partition:
@@ -160,7 +160,7 @@ def check_set_integral_characterization(
         gap = abs(set_integral(space, ce, block) - set_integral(space, f, block))
         if gap > worst:
             worst = gap
-    limit = 0 if space.mode == "exact" else (1e-9 if tol is None else tol)
+    limit = tolerance(space.mode, tol)
     return CharacterizationReport(holds=worst <= limit, worst_block_gap=worst)
 
 

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from .condexp import condexp
 from .measure import (
-    DEFAULT_FLOAT_TOL,
     FiniteMeasureSpace,
     Partition,
     RandomVariable,
@@ -37,7 +36,7 @@ from .processes import (
     classify,
     filtration_sup,
 )
-from .scalars import Scalar, coerce_scalar
+from .scalars import Scalar, coerce_scalar, tolerance
 
 __all__ = [
     "MaximalInequalityReport",
@@ -56,12 +55,6 @@ __all__ = [
     "FatouReport",
     "fatou_norm_check",
 ]
-
-
-def _tol_for(space: FiniteMeasureSpace, tol: Optional[float]) -> Scalar:
-    if space.mode == "exact":
-        return 0
-    return DEFAULT_FLOAT_TOL if tol is None else tol
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +96,7 @@ def check_maximal_inequality(
     mass = measure(space, level_set)
     lhs = lam * mass
     rhs = set_integral(space, f.at(n), level_set)
-    eps = _tol_for(space, tol)
+    eps = tolerance(space.mode, tol)
     return MaximalInequalityReport(
         n=n, level=lam, set_mass=mass, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps
     )
@@ -303,7 +296,7 @@ def check_l1_convergence_a(
     trend_ok = all(
         float(gaps[i + 1]) <= float(gaps[i]) + trend_slack for i in range(len(gaps) - 1)
     )
-    eps = _tol_for(space, None)
+    eps = tolerance(space.mode)
     final_below = gaps[-1] <= coerce_scalar(tol, space.mode) + eps
     holds = (not ui_small) or (trend_ok and final_below)
     return L1ConvergenceAReport(
@@ -384,7 +377,7 @@ def check_levy_upward(
     for n in range(F.horizon + 1):
         ce = condexp(space, g, F.steps[n], ambient)
         d.append(snorm(space, ce - g, 1))
-    eps = _tol_for(space, tol)
+    eps = tolerance(space.mode, tol)
     monotone = all(d[i + 1] <= d[i] + eps for i in range(len(d) - 1))
     final_zero = d[-1] <= eps
     return LevyUpwardReport(
@@ -421,7 +414,7 @@ def fatou_norm_check(
     agrees with g on positive-weight atoms (exact in exact mode, within tol
     in float mode), the computable shadow of "f_n converges to g a.e.".
     """
-    eps = _tol_for(space, tol)
+    eps = tolerance(space.mode, tol)
     w = ae_witness(space, f.at(f.horizon), g, "eq", tol=tol)
     if w is not None:
         raise ValueError(

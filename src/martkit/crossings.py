@@ -11,20 +11,22 @@ and stabilizes: once sigma_{k+1} == sigma_k every later row repeats.
 strictly before N; a >= b is deliberately allowed, the estimate's left side
 is then nonpositive.
 
-The recursion here is the production implementation; the independent
-single-pass state machine lives in the test suite as its oracle, and a
-vectorized counter for Monte Carlo batches in :mod:`martkit.montecarlo`.
+There is no memo: a call scans each atom's path once with no time bound, and
+the chain at N is that chain clipped at N, so a sweep over N builds one chain
+per (band, process).  The N-bounded recursion and a single-pass state machine
+live in the test suite as oracles; :mod:`martkit.montecarlo` has a vectorized
+counter for Monte Carlo batches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .measure import FiniteMeasureSpace, RandomVariable, integral
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
-from .scalars import Scalar, coerce_scalar, ext_mul, of_real, positive_part
+from .scalars import INF, Scalar, coerce_scalar, ext_mul, of_real, positive_part, tolerance
 
 __all__ = [
     "Band",
@@ -78,72 +80,71 @@ class CrossingTable:
 
 
 # ---------------------------------------------------------------------------
-# Chain construction.  All scans run on precomputed hit masks so that exact
-# (Fraction) values are compared against the band once per time index, not
-# once per recursion row.
+# Chain construction: every N-dependent quantity is read off one unbounded chain.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _hit_masks(band: Band, f: Process) -> tuple:
-    """Per atom: (le_a, ge_b) boolean tuples over time 0..horizon."""
-    bd = band.coerced(f.mode)
-    out = []
-    for w in range(f.atom_count):
-        le_a = tuple(f.values[t][w] <= bd.a for t in range(f.horizon + 1))
-        ge_b = tuple(f.values[t][w] >= bd.b for t in range(f.horizon + 1))
-        out.append((le_a, ge_b))
-    return tuple(out)
-
-
-def _scan(mask: tuple, n: int, m: int) -> int:
-    for j in range(n, m + 1):
-        if mask[j]:
-            return j
-    return m
-
-
-def _atom_chain(le_a: tuple, ge_b: tuple, N: int) -> tuple:
-    """(sigmas, taus) rows until stabilization (sigma row repeats)."""
+def _atom_chain(path, a: Scalar, b: Scalar) -> tuple:
+    """(sigmas, taus, stick) of one path with no time bound: the finite sigma_k
+    and tau_k, then the time from which every row repeats (a value both <= a
+    and >= b, so only when a >= b), or INF, the value of every later row."""
     sigmas = [0]
     taus = []
-    while True:
-        s = sigmas[-1]
-        t = _scan(le_a, s, N)
-        taus.append(t)
-        s2 = _scan(ge_b, t, N)
-        sigmas.append(s2)
-        if s2 == s:
-            return tuple(sigmas), tuple(taus)
+    want_low = True
+    for t, v in enumerate(path):
+        while True:  # one value may close several legs at the same time
+            if want_low:
+                if not v <= a:
+                    break
+                taus.append(t)
+            else:
+                if not v >= b:
+                    break
+                if t == sigmas[-1]:
+                    return sigmas, taus, t
+                sigmas.append(t)
+            want_low = not want_low
+    return sigmas, taus, INF
 
 
-@lru_cache(maxsize=4096)
-def _chains(band: Band, f: Process, N: int) -> tuple:
+def _chains(band: Band, f: Process) -> list:
+    bd = band.coerced(f.mode)
+    return [_atom_chain(path, bd.a, bd.b) for path in zip(*f.values)]
+
+
+def _check_bound(f: Process, N: int, n: int = 0) -> None:
     if not 0 <= N <= f.horizon:
         raise ValueError("N must lie within the horizon")
-    masks = _hit_masks(band, f)
-    return tuple(_atom_chain(le_a, ge_b, N) for (le_a, ge_b) in masks)
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
 
-def _sigma_at(chain: tuple, n: int) -> int:
-    sigmas = chain[0]
-    return sigmas[min(n, len(sigmas) - 1)]
+def _row(chain: tuple, which: int, n: int):
+    """Unbounded sigma_n (which = 0) or tau_n (which = 1)."""
+    return chain[which][n] if n < len(chain[which]) else chain[2]
 
 
-def _tau_at(chain: tuple, n: int) -> int:
-    taus = chain[1]
-    return taus[min(n, len(taus) - 1)]
+def _count_before(chain: tuple, N: int) -> int:
+    """Largest n in 0..N with sigma_n < N (0 when N = 0)."""
+    if N == 0:
+        return 0
+    if chain[2] < N:
+        # stuck strictly below N: sigma_n < N for every n, so the count
+        # tops out at N (reachable only when a >= b)
+        return N
+    return bisect_left(chain[0], N) - 1
 
 
 def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
-    """Materialize the chain rows up to (and including) the first repeat."""
-    chains = _chains(band, f, N)
-    rows = max(len(c[0]) for c in chains)
-    sigma = tuple(
-        tuple(_sigma_at(c, k) for c in chains) for k in range(rows)
-    )
-    tau = tuple(
-        tuple(_tau_at(c, k) for c in chains) for k in range(rows)
+    """Chain rows at bound N, up to (and including) the first repeat: an
+    atom's rows end at the first k with sigma_k >= N or with the chain stuck
+    at sigma_k, so its bounded chain has k + 2 sigma rows."""
+    _check_bound(f, N)
+    chains = _chains(band, f)
+    rows = 2 + max(bisect_left(c[0], N) - (c[2] < N) for c in chains)
+    sigma, tau = (
+        tuple(tuple(min(_row(c, which, k), N) for c in chains) for k in range(rows))
+        for which in (0, 1)
     )
     return CrossingTable(sigma=sigma, tau=tau, N=N)
 
@@ -151,44 +152,30 @@ def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
 def upper_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
     """sigma_n per atom: time the n-th upcrossing of the band completes
     (0 for n = 0, N once the chain has run out of crossings)."""
-    return tuple(_sigma_at(c, n) for c in _chains(band, f, N))
+    _check_bound(f, N, n)
+    return tuple(min(_row(c, 0, n), N) for c in _chains(band, f))
 
 
 def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
     """tau_n per atom: first visit below a at or after sigma_n."""
-    return tuple(_tau_at(c, n) for c in _chains(band, f, N))
-
-
-def _upcrossings_before_atom(sigmas: tuple, N: int) -> int:
-    if N == 0:
-        return 0
-    if sigmas[-1] < N:
-        # chain stabilized strictly below N: sigma_n < N for every n <= N,
-        # so the bounded scan tops out at N (reachable only when a >= b)
-        return N
-    for r, s in enumerate(sigmas):
-        if s >= N:
-            return r - 1
-    raise AssertionError("unreachable: chain neither stabilized nor reached N")
+    _check_bound(f, N, n)
+    return tuple(min(_row(c, 1, n), N) for c in _chains(band, f))
 
 
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
-    return tuple(_upcrossings_before_atom(c[0], N) for c in _chains(band, f, N))
+    _check_bound(f, N)
+    return tuple(_count_before(c, N) for c in _chains(band, f))
 
 
 def upcrossings(band: Band, f: Process) -> tuple:
     """Supremum over N <= horizon of upcrossings_before, per atom.
 
-    The codomain mirrors an extended nonnegative count; on a finite horizon
-    the value is always a finite int.
+    The count is nondecreasing in N, so the supremum is the count at the
+    horizon.  The codomain mirrors an extended nonnegative count; on a
+    finite horizon the value is always a finite int.
     """
-    best = [0] * f.atom_count
-    for N in range(f.horizon + 1):
-        for w, u in enumerate(upcrossings_before(band, f, N)):
-            if u > best[w]:
-                best[w] = u
-    return tuple(best)
+    return upcrossings_before(band, f, f.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +229,7 @@ def check_upcrossing_estimate(
     lhs = (bd.b - bd.a) * integral(space, u)
     shifted = f.at(N).shift(-bd.a).positive_part()
     rhs = integral(space, shifted)
-    eps = 0 if space.mode == "exact" else (1e-9 if tol is None else tol)
+    eps = tolerance(space.mode, tol)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
 
 
@@ -288,7 +275,7 @@ def check_upcrossing_estimate_sup(
         val = integral(space, f.at(N).shift(-bd.a).positive_part())
         if best is None or val > best:
             best, best_n = val, N
-    eps = 0 if space.mode == "exact" else (1e-9 if tol is None else tol)
+    eps = tolerance(space.mode, tol)
     return UpcrossingSupReport(
         a=bd.a,
         b=bd.b,
@@ -324,11 +311,10 @@ def band_translation_identity(band: Band, f: Process) -> BandTranslationReport:
         mode=f.mode,
     )
     shifted = Band(a=coerce_scalar(0, f.mode), b=bd.b - bd.a)
+    pairs = list(zip(_chains(band, f), _chains(shifted, g)))
     for N in range(f.horizon + 1):
-        lhs = upcrossings_before(band, f, N)
-        rhs = upcrossings_before(shifted, g, N)
-        if lhs != rhs:
-            for w, (x, y) in enumerate(zip(lhs, rhs)):
-                if x != y:
-                    return BandTranslationReport(holds=False, first_mismatch=(N, w, x, y))
+        for w, (lc, rc) in enumerate(pairs):
+            x, y = _count_before(lc, N), _count_before(rc, N)
+            if x != y:
+                return BandTranslationReport(holds=False, first_mismatch=(N, w, x, y))
     return BandTranslationReport(holds=True, first_mismatch=None)

@@ -21,10 +21,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .scalars import (
-    DEFAULT_FLOAT_TOL,
     INF,
     Mode,
     ModeError,
@@ -32,6 +33,7 @@ from .scalars import (
     Scalar,
     check_same_mode,
     coerce_values,
+    tolerance,
     zero,
 )
 
@@ -82,9 +84,7 @@ class FiniteMeasureSpace:
 
     def is_probability(self) -> bool:
         """Total mass 1: exactly in exact mode, within DEFAULT_FLOAT_TOL in float mode."""
-        if self.mode == "exact":
-            return self.total == 1
-        return abs(self.total - 1) <= DEFAULT_FLOAT_TOL
+        return abs(self.total - 1) <= tolerance(self.mode)
 
     def positive_atoms(self) -> tuple:
         return tuple(i for i, w in enumerate(self.weights) if w > 0)
@@ -95,9 +95,24 @@ class FiniteMeasureSpace:
                 raise ValueError(f"atom {a!r} outside range 0..{self.atom_count - 1}")
 
 
+def _exact_dot(xs: Iterable, ys: Iterable) -> Fraction:
+    """sum(x * y) over paired Fractions or ints: the numerators add as ints over
+    a running common denominator, so only the final Fraction pays a gcd."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        d = x.denominator * y.denominator
+        if d != den:
+            common = lcm(den, d)
+            num, den = num * (common // den), common
+        num += x.numerator * y.numerator * (den // d)
+    return Fraction(num, den)
+
+
 def measure(space: FiniteMeasureSpace, s: AtomSet) -> Scalar:
     """mu(s) = sum of the weights of the atoms in s."""
     space.check_atoms(s)
+    if space.mode == "exact":
+        return _exact_dot((space.weights[a] for a in s), repeat(1))
     return sum((space.weights[a] for a in s), zero(space.mode))
 
 
@@ -176,6 +191,8 @@ def _check_rv(space: FiniteMeasureSpace, f: RandomVariable) -> None:
 def integral(space: FiniteMeasureSpace, f: RandomVariable) -> Scalar:
     """Integral of f over the whole space."""
     _check_rv(space, f)
+    if space.mode == "exact":
+        return _exact_dot(space.weights, f.values)
     return sum((w * v for w, v in zip(space.weights, f.values)), zero(space.mode))
 
 
@@ -183,6 +200,8 @@ def set_integral(space: FiniteMeasureSpace, f: RandomVariable, s: AtomSet) -> Sc
     """Integral of f restricted to the atom set s."""
     _check_rv(space, f)
     space.check_atoms(s)
+    if space.mode == "exact":
+        return _exact_dot((space.weights[a] for a in s), (f.values[a] for a in s))
     return sum((space.weights[a] * f.values[a] for a in s), zero(space.mode))
 
 
@@ -239,10 +258,7 @@ def ae_witness(
     """
     _check_rv(space, f)
     _check_rv(space, g)
-    if space.mode == "float":
-        t = DEFAULT_FLOAT_TOL if tol is None else tol
-    else:
-        t = 0
+    t = tolerance(space.mode, tol)
     for i, w in enumerate(space.weights):
         if w == 0:
             continue

@@ -26,7 +26,7 @@ from .measure import (
     partition_le,
     _check_rv,
 )
-from .scalars import DEFAULT_FLOAT_TOL, Mode, Scalar, check_same_mode, coerce_values, zero
+from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def classify(
     aw = _adapted_witness(f, F)
     if aw is not None:
         return Classification(MartingaleClass.NONE, False, aw, None, None)
-    t = (DEFAULT_FLOAT_TOL if tol is None else tol) if space.mode == "float" else 0
+    t = tolerance(space.mode, tol)
     sub_violation = None
     super_violation = None
     for i in range(f.horizon + 1):

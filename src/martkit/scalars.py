@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Union
+from typing import Iterable, Literal, Optional, Union
 
 Mode = Literal["exact", "float"]
 
@@ -38,6 +38,14 @@ INF = math.inf
 # Tolerance used by float-mode "almost everywhere" comparisons when the caller
 # does not pass one.  Exact mode never consults it.
 DEFAULT_FLOAT_TOL = 1e-9
+
+
+def tolerance(mode: Mode, tol: Optional[float] = None) -> Scalar:
+    """Comparison slack for a mode: 0 in exact mode; in float mode ``tol``,
+    or DEFAULT_FLOAT_TOL when it is None."""
+    if mode == "exact":
+        return 0
+    return DEFAULT_FLOAT_TOL if tol is None else tol
 
 
 class ModeError(TypeError):

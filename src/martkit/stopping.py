@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from .measure import FiniteMeasureSpace, integral, set_measurable_wrt
 from .processes import Classification, Filtration, MartingaleClass, Process, classify, is_adapted
-from .scalars import INF, Mode, Scalar, coerce_scalar
+from .scalars import INF, Mode, Scalar, coerce_scalar, tolerance
 
 __all__ = [
     "StoppingTime",
@@ -261,7 +261,7 @@ def check_optional_stopping(
     f_sigma = RandomVariable(values=_value_at_time(f, sigma), mode=f.mode)
     lhs = integral(space, f_tau)
     rhs = integral(space, f_sigma)
-    eps = 0 if space.mode == "exact" else (1e-9 if tol is None else tol)
+    eps = tolerance(space.mode, tol)
     is_mart = cls.kind == MartingaleClass.MARTINGALE
     return OptionalStoppingReport(
         lhs=lhs,

@@ -7,9 +7,11 @@ collapsed to a boolean; checks report curves and let the caller (or the
 acceptance suite) judge decay.
 
 The analyst's maximization is a 0/1 knapsack over atoms (value w*|f|^p,
-weight w, capacity delta).  Two independent solvers are kept: exhaustive
-subset search for small atom counts and a density-sorted branch-and-bound;
-both are exact and the test suite cross-checks them.
+weight w, capacity delta).  Two independent exact solvers are kept.  A
+branch-and-bound over items sorted by density v/w is the exact-mode default;
+exhaustive subset search is its cross-check (``force_method="exhaustive"``),
+and the test suite compares the two.  Float mode keeps the numpy subset sweep
+up to EXHAUSTIVE_ATOM_LIMIT items and branch-and-bound above it.
 """
 
 from __future__ import annotations
@@ -166,7 +168,10 @@ def _knapsack_branch_bound(
     zero = coerce_scalar(0, mode)
     if not items:
         return zero
-    order = sorted(items, key=lambda it: (float(it[1]) / float(it[0])), reverse=True)
+    # exact densities: a float sort overflows on huge values and misorders
+    # near-ties, and out of density order the greedy bound can prune the optimum
+    ratio = Fraction if mode == "exact" else (lambda v, w: float(v) / float(w))
+    order = sorted(items, key=lambda it: ratio(it[1], it[0]), reverse=True)
     ws = [it[0] for it in order]
     vs = [it[1] for it in order]
     n = len(order)
@@ -222,7 +227,7 @@ def _analyst_modulus_one(
     items = _knapsack_items(space, f, p)
     method = force_method
     if method is None:
-        if len(items) <= EXHAUSTIVE_ATOM_LIMIT:
+        if space.mode == "float" and len(items) <= EXHAUSTIVE_ATOM_LIMIT:
             method = "exhaustive"
         elif len(items) <= HARD_ATOM_CAP or approximate:
             method = "branch_bound"
@@ -483,40 +488,29 @@ def vitali_empirical(
 # ---------------------------------------------------------------------------
 
 
+def _spike_family(horizon: int, mode: str, mass_power: int) -> tuple:
+    """Spike n of height n on atom n-1, of mass 1/n^mass_power; limit 0."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    zero = coerce_scalar(0, mode)
+    weights, members = [], []
+    for n in range(1, horizon + 1):
+        weights.append(Fraction(1, n**mass_power) if mode == "exact" else 1.0 / n**mass_power)
+        vals = [zero] * horizon
+        vals[n - 1] = coerce_scalar(n, mode)
+        members.append(RandomVariable(values=tuple(vals), mode=mode))
+    space = FiniteMeasureSpace.from_weights(weights, mode)
+    return space, tuple(members), RandomVariable.constant(zero, horizon, mode)
+
+
 def shrinking_spike_family(horizon: int, mode: str = "float") -> tuple:
     """Spikes of height n on sets of mass 1/n^2: converges in L1 (norm 1/n).
 
     Returns (space, members, limit); atoms are indexed n-1 for spike n.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if mode == "exact":
-        weights = [Fraction(1, n * n) for n in range(1, horizon + 1)]
-    else:
-        weights = [1.0 / (n * n) for n in range(1, horizon + 1)]
-    space = FiniteMeasureSpace.from_weights(weights, mode)
-    members = []
-    for n in range(1, horizon + 1):
-        vals = [coerce_scalar(0, mode)] * horizon
-        vals[n - 1] = coerce_scalar(n, mode)
-        members.append(RandomVariable(values=tuple(vals), mode=mode))
-    limit = RandomVariable.constant(coerce_scalar(0, mode), horizon, mode)
-    return space, tuple(members), limit
+    return _spike_family(horizon, mode, 2)
 
 
 def fixed_mass_spike_family(horizon: int, mode: str = "float") -> tuple:
     """Spikes of height n on sets of mass 1/n: in measure but L1 norm stays 1."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if mode == "exact":
-        weights = [Fraction(1, n) for n in range(1, horizon + 1)]
-    else:
-        weights = [1.0 / n for n in range(1, horizon + 1)]
-    space = FiniteMeasureSpace.from_weights(weights, mode)
-    members = []
-    for n in range(1, horizon + 1):
-        vals = [coerce_scalar(0, mode)] * horizon
-        vals[n - 1] = coerce_scalar(n, mode)
-        members.append(RandomVariable(values=tuple(vals), mode=mode))
-    limit = RandomVariable.constant(coerce_scalar(0, mode), horizon, mode)
-    return space, tuple(members), limit
+    return _spike_family(horizon, mode, 1)

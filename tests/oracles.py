@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately share no code with ``martkit`` internals: the upcrossing
-counter is a two-state scanner instead of the sigma/tau recursion, the
-analyst modulus is plain subset enumeration, and the stopping-time check
-walks partition blocks by hand.
+counter is a two-state scanner, the sigma/tau chain is the N-bounded
+recursion that rescans the path for every bound (the package scans each path
+once and clips), the analyst modulus is plain subset enumeration, and the
+stopping-time check walks partition blocks by hand.
 """
 
 from fractions import Fraction
@@ -29,6 +30,40 @@ def upcrossings_state_machine(values, a, b, N):
             count += 1
             armed = False
     return count
+
+
+def crossing_chain_recursion(values, a, b, N):
+    """(sigmas, taus) of the N-bounded recursion on one path, by row until
+    the sigma row repeats.
+
+    sigma_0 = 0; tau_k is the first time in [sigma_k, N] with a value <= a,
+    sigma_{k+1} the first time in [tau_k, N] with a value >= b, and each scan
+    falls back to N.  Rows past the returned ones repeat the last.
+    """
+
+    def scan(hit, start):
+        for j in range(start, N + 1):
+            if hit(values[j]):
+                return j
+        return N
+
+    sigmas, taus = [0], []
+    while True:
+        taus.append(scan(lambda v: v <= a, sigmas[-1]))
+        sigmas.append(scan(lambda v: v >= b, taus[-1]))
+        if sigmas[-1] == sigmas[-2]:
+            return tuple(sigmas), tuple(taus)
+
+
+def upcrossings_by_recursion(values, a, b, N):
+    """Largest n in 0..N with sigma_n < N on the bounded chain (0 at N = 0)."""
+    if N == 0:
+        return 0
+    sigmas, _ = crossing_chain_recursion(values, a, b, N)
+    if sigmas[-1] < N:
+        # stuck below N: every row stays below N (only when a >= b)
+        return N
+    return next(r for r, s in enumerate(sigmas) if s >= N) - 1
 
 
 def brute_analyst_power(space, members, delta, p):

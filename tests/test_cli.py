@@ -143,6 +143,14 @@ def test_bc_fails_when_the_threshold_is_unreachable(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--block-size", "-3"),
+                                         ("--workers", "0")])
+def test_bc_counts_below_one_exit_two(flag, value, capsys):
+    code = main(["bc", "--prob", "0.5", "--horizon", "20", flag, value])
+    assert code == 2
+    assert f"error: {flag}: expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_converge_prints_diagnostic_rows(capsys):
     code = main(["converge", "--model", "fair_walk", "--horizon", "4",
                  "--cutoff", "4", "--bands=-1/2,1/2", "--l1-bound", "2"])

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from martkit import (
     upper_crossing,
 )
 from conftest import random_filtration, random_fraction, random_space, random_submartingale
-from oracles import upcrossings_state_machine
+from oracles import crossing_chain_recursion, upcrossings_by_recursion, upcrossings_state_machine
 
 seeds = st.integers(0, 10**9)
 
@@ -207,3 +209,89 @@ def test_single_crossing_legs():
     assert upper_crossing(UNIT_BAND, f, 13, 0) == (0,)
     assert lower_crossing(UNIT_BAND, f, 13, 0) == (1,)
     assert lower_crossing(UNIT_BAND, f, 13, 2) == (11,)
+
+
+def test_stuck_chain_on_a_reversed_band():
+    # a = 1 >= b = 0: at t = 2 the value 1/2 is both <= a and >= b, so the
+    # chain closes sigma_1 = 2 and then sticks there
+    f = Process.from_path([2, 3, Fraction(1, 2), 3, 4, 5], "exact")
+    band = Band(Fraction(1), Fraction(0))
+    tab = crossing_table(band, f, 5)
+    assert tab.sigma == ((0,), (2,), (2,))
+    assert tab.tau == ((2,), (2,), (2,))
+    assert [upcrossings_before(band, f, N)[0] for N in range(6)] == [0, 0, 0, 3, 4, 5]
+    assert upcrossings(band, f) == (5,)
+
+
+def _bounded_row(chains, which, k):
+    # rows past a recursion's end repeat its last row
+    return tuple(c[which][min(k, len(c[which]) - 1)] for c in chains)
+
+
+def _first_translation_mismatch(paths, a, b, horizon):
+    """(N, atom, count on (a, b), count of (f - a)^+ on (0, b - a)) by the recursion."""
+    zero = a - a
+    for N in range(horizon + 1):
+        for w, p in enumerate(paths):
+            g = tuple(v - a if v > a else zero for v in p)
+            x, y = upcrossings_by_recursion(p, a, b, N), upcrossings_by_recursion(g, zero, b - a, N)
+            if x != y:
+                return (N, w, x, y)
+    return None
+
+
+@given(seeds, st.sampled_from(["exact", "float"]))
+@settings(max_examples=150, deadline=None)
+def test_chain_matches_the_bounded_recursion_at_every_bound(seed, mode):
+    # half-integer values on a narrow grid make same-time hits common; the
+    # band is drawn below, on and above the diagonal so a >= b (stuck
+    # chains) is covered as often as a < b
+    rng = random.Random(seed)
+    horizon = rng.randint(0, 12)
+    atoms = rng.randint(1, 4)
+
+    def draw():
+        return Fraction(rng.randint(-4, 4), 2)
+
+    rows = [[draw() for _ in range(atoms)] for _ in range(horizon + 1)]
+    a = draw()
+    b = a + Fraction(rng.choice([-2, -1, 0, 1, 2]), 2)
+    f = Process.from_values(rows, mode)
+    band = Band(a, b)
+    bd = band.coerced(mode)
+    paths = [f.path(w) for w in range(atoms)]
+    for N in range(horizon + 1):
+        chains = [crossing_chain_recursion(p, bd.a, bd.b, N) for p in paths]
+        counts = upcrossings_before(band, f, N)
+        assert counts == tuple(upcrossings_by_recursion(p, bd.a, bd.b, N) for p in paths)
+        if bd.a < bd.b:
+            assert counts == tuple(upcrossings_state_machine(p, bd.a, bd.b, N) for p in paths)
+        depth = max(len(c[0]) for c in chains)
+        tab = crossing_table(band, f, N)
+        tab.validate()
+        assert tab.N == N
+        assert tab.sigma == tuple(_bounded_row(chains, 0, k) for k in range(depth))
+        assert tab.tau == tuple(_bounded_row(chains, 1, k) for k in range(depth))
+        for n in range(depth + 2):
+            assert upper_crossing(band, f, N, n) == _bounded_row(chains, 0, n)
+            assert lower_crossing(band, f, N, n) == _bounded_row(chains, 1, n)
+    assert upcrossings(band, f) == tuple(
+        max(upcrossings_by_recursion(p, bd.a, bd.b, N) for N in range(horizon + 1))
+        for p in paths
+    )
+    if bd.a < bd.b:
+        expected = _first_translation_mismatch(paths, bd.a, bd.b, horizon)
+        rep = band_translation_identity(band, f)
+        assert rep.first_mismatch == expected
+        assert rep.holds == (expected is None)
+
+
+def test_calls_keep_no_reference_to_the_process():
+    f = reference_process()
+    ref = weakref.ref(f)
+    upcrossings_before(UNIT_BAND, f, 13)
+    crossing_table(UNIT_BAND, f, 13)
+    upcrossings(UNIT_BAND, f)
+    del f
+    gc.collect()
+    assert ref() is None

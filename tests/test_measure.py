@@ -57,6 +57,41 @@ def test_integral_and_measure_basics():
     assert set_integral(sp, f, frozenset({1, 2})) == Fraction(1)
 
 
+_weights = st.one_of(
+    st.just(0), st.integers(0, 50), st.fractions(min_value=0, max_denominator=720)
+)
+_exact_values = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_sums_equal_the_naive_fraction_sum(data):
+    # built directly, not coerced, so int weights and values stay ints
+    n = data.draw(st.integers(1, 10))
+    weights = data.draw(st.lists(_weights, min_size=n, max_size=n))
+    values = data.draw(st.lists(_exact_values, min_size=n, max_size=n))
+    s = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+    sp = FiniteMeasureSpace(tuple(weights), "exact")
+    f = RandomVariable(tuple(values), "exact")
+    cases = [
+        (integral(sp, f), sum((w * v for w, v in zip(weights, values)), Fraction(0))),
+        (set_integral(sp, f, s), sum((weights[a] * values[a] for a in s), Fraction(0))),
+        (measure(sp, s), sum((weights[a] for a in s), Fraction(0))),
+    ]
+    for got, want in cases:
+        assert type(got) is Fraction
+        assert got == want
+
+
+def test_exact_sums_over_nothing_are_fraction_zero():
+    sp = FiniteMeasureSpace((0, Fraction(0)), "exact")
+    f = RandomVariable((3, Fraction(-1, 7)), "exact")
+    for got in (integral(sp, f), set_integral(sp, f, frozenset()), measure(sp, frozenset()),
+                measure(sp, frozenset({0, 1}))):
+        assert type(got) is Fraction
+        assert got == 0
+
+
 def test_snorm_two_norm_is_root_five():
     # uniform pair, values 1 and 3: integral of f^2 is 5, so the norm is 5^(1/2)
     sp = FiniteMeasureSpace.uniform(2, mode="exact")

@@ -115,9 +115,33 @@ def test_analyst_modulus_matches_subset_enumeration(seed):
     fam = FunctionFamily(sp, members, p)
     delta = abs(random_fraction(rng))
     power = brute_analyst_power(sp, members, delta, p)
-    for method in ("exhaustive", "branch_bound"):
+    for method in (None, "exhaustive", "branch_bound"):
         got = analyst_modulus(fam, delta, force_method=method)
         assert norm_power_equals(got, p, power), (got, p, power, method)
+
+
+def test_exact_knapsack_orders_float_ties_exactly():
+    # densities 1, 1 and 1 + 2^-70 all read 1.0 as floats; in that order the
+    # greedy bound prunes the branch holding the best item
+    eps = Fraction(1, 2**70)
+    sp = FiniteMeasureSpace.from_weights([1, 1, 1])
+    fam = FunctionFamily(sp, (RandomVariable.from_values([1, 1, 1 + eps], "exact"),), 1)
+    want = analyst_modulus(fam, 1, force_method="exhaustive")
+    assert want == 1 + eps
+    assert analyst_modulus(fam, 1) == want
+    assert analyst_modulus(fam, 1, force_method="branch_bound") == want
+
+
+def test_exact_knapsack_handles_values_beyond_float_range():
+    # with p = 2 the item values reach 4 * 10^400 / 3, past float's range
+    sp = FiniteMeasureSpace.uniform(3)
+    fam = FunctionFamily(
+        sp, (RandomVariable.from_values([10**200, 2 * 10**200, 3], "exact"),), 2
+    )
+    delta = Fraction(2, 3)
+    want = analyst_modulus(fam, delta, force_method="exhaustive")
+    assert analyst_modulus(fam, delta) == want
+    assert analyst_modulus(fam, delta, force_method="branch_bound") == want
 
 
 @given(seeds)
