@@ -145,6 +145,8 @@ def check_borel_cantelli(
     "some event with n >= tail_start occurred", surrogate divergence is
     "sum of conditional probabilities >= divergence_cut".  The lemma makes
     these agree a.e. in the limit; match_fraction measures the truncation.
+    Blocks, and a callable model, run on the calling thread; ``workers`` is
+    accepted for compatibility and ignored.
     """
     if not 1 <= tail_start <= horizon:
         raise ValueError("tail_start must lie in 1..horizon")
@@ -183,7 +185,7 @@ def check_borel_cantelli(
         match = tail_hit == diverge
         return int(match.sum()), float(p_sum.sum()), count
 
-    results = _run_blocks(work, trials, block_size, workers)
+    results = _run_blocks(work, trials, block_size)
     rows = []
     matched = 0
     p_total = 0.0

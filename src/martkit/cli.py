@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import filecmp
 import io
 import json
 import os
@@ -111,12 +112,15 @@ def _fmt(x) -> str:
         return str(x)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(c) for c in row])
+def _write_csv(dest, header, rows) -> None:
+    """Write header and formatted rows to ``dest``, a path or an open text stream."""
+    if isinstance(dest, str):
+        with open(dest, "w", newline="") as fh:
+            return _write_csv(fh, header, rows)
+    w = csv.writer(dest, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(c) for c in row])
 
 
 def _load_json(path: str):
@@ -171,12 +175,11 @@ def _build_model(doc, mode: Mode, path: str):
 class _Context:
     """Scenario-wide instance store; exhaustive unrolls happen on demand."""
 
-    def __init__(self, doc: dict, src: str, mode: Mode, seed, workers_override) -> None:
+    def __init__(self, doc: dict, src: str, mode: Mode, seed) -> None:
         self.doc = doc
         self.src = src
         self.mode = mode
         self.seed = seed
-        self.workers_override = workers_override
         self._built = None
 
     def model(self, doc=None, mode: Mode = "float"):
@@ -462,19 +465,29 @@ def _check_band_translation(ctx, params, path):
     return CheckResult(rep.holds, detail, ("field", "value"), rows)
 
 
+_CROSSING_HEADER = ("atom", "n", "sigma", "tau")
+
+
+def _crossings(band: Band, f: Process, N: int) -> tuple:
+    """Validated crossing-table rows (atom, n, sigma_n, tau_n), atom by atom,
+    and the per-atom upcrossing counts before N."""
+    table = crossing_table(band, f, N)
+    table.validate()
+    rows = [
+        (w, k, table.sigma[k][w], table.tau[k][w])
+        for w in range(len(table.sigma[0]))
+        for k in range(len(table.sigma))
+    ]
+    return rows, upcrossings_before(band, f, N)
+
+
 def _check_crossing_table(ctx, params, path):
     band = _resolve_band(ctx, params, path)
     f = _resolve_process(ctx, params, path)
     N = _resolve_int(params, "N", path, default=f.horizon)
-    table = crossing_table(band, f, N)
-    table.validate()
-    counts = upcrossings_before(band, f, N)
-    rows = []
-    for w in range(len(table.sigma[0])):
-        for k in range(len(table.sigma)):
-            rows.append((w, k, table.sigma[k][w], table.tau[k][w]))
+    rows, counts = _crossings(band, f, N)
     detail = "upcrossings=" + ",".join(str(c) for c in counts)
-    return CheckResult(True, detail, ("atom", "n", "sigma", "tau"), rows)
+    return CheckResult(True, detail, _CROSSING_HEADER, rows)
 
 
 def _check_optional_stopping(ctx, params, path):
@@ -652,13 +665,10 @@ def _check_mc_stats(ctx, params, path):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{path}.bands[{i}]: expected [a, b]")
         bands.append((float(pair[0]), float(pair[1])))
-    workers = ctx.workers_override or _resolve_int(params, "workers", path, default=1, minimum=1)
+    _resolve_int(params, "workers", path, default=1, minimum=1)  # validated, then ignored
     block_size = _resolve_int(params, "block_size", path, default=1024, minimum=1)
     config = RunConfig(seed=seed, trials=trials, horizon=horizon)
-    stats = simulate_stats(
-        model, config, window=window, bands=tuple(bands),
-        block_size=block_size, workers=workers,
-    )
+    stats = simulate_stats(model, config, window=window, bands=tuple(bands), block_size=block_size)
     rows = [
         ("trials", "", trials), ("horizon", "", horizon), ("seed", "", seed),
         ("final_mean", "", float(stats.final.mean())),
@@ -713,12 +723,9 @@ def _check_borel_cantelli(ctx, params, path):
     trials = _resolve_int(params, "trials", path, default=10_000, minimum=1)
     tail_start = _resolve_int(params, "tail_start", path, default=max(1, horizon // 2), minimum=1)
     cut = float(params.get("divergence_cut", horizon / 4))
-    workers = ctx.workers_override or _resolve_int(params, "workers", path, default=1, minimum=1)
+    _resolve_int(params, "workers", path, default=1, minimum=1)  # validated, then ignored
     block_size = _resolve_int(params, "block_size", path, default=1000, minimum=1)
-    rep = check_borel_cantelli(
-        model, horizon, trials, seed, cut, tail_start,
-        block_size=block_size, workers=workers,
-    )
+    rep = check_borel_cantelli(model, horizon, trials, seed, cut, tail_start, block_size=block_size)
     min_match = float(params.get("min_match", 0.0))
     holds = rep.match_fraction >= min_match
     rows = list(rep.blocks)
@@ -761,7 +768,6 @@ def run_scenario(
     out_dir: str,
     seed_override: Optional[int] = None,
     mode_override: Optional[str] = None,
-    workers_override: Optional[int] = None,
     require_exact: bool = False,
     stream=None,
 ) -> int:
@@ -804,7 +810,7 @@ def run_scenario(
             )
 
     os.makedirs(out_dir, exist_ok=True)
-    ctx = _Context(doc, src, mode, seed, workers_override)
+    ctx = _Context(doc, src, mode, seed)
     summary = []
     failures = 0
     for i, c in enumerate(checks):
@@ -853,11 +859,12 @@ def _parse_band_flag(text: str, mode: Mode) -> Band:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers: expected an integer >= 1")
     doc = _load_json(args.scenario)
     return run_scenario(
         doc, args.scenario, args.out_dir,
         seed_override=args.seed, mode_override=args.mode,
-        workers_override=args.workers,
     )
 
 
@@ -895,24 +902,12 @@ def cmd_crossings(args) -> int:
     N = args.n if args.n is not None else f.horizon
     if not 0 <= N <= f.horizon:
         raise ConfigError(f"--n: out of range 0..{f.horizon}")
-    table = crossing_table(band, f, N)
-    table.validate()
-    counts = upcrossings_before(band, f, N)
-    header = ("atom", "n", "sigma", "tau")
-    rows = []
-    for w in range(len(table.sigma[0])):
-        for k in range(len(table.sigma)):
-            rows.append((w, k, table.sigma[k][w], table.tau[k][w]))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(c) for c in row])
-    sys.stdout.write(buf.getvalue())
+    rows, counts = _crossings(band, f, N)
+    _write_csv(sys.stdout, _CROSSING_HEADER, rows)
     print("upcrossings_before," + ",".join(str(c) for c in counts))
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "crossings.csv"), header, rows)
+        _write_csv(os.path.join(args.out_dir, "crossings.csv"), _CROSSING_HEADER, rows)
     return 0
 
 
@@ -967,8 +962,7 @@ def cmd_bc(args) -> int:
     tail_start = args.tail_start if args.tail_start is not None else max(1, horizon // 2)
     cut = args.cut if args.cut is not None else horizon / 4
     rep = check_borel_cantelli(
-        model, horizon, args.trials, args.seed, cut, tail_start,
-        block_size=args.block_size, workers=args.workers,
+        model, horizon, args.trials, args.seed, cut, tail_start, block_size=args.block_size
     )
     print(f"match_fraction = {rep.match_fraction}")
     print(f"p_horizon_mean = {rep.p_horizon_mean}")
@@ -1055,26 +1049,23 @@ def cmd_selftest(args) -> int:
     )
     failures += code != 0
 
-    # identical run under maximal parallelism must be byte-identical
+    # Replaying the suite in this process must give byte-identical CSVs.  Monte
+    # Carlo blocks run sequentially, so this check tests run-to-run
+    # determinism; it keeps its "parallel-determinism" name and output line.
     buf = io.StringIO()
     code = run_scenario(
         json.loads(_scenario_text("mc_suite.json")),
         "mc_suite.json",
         os.path.join(out, "mc_parallel"),
         seed_override=args.seed,
-        workers_override=8,
         stream=buf,
     )
     failures += code != 0
     seq_dir, par_dir = os.path.join(out, "mc"), os.path.join(out, "mc_parallel")
-    mismatched = []
-    for fname in sorted(os.listdir(seq_dir)):
-        with open(os.path.join(seq_dir, fname), "rb") as fh:
-            seq_bytes = fh.read()
-        with open(os.path.join(par_dir, fname), "rb") as fh:
-            par_bytes = fh.read()
-        if seq_bytes != par_bytes:
-            mismatched.append(fname)
+    mismatched = [
+        fname for fname in sorted(os.listdir(seq_dir))
+        if not filecmp.cmp(os.path.join(seq_dir, fname), os.path.join(par_dir, fname), shallow=False)
+    ]
     if mismatched:
         print(f"[FAIL] parallel-determinism: {','.join(mismatched)} differ")
         failures += len(mismatched)
@@ -1085,20 +1076,16 @@ def cmd_selftest(args) -> int:
     values = [decode_scalar(v, "exact", "$.values") for v in ref_doc["values"]]
     f = Process.from_path(values, "exact")
     band = Band(a=Fraction(0), b=Fraction(1))
-    table = crossing_table(band, f, f.horizon)
-    sigma = tuple(table.sigma[k][0] for k in range(len(table.sigma)))
-    tau = tuple(table.tau[k][0] for k in range(len(table.tau)))
-    count = upcrossings_before(band, f, f.horizon)[0]
+    rows, counts = _crossings(band, f, f.horizon)
+    sigma = tuple(r[2] for r in rows)
+    tau = tuple(r[3] for r in rows)
+    count = counts[0]
     ref_ok = (
         sigma == _REFERENCE_PATH_EXPECT["sigma"]
         and tau == _REFERENCE_PATH_EXPECT["tau"]
         and count == _REFERENCE_PATH_EXPECT["upcrossings"]
     )
-    _write_csv(
-        os.path.join(out, "reference_path.csv"),
-        ("atom", "n", "sigma", "tau"),
-        [(0, k, sigma[k], tau[k]) for k in range(len(sigma))],
-    )
+    _write_csv(os.path.join(out, "reference_path.csv"), _CROSSING_HEADER, rows)
     print(f"[{'PASS' if ref_ok else 'FAIL'}] reference_path: sigma={sigma} tau={tau} upcrossings={count}")
     failures += not ref_ok
 
@@ -1128,7 +1115,7 @@ def _build_parser() -> _Parser:
     run.add_argument("scenario")
     run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     run.add_argument("--mode", choices=["exact", "float"], default=None, help="override scenario mode")
-    run.add_argument("--workers", type=int, default=None, help="override Monte Carlo worker count")
+    run.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
     common(run)
     run.set_defaults(fn=cmd_run)
 
@@ -1167,7 +1154,7 @@ def _build_parser() -> _Parser:
     bc.add_argument("--cut", type=float, default=None, help="default horizon/4")
     bc.add_argument("--seed", type=int, default=42)
     bc.add_argument("--min-match", type=float, default=0.0)
-    bc.add_argument("--workers", type=int, default=1)
+    bc.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
     bc.add_argument("--block-size", type=int, default=1000)
     bc.add_argument("--out-dir", default=None)
     bc.set_defaults(fn=cmd_bc)

@@ -56,6 +56,8 @@ class FiniteMeasureSpace:
         if len(self.weights) < 1:
             raise ValueError("a measure space needs at least one atom")
         for w in self.weights:
+            if isinstance(w, float) and self.mode == "exact":
+                raise ModeError(f"float weight {w!r} in exact mode; pass a Fraction or int")
             if isinstance(w, float) and (w != w or w in (INF, -INF)):
                 raise ValueError("weights must be finite")
             if w < 0:
@@ -99,12 +101,15 @@ def _exact_dot(xs: Iterable, ys: Iterable) -> Fraction:
     """sum(x * y) over paired Fractions or ints: the numerators add as ints over
     a running common denominator, so only the final Fraction pays a gcd."""
     num, den = 0, 1
-    for x, y in zip(xs, ys):
-        d = x.denominator * y.denominator
-        if d != den:
-            common = lcm(den, d)
-            num, den = num * (common // den), common
-        num += x.numerator * y.numerator * (den // d)
+    try:
+        for x, y in zip(xs, ys):
+            d = x.denominator * y.denominator
+            if d != den:
+                common = lcm(den, d)
+                num, den = num * (common // den), common
+            num += x.numerator * y.numerator * (den // d)
+    except AttributeError:
+        raise ModeError("non-rational operand in an exact-mode sum; pass Fractions or ints") from None
     return Fraction(num, den)
 
 
@@ -414,8 +419,8 @@ def meet(p: Partition, q: Partition) -> Partition:
 
 
 def _value_key(v: Scalar, mode: Mode):
-    # Float-mode grouping is bitwise so that equal-looking but distinct
-    # payloads never merge silently; exact mode groups by rational value.
+    """One value equality per mode for grouping, measurability and adaptedness:
+    float mode compares bit patterns (0.0 != -0.0), exact mode rational values."""
     if mode == "float":
         return struct.pack("<d", v)
     return v

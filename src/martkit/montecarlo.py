@@ -7,10 +7,10 @@ Every model exposes the same two faces:
   mode), the coordinate value process, and its natural filtration.  This is
   what the theorem-level exact tests run on.
 * ``simulate`` / ``simulate_stats`` draw seeded float64 trajectories.  Each
-  trial owns a counter-based RNG stream keyed by (seed, trial index), so
-  results do not depend on scheduling; aggregates are reduced in a fixed
-  sequential order over trial index, making reports bitwise reproducible at
-  any worker count.
+  trial owns a counter-based RNG stream keyed by (seed, trial index), so a
+  trial's values do not depend on which block draws it; blocks run in trial
+  order on the calling thread and aggregates are assembled in trial order,
+  making reports bitwise reproducible at any block size.
 
 ``simulate`` materializes the full trials x (horizon+1) array and is meant
 for moderate sizes; ``simulate_stats`` processes trials in blocks and keeps
@@ -32,7 +32,6 @@ that crossover, and longer horizons keep the C generator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -348,16 +347,12 @@ def _uniform_block(seed: int, start: int, count: int, horizon: int) -> np.ndarra
     return out
 
 
-def _run_blocks(work: Callable[[int, int], object], trials: int, block_size: int, workers: int) -> list:
+def _run_blocks(work: Callable[[int, int], object], trials: int, block_size: int) -> list:
     """``work(start, count)`` for consecutive blocks of ``block_size`` trials,
-    results in trial order; blocks run on ``workers`` threads when > 1."""
+    run in trial order on the calling thread."""
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    blocks = [(s, min(block_size, trials - s)) for s in range(0, trials, block_size)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda blk: work(*blk), blocks))
-    return [work(*blk) for blk in blocks]
+    return [work(s, min(block_size, trials - s)) for s in range(0, trials, block_size)]
 
 
 def _paths_block(model: TrajectoryModel, seed: int, start: int, count: int, horizon: int) -> np.ndarray:
@@ -485,9 +480,10 @@ def simulate_stats(
 ) -> TrajectoryStats:
     """Blockwise simulation keeping only summaries.
 
-    Equal results for every ``workers``/``block_size`` choice: each trial's
-    stream depends only on (seed, trial index) and all aggregates are simple
-    per-trial values assembled in trial order.
+    Equal results for every ``block_size``: each trial's stream depends only
+    on (seed, trial index) and all aggregates are simple per-trial values
+    assembled in trial order.  Blocks, and any model callbacks, run on the
+    calling thread; ``workers`` is accepted for compatibility and ignored.
     """
     trials, horizon = config.trials, config.horizon
     if window is not None and not 1 <= window <= horizon + 1:
@@ -510,7 +506,7 @@ def simulate_stats(
             res[("band", a, b)] = count_upcrossings_batch(paths, a, b)
         return res
 
-    results = _run_blocks(work, trials, block_size, workers)
+    results = _run_blocks(work, trials, block_size)
     final = np.concatenate([r["final"] for r in results])
     sup_abs = np.concatenate([r["sup_abs"] for r in results])
     window_osc = (

@@ -24,7 +24,7 @@ from .measure import (
     join,
     meet,
     partition_le,
-    _check_rv,
+    _value_key,
 )
 from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
 
@@ -222,7 +222,7 @@ def _adapted_witness(f: Process, F: Filtration) -> tuple | None:
         if not is_measurable_wrt(f.at(n), F.steps[n]):
             blocks = F.steps[n].blocks()
             for block in blocks:
-                vals = {f.values[n][a] for a in block}
+                vals = {_value_key(f.values[n][a], f.mode) for a in block}
                 if len(vals) > 1:
                     return (n, block[0])
     return None
@@ -239,7 +239,8 @@ def classify(
 
     ``pairs="all"`` compares condexp(f_j | steps[i]) with f_i for every
     i <= j (the defining form); ``pairs="consecutive"`` checks only
-    j = i + 1, which the tower rule proves equivalent.
+    j = i + 1, which the tower rule proves equivalent.  Adaptedness uses the
+    value equality of ``is_adapted`` (``measure._value_key``; float 0.0 != -0.0).
     """
     _check_process(space, f, F)
     if pairs not in ("all", "consecutive"):

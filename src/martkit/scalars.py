@@ -67,7 +67,8 @@ def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
 
     Exact mode accepts int/Fraction/str("p/q") and rejects floats (silent
     binary-to-rational conversion would launder rounding error into "exact"
-    results).  Float mode accepts anything float() accepts.
+    results).  Float mode accepts int/float/Fraction/str("p/q"), except NaN
+    and +-inf (ValueError), whose comparisons would make every check vacuous.
     """
     if mode == "exact":
         if isinstance(x, bool):
@@ -85,10 +86,12 @@ def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
         raise ModeError(f"cannot use {type(x).__name__} as an exact scalar")
     if mode == "float":
         if isinstance(x, str):
-            return float(Fraction(x))
-        if isinstance(x, (int, float, Fraction)):
-            return float(x)
-        raise ModeError(f"cannot use {type(x).__name__} as a float scalar")
+            x = Fraction(x)
+        elif not isinstance(x, (int, float, Fraction)):
+            raise ModeError(f"cannot use {type(x).__name__} as a float scalar")
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {x!r}; float scalars must be finite")
+        return float(x)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,17 @@ class TestMonteCarloSurrogate:
         assert 0 < matched < 400 and min(totals) < 9.0 <= max(totals)
         assert rep.match_fraction == matched / 400
         assert rep.p_horizon_mean == pytest.approx(sum(totals) / 400, rel=1e-12)
+
+    def test_history_dependent_model_runs_on_the_calling_thread(self):
+        threads = set()
+
+        def prob(n, history):
+            threads.add(threading.get_ident())
+            return 0.5 if sum(history) % 2 == 0 else 0.25
+
+        check_borel_cantelli(prob, horizon=10, trials=60, seed=2, divergence_cut=3.0,
+                             tail_start=5, block_size=7, workers=4)
+        assert threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("block_size", [0, -5])
     def test_block_size_must_be_positive(self, block_size):

@@ -151,6 +151,33 @@ def test_bc_counts_below_one_exit_two(flag, value, capsys):
     assert f"error: {flag}: expected an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_workers_below_one_exit_two(workers, tmp_path, capsys):
+    doc = {"name": "mc", "mode": "float", "seed": 1,
+           "checks": [{"name": "walk", "op": "mc_stats", "model": {"kind": "fair_walk"},
+                       "trials": 10, "horizon": 4}]}
+    src = write_json(tmp_path / "s.json", doc)
+    code = main(["run", src, "--workers", workers, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: --workers: expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_scenario_values_exit_two(bad, tmp_path, capsys):
+    # json accepts these literals; a NaN value once classified as a martingale
+    src = tmp_path / "s.json"
+    src.write_text(
+        '{"name": "nonfinite", "mode": "float",'
+        ' "space": {"mode": "float", "weights": [0.5, 0.5]},'
+        ' "process": {"values": [[0.0, 0.0], [1.0, %s]]},'
+        ' "checks": [{"name": "m", "op": "classify", "assert": "martingale"}]}' % bad,
+        encoding="utf-8",
+    )
+    code = main(["run", str(src), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_converge_prints_diagnostic_rows(capsys):
     code = main(["converge", "--model", "fair_walk", "--horizon", "4",
                  "--cutoff", "4", "--bands=-1/2,1/2", "--l1-bound", "2"])

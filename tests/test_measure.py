@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from martkit import (
     INF,
     FiniteMeasureSpace,
+    ModeError,
     Partition,
     RandomVariable,
     RootValue,
@@ -47,6 +48,18 @@ def test_float_probability_allows_rounding_in_the_total():
     short = [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**12)]
     assert not FiniteMeasureSpace.from_weights(short, mode="exact").is_probability()
     assert FiniteMeasureSpace.from_weights([float(w) for w in short], mode="float").is_probability()
+
+
+def test_exact_space_rejects_float_weights():
+    # a float weight once made is_probability() True for an "exact" space
+    with pytest.raises(ModeError):
+        FiniteMeasureSpace((0.5, 0.5), "exact")
+
+
+def test_exact_sums_reject_floats_in_an_exact_random_variable():
+    # RandomVariable is not scanned when built; the exact sum names the mode error
+    with pytest.raises(ModeError):
+        integral(FiniteMeasureSpace.uniform(2), RandomVariable((1.5, 2), "exact"))
 
 
 def test_integral_and_measure_basics():

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -104,6 +105,18 @@ class TestDeterminism:
             assert np.array_equal(base.band_counts[band], other.band_counts[band])
             assert np.array_equal(base.checkpoint_values, other.checkpoint_values)
 
+
+    def test_callbacks_run_on_the_calling_thread(self):
+        threads = set()
+
+        def transition(n, s):
+            threads.add(threading.get_ident())
+            return ((0.5, s + 1), (0.5, s - 1))
+
+        spec = CustomSpec(initial_state=0, transition=transition, value_of=float)
+        cfg = RunConfig(seed=4, trials=40, horizon=8)
+        simulate_stats(spec, cfg, block_size=5, workers=4)
+        assert threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_size", [1, 77, 1024])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from martkit import (
     FairWalk,
     Filtration,
+    FiniteMeasureSpace,
     MartingaleClass,
     Partition,
     Process,
@@ -69,6 +70,35 @@ def test_classify_rejects_non_adapted_process():
     assert not c.adapted
     assert c.kind is MartingaleClass.NONE
     assert c.adapted_witness is not None
+
+
+def test_signed_zeros_make_a_float_process_non_adapted():
+    # float mode tells 0.0 and -0.0 apart, and classify must agree with is_adapted
+    sp = FiniteMeasureSpace.uniform(2, mode="float")
+    f = Process.from_values([[0.0, -0.0], [0.0, -0.0]], "float")
+    F = Filtration.constant(Partition.trivial(2), 1)
+    c = classify(sp, f, F)
+    assert (c.kind, c.adapted, c.adapted_witness) == (MartingaleClass.NONE, False, (0, 0))
+    assert not is_adapted(f, F)
+
+
+@given(seeds, st.data())
+@settings(max_examples=80, deadline=None)
+def test_classify_adaptedness_agrees_with_is_adapted(seed, data):
+    rng = random.Random(seed)
+    n, horizon = rng.randint(1, 5), rng.randint(0, 3)
+    F = random_filtration(rng, n, horizon)
+    row = st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=horizon + 1, max_size=horizon + 1))
+    f = Process.from_values(rows, "float")
+    c = classify(FiniteMeasureSpace.uniform(n, mode="float"), f, F)
+    assert c.adapted == is_adapted(f, F)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_float_process_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Process.from_values([[0.0, bad], [0.0, 0.0]], "float")
 
 
 @given(seeds)

@@ -24,6 +24,13 @@ def test_float_mode_coerces_to_float():
     assert isinstance(v, float) and v == 0.25
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_float_mode_rejects_non_finite_values(x):
+    # every comparison with NaN is false, so a NaN value once passed every check
+    with pytest.raises(ValueError, match="finite"):
+        coerce_scalar(x, "float")
+
+
 def test_rational_round_trip():
     for x in (Fraction(0), Fraction(-7, 3), Fraction(5), Fraction(22, 7)):
         assert parse_rational(format_rational(x)) == x
