@@ -123,7 +123,6 @@ from .uniform_integrability import (
     PMonotonicityReport,
     UIModuli,
     VitaliReport,
-    analyst_curve,
     analyst_modulus,
     check_bridging_inequality,
     check_p_monotonicity,
@@ -167,7 +166,7 @@ __all__ = [
     "upcrossings", "upcrossings_before", "upper_crossing",
     # uniform integrability
     "BridgingReport", "FunctionFamily", "PMonotonicityReport", "UIModuli",
-    "VitaliReport", "analyst_curve", "analyst_modulus",
+    "VitaliReport", "analyst_modulus",
     "check_bridging_inequality", "check_p_monotonicity",
     "fixed_mass_spike_family", "probabilist_curve", "probabilist_modulus",
     "shrinking_spike_family", "ui_moduli", "vitali_empirical",

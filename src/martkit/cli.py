@@ -2,10 +2,16 @@
 
 Scenarios are JSON files naming a mode, an instance (a trajectory model to
 unroll, or explicit space/process/filtration documents), and a list of check
-descriptors.  Each descriptor maps to exactly one library operation; the
-runner executes them in order, writes one CSV per check plus a summary, and
-exits 0 only when every check passes.  Exit 1 means a check failed; exit 2
-means the scenario or flags were malformed.
+descriptors.  Each descriptor maps to exactly one library operation, and each
+op declares its keys in ``CHECK_OPS``: every key has a kind (how its JSON value
+is decoded and checked) and a default or "required".  One resolver checks each
+descriptor against its keys before any check runs and hands the handler the
+decoded values; model and family documents go through the same resolver.  The
+runner executes the checks in order, writes one CSV per check plus a summary,
+and exits 0 only when every check passes.  Exit 1 means a check failed; exit 2
+means the scenario or flags were malformed (an unknown or missing key, a
+non-finite float, a non-bool flag, a non-integer count, ...), and the error
+names the offending JSON path or flag.
 
 All CSV output is deterministic for a fixed scenario and seed: header row,
 '.' decimal separator, rationals as p/q strings in exact mode, no
@@ -24,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -134,59 +140,243 @@ def _load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# scenario context: mode, seed, and lazily built instances
+# declared keys: one resolver decodes every descriptor, model and family
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
 
-def _build_model(doc, mode: Mode, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: model must be an object")
-    kind = doc.get("kind")
+
+class _Key(NamedTuple):
+    """One declared key.  ``kind(ctx, value, path)`` decodes a given value.
+    ``default`` is _REQUIRED, None (an absent key stays None), a JSON value
+    decoded like a given one, or ``fn(ctx, decoded, doc)`` computed from the
+    keys decoded before it.  ``alt`` is ``(key, kind)``: a second key that may
+    stand in for this one, but not appear beside it."""
+
+    kind: Callable
+    default: object = _REQUIRED
+    alt: Optional[tuple] = None
+
+
+def _decode(kind, ctx, value, path: str):
     try:
-        if kind == "fair_walk":
-            return FairWalk(step=decode_scalar(doc.get("step", 1), mode, f"{path}.step"))
-        if kind == "biased_walk":
-            if "p_up" not in doc:
-                raise ConfigError(f"{path}: biased_walk requires 'p_up'")
-            return BiasedWalk(
-                p_up=decode_scalar(doc["p_up"], mode, f"{path}.p_up"),
-                step=decode_scalar(doc.get("step", 1), mode, f"{path}.step"),
-            )
-        if kind == "polya":
-            return PolyaUrn(
-                initial_red=int(doc.get("initial_red", 1)),
-                initial_black=int(doc.get("initial_black", 1)),
-            )
-        if kind == "independent":
-            if "schedule" in doc:
-                name = doc["schedule"]
-                if name == "inverse_square":
-                    return IndependentEvents(prob_schedule=lambda n: 1.0 / (n * n))
-                raise ConfigError(f"{path}.schedule: unknown schedule {name!r}")
-            if "prob" not in doc:
-                raise ConfigError(f"{path}: independent requires 'prob' or 'schedule'")
-            p = decode_scalar(doc["prob"], mode, f"{path}.prob")
-            return IndependentEvents(prob_schedule=lambda n: p)
+        return kind(ctx, value, path)
     except SerializationError as e:
         raise ConfigError(str(e)) from None
-    raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _resolve(ctx, keys: dict, doc, path: str, skip=()) -> dict:
+    """Check ``doc`` against its declared ``keys`` and return the decoded
+    values by key; ``skip`` names keys the caller has read already."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    known = set(keys) | {k.alt[0] for k in keys.values() if k.alt}
+    for name in doc:
+        if name not in known and name not in skip:
+            raise ConfigError(f"{path}.{name}: unknown key; expected one of {sorted(known)}")
+    out = {}
+    for key, k in keys.items():
+        choices = [(key, k.kind)] + ([k.alt] if k.alt else [])
+        given = [(name, kind) for name, kind in choices if name in doc]
+        if len(given) > 1:
+            raise ConfigError(f"{path}: give '{key}' or '{k.alt[0]}', not both")
+        if given:
+            name, kind = given[0]
+            out[key] = _decode(kind, ctx, doc[name], f"{path}.{name}")
+        elif callable(k.default):
+            out[key] = k.default(ctx, out, doc)
+        elif k.default is None or k.default is _REQUIRED:
+            out[key] = k.default
+        else:
+            out[key] = _decode(k.kind, ctx, k.default, f"{path}.{key}")
+        if out[key] is _REQUIRED:
+            raise ConfigError(f"{path}: needs " + " or ".join(f"'{name}'" for name, _ in choices))
+    return out
+
+
+# kinds: each decodes one JSON value at ``path`` or raises
+
+
+def _count(v, path: str, low: int = 0, high: Optional[int] = None) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < low or (high is not None and v > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{path}: expected an integer {span}")
+    return v
+
+
+def _int(low: int):
+    return lambda ctx, v, path: _count(v, path, low)
+
+
+def _float(ctx, v, path):
+    """A finite float in either mode."""
+    return decode_scalar(v, "float", path)
+
+
+def _scalar(ctx, v, path):
+    return decode_scalar(v, ctx.mode, path)
+
+
+def _bool(ctx, v, path):
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true or false")
+    return v
+
+
+def _choice(table: dict):
+    def parse(ctx, v, path):
+        if not isinstance(v, str) or v not in table:
+            raise ConfigError(f"{path}: expected one of {sorted(table)}")
+        return table[v]
+    return parse
+
+
+def _list(kind):
+    def parse(ctx, v, path):
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected an array")
+        return [kind(ctx, x, f"{path}[{i}]") for i, x in enumerate(v)]
+    return parse
+
+
+_BAND_KEYS = {"a": _Key(_scalar), "b": _Key(_scalar)}
+
+
+def _band(ctx, v, path) -> Band:
+    if isinstance(v, list) and len(v) == 2:
+        v = dict(zip("ab", v))
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path}: expected [a, b] or {{'a':, 'b':}}")
+    return Band(**_resolve(ctx, _BAND_KEYS, v, path))
+
+
+def _rv(ctx, v, path) -> RandomVariable:
+    return rv_from_json(v, ctx.mode, path)
+
+
+def _at(ctx, n, path) -> RandomVariable:
+    """``x_at``: the scenario process at time n."""
+    f = ctx.process()
+    return f.at(_count(n, path, 0, f.horizon))
+
+
+def _process(ctx, v, path) -> Process:
+    return process_from_json(v, ctx.mode, path)
+
+
+def _filtration(ctx, v, path) -> Filtration:
+    return filtration_from_json(v, path)
+
+
+def _partition(ctx, v, path) -> Partition:
+    return partition_from_json(v, path)
+
+
+def _sub_step(ctx, k, path) -> Partition:
+    """``sub_step``: step k of the scenario filtration."""
+    F = ctx.filtration()
+    return F.steps[_count(k, path, 0, F.horizon)]
+
+
+def _stopping(ctx, v, path):
+    return stopping_from_json(v, path)
+
+
+def _constant_schedule(ctx, v, path):
+    p = _scalar(ctx, v, path)
+    return lambda n: p
+
+
+_SCHEDULES = {"inverse_square": lambda n: 1.0 / (n * n)}
+
+_MODELS = {  # kind -> (constructor, keys besides 'kind')
+    "fair_walk": (FairWalk, {"step": _Key(_scalar, 1)}),
+    "biased_walk": (BiasedWalk, {"p_up": _Key(_scalar), "step": _Key(_scalar, 1)}),
+    "polya": (PolyaUrn, {"initial_red": _Key(_int(1), 1), "initial_black": _Key(_int(1), 1)}),
+    "independent": (
+        lambda prob: IndependentEvents(prob_schedule=prob),
+        {"prob": _Key(_constant_schedule, alt=("schedule", _choice(_SCHEDULES)))},
+    ),
+}
+
+
+def _model(ctx, doc, path: str, kinds=tuple(_MODELS), extra=None) -> tuple:
+    """(model, decoded keys) of a model document; its 'kind' picks the
+    constructor and the keys it takes, ``extra`` declares keys read besides."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if doc.get("kind") not in kinds:
+        raise ConfigError(f"{path}.kind: expected one of {sorted(kinds)}")
+    make, keys = _MODELS[doc["kind"]]
+    p = _resolve(ctx, {**keys, **(extra or {})}, doc, path, skip=("kind",))
+    try:
+        return make(**{k: p[k] for k in keys}), p
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _model_key(*kinds) -> _Key:
+    """A check's own model document, or else the scenario-level one."""
+    kinds = kinds or tuple(_MODELS)
+    return _Key(lambda ctx, v, path: _model(ctx, v, path, kinds)[0],
+                lambda ctx, out, doc: ctx.model(kinds)[0])
+
+
+_BUILTIN_FAMILIES = {
+    "shrinking_spike": shrinking_spike_family,
+    "fixed_mass_spike": fixed_mass_spike_family,
+}
+_BUILTIN = _Key(_choice(_BUILTIN_FAMILIES))
+_BUILTIN_FAMILY_KEYS = {"builtin": _BUILTIN, "horizon": _Key(_int(1)), "p": _Key(_scalar, 1)}
+_INLINE_FAMILY_KEYS = {
+    "members": _Key(_list(lambda ctx, row, path: _rv(ctx, {"values": row}, path))),
+    "p": _Key(_scalar, 1),
+}
+
+
+def _family(ctx, doc, path) -> FunctionFamily:
+    """A builtin family (name and horizon) or inline member rows on the
+    scenario space."""
+    if isinstance(doc, dict) and "builtin" in doc:
+        p = _resolve(ctx, _BUILTIN_FAMILY_KEYS, doc, path)
+        space, members, _ = p["builtin"](p["horizon"], mode=ctx.mode)
+    else:
+        p = _resolve(ctx, _INLINE_FAMILY_KEYS, doc, path)
+        space, members = ctx.space(), p["members"]
+    return FunctionFamily.of(space, members, p=p["p"])
+
+
+def _builtin_family(ctx, doc, path) -> tuple:
+    """(space, members, limit) of a builtin family of at least two members,
+    as the Vitali check needs them."""
+    p = _resolve(ctx, {"builtin": _BUILTIN, "horizon": _Key(_int(2))}, doc, path)
+    return p["builtin"](p["horizon"], mode=ctx.mode)
+
+
+# ---------------------------------------------------------------------------
+# scenario context: mode, seed, and lazily built instances
+# ---------------------------------------------------------------------------
 
 
 class _Context:
     """Scenario-wide instance store; exhaustive unrolls happen on demand."""
 
-    def __init__(self, doc: dict, src: str, mode: Mode, seed) -> None:
+    def __init__(self, doc: dict, src: str, mode: Mode, seed=None) -> None:
         self.doc = doc
         self.src = src
         self.mode = mode
         self.seed = seed
         self._built = None
 
-    def model(self, doc=None, mode: Mode = "float"):
-        d = doc if doc is not None else self.doc.get("model")
-        if d is None:
+    def model(self, kinds=tuple(_MODELS)) -> tuple:
+        """(model, decoded keys) of the scenario-level model document, which
+        may also carry the unroll ``horizon``."""
+        if "model" not in self.doc:
             raise ConfigError(f"{self.src}: $.model: no model given")
-        return _build_model(d, mode, "$.model")
+        horizon = {"horizon": _Key(_int(0), None)}
+        return _model(self, self.doc["model"], f"{self.src}: $.model", kinds, horizon)
 
     def instances(self):
         """(space, process, filtration), built from explicit docs or by
@@ -208,16 +398,13 @@ class _Context:
                 elif process is not None:
                     filtration = natural_filtration(process)
             elif "model" in doc:
-                model = self.model(mode=self.mode)
-                horizon = doc["model"].get("horizon")
-                if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-                    raise ConfigError(f"{self.src}: $.model.horizon: need a natural horizon")
-                space, process, filtration = exhaustive_space(model, horizon, mode=self.mode)
+                model, keys = self.model()
+                if keys["horizon"] is None:
+                    raise ConfigError(f"{self.src}: $.model: needs 'horizon' to unroll")
+                space, process, filtration = exhaustive_space(model, keys["horizon"], mode=self.mode)
             else:
                 raise ConfigError(f"{self.src}: scenario gives neither 'space' nor 'model'")
-        except SerializationError as e:
-            raise ConfigError(f"{self.src}: {e}") from None
-        except ValueError as e:
+        except ValueError as e:  # SerializationError included
             raise ConfigError(f"{self.src}: {e}") from None
         self._built = (space, process, filtration)
         return self._built
@@ -238,139 +425,33 @@ class _Context:
         return F
 
 
-# parameter resolution helpers; all raise ConfigError with a JSON path
-
-
-def _resolve_rv(ctx: _Context, params: dict, key: str, path: str) -> RandomVariable:
-    if key in params:
-        try:
-            return rv_from_json(params[key], ctx.mode, f"{path}.{key}")
-        except SerializationError as e:
-            raise ConfigError(str(e)) from None
-    at_key = f"{key}_at"
-    if at_key in params:
-        n = params[at_key]
-        proc = ctx.process()
-        if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= proc.horizon:
-            raise ConfigError(f"{path}.{at_key}: time out of range 0..{proc.horizon}")
-        return proc.at(n)
-    raise ConfigError(f"{path}: needs '{key}' or '{at_key}'")
-
-
-def _resolve_process(ctx: _Context, params: dict, path: str) -> Process:
-    if "process" in params:
-        try:
-            return process_from_json(params["process"], ctx.mode, f"{path}.process")
-        except SerializationError as e:
-            raise ConfigError(str(e)) from None
-    return ctx.process()
-
-
-def _resolve_filtration(ctx: _Context, params: dict, path: str) -> Filtration:
-    if "filtration" in params:
-        try:
-            return filtration_from_json(params["filtration"], f"{path}.filtration")
-        except SerializationError as e:
-            raise ConfigError(str(e)) from None
-    if "process" in params:
-        return natural_filtration(_resolve_process(ctx, params, path))
-    return ctx.filtration()
-
-
-def _resolve_sub(ctx: _Context, params: dict, path: str) -> Partition:
-    if "sub" in params:
-        try:
-            return partition_from_json(params["sub"], f"{path}.sub")
-        except SerializationError as e:
-            raise ConfigError(str(e)) from None
-    if "sub_step" in params:
-        k = params["sub_step"]
-        F = ctx.filtration()
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= F.horizon:
-            raise ConfigError(f"{path}.sub_step: step out of range 0..{F.horizon}")
-        return F.steps[k]
-    raise ConfigError(f"{path}: needs 'sub' or 'sub_step'")
-
-
-def _resolve_band(ctx: _Context, params: dict, path: str) -> Band:
-    doc = params.get("band")
-    if doc is None:
-        raise ConfigError(f"{path}: needs 'band'")
-    if isinstance(doc, list) and len(doc) == 2:
-        doc = {"a": doc[0], "b": doc[1]}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}.band: expected [a, b] or {{'a':, 'b':}}")
-    try:
-        a = decode_scalar(doc.get("a"), ctx.mode, f"{path}.band.a")
-        b = decode_scalar(doc.get("b"), ctx.mode, f"{path}.band.b")
-    except SerializationError as e:
-        raise ConfigError(str(e)) from None
-    return Band(a=a, b=b)
-
-
-def _resolve_scalar(ctx: _Context, params: dict, key: str, path: str, default=None):
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"{path}: needs '{key}'")
-        return default
-    try:
-        return decode_scalar(params[key], ctx.mode, f"{path}.{key}")
-    except SerializationError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _resolve_int(params: dict, key: str, path: str, default=None, minimum=0) -> int:
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"{path}: needs '{key}'")
-        return default
-    v = params[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-        raise ConfigError(f"{path}.{key}: expected an integer >= {minimum}")
-    return v
-
-
-_BUILTIN_FAMILIES = {
-    "shrinking_spike": shrinking_spike_family,
-    "fixed_mass_spike": fixed_mass_spike_family,
-}
-
-
-def _resolve_family(ctx: _Context, params: dict, path: str):
-    """FunctionFamily plus the builtin's limit rv (None for inline families)."""
-    doc = params.get("family")
-    if doc is None:
-        raise ConfigError(f"{path}: needs 'family'")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}.family: expected an object")
-    p = _resolve_scalar(ctx, doc, "p", f"{path}.family", default=1)
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in _BUILTIN_FAMILIES:
-            raise ConfigError(f"{path}.family.builtin: unknown family {name!r}")
-        horizon = _resolve_int(doc, "horizon", f"{path}.family", minimum=1)
-        space, members, limit = _BUILTIN_FAMILIES[name](horizon, mode=ctx.mode)
-        return FunctionFamily.of(space, members, p=p), limit
-    if "members" not in doc:
-        raise ConfigError(f"{path}.family: needs 'builtin' or 'members'")
-    rows = doc["members"]
-    if not isinstance(rows, list):
-        raise ConfigError(f"{path}.family.members: expected an array of value rows")
-    space = ctx.space()
-    members = []
-    for i, row in enumerate(rows):
-        members.append(
-            rv_from_json({"values": row}, ctx.mode, f"{path}.family.members[{i}]")
-        )
-    try:
-        return FunctionFamily.of(space, members, p=p), None
-    except ValueError as e:
-        raise ConfigError(f"{path}.family: {e}") from None
+# keys shared by several ops
+_PROCESS = _Key(_process, lambda ctx, out, doc: ctx.process())
+_FILTRATION = _Key(
+    _filtration,
+    lambda ctx, out, doc: natural_filtration(out["process"]) if "process" in doc else ctx.filtration(),
+)
+_HORIZON = _Key(_int(0), lambda ctx, out, doc: out["process"].horizon)
+_BAND = _Key(_band)
+_F = _Key(_rv, alt=("f_at", _at))
+_SUB = _Key(_partition, alt=("sub_step", _sub_step))
+_FAMILY = _Key(_family)
+_SEED = _Key(_int(0), lambda ctx, out, doc: _REQUIRED if ctx.seed is None else ctx.seed)
+_WORKERS = _Key(_int(1), 1)  # checked, then ignored like the library's workers=
 
 
 # ---------------------------------------------------------------------------
-# check registry: op name -> handler binding one library operation
+# check registry: op name -> (handler binding one library operation, keys)
 # ---------------------------------------------------------------------------
+
+CHECK_OPS: dict = {}
+
+
+def _op(name: str, keys: dict):
+    def register(handler):
+        CHECK_OPS[name] = (handler, keys)
+        return handler
+    return register
 
 
 class CheckResult:
@@ -388,48 +469,39 @@ _KIND_NAMES = {
 }
 
 
-def _check_classify(ctx, params, path):
-    asserted_name = params.get("assert")
-    if asserted_name not in _KIND_NAMES:
-        raise ConfigError(f"{path}.assert: expected one of {sorted(_KIND_NAMES)}")
-    asserted = _KIND_NAMES[asserted_name]
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
-    c = classify(ctx.space(), f, F)
-    holds = c.is_at_least(asserted)
+@_op("classify", {"assert": _Key(_choice(_KIND_NAMES)), "process": _PROCESS, "filtration": _FILTRATION})
+def _check_classify(ctx, p):
+    c = classify(ctx.space(), p["process"], p["filtration"])
+    holds = c.is_at_least(p["assert"])
     rows = [("kind", c.kind.name.lower()), ("adapted", c.adapted), ("holds", holds)]
     detail = f"kind={c.kind.name.lower()}"
     if not holds:
-        w = c.witness_against(asserted)
+        w = c.witness_against(p["assert"])
         if w is not None:
             rows.append(("witness", f"i={w[0]} j={w[1]} atom={w[2]}"))
             detail += f" witness=(i={w[0]}, j={w[1]}, atom={w[2]})"
     return CheckResult(holds, detail, ("field", "value"), rows)
 
 
-def _check_condexp_agreement(ctx, params, path):
-    f = _resolve_rv(ctx, params, "f", path)
-    sub = _resolve_sub(ctx, params, path)
-    w = condexp_agreement_witness(ctx.space(), f, sub)
+@_op("condexp_agreement", {"f": _F, "sub": _SUB})
+def _check_condexp_agreement(ctx, p):
+    w = condexp_agreement_witness(ctx.space(), p["f"], p["sub"])
     holds = w is None
     rows = [("holds", holds), ("witness_atom", w)]
     return CheckResult(holds, "agree a.e." if holds else f"disagree at atom {w}", ("field", "value"), rows)
 
 
-def _check_set_integral(ctx, params, path):
-    f = _resolve_rv(ctx, params, "f", path)
-    sub = _resolve_sub(ctx, params, path)
-    rep = check_set_integral_characterization(ctx.space(), f, sub)
+@_op("set_integral_characterization", {"f": _F, "sub": _SUB})
+def _check_set_integral(ctx, p):
+    rep = check_set_integral_characterization(ctx.space(), p["f"], p["sub"])
     rows = [("holds", rep.holds), ("worst_block_gap", rep.worst_block_gap)]
     return CheckResult(rep.holds, f"worst_gap={_fmt(rep.worst_block_gap)}", ("field", "value"), rows)
 
 
-def _check_upcrossing_estimate(ctx, params, path):
-    band = _resolve_band(ctx, params, path)
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
-    N = _resolve_int(params, "N", path, default=f.horizon)
-    rep = check_upcrossing_estimate(ctx.space(), band, f, F, N)
+@_op("upcrossing_estimate",
+     {"band": _BAND, "process": _PROCESS, "filtration": _FILTRATION, "N": _HORIZON})
+def _check_upcrossing_estimate(ctx, p):
+    rep = check_upcrossing_estimate(ctx.space(), p["band"], p["process"], p["filtration"], p["N"])
     rows = [
         ("a", rep.a), ("b", rep.b), ("N", rep.N),
         ("lhs", rep.lhs), ("rhs", rep.rhs), ("holds", rep.holds),
@@ -437,13 +509,12 @@ def _check_upcrossing_estimate(ctx, params, path):
     return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
 
 
-def _check_upcrossing_estimate_sup(ctx, params, path):
-    band = _resolve_band(ctx, params, path)
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
+@_op("upcrossing_estimate_sup", {"band": _BAND, "process": _PROCESS, "filtration": _FILTRATION,
+                                 "check_classification": _Key(_bool, True)})
+def _check_upcrossing_estimate_sup(ctx, p):
     rep = check_upcrossing_estimate_sup(
-        ctx.space(), band, f, F,
-        check_classification=bool(params.get("check_classification", True)),
+        ctx.space(), p["band"], p["process"], p["filtration"],
+        check_classification=p["check_classification"],
     )
     rows = [
         ("a", rep.a), ("b", rep.b), ("coefficient", rep.coefficient),
@@ -452,10 +523,9 @@ def _check_upcrossing_estimate_sup(ctx, params, path):
     return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
 
 
-def _check_band_translation(ctx, params, path):
-    band = _resolve_band(ctx, params, path)
-    f = _resolve_process(ctx, params, path)
-    rep = band_translation_identity(band, f)
+@_op("band_translation", {"band": _BAND, "process": _PROCESS})
+def _check_band_translation(ctx, p):
+    rep = band_translation_identity(p["band"], p["process"])
     rows = [("holds", rep.holds)]
     detail = "identity holds"
     if not rep.holds:
@@ -481,24 +551,17 @@ def _crossings(band: Band, f: Process, N: int) -> tuple:
     return rows, upcrossings_before(band, f, N)
 
 
-def _check_crossing_table(ctx, params, path):
-    band = _resolve_band(ctx, params, path)
-    f = _resolve_process(ctx, params, path)
-    N = _resolve_int(params, "N", path, default=f.horizon)
-    rows, counts = _crossings(band, f, N)
+@_op("crossing_table", {"band": _BAND, "process": _PROCESS, "N": _HORIZON})
+def _check_crossing_table(ctx, p):
+    rows, counts = _crossings(p["band"], p["process"], p["N"])
     detail = "upcrossings=" + ",".join(str(c) for c in counts)
     return CheckResult(True, detail, _CROSSING_HEADER, rows)
 
 
-def _check_optional_stopping(ctx, params, path):
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
-    try:
-        tau = stopping_from_json(params.get("tau"), f"{path}.tau")
-        sigma = stopping_from_json(params.get("sigma"), f"{path}.sigma")
-    except SerializationError as e:
-        raise ConfigError(str(e)) from None
-    rep = check_optional_stopping(ctx.space(), f, F, tau, sigma)
+@_op("optional_stopping", {"process": _PROCESS, "filtration": _FILTRATION,
+                           "tau": _Key(_stopping), "sigma": _Key(_stopping)})
+def _check_optional_stopping(ctx, p):
+    rep = check_optional_stopping(ctx.space(), p["process"], p["filtration"], p["tau"], p["sigma"])
     rows = [
         ("lhs", rep.lhs), ("rhs", rep.rhs), ("holds", rep.holds),
         ("is_martingale", rep.is_martingale), ("equality_holds", rep.equality_holds),
@@ -506,12 +569,10 @@ def _check_optional_stopping(ctx, params, path):
     return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
 
 
-def _check_maximal_inequality(ctx, params, path):
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
-    n = _resolve_int(params, "n", path, default=f.horizon)
-    level = _resolve_scalar(ctx, params, "level", path)
-    rep = check_maximal_inequality(ctx.space(), f, F, n, level)
+@_op("maximal_inequality", {"process": _PROCESS, "filtration": _FILTRATION,
+                            "n": _HORIZON, "level": _Key(_scalar)})
+def _check_maximal_inequality(ctx, p):
+    rep = check_maximal_inequality(ctx.space(), p["process"], p["filtration"], p["n"], p["level"])
     rows = [
         ("n", rep.n), ("level", rep.level), ("set_mass", rep.set_mass),
         ("lhs", rep.lhs), ("rhs", rep.rhs), ("holds", rep.holds),
@@ -519,9 +580,9 @@ def _check_maximal_inequality(ctx, params, path):
     return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
 
 
-def _check_doob(ctx, params, path):
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
+@_op("doob_decomposition", {"process": _PROCESS, "filtration": _FILTRATION})
+def _check_doob(ctx, p):
+    f, F = p["process"], p["filtration"]
     dd = doob_decomposition(ctx.space(), f, F)
     m, a = dd.martingale_part, dd.predictable_part
     is_mart = classify(ctx.space(), m, F).kind == MartingaleClass.MARTINGALE
@@ -547,10 +608,9 @@ def _check_doob(ctx, params, path):
     return CheckResult(holds, "decomposition valid" if holds else "postcondition failed", ("field", "value"), rows)
 
 
-def _check_levy_upward(ctx, params, path):
-    g = _resolve_rv(ctx, params, "g", path)
-    F = _resolve_filtration(ctx, params, path)
-    rep = check_levy_upward(ctx.space(), g, F)
+@_op("levy_upward", {"g": _Key(_rv, alt=("g_at", _at)), "filtration": _FILTRATION})
+def _check_levy_upward(ctx, p):
+    rep = check_levy_upward(ctx.space(), p["g"], p["filtration"])
     rows = [(n, d) for n, d in enumerate(rep.d)]
     rows.append(("monotone", rep.monotone))
     rows.append(("final_zero", rep.final_zero))
@@ -562,10 +622,9 @@ def _check_levy_upward(ctx, params, path):
     )
 
 
-def _check_l1_convergence_b(ctx, params, path):
-    f = _resolve_process(ctx, params, path)
-    F = _resolve_filtration(ctx, params, path)
-    rep = check_l1_convergence_b(ctx.space(), f, F)
+@_op("l1_convergence_b", {"process": _PROCESS, "filtration": _FILTRATION})
+def _check_l1_convergence_b(ctx, p):
+    rep = check_l1_convergence_b(ctx.space(), p["process"], p["filtration"])
     rows = [("holds", rep.holds), ("kind", rep.kind)]
     detail = "closed by final value" if rep.holds else f"witness={rep.witness}"
     if rep.witness is not None:
@@ -573,69 +632,45 @@ def _check_l1_convergence_b(ctx, params, path):
     return CheckResult(rep.holds, detail, ("field", "value"), rows)
 
 
-def _check_bridging(ctx, params, path):
-    fam, _ = _resolve_family(ctx, params, path)
-    C = _resolve_scalar(ctx, params, "C", path)
-    A_raw = params.get("A")
-    if not isinstance(A_raw, list) or any(isinstance(a, bool) or not isinstance(a, int) for a in A_raw):
-        raise ConfigError(f"{path}.A: expected an array of atom indices")
-    rep = check_bridging_inequality(fam, C, frozenset(A_raw))
+@_op("bridging", {"family": _FAMILY, "C": _Key(_scalar), "A": _Key(_list(_int(0)))})
+def _check_bridging(ctx, p):
+    rep = check_bridging_inequality(p["family"], p["C"], frozenset(p["A"]))
     rows = [("C", rep.C), ("set_mass", rep.set_mass), ("holds", rep.holds)]
     return CheckResult(rep.holds, f"C={_fmt(rep.C)} mass={_fmt(rep.set_mass)}", ("field", "value"), rows)
 
 
-def _check_p_monotonicity(ctx, params, path):
-    fam, _ = _resolve_family(ctx, params, path)
-    p = _resolve_scalar(ctx, params, "p", path)
-    q = _resolve_scalar(ctx, params, "q", path)
-    rep = check_p_monotonicity(fam, p, q)
+@_op("p_monotonicity", {"family": _FAMILY, "p": _Key(_scalar), "q": _Key(_scalar)})
+def _check_p_monotonicity(ctx, p):
+    rep = check_p_monotonicity(p["family"], p["p"], p["q"])
     rows = [("p", rep.p), ("q", rep.q), ("factor", rep.factor), ("holds", rep.holds)]
     return CheckResult(rep.holds, f"factor={_fmt(rep.factor)}", ("field", "value"), rows)
 
 
-def _check_ui_curves(ctx, params, path):
-    fam, _ = _resolve_family(ctx, params, path)
-    moduli = ui_moduli(fam)
-    deltas = [
-        _resolve_scalar(ctx, {"x": d}, "x", f"{path}.deltas[{i}]")
-        for i, d in enumerate(params.get("deltas", []))
-    ]
-    cs = [
-        _resolve_scalar(ctx, {"x": c}, "x", f"{path}.cs[{i}]")
-        for i, c in enumerate(params.get("cs", []))
-    ]
+@_op("ui_curves", {"family": _FAMILY, "deltas": _Key(_list(_scalar), []), "cs": _Key(_list(_scalar), []),
+                   "analyst_final_at_most": _Key(_scalar, None),
+                   "probabilist_final_at_most": _Key(_scalar, None)})
+def _check_ui_curves(ctx, p):
+    moduli = ui_moduli(p["family"])
+    deltas, cs = p["deltas"], p["cs"]
     rows = [("l1_bound", "", moduli.l1_bound)]
-    for d in deltas:
-        rows.append(("analyst", d, moduli.analyst(d)))
-    for c in cs:
-        rows.append(("probabilist", c, moduli.probabilist(c)))
+    rows += [("analyst", d, moduli.analyst(d)) for d in deltas]
+    rows += [("probabilist", c, moduli.probabilist(c)) for c in cs]
     holds = True
-    if "analyst_final_at_most" in params and deltas:
-        cap = _resolve_scalar(ctx, params, "analyst_final_at_most", path)
-        holds = holds and not (moduli.analyst(deltas[-1]) > cap)
-    if "probabilist_final_at_most" in params and cs:
-        cap = _resolve_scalar(ctx, params, "probabilist_final_at_most", path)
-        holds = holds and not (moduli.probabilist(cs[-1]) > cap)
+    if p["analyst_final_at_most"] is not None and deltas:
+        holds = holds and not (moduli.analyst(deltas[-1]) > p["analyst_final_at_most"])
+    if p["probabilist_final_at_most"] is not None and cs:
+        holds = holds and not (moduli.probabilist(cs[-1]) > p["probabilist_final_at_most"])
     return CheckResult(holds, f"l1_bound={_fmt(moduli.l1_bound)}", ("kind", "x", "modulus"), rows)
 
 
-def _check_vitali(ctx, params, path):
-    if ctx.mode != "float":
-        raise ConfigError(f"{path}: vitali diagnostics run in float mode only")
-    doc = params.get("family")
-    if not isinstance(doc, dict) or "builtin" not in doc:
-        raise ConfigError(f"{path}.family: vitali check takes a builtin family")
-    name = doc["builtin"]
-    if name not in _BUILTIN_FAMILIES:
-        raise ConfigError(f"{path}.family.builtin: unknown family {name!r}")
-    horizon = _resolve_int(doc, "horizon", f"{path}.family", minimum=2)
-    space, members, limit = _BUILTIN_FAMILIES[name](horizon, mode="float")
-    rep = vitali_empirical(space, members, limit, 1, horizon)
-    expect_lp = params.get("expect_lp_decay")
-    expect_consistent = params.get("expect_consistent", True)
-    holds = rep.consistent == expect_consistent
-    if expect_lp is not None:
-        holds = holds and rep.lp_decay == expect_lp
+@_op("vitali", {"family": _Key(_builtin_family), "expect_lp_decay": _Key(_bool, None),
+                "expect_consistent": _Key(_bool, True)})
+def _check_vitali(ctx, p):
+    space, members, limit = p["family"]
+    rep = vitali_empirical(space, members, limit, 1, len(members))
+    holds = rep.consistent == p["expect_consistent"]
+    if p["expect_lp_decay"] is not None:
+        holds = holds and rep.lp_decay == p["expect_lp_decay"]
     rows = [("lp", n + 1, v) for n, v in enumerate(rep.lp_curve)]
     rows += [("ui", c, v) for c, v in rep.ui_modulus_curve]
     for eps, curve in zip(rep.eps_grid, rep.in_measure):
@@ -648,56 +683,41 @@ def _check_vitali(ctx, params, path):
     return CheckResult(holds, detail, ("kind", "x", "value"), rows)
 
 
-def _check_mc_stats(ctx, params, path):
-    if ctx.mode != "float":
-        raise ConfigError(f"{path}: exact mode rejects Monte Carlo checks")
-    model = ctx.model(params.get("model"), mode="float")
-    seed = params.get("seed", ctx.seed)
-    if seed is None:
-        raise ConfigError(f"{path}: needs a seed (check or scenario level)")
-    trials = _resolve_int(params, "trials", path, minimum=1)
-    horizon = _resolve_int(params, "horizon", path, minimum=0)
-    window = params.get("window")
-    if window is not None:
-        window = _resolve_int(params, "window", path, minimum=1)
-    bands = []
-    for i, pair in enumerate(params.get("bands", [])):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path}.bands[{i}]: expected [a, b]")
-        bands.append((float(pair[0]), float(pair[1])))
-    _resolve_int(params, "workers", path, default=1, minimum=1)  # validated, then ignored
-    block_size = _resolve_int(params, "block_size", path, default=1024, minimum=1)
-    config = RunConfig(seed=seed, trials=trials, horizon=horizon)
-    stats = simulate_stats(model, config, window=window, bands=tuple(bands), block_size=block_size)
+@_op("mc_stats", {
+    "model": _model_key(), "seed": _SEED, "trials": _Key(_int(1)), "horizon": _Key(_int(0)),
+    "window": _Key(_int(1), None), "osc_tol": _Key(_float, 1e-2), "min_osc_fraction": _Key(_float, None),
+    "final_mean_abs_max": _Key(_float, None), "bands": _Key(_list(_band), []),
+    "violation_ks": _Key(_list(_int(0)), []), "decay_factor_min": _Key(_float, None),
+    "workers": _WORKERS, "block_size": _Key(_int(1), 1024),
+})
+def _check_mc_stats(ctx, p):
+    bands = tuple((band.a, band.b) for band in p["bands"])
+    config = RunConfig(seed=p["seed"], trials=p["trials"], horizon=p["horizon"])
+    stats = simulate_stats(p["model"], config, window=p["window"], bands=bands, block_size=p["block_size"])
+    final_mean = float(stats.final.mean())
     rows = [
-        ("trials", "", trials), ("horizon", "", horizon), ("seed", "", seed),
-        ("final_mean", "", float(stats.final.mean())),
+        ("trials", "", p["trials"]), ("horizon", "", p["horizon"]), ("seed", "", p["seed"]),
+        ("final_mean", "", final_mean),
         ("sup_abs_max", "", float(stats.sup_abs.max())),
     ]
     holds = True
     detail_bits = []
-    if window is not None:
-        osc_tol = float(params.get("osc_tol", 1e-2))
-        frac = float((stats.window_osc <= osc_tol).mean())
-        rows.append(("osc_fraction_within_tol", osc_tol, frac))
+    if p["window"] is not None:
+        frac = float((stats.window_osc <= p["osc_tol"]).mean())
+        rows.append(("osc_fraction_within_tol", p["osc_tol"], frac))
         detail_bits.append(f"osc_frac={frac}")
-        if "min_osc_fraction" in params:
-            holds = holds and frac >= float(params["min_osc_fraction"])
-    if "final_mean_abs_max" in params:
-        cap = float(params["final_mean_abs_max"])
-        ok = abs(float(stats.final.mean())) <= cap
-        rows.append(("final_mean_within", cap, ok))
+        if p["min_osc_fraction"] is not None:
+            holds = holds and frac >= p["min_osc_fraction"]
+    if p["final_mean_abs_max"] is not None:
+        ok = abs(final_mean) <= p["final_mean_abs_max"]
+        rows.append(("final_mean_within", p["final_mean_abs_max"], ok))
         holds = holds and ok
-    ks = params.get("violation_ks", [])
     for a, b in bands:
         counts = stats.band_counts[(a, b)]
-        fractions = []
-        for k in ks:
-            frac = float((counts >= k).mean())
-            fractions.append(frac)
-            rows.append((f"band=({a},{b}) k={k}", "", frac))
-        if "decay_factor_min" in params and len(fractions) >= 2:
-            factor = float(params["decay_factor_min"])
+        fractions = [float((counts >= k).mean()) for k in p["violation_ks"]]
+        rows += [(f"band=({a},{b}) k={k}", "", frac) for k, frac in zip(p["violation_ks"], fractions)]
+        factor = p["decay_factor_min"]
+        if factor is not None and len(fractions) >= 2:
             # zero tail already decayed past measurement
             ok = all(
                 nxt == 0.0 or prev / max(nxt, 1e-300) >= factor
@@ -706,53 +726,29 @@ def _check_mc_stats(ctx, params, path):
             rows.append((f"band=({a},{b}) decay_ok", factor, ok))
             holds = holds and ok
             detail_bits.append(f"decay_ok={ok}")
-    detail = " ".join(detail_bits) if detail_bits else f"final_mean={float(stats.final.mean())}"
+    detail = " ".join(detail_bits) if detail_bits else f"final_mean={final_mean}"
     return CheckResult(holds, detail, ("stat", "param", "value"), rows)
 
 
-def _check_borel_cantelli(ctx, params, path):
-    if ctx.mode != "float":
-        raise ConfigError(f"{path}: exact mode rejects Monte Carlo checks")
-    model = ctx.model(params.get("model"), mode="float")
-    if not isinstance(model, IndependentEvents):
-        raise ConfigError(f"{path}.model: borel_cantelli takes an independent events model")
-    seed = params.get("seed", ctx.seed)
-    if seed is None:
-        raise ConfigError(f"{path}: needs a seed (check or scenario level)")
-    horizon = _resolve_int(params, "horizon", path, minimum=1)
-    trials = _resolve_int(params, "trials", path, default=10_000, minimum=1)
-    tail_start = _resolve_int(params, "tail_start", path, default=max(1, horizon // 2), minimum=1)
-    cut = float(params.get("divergence_cut", horizon / 4))
-    _resolve_int(params, "workers", path, default=1, minimum=1)  # validated, then ignored
-    block_size = _resolve_int(params, "block_size", path, default=1000, minimum=1)
-    rep = check_borel_cantelli(model, horizon, trials, seed, cut, tail_start, block_size=block_size)
-    min_match = float(params.get("min_match", 0.0))
-    holds = rep.match_fraction >= min_match
-    rows = list(rep.blocks)
+_BC_HEADER = ("trial_block", "match_fraction", "p_horizon_mean")
+
+
+@_op("borel_cantelli", {
+    "model": _model_key("independent"), "seed": _SEED, "horizon": _Key(_int(1)),
+    "trials": _Key(_int(1), 10_000),
+    "tail_start": _Key(_int(1), lambda ctx, out, doc: max(1, out["horizon"] // 2)),
+    "divergence_cut": _Key(_float, lambda ctx, out, doc: out["horizon"] / 4),
+    "min_match": _Key(_float, 0.0), "workers": _WORKERS, "block_size": _Key(_int(1), 1000),
+})
+def _check_borel_cantelli(ctx, p):
+    rep = check_borel_cantelli(
+        p["model"], p["horizon"], p["trials"], p["seed"], p["divergence_cut"], p["tail_start"],
+        block_size=p["block_size"],
+    )
+    holds = rep.match_fraction >= p["min_match"]
     detail = f"match_fraction={rep.match_fraction} p_horizon_mean={rep.p_horizon_mean}"
-    return CheckResult(holds, detail, ("trial_block", "match_fraction", "p_horizon_mean"), rows)
+    return CheckResult(holds, detail, _BC_HEADER, list(rep.blocks))
 
-
-CHECK_OPS = {
-    "classify": (_check_classify, "processes.classify"),
-    "condexp_agreement": (_check_condexp_agreement, "condexp.condexp_agreement_witness"),
-    "set_integral_characterization": (_check_set_integral, "condexp.check_set_integral_characterization"),
-    "upcrossing_estimate": (_check_upcrossing_estimate, "crossings.check_upcrossing_estimate"),
-    "upcrossing_estimate_sup": (_check_upcrossing_estimate_sup, "crossings.check_upcrossing_estimate_sup"),
-    "band_translation": (_check_band_translation, "crossings.band_translation_identity"),
-    "crossing_table": (_check_crossing_table, "crossings.crossing_table"),
-    "optional_stopping": (_check_optional_stopping, "stopping.check_optional_stopping"),
-    "maximal_inequality": (_check_maximal_inequality, "convergence.check_maximal_inequality"),
-    "doob_decomposition": (_check_doob, "processes.doob_decomposition"),
-    "levy_upward": (_check_levy_upward, "convergence.check_levy_upward"),
-    "l1_convergence_b": (_check_l1_convergence_b, "convergence.check_l1_convergence_b"),
-    "bridging": (_check_bridging, "uniform_integrability.check_bridging_inequality"),
-    "p_monotonicity": (_check_p_monotonicity, "uniform_integrability.check_p_monotonicity"),
-    "ui_curves": (_check_ui_curves, "uniform_integrability.ui_moduli"),
-    "vitali": (_check_vitali, "uniform_integrability.vitali_empirical"),
-    "mc_stats": (_check_mc_stats, "montecarlo.simulate_stats"),
-    "borel_cantelli": (_check_borel_cantelli, "borel_cantelli.check_borel_cantelli"),
-}
 
 _MC_OPS = {"mc_stats", "borel_cantelli", "vitali"}
 
@@ -809,18 +805,18 @@ def run_scenario(
                 f"{src}: $.checks[{i}].op: exact mode rejects Monte Carlo checks ({op})"
             )
 
-    os.makedirs(out_dir, exist_ok=True)
     ctx = _Context(doc, src, mode, seed)
+    params = [
+        _resolve(ctx, CHECK_OPS[c["op"]][1], c, f"{src}: $.checks[{i}]", skip=("name", "op"))
+        for i, c in enumerate(checks)
+    ]
+
+    os.makedirs(out_dir, exist_ok=True)
     summary = []
     failures = 0
-    for i, c in enumerate(checks):
-        handler, _ = CHECK_OPS[c["op"]]
+    for i, (c, p) in enumerate(zip(checks, params)):
         try:
-            result = handler(ctx, c, f"{src}: $.checks[{i}]")
-        except ConfigError:
-            raise
-        except SerializationError as e:
-            raise ConfigError(f"{src}: $.checks[{i}]: {e}") from None
+            result = CHECK_OPS[c["op"]][0](ctx, p)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{src}: $.checks[{i}]: {e}") from None
         csv_path = os.path.join(out_dir, f"{name}__{c['name']}.csv")
@@ -844,36 +840,20 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _parse_band_flag(text: str, mode: Mode) -> Band:
+def _band_flag(ctx: _Context, text: str) -> Band:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"--band: expected 'a,b', got {text!r}")
-    try:
-        a = decode_scalar(parts[0].strip(), mode, "--band.a")
-        b = decode_scalar(parts[1].strip(), mode, "--band.b")
-    except SerializationError as e:
-        raise ConfigError(str(e)) from None
-    if mode == "float":
-        a, b = float(a), float(b)
-    return Band(a=a, b=b)
+    return _decode(_band, ctx, [part.strip() for part in parts], "--band")
 
 
 def cmd_run(args) -> int:
-    if args.workers < 1:
-        raise ConfigError("--workers: expected an integer >= 1")
+    _count(args.workers, "--workers", 1)
     doc = _load_json(args.scenario)
     return run_scenario(
         doc, args.scenario, args.out_dir,
         seed_override=args.seed, mode_override=args.mode,
-    )
-
-
-def cmd_check(args) -> int:
-    doc = _load_json(args.scenario)
-    return run_scenario(
-        doc, args.scenario, args.out_dir,
-        seed_override=args.seed, mode_override=args.mode,
-        require_exact=True,
+        require_exact=args.require_exact,
     )
 
 
@@ -887,18 +867,12 @@ def cmd_crossings(args) -> int:
     raw = doc.get("values")
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{args.path}: $.values: need a nonempty array")
-    if raw and isinstance(raw[0], list):
-        try:
-            f = process_from_json({"values": raw}, mode, "$")
-        except SerializationError as e:
-            raise ConfigError(f"{args.path}: {e}") from None
+    ctx = _Context(doc, args.path, mode)
+    if isinstance(raw[0], list):
+        f = _decode(_process, ctx, {"values": raw}, f"{args.path}: $")
     else:
-        try:
-            values = [decode_scalar(v, mode, f"$.values[{i}]") for i, v in enumerate(raw)]
-        except SerializationError as e:
-            raise ConfigError(f"{args.path}: {e}") from None
-        f = Process.from_path(values, mode)
-    band = _parse_band_flag(args.band, mode)
+        f = Process.from_path(_decode(_list(_scalar), ctx, raw, f"{args.path}: $.values"), mode)
+    band = _band_flag(ctx, args.band)
     N = args.n if args.n is not None else f.horizon
     if not 0 <= N <= f.horizon:
         raise ConfigError(f"--n: out of range 0..{f.horizon}")
@@ -912,20 +886,18 @@ def cmd_crossings(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    mode: Mode = args.mode or "exact"
+    ctx = _Context({}, "martkit converge", args.mode or "exact")
     model_doc = {"kind": args.model}
     if args.p_up is not None:
         model_doc["p_up"] = args.p_up
-    model = _build_model(model_doc, mode, "--model")
+    model, _ = _model(ctx, model_doc, "--model")
     try:
-        space, f, F = exhaustive_space(model, args.horizon, mode=mode)
+        space, f, F = exhaustive_space(model, args.horizon, mode=ctx.mode)
     except ValueError as e:
         raise ConfigError(f"--horizon: {e}") from None
-    bands = []
-    for part in (args.bands.split(";") if args.bands else []):
-        bands.append(_parse_band_flag(part, mode))
-    cutoff = decode_scalar(args.cutoff, mode, "--cutoff")
-    l1_bound = decode_scalar(args.l1_bound, mode, "--l1-bound") if args.l1_bound else None
+    bands = [_band_flag(ctx, part) for part in (args.bands.split(";") if args.bands else [])]
+    cutoff = _decode(_scalar, ctx, args.cutoff, "--cutoff")
+    l1_bound = _decode(_scalar, ctx, args.l1_bound, "--l1-bound") if args.l1_bound else None
     diag = ae_convergence_diagnostic(space, f, F, cutoff, bands, l1_bound=l1_bound)
     rows = [("bounded_fraction", "", diag.bounded_fraction)]
     rows.append(("unbounded_measure", "", diag.unbounded_measure))
@@ -947,8 +919,7 @@ def cmd_converge(args) -> int:
 
 def cmd_bc(args) -> int:
     for name in ("trials", "block_size", "workers"):
-        if getattr(args, name) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')}: expected an integer >= 1")
+        _count(getattr(args, name), f"--{name.replace('_', '-')}", 1)
     if args.model != "independent":
         raise ConfigError("--model: only 'independent' event streams are supported")
     if args.schedule:
@@ -957,10 +928,11 @@ def cmd_bc(args) -> int:
         model_doc = {"kind": "independent", "prob": args.prob}
     else:
         raise ConfigError("--prob or --schedule is required")
-    model = _build_model(model_doc, "float", "--model")
+    model, _ = _model(_Context({}, "martkit bc", "float"), model_doc, "--model")
     horizon = args.horizon
     tail_start = args.tail_start if args.tail_start is not None else max(1, horizon // 2)
-    cut = args.cut if args.cut is not None else horizon / 4
+    cut = horizon / 4 if args.cut is None else _decode(_float, None, args.cut, "--cut")
+    min_match = _decode(_float, None, args.min_match, "--min-match")
     rep = check_borel_cantelli(
         model, horizon, args.trials, args.seed, cut, tail_start, block_size=args.block_size
     )
@@ -968,34 +940,25 @@ def cmd_bc(args) -> int:
     print(f"p_horizon_mean = {rep.p_horizon_mean}")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(
-            os.path.join(args.out_dir, "bc.csv"),
-            ("trial_block", "match_fraction", "p_horizon_mean"),
-            rep.blocks,
-        )
-    return 0 if rep.match_fraction >= args.min_match else 1
+        _write_csv(os.path.join(args.out_dir, "bc.csv"), _BC_HEADER, rep.blocks)
+    return 0 if rep.match_fraction >= min_match else 1
 
 
 def cmd_ui(args) -> int:
-    mode: Mode = args.mode or "exact"
-    if args.family not in _BUILTIN_FAMILIES:
-        raise ConfigError(f"--family: unknown family {args.family!r}")
-    space, members, _ = _BUILTIN_FAMILIES[args.family](args.horizon, mode=mode)
-    p = decode_scalar(args.p, mode, "--p")
-    fam = FunctionFamily.of(space, members, p=p)
-    moduli = ui_moduli(fam)
-    rows = [("l1_bound", "", moduli.l1_bound)]
-    for text in (args.deltas.split(",") if args.deltas else []):
-        d = decode_scalar(text.strip(), mode, "--deltas")
-        rows.append(("analyst", d, moduli.analyst(d)))
-    for text in (args.cs.split(",") if args.cs else []):
-        c = decode_scalar(text.strip(), mode, "--cs")
-        rows.append(("probabilist", c, moduli.probabilist(c)))
-    for kind, x, v in rows:
+    """The ``ui_curves`` check on a builtin family given by flags."""
+    ctx = _Context({}, "martkit ui", args.mode or "exact")
+    descriptor = {
+        "family": {"builtin": args.family, "horizon": args.horizon, "p": args.p},
+        "deltas": [t.strip() for t in args.deltas.split(",")] if args.deltas else [],
+        "cs": [t.strip() for t in args.cs.split(",")] if args.cs else [],
+    }
+    handler, keys = CHECK_OPS["ui_curves"]
+    result = handler(ctx, _resolve(ctx, keys, descriptor, "martkit ui: $"))
+    for kind, x, v in result.rows:
         print(f"{kind},{_fmt(x)},{_fmt(v)}")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "ui.csv"), ("kind", "x", "modulus"), rows)
+        _write_csv(os.path.join(args.out_dir, "ui.csv"), result.header, result.rows)
     return 0
 
 
@@ -1117,14 +1080,14 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", choices=["exact", "float"], default=None, help="override scenario mode")
     run.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
     common(run)
-    run.set_defaults(fn=cmd_run)
+    run.set_defaults(fn=cmd_run, require_exact=False)
 
     chk = sub.add_parser("check", help="run an exact theorem-suite scenario")
     chk.add_argument("scenario")
     chk.add_argument("--seed", type=int, default=None)
     chk.add_argument("--mode", choices=["exact"], default=None)
     common(chk)
-    chk.set_defaults(fn=cmd_check)
+    chk.set_defaults(fn=cmd_run, require_exact=True, workers=1)
 
     cr = sub.add_parser("crossings", help="crossing table and upcrossing count for a path file")
     cr.add_argument("--band", required=True, help="a,b")
@@ -1151,16 +1114,16 @@ def _build_parser() -> _Parser:
     bc.add_argument("--horizon", type=int, required=True)
     bc.add_argument("--trials", type=int, default=10_000)
     bc.add_argument("--tail-start", type=int, default=None, help="default horizon//2")
-    bc.add_argument("--cut", type=float, default=None, help="default horizon/4")
+    bc.add_argument("--cut", default=None, help="default horizon/4")
     bc.add_argument("--seed", type=int, default=42)
-    bc.add_argument("--min-match", type=float, default=0.0)
+    bc.add_argument("--min-match", default="0")
     bc.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
     bc.add_argument("--block-size", type=int, default=1000)
     bc.add_argument("--out-dir", default=None)
     bc.set_defaults(fn=cmd_bc)
 
     ui = sub.add_parser("ui", help="uniform integrability modulus curves for builtin families")
-    ui.add_argument("--family", required=True, help="shrinking_spike or fixed_mass_spike")
+    ui.add_argument("--family", choices=sorted(_BUILTIN_FAMILIES), required=True)
     ui.add_argument("--horizon", type=int, required=True)
     ui.add_argument("--p", default="1")
     ui.add_argument("--deltas", default=None, help="comma-separated small-set sizes")

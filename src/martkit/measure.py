@@ -232,9 +232,7 @@ def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue
             raise ValueError(
                 f"exact-mode snorm requires integer p >= 1 or inf, got {p!r}"
             )
-        total = sum(
-            (w * abs(v) ** p for w, v in zip(space.weights, f.values)), Fraction(0)
-        )
+        total = _exact_dot(space.weights, (abs(v) ** p for v in f.values))
         out = RootValue.of(total, p)
         return out.as_fraction() if out.is_rational() else out
     p = float(p)

@@ -99,17 +99,6 @@ def coerce_values(values: Iterable[Scalar], mode: Mode) -> tuple:
     return tuple(coerce_scalar(v, mode) for v in values)
 
 
-def infer_mode(values: Iterable[Scalar]) -> Mode:
-    """Infer a mode from raw values: any float present means float mode."""
-    saw_float = False
-    for v in values:
-        if isinstance(v, float):
-            saw_float = True
-        elif not isinstance(v, (int, Fraction, str)):
-            raise ModeError(f"cannot use {type(v).__name__} as a scalar")
-    return "float" if saw_float else "exact"
-
-
 def check_same_mode(*modes: Mode) -> Mode:
     first = modes[0]
     for m in modes[1:]:

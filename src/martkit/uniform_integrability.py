@@ -36,7 +36,6 @@ __all__ = [
     "analyst_modulus",
     "probabilist_modulus",
     "ui_moduli",
-    "analyst_curve",
     "probabilist_curve",
     "BridgingReport",
     "check_bridging_inequality",
@@ -289,10 +288,6 @@ def ui_moduli(fam: FunctionFamily) -> UIModuli:
         coerce_scalar(0, fam.space.mode),
     )
     return UIModuli(family=fam, l1_bound=bound)
-
-
-def analyst_curve(fam: FunctionFamily, deltas: Sequence[Scalar]) -> tuple:
-    return tuple((d, analyst_modulus(fam, d)) for d in deltas)
 
 
 def probabilist_curve(fam: FunctionFamily, cs: Sequence[Scalar]) -> tuple:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from martkit.cli import main
+from martkit.cli import CHECK_OPS, main
 
 REFERENCE_VALUES = ["1/2", "-1/5", "3/10", "4/5", "9/10", "3/2", "3/5",
                  "-1/10", "2/5", "9/10", "13/10", "-1/5", "1/2", "7/10"]
@@ -208,3 +208,77 @@ def test_check_requires_exact_scenarios(tmp_path, capsys):
     doc = walk_scenario(mode="float")
     src = write_json(tmp_path / "s.json", doc)
     assert main(["check", src, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def run_checks(tmp_path, capsys, checks, mode="float", **top):
+    doc = {"name": "keys", "mode": mode, "seed": 3, "checks": checks, **top}
+    src = write_json(tmp_path / "s.json", doc)
+    code = main(["run", src, "--out-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+MC_STATS = {"name": "m", "op": "mc_stats", "model": {"kind": "fair_walk"},
+            "trials": 20, "horizon": 8, "window": 4,
+            "bands": [[-0.5, 0.5]], "violation_ks": [1, 2]}
+BC = {"name": "b", "op": "borel_cantelli", "model": {"kind": "independent", "prob": 0.5},
+      "horizon": 8, "trials": 20}
+BC_FLOATS = ("divergence_cut", "min_match")
+
+
+@pytest.mark.parametrize("key", ["bands", "osc_tol", "min_osc_fraction", "final_mean_abs_max",
+                                 "decay_factor_min", "divergence_cut", "min_match"])
+def test_non_finite_check_floats_exit_two(key, tmp_path, capsys):
+    # a band [[NaN, 0.5]] once ran and wrote the row band=(nan,0.5) k=1
+    nan = float("nan")
+    check = BC if key in BC_FLOATS else MC_STATS
+    check = dict(check, **{key: [[nan, 0.5]] if key == "bands" else nan})
+    code, err = run_checks(tmp_path, capsys, [check])
+    assert code == 2
+    assert f"$.checks[0].{key}" in err and "finite" in err
+
+
+@pytest.mark.parametrize("check, mode, path", [
+    ({"op": "upcrossing_estimate", "band": ["-1/2", "1/2"], "n": 2}, "exact", ".n: unknown key"),
+    ({"op": "upcrossing_estimate", "band": ["-1/2", "1/2"], "bogus": 7}, "exact", ".bogus: unknown key"),
+    ({"op": "upcrossing_estimate_sup", "band": ["-1/2", "1/2"], "check_classification": "false"},
+     "exact", ".check_classification: expected true or false"),
+    ({"op": "vitali", "family": {"builtin": "shrinking_spike", "horizon": 4},
+      "expect_lp_decay": "true"}, "float", ".expect_lp_decay: expected true or false"),
+    (dict(MC_STATS, violation_ks=[1.5]), "float", ".violation_ks[0]: expected an integer"),
+    (dict(MC_STATS, model={"kind": "fair_walk", "stpe": 1}), "float", ".model.stpe: unknown key"),
+], ids=["n", "bogus", "check_classification", "expect_lp_decay", "violation_ks", "check_model"])
+def test_malformed_check_keys_exit_two(check, mode, path, tmp_path, capsys):
+    check = dict(check, name="c")
+    code, err = run_checks(tmp_path, capsys, [check], mode=mode,
+                           model={"kind": "fair_walk", "horizon": 2})
+    assert code == 2
+    assert f"$.checks[0]{path}" in err
+
+
+def test_unknown_key_in_the_scenario_model_exits_two(tmp_path, capsys):
+    doc = walk_scenario(model={"kind": "fair_walk", "horizon": 2, "p_up": "3/4"})
+    src = write_json(tmp_path / "s.json", doc)
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "$.model.p_up: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cut", "--min-match"])
+def test_bc_non_finite_floats_exit_two(flag, capsys):
+    # --cut nan once exited 0 with match_fraction = 0.0
+    code = main(["bc", "--prob", "0.5", "--horizon", "20", "--trials", "100", flag, "nan"])
+    assert code == 2
+    assert f"error: {flag}: " in capsys.readouterr().err
+
+
+def test_readme_lists_every_check_op_and_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if line.startswith("| `") and len(cells) > 2:
+            rows[cells[1].strip().strip("`")] = cells[2]
+    assert sorted(rows) == sorted(CHECK_OPS)
+    for op, (_, keys) in CHECK_OPS.items():
+        names = set(keys) | {k.alt[0] for k in keys.values() if k.alt}
+        missing = [name for name in names if f"`{name}`" not in rows[op]]
+        assert not missing, f"README row for {op} lacks {missing}"

@@ -62,6 +62,12 @@ def test_exact_sums_reject_floats_in_an_exact_random_variable():
         integral(FiniteMeasureSpace.uniform(2), RandomVariable((1.5, 2), "exact"))
 
 
+def test_exact_snorm_rejects_floats_in_an_exact_random_variable():
+    # its sum once went float and came back as Fraction(7, 4)
+    with pytest.raises(ModeError):
+        snorm(FiniteMeasureSpace.uniform(2), RandomVariable((1.5, 2), "exact"), 1)
+
+
 def test_integral_and_measure_basics():
     sp = FiniteMeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     f = RandomVariable.from_values([2, -4, 8], "exact")
