@@ -20,10 +20,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .condexp import condexp
 from .measure import FiniteMeasureSpace, indicator, set_measurable_wrt
 from .montecarlo import IndependentEvents, _run_blocks, _uniform_block
-from .processes import Filtration, Process
+from .processes import Filtration, Process, _running_sums
 
 __all__ = [
     "EventSequence",
@@ -72,16 +71,8 @@ def event_sequence_from_counts(counts: Process, F: Filtration) -> EventSequence:
 def predictable_sum(space: FiniteMeasureSpace, S: EventSequence) -> Process:
     """p_n = sum_{k<n} condexp(1_{S_{k+1}} | steps[k]); predictable and
     nondecreasing per atom."""
-    F = S.adapted_to
-    n_atoms = F.atom_count
-    acc = [indicator(frozenset(), n_atoms, space.mode).values]
-    running = list(acc[0])
-    for k in range(F.horizon):
-        ind = indicator(frozenset(S.sets[k + 1]), n_atoms, space.mode)
-        ce = condexp(space, ind, F.steps[k], F.ambient)
-        running = [r + c for r, c in zip(running, ce.values)]
-        acc.append(tuple(running))
-    return Process(values=tuple(tuple(row) for row in acc), mode=space.mode)
+    rows = [indicator(frozenset(s), S.adapted_to.atom_count, space.mode).values for s in S.sets]
+    return Process(_running_sums(space, S.adapted_to, rows, lambda k, ce, rows: (ce, None)), space.mode)
 
 
 def borel_cantelli_martingale(space: FiniteMeasureSpace, S: EventSequence) -> Process:
@@ -90,16 +81,9 @@ def borel_cantelli_martingale(space: FiniteMeasureSpace, S: EventSequence) -> Pr
     This is the compensated occurrence count: raw count minus predictable
     sum, the martingale part of the count's Doob decomposition.
     """
-    F = S.adapted_to
-    n_atoms = F.atom_count
-    rows = [indicator(frozenset(), n_atoms, space.mode).values]
-    running = list(rows[0])
-    for k in range(F.horizon):
-        ind = indicator(frozenset(S.sets[k + 1]), n_atoms, space.mode)
-        ce = condexp(space, ind, F.steps[k], F.ambient)
-        running = [r + i - c for r, i, c in zip(running, ind.values, ce.values)]
-        rows.append(tuple(running))
-    return Process(values=tuple(tuple(row) for row in rows), mode=space.mode)
+    rows = [indicator(frozenset(s), S.adapted_to.atom_count, space.mode).values for s in S.sets]
+    terms = lambda k, ce, rows: (rows[k + 1], ce)
+    return Process(_running_sums(space, S.adapted_to, rows, terms), space.mode)
 
 
 # ---------------------------------------------------------------------------

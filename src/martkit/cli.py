@@ -233,6 +233,18 @@ def _choice(table: dict):
     return parse
 
 
+def _name(ctx, v, path):
+    if not isinstance(v, str) or not _NAME_RE.match(v):
+        raise ConfigError(f"{path}: need a [A-Za-z0-9_-] name")
+    return v
+
+
+def _nonempty(ctx, v, path):
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{path}: need a nonempty array")
+    return v
+
+
 def _list(kind):
     def parse(ctx, v, path):
         if not isinstance(v, list):
@@ -353,6 +365,16 @@ def _builtin_family(ctx, doc, path) -> tuple:
     as the Vitali check needs them."""
     p = _resolve(ctx, {"builtin": _BUILTIN, "horizon": _Key(_int(2))}, doc, path)
     return p["builtin"](p["horizon"], mode=ctx.mode)
+
+
+# a scenario's own keys; the instance documents are decoded on demand by _Context
+_MODE = _choice({"exact": "exact", "float": "float"})
+_SCENARIO_KEYS = {
+    "name": _Key(_name), "mode": _Key(_MODE, None), "seed": _Key(_int(0), None),
+    "checks": _Key(_nonempty),
+    **dict.fromkeys(("model", "space", "process", "filtration"), _Key(lambda ctx, v, path: v, None)),
+}
+_PATH_KEYS = {"mode": _Key(_MODE, "exact"), "values": _Key(_nonempty)}  # a ``crossings`` path file
 
 
 # ---------------------------------------------------------------------------
@@ -769,31 +791,21 @@ def run_scenario(
 ) -> int:
     if stream is None:
         stream = sys.stdout
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{src}: $: scenario must be an object")
-    name = doc.get("name")
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise ConfigError(f"{src}: $.name: need a [A-Za-z0-9_-] name")
-    mode = mode_override or doc.get("mode")
-    if mode not in ("exact", "float"):
+    top = _resolve(None, _SCENARIO_KEYS, doc, f"{src}: $")
+    mode = mode_override or top["mode"]
+    if mode is None:
         raise ConfigError(f"{src}: $.mode: must be 'exact' or 'float'")
     if require_exact and mode != "exact":
         raise ConfigError(f"{src}: $.mode: this command runs exact scenarios only")
-    seed = seed_override if seed_override is not None else doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ConfigError(f"{src}: $.seed: expected a nonnegative integer")
-    checks = doc.get("checks")
-    if not isinstance(checks, list) or not checks:
-        raise ConfigError(f"{src}: $.checks: need a nonempty array")
+    seed = seed_override if seed_override is not None else top["seed"]
+    name, checks = top["name"], top["checks"]
 
     # validate all descriptors before running anything
     seen = set()
     for i, c in enumerate(checks):
         if not isinstance(c, dict):
             raise ConfigError(f"{src}: $.checks[{i}]: expected an object")
-        cname = c.get("name")
-        if not isinstance(cname, str) or not _NAME_RE.match(cname):
-            raise ConfigError(f"{src}: $.checks[{i}].name: need a [A-Za-z0-9_-] name")
+        cname = _name(None, c.get("name"), f"{src}: $.checks[{i}].name")
         if cname in seen:
             raise ConfigError(f"{src}: $.checks[{i}].name: duplicate check name {cname!r}")
         seen.add(cname)
@@ -859,14 +871,8 @@ def cmd_run(args) -> int:
 
 def cmd_crossings(args) -> int:
     doc = _load_json(args.path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.path}: $: expected an object")
-    mode = doc.get("mode", "exact")
-    if mode not in ("exact", "float"):
-        raise ConfigError(f"{args.path}: $.mode: must be 'exact' or 'float'")
-    raw = doc.get("values")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{args.path}: $.values: need a nonempty array")
+    top = _resolve(None, _PATH_KEYS, doc, f"{args.path}: $")
+    mode, raw = top["mode"], top["values"]
     ctx = _Context(doc, args.path, mode)
     if isinstance(raw[0], list):
         f = _decode(_process, ctx, {"values": raw}, f"{args.path}: $")
@@ -929,13 +935,17 @@ def cmd_bc(args) -> int:
     else:
         raise ConfigError("--prob or --schedule is required")
     model, _ = _model(_Context({}, "martkit bc", "float"), model_doc, "--model")
-    horizon = args.horizon
-    tail_start = args.tail_start if args.tail_start is not None else max(1, horizon // 2)
+    horizon = _count(args.horizon, "--horizon", 1)
+    tail_start = _count(max(1, horizon // 2) if args.tail_start is None else args.tail_start,
+                        "--tail-start", 1, horizon)
     cut = horizon / 4 if args.cut is None else _decode(_float, None, args.cut, "--cut")
     min_match = _decode(_float, None, args.min_match, "--min-match")
-    rep = check_borel_cantelli(
-        model, horizon, args.trials, args.seed, cut, tail_start, block_size=args.block_size
-    )
+    try:
+        rep = check_borel_cantelli(
+            model, horizon, args.trials, args.seed, cut, tail_start, block_size=args.block_size
+        )
+    except ValueError as e:  # an event probability outside [0, 1]
+        raise ConfigError(f"--prob/--schedule: {e}") from None
     print(f"match_fraction = {rep.match_fraction}")
     print(f"p_horizon_mean = {rep.p_horizon_mean}")
     if args.out_dir:

@@ -1,12 +1,15 @@
 """Conditional expectation on finite measure spaces, built two ways.
 
 :func:`condexp` is the defining construction: averaging over the blocks of
-the conditioning partition, with total-function "junk value" semantics.  The
-function is defined for every input; when the conditioning partition is not
-a sub-sigma-algebra of the ambient one the result is the zero function, and
-when the integrand is already measurable the result is the integrand itself,
-value for value (not merely almost everywhere).  Blocks of measure zero get
-the value 0.
+the conditioning partition, with total-function "junk value" semantics: the
+zero function when the conditioning partition is not a sub-sigma-algebra of
+the ambient one, the integrand itself, value for value, when it is already
+measurable, and 0 on blocks of measure zero.  Its averages come from
+``_Kernel``, the blockwise kernel it shares with classification, the Doob
+decomposition, Levy's upward theorem and the predictable sums: float block
+sums run in ascending atom order, exact ones as integer numerators over one
+denominator, and exact filtration-wide work folds the block integrals of step
+k+1 into those of step k (the tower rule).
 
 :func:`condexp_l2` is an intentionally separate second route: orthogonal
 projection onto the span of the block indicators under the weighted inner
@@ -19,6 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import Sequence
+
+import numpy as np
 
 from .measure import (
     FiniteMeasureSpace,
@@ -28,17 +35,75 @@ from .measure import (
     ae_le,
     ae_witness,
     indicator,
-    is_measurable_wrt,
-    measure,
     partition_le,
     set_integral,
     _check_rv,
+    _exact_sums,
+    _unmeasured,
 )
 from .scalars import Scalar, tolerance, zero
 
 
 def _default_ambient(space: FiniteMeasureSpace, ambient: Partition | None) -> Partition:
     return Partition.singletons(space.atom_count) if ambient is None else ambient
+
+
+class _Kernel:
+    """Block tables of a sequence of partitions over one space, built inside
+    each call and never kept.  Per step k: ``of[k]`` is each atom's block,
+    ``first[k]`` each block's first atom, ``rep[k]`` the first positive-weight
+    atom of each block of positive mass, ``mass[k]`` the block masses.  Rows
+    are numpy arrays of floats or of exact objects.  Block sums run in
+    ascending atom order: ``np.bincount`` in float mode, integer numerators
+    over one common denominator in exact mode."""
+
+    def __init__(self, space: FiniteMeasureSpace, steps: Sequence[Partition]) -> None:
+        self.mode, self.exact, self.steps = space.mode, space.mode == "exact", steps
+        self.weights = space.weights if self.exact else np.asarray(space.weights, dtype=float)
+        self.positive = np.flatnonzero([w != 0 for w in space.weights])  # weights are >= 0
+        self.of = [np.asarray(p.block_of, dtype=np.intp) for p in steps]
+        self.first = [np.unique(of, return_index=True)[1] for of in self.of]
+        self.rep = [self.positive[np.unique(of[self.positive], return_index=True)[1]] for of in self.of]
+        self.mass = [self.sums(repeat(1) if self.exact else 1.0, k) for k in range(len(steps))]
+
+    def array(self, values) -> np.ndarray:
+        return np.array(values, dtype=object if self.exact else float)
+
+    def sums(self, row, k: int):
+        """Integrals over the blocks of step k: floats, or (numerators, denominator)."""
+        if self.exact:
+            return _exact_sums(self.weights, row, self.steps[k].block_of, len(self.first[k]))
+        return np.bincount(self.of[k], weights=self.weights * row, minlength=len(self.first[k]))
+
+    def means(self, sums, k: int) -> np.ndarray:
+        """Block averages from block integrals; 0 on blocks of mass zero."""
+        if not self.exact:
+            return np.divide(sums, self.mass[k], out=np.zeros(len(sums)), where=self.mass[k] != 0)
+        (s, d), (m, e) = sums, self.mass[k]
+        return np.array([Fraction(x * e, d * y) if y else Fraction(0) for x, y in zip(s, m)])
+
+    def unmeasured(self, row: np.ndarray, k: int) -> int | None:
+        """``measure._unmeasured`` on step k: None when ``row`` is measurable."""
+        return _unmeasured(row, self.mode, self.of[k], self.first[k])
+
+    def tower(self, row: np.ndarray, top: int, low: int):
+        """(i, condexp(row | steps[i]) per block) for i = top down to low.  Exact
+        mode folds step i+1's block integrals into step i's (the tower rule);
+        float mode sums each step from the atoms, as the fold rounds otherwise."""
+        sums = None
+        for i in range(top, low - 1, -1):
+            if sums is not None and self.exact:
+                folded = [0] * len(self.first[i])
+                for parent, x in zip(self.of[i][self.first[i + 1]].tolist(), sums[0]):
+                    folded[parent] += x
+                sums = folded, sums[1]
+            else:
+                sums = self.sums(row, i)
+            yield i, row[self.first[i]] if self.unmeasured(row, i) is None else self.means(sums, i)
+
+    def condexp(self, row: np.ndarray, k: int) -> np.ndarray:
+        """condexp(row | steps[k]) at every atom."""
+        return next(self.tower(row, k, k))[1][self.of[k]]
 
 
 def condexp(
@@ -60,17 +125,12 @@ def condexp(
     # sub <= ambient in the sigma-algebra order means ambient refines sub.
     if not partition_le(sub, ambient):
         return RandomVariable.constant(0, space.atom_count, space.mode)
-    if is_measurable_wrt(f, sub):
+    kernel = _Kernel(space, (sub,))
+    row = kernel.array(f.values)
+    if kernel.unmeasured(row, 0) is None:
         return f
-    out = [zero(space.mode)] * space.atom_count
-    for block in sub.block_sets():
-        mass = measure(space, block)
-        if mass == 0:
-            continue
-        avg = set_integral(space, f, block) / mass
-        for a in block:
-            out[a] = avg
-    return RandomVariable(tuple(out), space.mode)
+    means = kernel.means(kernel.sums(row, 0), 0)
+    return RandomVariable(tuple(means[kernel.of[0]].tolist()), space.mode)
 
 
 def _solve_linear(g: list[list[Scalar]], r: list[Scalar], mode: str) -> list[Scalar]:

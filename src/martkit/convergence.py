@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .condexp import condexp
+from .condexp import _Kernel
 from .measure import (
     FiniteMeasureSpace,
     Partition,
@@ -26,6 +26,7 @@ from .measure import (
     measure,
     set_integral,
     snorm,
+    _check_rv,
 )
 from .crossings import Band, upcrossings_before
 from .processes import (
@@ -35,6 +36,8 @@ from .processes import (
     Process,
     classify,
     filtration_sup,
+    _check_process,
+    _violations,
 )
 from .scalars import Scalar, coerce_scalar, tolerance
 
@@ -326,18 +329,16 @@ def check_l1_convergence_b(
 ) -> L1ConvergenceBReport:
     """Martingale representation at the horizon: f_n = condexp(f_N | steps[n])
     a.e. for every n (the finite-filtration limit process is f_N itself)."""
+    _check_process(space, f, F)
     cls = classification if classification is not None else classify(space, f, F, tol=tol)
     if cls.kind != MartingaleClass.MARTINGALE and not allow_non_martingale:
         raise ValueError("check (b) is a martingale statement; classification says otherwise")
-    witness = None
-    ambient = F.ambient
-    last = f.at(f.horizon)
-    for n in range(f.horizon + 1):
-        ce = condexp(space, last, F.steps[n], ambient)
-        w = ae_witness(space, f.at(n), ce, "eq", tol=tol)
-        if w is not None:
-            witness = (n, w)
-            break
+    kernel = _Kernel(space, F.steps)
+    rows = [kernel.array(r) for r in f.values]
+    adapted = all(kernel.unmeasured(row, n) is None for n, row in enumerate(rows))
+    found = _violations(kernel, rows, f.horizon, f.horizon, 0, tol, adapted)
+    witness = next(((n, min(a for a in w if a is not None)) for (n, _), w in sorted(found.items())
+                    if w != (None, None)), None)
     return L1ConvergenceBReport(holds=witness is None, witness=witness, kind=cls.kind)
 
 
@@ -367,16 +368,15 @@ def check_levy_upward(
     hold is d_{n+1} <= 2 d_n, and the L2 distances are nonincreasing.
     ``holds`` still conjoins both flags, as specified.
     """
-    from .measure import is_measurable_wrt
-
-    sup = filtration_sup(F)
-    if not is_measurable_wrt(g, sup):
+    _check_rv(space, g)
+    if F.atom_count != space.atom_count:
+        raise ValueError("atom counts differ between space and filtration")
+    kernel = _Kernel(space, F.steps)
+    row = kernel.array(g.values)
+    if kernel.unmeasured(row, F.horizon) is not None:  # the sup of monotone steps is the last
         raise ValueError("Levy upward requires g measurable w.r.t. the filtration's sup")
-    ambient = F.ambient
-    d = []
-    for n in range(F.horizon + 1):
-        ce = condexp(space, g, F.steps[n], ambient)
-        d.append(snorm(space, ce - g, 1))
+    d = [snorm(space, RandomVariable(tuple(ce[kernel.of[n]].tolist()), space.mode) - g, 1)
+         for n, ce in kernel.tower(row, F.horizon, 0)][::-1]
     eps = tolerance(space.mode, tol)
     monotone = all(d[i + 1] <= d[i] + eps for i in range(len(d) - 1))
     final_zero = d[-1] <= eps

@@ -18,12 +18,13 @@ Fraction(1, 1)
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .scalars import (
     INF,
@@ -97,20 +98,25 @@ class FiniteMeasureSpace:
                 raise ValueError(f"atom {a!r} outside range 0..{self.atom_count - 1}")
 
 
-def _exact_dot(xs: Iterable, ys: Iterable) -> Fraction:
-    """sum(x * y) over paired Fractions or ints: the numerators add as ints over
-    a running common denominator, so only the final Fraction pays a gcd."""
-    num, den = 0, 1
+def _exact_sums(xs: Iterable, ys: Iterable, block_of: Iterable[int] | None = None, count: int = 1):
+    """Per-block sums of x * y over paired Fractions or ints, in ascending
+    order: integer numerators over one common denominator, so no Fraction
+    pays a gcd here.  Returns (numerators by block, denominator)."""
     try:
-        for x, y in zip(xs, ys):
-            d = x.denominator * y.denominator
-            if d != den:
-                common = lcm(den, d)
-                num, den = num * (common // den), common
-            num += x.numerator * y.numerator * (den // d)
+        terms = [(x.numerator * y.numerator, x.denominator * y.denominator) for x, y in zip(xs, ys)]
     except AttributeError:
         raise ModeError("non-rational operand in an exact-mode sum; pass Fractions or ints") from None
-    return Fraction(num, den)
+    den = lcm(*{d for _, d in terms})
+    nums = [0] * count
+    for b, (n, d) in zip(repeat(0) if block_of is None else block_of, terms):
+        nums[b] += n * (den // d)
+    return nums, den
+
+
+def _exact_dot(xs: Iterable, ys: Iterable) -> Fraction:
+    """sum(x * y) over paired Fractions or ints; only the result pays a gcd."""
+    nums, den = _exact_sums(xs, ys)
+    return Fraction(nums[0], den)
 
 
 def measure(space: FiniteMeasureSpace, s: AtomSet) -> Scalar:
@@ -416,45 +422,37 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition.of([find(a) for a in range(n)])
 
 
-def _value_key(v: Scalar, mode: Mode):
+def _value_keys(values, mode: Mode) -> np.ndarray:
     """One value equality per mode for grouping, measurability and adaptedness:
     float mode compares bit patterns (0.0 != -0.0), exact mode rational values."""
-    if mode == "float":
-        return struct.pack("<d", v)
-    return v
+    keys = np.asarray(values, dtype=float if mode == "float" else object)
+    return keys.view(np.int64) if mode == "float" else keys
 
 
 def generated_partition(f: RandomVariable) -> Partition:
-    """Partition into the level sets of f."""
+    """Partition into the level sets of f, numbered by first appearance."""
     seen: dict = {}
-    out = []
-    for v in f.values:
-        key = _value_key(v, f.mode)
-        if key not in seen:
-            seen[key] = len(seen)
-        out.append(seen[key])
-    return Partition(tuple(out))
+    keys = _value_keys(f.values, f.mode).tolist()
+    return Partition(tuple(seen.setdefault(k, len(seen)) for k in keys))
+
+
+def _unmeasured(values, mode: Mode, of: np.ndarray, first: np.ndarray) -> int | None:
+    """First atom of the first block on which ``values`` is not constant, under
+    ``_value_keys`` equality, or None.  ``of`` holds each atom's block, ``first``
+    each block's first atom."""
+    keys = _value_keys(values, mode)
+    bad = keys != keys[first][of]
+    return int(first[of[bad].min()]) if bad.any() else None
 
 
 def is_measurable_wrt(f: RandomVariable, p: Partition) -> bool:
     """True iff f is constant on every block of P (same equality as grouping)."""
     if len(f) != p.atom_count:
         raise ValueError("value count does not match partition atom count")
-    rep: dict[int, object] = {}
-    for a, b in enumerate(p.block_of):
-        key = _value_key(f.values[a], f.mode)
-        if b in rep:
-            if rep[b] != key:
-                return False
-        else:
-            rep[b] = key
-    return True
+    of = np.asarray(p.block_of)
+    return _unmeasured(f.values, f.mode, of, np.unique(of, return_index=True)[1]) is None
 
 
 def set_measurable_wrt(s: AtomSet, p: Partition) -> bool:
     """True iff s is a union of blocks of P."""
-    for block in p.blocks():
-        inside = sum(1 for a in block if a in s)
-        if inside not in (0, len(block)):
-            return False
-    return True
+    return is_measurable_wrt(indicator(s, p.atom_count, "float"), p)

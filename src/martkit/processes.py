@@ -3,18 +3,19 @@
 A filtration here is a finite monotone sequence of partitions, each bounded
 by an ambient partition.  A process is a time-major table of values, one row
 per time 0..horizon.  Classification compares ``condexp(f_j | steps[i])``
-with ``f_i`` almost everywhere over *all* pairs ``i <= j``; the tower rule
-makes the consecutive-pair check equivalent, and both are provided (the
-equivalence is property-tested, not assumed silently).
+with ``f_i`` almost everywhere over *all* pairs ``i <= j``, once per block of
+positive mass (exact mode reaches every pair by the tower rule); the tower
+rule also makes the consecutive-pair check equivalent, and both are provided
+(the equivalence is property-tested, not assumed silently).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .condexp import condexp
+from .condexp import _Kernel
 from .measure import (
     FiniteMeasureSpace,
     Partition,
@@ -24,7 +25,6 @@ from .measure import (
     join,
     meet,
     partition_le,
-    _value_key,
 )
 from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
 
@@ -151,11 +151,8 @@ def is_predictable(c: Process, F: Filtration) -> bool:
 
 
 def filtration_sup(F: Filtration) -> Partition:
-    """Join of all steps; by monotonicity this equals the last step."""
-    out = F.steps[0]
-    for p in F.steps[1:]:
-        out = join(out, p)
-    return out
+    """Join of all steps: the last step, since the steps are monotone."""
+    return F.steps[-1]
 
 
 def natural_filtration(f: Process, ambient: Partition | None = None) -> Filtration:
@@ -217,15 +214,18 @@ class Classification:
         return self.adapted and self.witness_against(asserted) is None
 
 
-def _adapted_witness(f: Process, F: Filtration) -> tuple | None:
-    for n in range(f.horizon + 1):
-        if not is_measurable_wrt(f.at(n), F.steps[n]):
-            blocks = F.steps[n].blocks()
-            for block in blocks:
-                vals = {_value_key(f.values[n][a], f.mode) for a in block}
-                if len(vals) > 1:
-                    return (n, block[0])
-    return None
+def _violations(kernel, rows, j: int, top: int, low: int, tol, adapted: bool = True) -> dict:
+    """{(i, j): (first atom below, first atom above)} for i = top down to low:
+    the first positive-weight atoms where E[f_j | steps[i]] lies below or above
+    f_i by more than the tolerance, or None.  One comparison per block of
+    positive mass, or per positive-weight atom when f is not adapted."""
+    t = tolerance(kernel.mode, tol)
+    out = {}
+    for i, ce in kernel.tower(rows[j], top, low):
+        at = kernel.rep[i] if adapted else kernel.positive
+        d = ce[kernel.of[i][at]] - rows[i][at]
+        out[i, j] = tuple(int(at[m].min()) if m.any() else None for m in (d < -t, d > t))
+    return out
 
 
 def classify(
@@ -240,33 +240,24 @@ def classify(
     ``pairs="all"`` compares condexp(f_j | steps[i]) with f_i for every
     i <= j (the defining form); ``pairs="consecutive"`` checks only
     j = i + 1, which the tower rule proves equivalent.  Adaptedness uses the
-    value equality of ``is_adapted`` (``measure._value_key``; float 0.0 != -0.0).
+    value equality of ``is_adapted`` (``measure._value_keys``; float 0.0 != -0.0).
+    Pairs i = j never violate once f is adapted, so they are not compared.
     """
     _check_process(space, f, F)
     if pairs not in ("all", "consecutive"):
         raise ValueError("pairs must be 'all' or 'consecutive'")
-    aw = _adapted_witness(f, F)
-    if aw is not None:
-        return Classification(MartingaleClass.NONE, False, aw, None, None)
-    t = tolerance(space.mode, tol)
-    sub_violation = None
-    super_violation = None
-    for i in range(f.horizon + 1):
-        j_range = range(i, f.horizon + 1) if pairs == "all" else range(i, min(i + 2, f.horizon + 1))
-        for j in j_range:
-            ce = condexp(space, f.at(j), F.steps[i], F.ambient)
-            for atom, w in enumerate(space.weights):
-                if w == 0:
-                    continue
-                d = ce.values[atom] - f.values[i][atom]
-                if sub_violation is None and d < -t:
-                    sub_violation = (i, j, atom)
-                if super_violation is None and d > t:
-                    super_violation = (i, j, atom)
-            if sub_violation is not None and super_violation is not None:
-                break
-        if sub_violation is not None and super_violation is not None:
-            break
+    kernel = _Kernel(space, F.steps)
+    rows = [kernel.array(r) for r in f.values]
+    for n, row in enumerate(rows):
+        atom = kernel.unmeasured(row, n)
+        if atom is not None:
+            return Classification(MartingaleClass.NONE, False, (n, atom), None, None)
+    found: dict = {}
+    for j in range(1, f.horizon + 1):
+        found.update(_violations(kernel, rows, j, j - 1, 0 if pairs == "all" else j - 1, tol))
+    ordered = sorted(found.items())  # (i, j) order: the first violation of each side wins
+    sub_violation = next(((i, j, w[0]) for (i, j), w in ordered if w[0] is not None), None)
+    super_violation = next(((i, j, w[1]) for (i, j), w in ordered if w[1] is not None), None)
     if sub_violation is None and super_violation is None:
         kind = MartingaleClass.MARTINGALE
     elif sub_violation is None:
@@ -319,14 +310,24 @@ def doob_decomposition(
     verified by the test suite, not assumed here.
     """
     _check_process(space, f, F)
-    n_atoms = f.atom_count
-    pred_rows = [tuple([zero(f.mode)] * n_atoms)]
-    acc = list(pred_rows[0])
-    for k in range(f.horizon):
-        ce = condexp(space, f.at(k + 1), F.steps[k], F.ambient)
-        for a in range(n_atoms):
-            acc[a] = acc[a] + ce.values[a] - f.values[k][a]
-        pred_rows.append(tuple(acc))
-    predictable = Process(tuple(pred_rows), f.mode)
-    martingale = f - predictable
-    return DoobDecomposition(martingale_part=martingale, predictable_part=predictable)
+    pred = _running_sums(space, F, f.values, lambda k, ce, rows: (ce, rows[k]))
+    predictable = Process(pred, f.mode)
+    return DoobDecomposition(martingale_part=f - predictable, predictable_part=predictable)
+
+
+def _running_sums(space: FiniteMeasureSpace, F: Filtration, rows, terms) -> tuple:
+    """Rows 0..horizon of the running sums over k < n of a_k - b_k (of a_k when
+    b_k is None), where (a_k, b_k) = terms(k, ce_k, rows) and ce_k =
+    condexp(rows[k+1] | steps[k]) at every atom, averaged from the atoms (rows
+    need not be adapted)."""
+    if F.atom_count != space.atom_count:
+        raise ValueError("atom counts differ between space and filtration")
+    kernel = _Kernel(space, F.steps)
+    rows = [kernel.array(r) for r in rows]
+    acc = kernel.array([zero(space.mode)] * F.atom_count)
+    out = [tuple(acc.tolist())]
+    for k in range(F.horizon):
+        a, b = terms(k, kernel.condexp(rows[k + 1], k), rows)
+        acc = acc + a if b is None else acc + a - b
+        out.append(tuple(acc.tolist()))
+    return tuple(out)

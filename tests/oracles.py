@@ -5,12 +5,28 @@ counter is a two-state scanner, the sigma/tau chain is the N-bounded
 recursion that rescans the path for every bound (the package scans each path
 once and clips), the analyst modulus is plain subset enumeration, and the
 stopping-time check walks partition blocks by hand.
+
+The filtration-wide references below are the per-pair atom loops that
+``classify``, ``doob_decomposition``, ``check_levy_upward``,
+``check_l1_convergence_b``, ``predictable_sum`` and
+``borel_cantelli_martingale`` ran before their blockwise kernel: one public
+``condexp`` call per time pair, then one subtraction and comparison per atom.
 """
 
+import struct
 from fractions import Fraction
 from itertools import combinations
 
-from martkit import RootValue
+from martkit import (
+    Classification,
+    MartingaleClass,
+    RootValue,
+    ae_witness,
+    condexp,
+    indicator,
+    snorm,
+    tolerance,
+)
 
 
 def upcrossings_state_machine(values, a, b, N):
@@ -105,3 +121,86 @@ def stopping_time_oracle(tau_values, filtration):
             if len(hits) > 1:
                 return False
     return True
+
+
+def _key(v, mode):
+    """Value equality: bit patterns in float mode (0.0 != -0.0), values in exact."""
+    return struct.pack("<d", v) if mode == "float" else v
+
+
+def classify_by_pairs(space, f, F, pairs="all", tol=None):
+    """Adaptedness block by block, then condexp(f_j | steps[i]) against f_i at
+    every positive-weight atom, pairs in (i, j) order."""
+    for n in range(f.horizon + 1):
+        for block in F.steps[n].blocks():
+            if len({_key(f.values[n][a], f.mode) for a in block}) > 1:
+                return Classification(MartingaleClass.NONE, False, (n, block[0]), None, None)
+    t = tolerance(space.mode, tol)
+    sub = sup = None
+    for i in range(f.horizon + 1):
+        for j in range(i, f.horizon + 1 if pairs == "all" else min(i + 2, f.horizon + 1)):
+            ce = condexp(space, f.at(j), F.steps[i], F.ambient)
+            for atom, w in enumerate(space.weights):
+                if w == 0:
+                    continue
+                d = ce.values[atom] - f.values[i][atom]
+                if sub is None and d < -t:
+                    sub = (i, j, atom)
+                if sup is None and d > t:
+                    sup = (i, j, atom)
+    kind = {
+        (False, False): MartingaleClass.MARTINGALE,
+        (False, True): MartingaleClass.SUBMARTINGALE,
+        (True, False): MartingaleClass.SUPERMARTINGALE,
+        (True, True): MartingaleClass.NONE,
+    }[sub is not None, sup is not None]
+    return Classification(kind, True, None, sub, sup)
+
+
+def doob_by_steps(space, f, F):
+    """(martingale rows, predictable rows): p_{n+1} = p_n + condexp(f_{n+1} | steps[n]) - f_n
+    atom by atom, m = f - p."""
+    acc = [Fraction(0) if f.mode == "exact" else 0.0] * f.atom_count
+    pred = [tuple(acc)]
+    for k in range(f.horizon):
+        ce = condexp(space, f.at(k + 1), F.steps[k], F.ambient)
+        acc = [a + c - v for a, c, v in zip(acc, ce.values, f.values[k])]
+        pred.append(tuple(acc))
+    mart = tuple(tuple(v - p for v, p in zip(fr, pr)) for fr, pr in zip(f.values, pred))
+    return mart, tuple(pred)
+
+
+def levy_distances(space, g, F):
+    """d_n = snorm(condexp(g | steps[n]) - g, 1) for n = 0..horizon."""
+    return tuple(
+        snorm(space, condexp(space, g, F.steps[n], F.ambient) - g, 1)
+        for n in range(F.horizon + 1)
+    )
+
+
+def l1b_witness(space, f, F, tol=None):
+    """First (n, atom) where f_n and condexp(f_N | steps[n]) differ a.e."""
+    last = f.at(f.horizon)
+    for n in range(f.horizon + 1):
+        w = ae_witness(space, f.at(n), condexp(space, last, F.steps[n], F.ambient), "eq", tol)
+        if w is not None:
+            return (n, w)
+    return None
+
+
+def event_sums(space, S, compensated):
+    """Running sums of condexp(1_{S_{k+1}} | steps[k]) (the predictable sum), or
+    of the indicator minus it (the compensated count), atom by atom."""
+    F = S.adapted_to
+    n = F.atom_count
+    acc = list(indicator(frozenset(), n, space.mode).values)
+    rows = [tuple(acc)]
+    for k in range(F.horizon):
+        ind = indicator(frozenset(S.sets[k + 1]), n, space.mode)
+        ce = condexp(space, ind, F.steps[k], F.ambient)
+        if compensated:
+            acc = [r + i - c for r, i, c in zip(acc, ind.values, ce.values)]
+        else:
+            acc = [r + c for r, c in zip(acc, ce.values)]
+        rows.append(tuple(acc))
+    return tuple(rows)

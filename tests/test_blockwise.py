@@ -1,0 +1,139 @@
+"""The blockwise kernel against the per-pair atom loops of ``oracles``.
+
+Every routed function must equal its reference bitwise (compared through
+``repr``, so float -0.0 and 0.0 differ and atoms must be plain ints), in both
+modes, on random spaces with zero-weight atoms and ragged refinements.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from martkit import (
+    EventSequence,
+    FiniteMeasureSpace,
+    Partition,
+    Process,
+    RandomVariable,
+    borel_cantelli_martingale,
+    check_l1_convergence_b,
+    check_levy_upward,
+    classify,
+    condexp,
+    doob_decomposition,
+    predictable_sum,
+)
+from conftest import (
+    random_filtration,
+    random_fraction,
+    random_martingale,
+    random_space,
+    random_submartingale,
+)
+import oracles
+
+seeds = st.integers(0, 10**9)
+
+
+def test_float_block_sums_run_in_ascending_atom_order():
+    # iterating frozenset({3, 21, 27}) visits 27 first, and
+    # (0.2 + 0.1) + 3.0 rounds differently from (0.1 + 3.0) + 0.2
+    sp = FiniteMeasureSpace.from_weights([1.0] * 28, "float")
+    values = [0.0] * 28
+    values[3], values[21], values[27] = 0.1, 3.0, 0.2
+    f = RandomVariable.from_values(values, "float")
+    block = {3, 21, 27}
+    p = Partition.from_blocks([sorted(block), [a for a in range(28) if a not in block]])
+    g = condexp(sp, f, p)
+    assert g.values[3] == g.values[21] == g.values[27] == 1.1
+    assert g.values[0] == 0.0
+
+
+def _block_values(rng, space, part, zeros):
+    """One random value per block of ``part``, written to every atom of it."""
+    out = [Fraction(0)] * space.atom_count
+    for block in part.blocks():
+        v = random_fraction(rng, -3, 3, 2) if zeros else random_fraction(rng)
+        for a in block:
+            out[a] = v
+    return out
+
+
+def _process(rng, space, F):
+    """A martingale, a submartingale, a martingale nudged on a few blocks, a
+    process adapted to earlier steps (so f_j is often F_i-measurable, i < j),
+    or values drawn per atom (rarely adapted)."""
+    kind = rng.choice(["martingale", "sub", "nudged", "early", "raw"])
+    if kind == "martingale":
+        return random_martingale(rng, space, F), kind
+    if kind == "sub":
+        return random_submartingale(rng, space, F), kind
+    if kind == "nudged":
+        rows = [list(r) for r in random_martingale(rng, space, F).values]
+        for n in range(1, F.horizon + 1):
+            block = rng.choice(F.steps[n].blocks())
+            d = Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+            for a in block:
+                rows[n][a] += d
+        return Process.from_values(rows, "exact"), kind
+    if kind == "early":
+        rows = [_block_values(rng, space, F.steps[rng.randint(0, n)], True)
+                for n in range(F.horizon + 1)]
+        return Process.from_values(rows, "exact"), kind
+    rows = [[random_fraction(rng, -2, 2, 1) for _ in range(space.atom_count)]
+            for _ in range(F.horizon + 1)]
+    return Process.from_values(rows, "exact"), kind
+
+
+def _signed_zeros(rng, rows):
+    """Float rows with some zeros negated, per atom or per whole row."""
+    per_atom = rng.random() < 0.5
+    out = []
+    for row in rows:
+        flip = rng.random() < 0.3
+        out.append([-0.0 if v == 0 and (rng.random() < 0.3 if per_atom else flip) else float(v)
+                    for v in row])
+    return out
+
+
+def _instance(seed, mode):
+    rng = random.Random(seed)
+    space = random_space(rng, max_atoms=12, zero_prob=0.3)
+    F = random_filtration(rng, space.atom_count, rng.randint(1, 4))
+    f, kind = _process(rng, space, F)
+    g = _block_values(rng, space, F.steps[-1], False)
+    sets = []
+    for part in F.steps:
+        picked = [b for b in part.blocks() if rng.random() < 0.5]
+        sets.append(frozenset(a for b in picked for a in b))
+    if mode == "float":
+        space = FiniteMeasureSpace.from_weights([float(w) for w in space.weights], "float")
+        f = Process.from_values(_signed_zeros(rng, f.values), "float")
+        g = [float(v) for v in g]
+    return space, f, F, RandomVariable.from_values(g, mode), EventSequence(tuple(sets), F), kind
+
+
+def _same(a, b):
+    assert repr(a) == repr(b)
+
+
+@given(seeds, st.sampled_from(["exact", "float"]), st.sampled_from([None, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_routed_functions_equal_the_per_pair_loops(seed, mode, tol):
+    space, f, F, g, S, kind = _instance(seed, mode)
+    for pairs in ("all", "consecutive"):
+        _same(classify(space, f, F, pairs=pairs, tol=tol),
+              oracles.classify_by_pairs(space, f, F, pairs=pairs, tol=tol))
+    dd = doob_decomposition(space, f, F)
+    _same((dd.martingale_part.values, dd.predictable_part.values),
+          oracles.doob_by_steps(space, f, F))
+    _same(check_levy_upward(space, g, F, tol=tol).d, oracles.levy_distances(space, g, F))
+    cls = classify(space, f, F, tol=tol)
+    rep = check_l1_convergence_b(space, f, F, tol=tol, classification=cls,
+                                 allow_non_martingale=True)
+    _same(rep.witness, oracles.l1b_witness(space, f, F, tol=tol))
+    _same(predictable_sum(space, S).values, oracles.event_sums(space, S, compensated=False))
+    _same(borel_cantelli_martingale(space, S).values,
+          oracles.event_sums(space, S, compensated=True))

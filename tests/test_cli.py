@@ -282,3 +282,24 @@ def test_readme_lists_every_check_op_and_key():
         names = set(keys) | {k.alt[0] for k in keys.values() if k.alt}
         missing = [name for name in names if f"`{name}`" not in rows[op]]
         assert not missing, f"README row for {op} lacks {missing}"
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--horizon", "10", "--tail-start", "20"], "--tail-start"),
+    (["--horizon", "10", "--tail-start", "0"], "--tail-start"),
+    (["--horizon", "0"], "--horizon"),
+    (["--horizon", "10", "--prob", "1.5"], "--prob"),
+], ids=["tail_start_past_horizon", "tail_start_zero", "horizon_zero", "prob_above_one"])
+def test_bc_range_errors_exit_two(flags, flag, capsys):
+    # each once ended in a ValueError traceback from check_borel_cantelli
+    code = main(["bc", "--prob", "0.5", "--trials", "10", *flags])
+    assert code == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+
+
+def test_unknown_top_level_scenario_key_exits_two(tmp_path, capsys):
+    # "sead" once ran the classify check and exited 0
+    src = write_json(tmp_path / "s.json", walk_scenario(sead=5))
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "$.sead: unknown key" in capsys.readouterr().err
+
