@@ -16,7 +16,7 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -104,14 +104,6 @@ class BorelCantelliReport:
     blocks: tuple  # (block_index, match_fraction, p_horizon_mean)
 
 
-def _prob_fn(model: EventModel) -> Callable[[int, tuple], float]:
-    if isinstance(model, IndependentEvents):
-        return lambda n, history: float(model.prob(n))
-    if callable(model):
-        return model
-    raise TypeError("event model must be IndependentEvents or a prob(n, history) callable")
-
-
 def check_borel_cantelli(
     model: EventModel,
     horizon: int,
@@ -134,12 +126,11 @@ def check_borel_cantelli(
     """
     if not 1 <= tail_start <= horizon:
         raise ValueError("tail_start must lie in 1..horizon")
-    prob = _prob_fn(model)
     independent = isinstance(model, IndependentEvents)
     if independent:
-        probs = np.array([float(model.prob(n)) for n in range(1, horizon + 1)])
-        if ((probs < 0) | (probs > 1)).any():
-            raise ValueError("event probabilities must lie in [0, 1]")
+        probs = model.probs(horizon)
+    elif not callable(model):
+        raise TypeError("event model must be IndependentEvents or a prob(n, history) callable")
 
     def work(start, count):
         u = _uniform_block(seed, start, count, horizon)
@@ -153,18 +144,14 @@ def check_borel_cantelli(
             for i in range(count):
                 history: tuple = ()
                 total = 0.0
-                hit = False
                 for n in range(1, horizon + 1):
-                    p = float(prob(n, history))
+                    p = float(model(n, history))
                     if not 0.0 <= p <= 1.0:
                         raise ValueError(f"conditional probability {p} outside [0, 1]")
-                    occ = bool(u[i, n - 1] < p)
                     total += p
-                    if occ and n >= tail_start:
-                        hit = True
-                    history = history + (occ,)
+                    history = history + (bool(u[i, n - 1] < p),)
                 p_sum[i] = total
-                tail_hit[i] = hit
+                tail_hit[i] = any(history[tail_start - 1 :])
         diverge = p_sum >= divergence_cut
         match = tail_hit == diverge
         return int(match.sum()), float(p_sum.sum()), count

@@ -120,11 +120,11 @@ def _exact_dot(xs: Iterable, ys: Iterable) -> Fraction:
 
 
 def measure(space: FiniteMeasureSpace, s: AtomSet) -> Scalar:
-    """mu(s) = sum of the weights of the atoms in s."""
+    """mu(s) = sum of the weights of the atoms in s, in ascending atom order."""
     space.check_atoms(s)
     if space.mode == "exact":
         return _exact_dot((space.weights[a] for a in s), repeat(1))
-    return sum((space.weights[a] for a in s), zero(space.mode))
+    return sum((space.weights[a] for a in sorted(s)), zero(space.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +208,12 @@ def integral(space: FiniteMeasureSpace, f: RandomVariable) -> Scalar:
 
 
 def set_integral(space: FiniteMeasureSpace, f: RandomVariable, s: AtomSet) -> Scalar:
-    """Integral of f restricted to the atom set s."""
+    """Integral of f over the atom set s, summed in ascending atom order."""
     _check_rv(space, f)
     space.check_atoms(s)
     if space.mode == "exact":
         return _exact_dot((space.weights[a] for a in s), (f.values[a] for a in s))
-    return sum((space.weights[a] * f.values[a] for a in s), zero(space.mode))
+    return sum((space.weights[a] * f.values[a] for a in sorted(s)), zero(space.mode))
 
 
 def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue:

@@ -1,13 +1,17 @@
 """Seeded trajectory models: exact path-space enumeration and Monte Carlo.
 
-Every model exposes the same two faces:
+Each model dataclass below states its law once per face:
 
-* ``exhaustive_space`` unrolls the full branching tree into a finite measure
-  space (atom = path, weight = path probability, exact Fractions in exact
-  mode), the coordinate value process, and its natural filtration.  This is
-  what the theorem-level exact tests run on.
-* ``simulate`` / ``simulate_stats`` draw seeded float64 trajectories.  Each
-  trial owns a counter-based RNG stream keyed by (seed, trial index), so a
+* ``start(mode)``, ``branches(n, state, mode)`` (the (probability, next
+  state) pairs of step n >= 1, up / red / occur first) and ``value(state,
+  mode)``, which ``exhaustive_space`` unrolls into a finite measure space
+  (atom = path, weight = path probability, exact Fractions in exact mode),
+  the coordinate value process, and its natural filtration.
+* ``sample(u)``, which turns a (trials, horizon) block of uniforms into
+  float64 paths: the walks, the urn and IndependentEvents with array
+  operations over the block, BettingProcess and CustomSpec by calling their
+  callbacks per trial and step.  ``simulate`` / ``simulate_stats`` draw trial
+  t's uniforms from its own counter-based stream keyed by (seed, t), so a
   trial's values do not depend on which block draws it; blocks run in trial
   order on the calling thread and aggregates are assembled in trial order,
   making reports bitwise reproducible at any block size.
@@ -34,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
 from .measure import FiniteMeasureSpace
-from .processes import Filtration, Process, natural_filtration
+from .processes import Process, natural_filtration
 from .scalars import Mode, Scalar, coerce_scalar
 
 __all__ = [
@@ -70,15 +74,8 @@ EXHAUSTIVE_LEAF_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
-class FairWalk:
-    """Symmetric +/-step random walk started at 0."""
-
-    step: Scalar = 1
-
-
-@dataclass(frozen=True)
 class BiasedWalk:
-    """Walk that steps +step with probability p_up, else -step."""
+    """Walk from 0 that steps +step with probability p_up, else -step."""
 
     p_up: Scalar
     step: Scalar = 1
@@ -86,6 +83,31 @@ class BiasedWalk:
     def __post_init__(self) -> None:
         if not 0 <= self.p_up <= 1:
             raise ValueError("p_up must lie in [0, 1]")
+
+    def start(self, mode: Mode):
+        return coerce_scalar(0, mode)
+
+    def branches(self, n: int, state, mode: Mode) -> list:
+        p = coerce_scalar(self.p_up, mode)
+        s = coerce_scalar(self.step, mode)
+        return [(p, state + s), (1 - p, state - s)]
+
+    def value(self, state, mode: Mode) -> Scalar:
+        return state
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        step = float(self.step)
+        out = np.empty((u.shape[0], u.shape[1] + 1), dtype=np.float64)
+        out[:, 0] = 0.0
+        np.cumsum(np.where(u < float(self.p_up), step, -step), axis=1, out=out[:, 1:])
+        return out
+
+
+@dataclass(frozen=True)
+class FairWalk(BiasedWalk):
+    """Symmetric +/-step random walk started at 0 (p_up fixed at 1/2)."""
+
+    p_up: ClassVar[Fraction] = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -99,6 +121,31 @@ class PolyaUrn:
         if self.initial_red < 1 or self.initial_black < 1:
             raise ValueError("urn counts must be positive")
 
+    def start(self, mode: Mode):
+        return (self.initial_red, self.initial_black)
+
+    def branches(self, n: int, state, mode: Mode) -> list:
+        r, b = state
+        p_red = self.value(state, mode)
+        return [(p_red, (r + 1, b)), (1 - p_red, (r, b + 1))]
+
+    def value(self, state, mode: Mode) -> Scalar:
+        r, b = state
+        return Fraction(r, r + b) if mode == "exact" else r / (r + b)
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        count, horizon = u.shape
+        out = np.empty((count, horizon + 1), dtype=np.float64)
+        r = np.full(count, float(self.initial_red))
+        b = np.full(count, float(self.initial_black))
+        out[:, 0] = r / (r + b)
+        for t in range(horizon):
+            red = u[:, t] < r / (r + b)
+            r += red
+            b += ~red
+            out[:, t + 1] = r / (r + b)
+        return out
+
 
 @dataclass(frozen=True)
 class BettingProcess:
@@ -110,6 +157,32 @@ class BettingProcess:
     stake_rule: Callable[[int, tuple], Scalar]
     initial_wealth: Scalar = 0
 
+    def start(self, mode: Mode):
+        return (coerce_scalar(self.initial_wealth, mode), ())
+
+    def branches(self, n: int, state, mode: Mode) -> list:
+        half = Fraction(1, 2) if mode == "exact" else 0.5
+        wealth, hist = state
+        stake = coerce_scalar(self.stake_rule(n, hist), mode)
+        return [(half, (wealth + stake, hist + (1,))), (half, (wealth - stake, hist + (-1,)))]
+
+    def value(self, state, mode: Mode) -> Scalar:
+        return state[0]
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty((u.shape[0], u.shape[1] + 1), dtype=np.float64)
+        for i, row in enumerate(u):
+            wealth = float(self.initial_wealth)
+            hist: tuple = ()
+            out[i, 0] = wealth
+            for n in range(1, u.shape[1] + 1):
+                stake = float(self.stake_rule(n, hist))
+                flip = 1 if row[n - 1] < 0.5 else -1
+                wealth += stake * flip
+                hist = hist + (flip,)
+                out[i, n] = wealth
+        return out
+
 
 @dataclass(frozen=True)
 class IndependentEvents:
@@ -120,7 +193,7 @@ class IndependentEvents:
 
     prob_schedule: Union[Callable[[int], Scalar], Sequence[Scalar]]
 
-    def prob(self, n: int, history: tuple = ()) -> Scalar:
+    def prob(self, n: int) -> Scalar:
         if callable(self.prob_schedule):
             p = self.prob_schedule(n)
         else:
@@ -128,6 +201,26 @@ class IndependentEvents:
         if not 0 <= p <= 1:
             raise ValueError(f"schedule produced probability {p!r} outside [0, 1]")
         return p
+
+    def probs(self, horizon: int) -> np.ndarray:
+        """Float P(event n) for n = 1..horizon."""
+        return np.array([float(self.prob(n)) for n in range(1, horizon + 1)])
+
+    def start(self, mode: Mode):
+        return 0  # occurrences so far
+
+    def branches(self, n: int, state, mode: Mode) -> list:
+        p = coerce_scalar(self.prob(n), mode)
+        return [(p, state + 1), (1 - p, state)]
+
+    def value(self, state, mode: Mode) -> Scalar:
+        return coerce_scalar(state, mode)
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty((u.shape[0], u.shape[1] + 1), dtype=np.float64)
+        out[:, 0] = 0.0
+        np.cumsum((u < self.probs(u.shape[1])[None, :]).astype(np.float64), axis=1, out=out[:, 1:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -141,8 +234,43 @@ class CustomSpec:
     transition: Callable[[int, object], Sequence[tuple]]
     value_of: Callable[[object], Scalar]
 
+    def start(self, mode: Mode):
+        return self.initial_state
+
+    def branches(self, n: int, state, mode: Mode) -> list:
+        out = [(coerce_scalar(p, mode), s) for p, s in self.transition(n, state)]
+        if not out:
+            raise ValueError("CustomSpec transition produced no branches")
+        return out
+
+    def value(self, state, mode: Mode) -> Scalar:
+        return coerce_scalar(self.value_of(state), mode)
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty((u.shape[0], u.shape[1] + 1), dtype=np.float64)
+        for i, row in enumerate(u):
+            state = self.initial_state
+            out[i, 0] = float(self.value_of(state))
+            for n in range(1, u.shape[1] + 1):
+                branches = self.transition(n, state)
+                x = row[n - 1]
+                acc = 0.0
+                state = branches[-1][1]
+                for p, s2 in branches:
+                    acc += float(p)
+                    if x < acc:
+                        state = s2
+                        break
+                out[i, n] = float(self.value_of(state))
+        return out
+
 
 TrajectoryModel = Union[FairWalk, BiasedWalk, PolyaUrn, BettingProcess, IndependentEvents, CustomSpec]
+
+
+def _require_model(model) -> None:
+    if not isinstance(model, TrajectoryModel):
+        raise TypeError(f"unknown model {model!r}")
 
 
 @dataclass(frozen=True)
@@ -167,65 +295,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _initial_state(model: TrajectoryModel, mode: Mode):
-    if isinstance(model, (FairWalk, BiasedWalk)):
-        return coerce_scalar(0, mode)
-    if isinstance(model, PolyaUrn):
-        return (model.initial_red, model.initial_black)
-    if isinstance(model, BettingProcess):
-        return (coerce_scalar(model.initial_wealth, mode), ())
-    if isinstance(model, IndependentEvents):
-        return 0  # occurrences so far
-    if isinstance(model, CustomSpec):
-        return model.initial_state
-    raise TypeError(f"unknown model {model!r}")
-
-
-def _branches(model: TrajectoryModel, n: int, state, mode: Mode) -> list:
-    """(probability, next_state) per branch for step n (1-based); the
-    'positive' branch (up / red / occur) is listed first."""
-    half = Fraction(1, 2) if mode == "exact" else 0.5
-    if isinstance(model, FairWalk):
-        s = coerce_scalar(model.step, mode)
-        return [(half, state + s), (half, state - s)]
-    if isinstance(model, BiasedWalk):
-        p = coerce_scalar(model.p_up, mode)
-        s = coerce_scalar(model.step, mode)
-        return [(p, state + s), (1 - p, state - s)]
-    if isinstance(model, PolyaUrn):
-        r, b = state
-        p_red = Fraction(r, r + b) if mode == "exact" else r / (r + b)
-        return [(p_red, (r + 1, b)), (1 - p_red, (r, b + 1))]
-    if isinstance(model, BettingProcess):
-        wealth, hist = state
-        stake = coerce_scalar(model.stake_rule(n, hist), mode)
-        return [(half, (wealth + stake, hist + (1,))), (half, (wealth - stake, hist + (-1,)))]
-    if isinstance(model, IndependentEvents):
-        p = coerce_scalar(model.prob(n), mode)
-        return [(p, state + 1), (1 - p, state)]
-    if isinstance(model, CustomSpec):
-        out = [(coerce_scalar(p, mode), s) for p, s in model.transition(n, state)]
-        if not out:
-            raise ValueError("CustomSpec transition produced no branches")
-        return out
-    raise TypeError(f"unknown model {model!r}")
-
-
-def _state_value(model: TrajectoryModel, state, mode: Mode) -> Scalar:
-    if isinstance(model, (FairWalk, BiasedWalk)):
-        return state
-    if isinstance(model, PolyaUrn):
-        r, b = state
-        return Fraction(r, r + b) if mode == "exact" else r / (r + b)
-    if isinstance(model, BettingProcess):
-        return state[0]
-    if isinstance(model, IndependentEvents):
-        return coerce_scalar(state, mode)
-    if isinstance(model, CustomSpec):
-        return coerce_scalar(model.value_of(state), mode)
-    raise TypeError(f"unknown model {model!r}")
-
-
 def exhaustive_space(
     model: TrajectoryModel,
     horizon: int,
@@ -241,15 +310,16 @@ def exhaustive_space(
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    _require_model(model)
     # breadth-first unroll: level n holds (state, weight, value history) per
     # partial path, in branch-digit order
-    init = _initial_state(model, mode)
-    level = [(init, coerce_scalar(1, mode), (_state_value(model, init, mode),))]
+    init = model.start(mode)
+    level = [(init, coerce_scalar(1, mode), (model.value(init, mode),))]
     for n in range(1, horizon + 1):
         nxt = []
         for state, wgt, hist in level:
-            for p, s2 in _branches(model, n, state, mode):
-                nxt.append((s2, wgt * p, hist + (_state_value(model, s2, mode),)))
+            for p, s2 in model.branches(n, state, mode):
+                nxt.append((s2, wgt * p, hist + (model.value(s2, mode),)))
             if len(nxt) > cap:
                 raise ValueError(
                     f"path tree exceeds the {cap}-leaf cap at depth {n}"
@@ -355,69 +425,6 @@ def _run_blocks(work: Callable[[int, int], object], trials: int, block_size: int
     return [work(s, min(block_size, trials - s)) for s in range(0, trials, block_size)]
 
 
-def _paths_block(model: TrajectoryModel, seed: int, start: int, count: int, horizon: int) -> np.ndarray:
-    """Trajectory values for trials [start, start+count) as (count, horizon+1)."""
-    if isinstance(model, (FairWalk, BiasedWalk)):
-        p_up = 0.5 if isinstance(model, FairWalk) else float(model.p_up)
-        step = float(model.step)
-        u = _uniform_block(seed, start, count, horizon)
-        out = np.empty((count, horizon + 1), dtype=np.float64)
-        out[:, 0] = 0.0
-        np.cumsum(np.where(u < p_up, step, -step), axis=1, out=out[:, 1:])
-        return out
-    if isinstance(model, PolyaUrn):
-        u = _uniform_block(seed, start, count, horizon)
-        out = np.empty((count, horizon + 1), dtype=np.float64)
-        r = np.full(count, float(model.initial_red))
-        b = np.full(count, float(model.initial_black))
-        out[:, 0] = r / (r + b)
-        for t in range(horizon):
-            red = u[:, t] < r / (r + b)
-            r += red
-            b += ~red
-            out[:, t + 1] = r / (r + b)
-        return out
-    if isinstance(model, IndependentEvents):
-        probs = np.array([float(model.prob(n)) for n in range(1, horizon + 1)])
-        u = _uniform_block(seed, start, count, horizon)
-        out = np.empty((count, horizon + 1), dtype=np.float64)
-        out[:, 0] = 0.0
-        np.cumsum((u < probs[None, :]).astype(np.float64), axis=1, out=out[:, 1:])
-        return out
-    if isinstance(model, (BettingProcess, CustomSpec)):
-        # callback models run one trial at a time (desk scale)
-        u_block = _uniform_block(seed, start, count, horizon)
-        out = np.empty((count, horizon + 1), dtype=np.float64)
-        for i in range(count):
-            u = u_block[i]
-            if isinstance(model, BettingProcess):
-                wealth = float(model.initial_wealth)
-                hist: tuple = ()
-                out[i, 0] = wealth
-                for n in range(1, horizon + 1):
-                    stake = float(model.stake_rule(n, hist))
-                    flip = 1 if u[n - 1] < 0.5 else -1
-                    wealth += stake * flip
-                    hist = hist + (flip,)
-                    out[i, n] = wealth
-            else:
-                state = model.initial_state
-                out[i, 0] = float(model.value_of(state))
-                for n in range(1, horizon + 1):
-                    branches = model.transition(n, state)
-                    x = u[n - 1]
-                    acc = 0.0
-                    state = branches[-1][1]
-                    for p, s2 in branches:
-                        acc += float(p)
-                        if x < acc:
-                            state = s2
-                            break
-                    out[i, n] = float(model.value_of(state))
-        return out
-    raise TypeError(f"unknown model {model!r}")
-
-
 @dataclass(frozen=True)
 class TrajectoryBatch:
     values: np.ndarray  # (trials, horizon + 1) float64
@@ -434,7 +441,8 @@ class TrajectoryBatch:
 
 def simulate(model: TrajectoryModel, config: RunConfig) -> TrajectoryBatch:
     """Full trajectory array; per-trial streams keyed by (seed, trial)."""
-    values = _paths_block(model, config.seed, 0, config.trials, config.horizon)
+    _require_model(model)
+    values = model.sample(_uniform_block(config.seed, 0, config.trials, config.horizon))
     return TrajectoryBatch(values=values, config=config)
 
 
@@ -488,11 +496,12 @@ def simulate_stats(
     trials, horizon = config.trials, config.horizon
     if window is not None and not 1 <= window <= horizon + 1:
         raise ValueError("window must cover between 1 and horizon+1 values")
+    _require_model(model)
     bands = tuple((float(a), float(b)) for a, b in bands)
     schedule = tuple(config.checkpoint_schedule)
 
     def work(start, count):
-        paths = _paths_block(model, config.seed, start, count, horizon)
+        paths = model.sample(_uniform_block(config.seed, start, count, horizon))
         res = {
             "final": paths[:, -1].copy(),
             "sup_abs": np.abs(paths).max(axis=1),

@@ -89,7 +89,7 @@ def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
             x = Fraction(x)
         elif not isinstance(x, (int, float, Fraction)):
             raise ModeError(f"cannot use {type(x).__name__} as a float scalar")
-        if not math.isfinite(x):
+        if isinstance(x, float) and not math.isfinite(x):  # ints and Fractions are finite
             raise ValueError(f"non-finite value {x!r}; float scalars must be finite")
         return float(x)
     raise ValueError(f"unknown mode {mode!r}")

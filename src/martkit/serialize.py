@@ -2,10 +2,10 @@
 
 Documents use plain containers: a measure space is ``{"mode", "weights"}``,
 a partition ``{"atoms", "blocks"}``, a random variable ``{"values"}``, a
-process a 2-D ``values`` array, a filtration ``{"atoms", "steps"}``.  Exact
-rationals travel as ``"p/q"`` strings; floats as JSON numbers.  Stopping
-times are arrays of naturals with ``"inf"`` for never.  Decode errors carry
-the JSON path of the offending element.
+process a 2-D ``values`` array, a filtration ``{"atoms", "steps"}`` and an
+optional ``"ambient"``.  Exact rationals travel as ``"p/q"`` strings; floats
+as JSON numbers.  Stopping times are arrays of naturals with ``"inf"`` for
+never.  Decode errors, unknown keys included, name the offending JSON path.
 """
 
 from __future__ import annotations
@@ -71,9 +71,12 @@ def _require_list(obj, path: str) -> list:
     return obj
 
 
-def _require_dict(obj, path: str) -> dict:
+def _require_dict(obj, path: str, keys: tuple) -> dict:
     if not isinstance(obj, dict):
         raise SerializationError(path, f"expected an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise SerializationError(f"{path}.{key}", f"unknown key; expected one of {list(keys)}")
     return obj
 
 
@@ -102,7 +105,7 @@ def space_to_json(space: FiniteMeasureSpace) -> dict:
 
 
 def space_from_json(obj, path: str = "$") -> FiniteMeasureSpace:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("mode", "weights"))
     mode = _decode_mode(_get(doc, "mode", path), f"{path}.mode")
     raw = _require_list(_get(doc, "weights", path), f"{path}.weights")
     weights = [decode_scalar(w, mode, f"{path}.weights[{i}]") for i, w in enumerate(raw)]
@@ -117,7 +120,7 @@ def rv_to_json(f: RandomVariable) -> dict:
 
 
 def rv_from_json(obj, mode: Mode, path: str = "$") -> RandomVariable:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("values",))
     raw = _require_list(_get(doc, "values", path), f"{path}.values")
     values = [decode_scalar(v, mode, f"{path}.values[{i}]") for i, v in enumerate(raw)]
     return RandomVariable.from_values(values, mode)
@@ -145,7 +148,7 @@ def _decode_blocks(obj, path: str) -> list:
 
 
 def partition_from_json(obj, path: str = "$") -> Partition:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("atoms", "blocks"))
     atoms = _get(doc, "atoms", path)
     if isinstance(atoms, bool) or not isinstance(atoms, int):
         raise SerializationError(f"{path}.atoms", "atom count must be an integer")
@@ -163,7 +166,7 @@ def process_to_json(f: Process) -> dict:
 
 
 def process_from_json(obj, mode: Mode, path: str = "$") -> Process:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("values",))
     raw = _require_list(_get(doc, "values", path), f"{path}.values")
     rows = []
     for n, row in enumerate(raw):
@@ -186,7 +189,7 @@ def filtration_to_json(F: Filtration) -> dict:
 
 
 def filtration_from_json(obj, path: str = "$") -> Filtration:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("atoms", "steps", "ambient"))
     atoms = _get(doc, "atoms", path)
     if isinstance(atoms, bool) or not isinstance(atoms, int):
         raise SerializationError(f"{path}.atoms", "atom count must be an integer")
@@ -245,7 +248,7 @@ def predicate_to_json(s: ValuePredicate, mode: Mode) -> dict:
 
 
 def predicate_from_json(obj, mode: Mode, path: str = "$") -> ValuePredicate:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("kind", "a", "b"))
     kind = _get(doc, "kind", path)
     if kind == "at_most":
         return ValuePredicate.at_most(decode_scalar(_get(doc, "a", path), mode, f"{path}.a"))
@@ -265,7 +268,7 @@ def band_to_json(band: Band, mode: Mode) -> dict:
 
 
 def band_from_json(obj, mode: Mode, path: str = "$") -> Band:
-    doc = _require_dict(obj, path)
+    doc = _require_dict(obj, path, ("a", "b"))
     a = decode_scalar(_get(doc, "a", path), mode, f"{path}.a")
     b = decode_scalar(_get(doc, "b", path), mode, f"{path}.b")
     return Band(a=a, b=b)

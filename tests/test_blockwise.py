@@ -20,10 +20,14 @@ from martkit import (
     borel_cantelli_martingale,
     check_l1_convergence_b,
     check_levy_upward,
+    check_set_integral_characterization,
     classify,
     condexp,
     doob_decomposition,
+    integral,
+    measure,
     predictable_sum,
+    set_integral,
 )
 from conftest import (
     random_filtration,
@@ -37,18 +41,34 @@ import oracles
 seeds = st.integers(0, 10**9)
 
 
-def test_float_block_sums_run_in_ascending_atom_order():
+def ascending_order_case():
     # iterating frozenset({3, 21, 27}) visits 27 first, and
     # (0.2 + 0.1) + 3.0 rounds differently from (0.1 + 3.0) + 0.2
-    sp = FiniteMeasureSpace.from_weights([1.0] * 28, "float")
     values = [0.0] * 28
     values[3], values[21], values[27] = 0.1, 3.0, 0.2
-    f = RandomVariable.from_values(values, "float")
     block = {3, 21, 27}
     p = Partition.from_blocks([sorted(block), [a for a in range(28) if a not in block]])
-    g = condexp(sp, f, p)
+    return values, frozenset(block), p
+
+
+def test_float_block_sums_run_in_ascending_atom_order():
+    values, block, p = ascending_order_case()
+    sp = FiniteMeasureSpace.from_weights([1.0] * 28, "float")
+    g = condexp(sp, RandomVariable.from_values(values, "float"), p)
     assert g.values[3] == g.values[21] == g.values[27] == 1.1
     assert g.values[0] == 0.0
+
+
+def test_float_set_sums_run_in_ascending_atom_order():
+    # the parent summed in frozenset order: 3.3 against integral's
+    # 3.3000000000000003, and a characterization gap of 4.44e-16
+    values, block, p = ascending_order_case()
+    sp = FiniteMeasureSpace.from_weights([1.0] * 28, "float")
+    f = RandomVariable.from_values(values, "float")
+    assert set_integral(sp, f, block) == integral(sp, f) == 0.1 + 3.0 + 0.2
+    assert check_set_integral_characterization(sp, f, p).worst_block_gap == 0.0
+    weighted = FiniteMeasureSpace.from_weights([v or 1.0 for v in values], "float")
+    assert measure(weighted, block) == 0.1 + 3.0 + 0.2
 
 
 def _block_values(rng, space, part, zeros):

@@ -1,3 +1,4 @@
+import math
 import threading
 from fractions import Fraction
 
@@ -125,6 +126,22 @@ class TestMonteCarloSurrogate:
             want.append(sum(h == diverge for h in hits) / count)
         assert [row[1] for row in rep.blocks] == want
 
+    @pytest.mark.parametrize("cut", [1.0, 3.0])
+    def test_match_fraction_follows_the_unrolled_law(self, cut):
+        # the schedule sums to H_11 - 1 = 2.02, so cut 1.0 makes every trial
+        # diverge and cut 3.0 none; the two surrogates then agree exactly on
+        # the leaves with (resp. without) an event at n >= tail_start
+        horizon, tail_start, trials = 10, 6, 20_000
+        model = IndependentEvents([Fraction(1, n + 1) for n in range(1, horizon + 1)])
+        sp, counts, _ = exhaustive_space(model, horizon, mode="exact")
+        diverge = sum(model.prob(n) for n in range(1, horizon + 1)) >= cut
+        p = float(sum(w for w, end, before in zip(sp.weights, counts.values[horizon],
+                                                  counts.values[tail_start - 1])
+                      if (end > before) == diverge))
+        rep = check_borel_cantelli(model, horizon, trials, 29, cut, tail_start)
+        # bound fixed before the run: 5 binomial standard deviations
+        assert abs(rep.match_fraction * trials - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
     def test_history_dependent_model_runs(self):
         def prob(n, history):
             return 0.5 if (n == 0 or sum(history) % 2 == 0) else 0.25
@@ -164,6 +181,10 @@ class TestMonteCarloSurrogate:
         check_borel_cantelli(prob, horizon=10, trials=60, seed=2, divergence_cut=3.0,
                              tail_start=5, block_size=7, workers=4)
         assert threads == {threading.get_ident()}
+
+    def test_other_models_raise_type_error(self):
+        with pytest.raises(TypeError, match="IndependentEvents or a prob"):
+            check_borel_cantelli([0.5] * 10, 10, 100, 1, 2.0, 5)
 
     @pytest.mark.parametrize("block_size", [0, -5])
     def test_block_size_must_be_positive(self, block_size):

@@ -303,3 +303,31 @@ def test_unknown_top_level_scenario_key_exits_two(tmp_path, capsys):
     assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
     assert "$.sead: unknown key" in capsys.readouterr().err
 
+
+
+def explicit_scenario():
+    return {
+        "name": "docs", "mode": "exact",
+        "space": {"mode": "exact", "weights": ["1/2", "1/2"]},
+        "process": {"values": [["0", "0"], ["1", "-1"]]},
+        "filtration": {"atoms": 2, "steps": [[[0, 1]], [[0], [1]]]},
+        "checks": [{"name": "c", "op": "condexp_agreement",
+                    "f": {"values": ["1", "2"]}, "sub": {"atoms": 2, "blocks": [[0, 1]]}}],
+    }
+
+
+@pytest.mark.parametrize("where, path", [
+    (lambda d: d["space"], "$.space"),
+    (lambda d: d["process"], "$.process"),
+    (lambda d: d["filtration"], "$.filtration"),
+    (lambda d: d["checks"][0]["f"], "$.checks[0].f"),
+    (lambda d: d["checks"][0]["sub"], "$.checks[0].sub"),
+], ids=["space", "process", "filtration", "f", "sub"])
+def test_unknown_keys_in_instance_documents_exit_two(where, path, tmp_path, capsys):
+    # a filtration's misspelt "ambiant" once ran with the singleton ambient
+    doc = explicit_scenario()
+    assert main(["run", write_json(tmp_path / "ok.json", doc), "--out-dir", str(tmp_path / "out")]) == 0
+    where(doc)["ambiant"] = [[0, 1]]
+    src = write_json(tmp_path / "s.json", doc)
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{path}.ambiant: unknown key" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import math
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,7 @@ from martkit import (
     BiasedWalk,
     CustomSpec,
     FairWalk,
+    IndependentEvents,
     MartingaleClass,
     PolyaUrn,
     Process,
@@ -191,3 +194,102 @@ def test_batch_counts_honor_a_shorter_horizon():
     for i in range(10):
         path = [float(v) for v in batch.values[i]]
         assert counts[i] == upcrossings_state_machine(path, -0.5, 0.5, 10)
+
+
+def exact_law(weights, values):
+    """Exact probability of each value, keyed by the value as a float."""
+    law = Counter()
+    for w, v in zip(weights, values):
+        law[float(v)] += w
+    return law
+
+
+def assert_draws_follow(law, draws):
+    # bound fixed before any run: every cell within 5 binomial standard
+    # deviations of its expected count, and no draw outside the support
+    n = len(draws)
+    got = Counter(draws.tolist())
+    assert set(got) <= {v for v, p in law.items() if p > 0}
+    for v, p in law.items():
+        p = float(p)
+        assert abs(got[v] - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (v, got[v], n * p)
+
+
+def three_way(n, s):
+    return ((Fraction(1, 5), s + 2), (Fraction(3, 10), s), (Fraction(1, 2), s - 1))
+
+
+# model, horizon, band (a, b), seed
+EXACT_LAW_CASES = {
+    "fair": (FairWalk(), 10, (-1, 1), 101),
+    "biased": (BiasedWalk(Fraction(3, 10)), 10, (-3, -1), 102),
+    "polya": (PolyaUrn(3, 5), 10, (Fraction(1, 3), Fraction(2, 5)), 103),
+    "events": (IndependentEvents([Fraction(1, n + 1) for n in range(1, 11)]), 10, (0, 1), 104),
+    "custom": (CustomSpec(0, three_way, lambda s: s), 7, (-1, 1), 105),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_LAW_CASES))
+def test_samplers_draw_the_unrolled_law(name):
+    """The final value and the band's upcrossing count, as simulated, follow
+    the law that ``exhaustive_space`` enumerates for the same model."""
+    model, horizon, (a, b), seed = EXACT_LAW_CASES[name]
+    sp, f, _ = exhaustive_space(model, horizon, mode="exact")
+    crossings = upcrossings_before(Band(Fraction(a), Fraction(b)), f, horizon)
+    stats = simulate_stats(model, RunConfig(seed=seed, trials=20_000, horizon=horizon),
+                           bands=[(a, b)])
+    assert_draws_follow(exact_law(sp.weights, f.values[horizon]), stats.final)
+    assert_draws_follow(exact_law(sp.weights, crossings), stats.band_counts[(float(a), float(b))])
+
+
+def betting_path(model, u):
+    wealth, hist = float(model.initial_wealth), ()
+    path = [wealth]
+    for n, x in enumerate(u, 1):
+        flip = 1 if x < 0.5 else -1
+        wealth += float(model.stake_rule(n, hist)) * flip
+        hist += (flip,)
+        path.append(wealth)
+    return path
+
+
+def custom_path(model, u):
+    state = model.initial_state
+    path = [float(model.value_of(state))]
+    for n, x in enumerate(u, 1):
+        branches = model.transition(n, state)
+        cum = list(accumulate(float(p) for p, _ in branches))
+        state = branches[next((k for k, c in enumerate(cum) if x < c), len(branches) - 1)][1]
+        path.append(float(model.value_of(state)))
+    return path
+
+
+CALLBACK_MODELS = [
+    (BettingProcess(lambda n, hist: 1.0 + hist.count(1) / n if hist and hist[-1] == 1 else 0.5,
+                    initial_wealth=2.0), betting_path),
+    (CustomSpec(0, lambda n, s: ((0.1, s + 3), (0.6, s + n % 2), (0.3, s - 1)), lambda s: s / 7),
+     custom_path),
+]
+
+
+@pytest.mark.parametrize("horizon", [40, montecarlo._VECTOR_RNG_MAX_HORIZON + 22])
+@pytest.mark.parametrize("model, path_of", CALLBACK_MODELS, ids=["betting", "custom"])
+def test_callback_paths_match_a_per_trial_recomputation(model, path_of, horizon):
+    cfg = RunConfig(seed=17, trials=30, horizon=horizon, checkpoint_schedule=tuple(range(horizon + 1)))
+    want = np.array([path_of(model, trial_rng(17, t).random(horizon)) for t in range(30)])
+    assert np.array_equal(simulate(model, cfg).values, want)
+    for block_size in (1, 7, 1024):
+        stats = simulate_stats(model, cfg, block_size=block_size)
+        assert np.array_equal(stats.checkpoint_values.T, want)
+        assert np.array_equal(stats.final, want[:, -1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: exhaustive_space(m, 2),
+    lambda m: simulate(m, RunConfig(seed=1, trials=3, horizon=4)),
+    lambda m: simulate_stats(m, RunConfig(seed=1, trials=3, horizon=4)),
+], ids=["exhaustive_space", "simulate", "simulate_stats"])
+@pytest.mark.parametrize("non_model", [object(), lambda n, history: 0.5], ids=["object", "prob_callable"])
+def test_non_models_raise_type_error(call, non_model):
+    with pytest.raises(TypeError, match="unknown model"):
+        call(non_model)

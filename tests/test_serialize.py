@@ -112,6 +112,23 @@ def test_process_rejects_ragged_rows():
         process_from_json({"values": [["1", "2"], ["3"]]}, "exact")
 
 
+@pytest.mark.parametrize("decode, doc", [
+    (space_from_json, {"mode": "exact", "weights": ["1/2", "1/2"]}),
+    (lambda d: rv_from_json(d, "exact"), {"values": ["1", "2"]}),
+    (partition_from_json, {"atoms": 2, "blocks": [[0, 1]]}),
+    (lambda d: process_from_json(d, "exact"), {"values": [["0", "0"], ["1", "-1"]]}),
+    (filtration_from_json, {"atoms": 2, "steps": [[[0, 1]], [[0], [1]]]}),
+    (lambda d: predicate_from_json(d, "exact"), {"kind": "at_most", "a": "1"}),
+    (lambda d: band_from_json(d, "exact"), {"a": "0", "b": "1"}),
+], ids=["space", "rv", "partition", "process", "filtration", "predicate", "band"])
+def test_unknown_keys_are_rejected_with_their_path(decode, doc):
+    # a misspelt key such as "ambiant" was once ignored
+    decode(doc)
+    with pytest.raises(SerializationError) as exc:
+        decode(dict(doc, ambiant=[[0, 1]]))
+    assert exc.value.path == "$.ambiant" and "unknown key" in str(exc.value)
+
+
 def test_filtration_rejects_non_nested_steps():
     doc = {
         "atoms": 3,
