@@ -16,19 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .condexp import _Kernel
 from .measure import (
     FiniteMeasureSpace,
     Partition,
     RandomVariable,
     ae_witness,
-    integral,
     measure,
     set_integral,
     snorm,
     _check_rv,
 )
-from .crossings import Band, upcrossings_before
+from .crossings import Band, _count_integral, _counts
 from .processes import (
     Classification,
     Filtration,
@@ -217,20 +218,16 @@ def ae_convergence_diagnostic(
     band_rows = []
     chain_rows = [] if l1_bound is not None else None
     for band in bands:
-        counts = upcrossings_before(band, f, f.horizon)
+        counts = _counts(band, f, f.horizon)
         row = tuple(
-            (k, measure(space, frozenset(w for w, u in enumerate(counts) if u >= k)))
+            (k, measure(space, frozenset(np.flatnonzero(counts >= k).tolist())))
             for k in ks
         )
         band_rows.append((band, row))
         if l1_bound is not None:
             bd = band.coerced(space.mode)
             if bd.a < bd.b:
-                u_rv = RandomVariable(
-                    values=tuple(coerce_scalar(c, space.mode) for c in counts),
-                    mode=space.mode,
-                )
-                mu_u = integral(space, u_rv)
+                mu_u = _count_integral(space, counts)
                 bound = (coerce_scalar(l1_bound, space.mode) + abs(bd.a) * total) / (
                     bd.b - bd.a
                 )

@@ -11,22 +11,39 @@ and stabilizes: once sigma_{k+1} == sigma_k every later row repeats.
 strictly before N; a >= b is deliberately allowed, the estimate's left side
 is then nonpositive.
 
-There is no memo: a call scans each atom's path once with no time bound, and
-the chain at N is that chain clipped at N, so a sweep over N builds one chain
-per (band, process).  The N-bounded recursion and a single-pass state machine
-live in the test suite as oracles; :mod:`martkit.montecarlo` has a vectorized
-counter for Monte Carlo batches.
+Counts come from one state machine that steps through times 0..N-1 with
+array operations over every atom (or, for
+:func:`martkit.montecarlo.count_upcrossings_batch`, every trial) at once,
+reading only the masks "value <= a" and "value >= b".  Float masks compare
+one array of the rows; exact masks cross-multiply numerators and
+denominators, so no ``Fraction`` is compared.  Crossing times
+(``crossing_table``, ``upper_crossing``, ``lower_crossing``) and the band
+translation identity instead scan each atom's path once into its unbounded
+chain and clip it at every N.  There is no memo.  The N-bounded recursion and
+a single-pass scanner live in the test suite as oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from operator import mul
+from typing import Iterable, Optional
 
-from .measure import FiniteMeasureSpace, RandomVariable, integral
+import numpy as np
+
+from .measure import FiniteMeasureSpace, _exact_dot, integral
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
-from .scalars import INF, Scalar, coerce_scalar, ext_mul, of_real, positive_part, tolerance
+from .scalars import (
+    INF,
+    ModeError,
+    Scalar,
+    coerce_scalar,
+    ext_mul,
+    of_real,
+    positive_part,
+    tolerance,
+)
 
 __all__ = [
     "Band",
@@ -162,10 +179,76 @@ def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
     return tuple(min(_row(c, 1, n), N) for c in _chains(band, f))
 
 
+# ---------------------------------------------------------------------------
+# Upcrossing counts: one state machine over time, vectorised over atoms.
+# ---------------------------------------------------------------------------
+
+
+def _count_upcrossings(masks: Iterable, width: int, N: int, overlap: bool) -> np.ndarray:
+    """Upcrossings before N of ``width`` atoms or trials, as an int64 array.
+
+    ``masks`` yields, for t = 0..N-1, the bool arrays (value <= a, value >= b).
+    A row is armed by a value <= a; an armed row completes an upcrossing (its
+    next sigma) at a value >= b.  ``overlap`` says a >= b: a value that is
+    both then sticks the chain, and a row stuck before N counts N.  For a < b
+    no value is both, so the loop skips that test.
+    """
+    armed = np.zeros(width, dtype=bool)
+    counts = np.zeros(width, dtype=np.int64)
+    stuck = np.zeros(width, dtype=bool)
+    for low, high in masks:
+        done = armed & high
+        counts += done
+        armed ^= done  # done is within armed: disarm those rows
+        armed |= low
+        if overlap:
+            stuck |= low & high
+    counts[stuck] = N
+    return counts
+
+
+def _band_masks(bd: Band, f: Process, N: int) -> tuple:
+    """(values <= a, values >= b) over rows 0..N-1 of f, each (N, atoms)."""
+    shape = (N, f.atom_count)
+    rows = f.values[:N]
+    if f.mode == "float":
+        values = np.asarray(rows, dtype=float).reshape(shape)
+        return values <= bd.a, values >= bd.b
+    # x = n/d against a = p/q with d, q > 0: x <= a iff n * q <= p * d
+    try:
+        nums = np.array([[x.numerator for x in row] for row in rows], dtype=object)
+        dens = np.array([[x.denominator for x in row] for row in rows], dtype=object)
+    except AttributeError:
+        raise ModeError(
+            "non-rational value in an exact-mode process; pass Fractions or ints"
+        ) from None
+    nums, dens = nums.reshape(shape), dens.reshape(shape)
+    return (
+        nums * bd.a.denominator <= bd.a.numerator * dens,
+        nums * bd.b.denominator >= bd.b.numerator * dens,
+    )
+
+
+def _counts(band: Band, f: Process, N: int) -> np.ndarray:
+    """``upcrossings_before`` as an int64 array over atoms."""
+    _check_bound(f, N)
+    bd = band.coerced(f.mode)
+    low, high = _band_masks(bd, f, N)
+    return _count_upcrossings(zip(low, high), f.atom_count, N, bd.a >= bd.b)
+
+
+def _count_integral(space: FiniteMeasureSpace, counts: np.ndarray) -> Scalar:
+    """Integral of per-atom int counts, bit for bit ``integral`` of the counts
+    coerced to the space's mode, in ascending atom order."""
+    counts = counts.tolist()
+    if space.mode == "exact":
+        return _exact_dot(space.weights, counts)
+    return sum(map(mul, space.weights, counts), 0.0)
+
+
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
-    _check_bound(f, N)
-    return tuple(_count_before(c, N) for c in _chains(band, f))
+    return tuple(_counts(band, f, N).tolist())
 
 
 def upcrossings(band: Band, f: Process) -> tuple:
@@ -222,11 +305,7 @@ def check_upcrossing_estimate(
     """
     _require_submartingale(space, f, F, classification, tol)
     bd = band.coerced(f.mode)
-    counts = upcrossings_before(band, f, N)
-    u = RandomVariable(
-        values=tuple(coerce_scalar(c, f.mode) for c in counts), mode=f.mode
-    )
-    lhs = (bd.b - bd.a) * integral(space, u)
+    lhs = (bd.b - bd.a) * _count_integral(space, _counts(band, f, N))
     shifted = f.at(N).shift(-bd.a).positive_part()
     rhs = integral(space, shifted)
     eps = tolerance(space.mode, tol)
@@ -264,11 +343,7 @@ def check_upcrossing_estimate_sup(
         _require_submartingale(space, f, F, classification, tol)
     bd = band.coerced(f.mode)
     coeff = of_real(bd.b - bd.a)
-    counts = upcrossings(band, f)
-    u = RandomVariable(
-        values=tuple(coerce_scalar(c, f.mode) for c in counts), mode=f.mode
-    )
-    lhs = ext_mul(coeff, integral(space, u))
+    lhs = ext_mul(coeff, _count_integral(space, _counts(band, f, f.horizon)))
     best = None
     best_n = 0
     for N in range(f.horizon + 1):

@@ -42,6 +42,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
+from .crossings import _count_upcrossings
 from .measure import FiniteMeasureSpace
 from .processes import Process, natural_filtration
 from .scalars import Mode, Scalar, coerce_scalar
@@ -449,19 +450,14 @@ def simulate(model: TrajectoryModel, config: RunConfig) -> TrajectoryBatch:
 def count_upcrossings_batch(paths: np.ndarray, a: float, b: float, N: Optional[int] = None) -> np.ndarray:
     """Upcrossings of (a, b) completed strictly before N, per trajectory row.
 
-    Vectorized single-pass state machine; matches the exact recursion's
-    ``upcrossings_before`` for a < b.
+    The state machine of ``upcrossings_before``, fed one column at a time so
+    memory stays O(rows); it equals ``upcrossings_before`` on each row, for
+    a >= b too.
     """
     if N is None:
         N = paths.shape[1] - 1
-    waiting = np.zeros(paths.shape[0], dtype=bool)
-    counts = np.zeros(paths.shape[0], dtype=np.int64)
-    for t in range(N):
-        col = paths[:, t]
-        complete = waiting & (col >= b)
-        counts += complete
-        waiting = (waiting & ~complete) | (col <= a)
-    return counts
+    columns = ((paths[:, t] <= a, paths[:, t] >= b) for t in range(N))
+    return _count_upcrossings(columns, paths.shape[0], N, a >= b)
 
 
 @dataclass(frozen=True)

@@ -247,20 +247,24 @@ def predicate_to_json(s: ValuePredicate, mode: Mode) -> dict:
     return doc
 
 
+_PREDICATE_FORMS = {
+    "at_most": (ValuePredicate.at_most, ("a",)),
+    "at_least": (ValuePredicate.at_least, ("b",)),
+    "between": (ValuePredicate.between, ("a", "b")),
+}
+
+
 def predicate_from_json(obj, mode: Mode, path: str = "$") -> ValuePredicate:
+    """Each kind takes only the bounds it uses: a stray one is an unknown key."""
     doc = _require_dict(obj, path, ("kind", "a", "b"))
     kind = _get(doc, "kind", path)
-    if kind == "at_most":
-        return ValuePredicate.at_most(decode_scalar(_get(doc, "a", path), mode, f"{path}.a"))
-    if kind == "at_least":
-        return ValuePredicate.at_least(decode_scalar(_get(doc, "b", path), mode, f"{path}.b"))
-    if kind == "between":
-        a = decode_scalar(_get(doc, "a", path), mode, f"{path}.a")
-        b = decode_scalar(_get(doc, "b", path), mode, f"{path}.b")
-        return ValuePredicate.between(a, b)
-    raise SerializationError(
-        f"{path}.kind", f"expected 'at_most', 'at_least' or 'between', got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _PREDICATE_FORMS:
+        raise SerializationError(
+            f"{path}.kind", f"expected 'at_most', 'at_least' or 'between', got {kind!r}"
+        )
+    make, bounds = _PREDICATE_FORMS[kind]
+    _require_dict(doc, path, ("kind",) + bounds)
+    return make(*(decode_scalar(_get(doc, k, path), mode, f"{path}.{k}") for k in bounds))
 
 
 def band_to_json(band: Band, mode: Mode) -> dict:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,15 @@ def test_unknown_subcommand_exits_two(capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "martkit", "selftest", "--seed", "42"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest: ok"
 
 
 def test_run_writes_deterministic_csv(tmp_path):

@@ -4,6 +4,8 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +14,13 @@ from martkit import (
     FairWalk,
     Filtration,
     FiniteMeasureSpace,
+    ModeError,
     Partition,
     Process,
     band_translation_identity,
     check_upcrossing_estimate,
     check_upcrossing_estimate_sup,
+    count_upcrossings_batch,
     crossing_table,
     exhaustive_space,
     lower_crossing,
@@ -284,6 +288,44 @@ def test_chain_matches_the_bounded_recursion_at_every_bound(seed, mode):
         rep = band_translation_identity(band, f)
         assert rep.first_mismatch == expected
         assert rep.holds == (expected is None)
+
+
+@given(seeds, st.sampled_from(["exact", "float"]))
+@settings(max_examples=200, deadline=None)
+def test_counter_matches_the_oracles_on_mixed_cells(seed, mode):
+    # mixed signs and denominators, exact cells kept as the raw ints and
+    # Fractions given (Process does not coerce), band edges drawn from the
+    # same values so ties with a and b are common, and a >= b as often as
+    # a < b
+    rng = random.Random(seed)
+    horizon = rng.randint(0, 10)
+    atoms = rng.randint(1, 6)
+
+    def draw():
+        v = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6]))
+        if mode == "float":
+            return float(v)
+        return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+    f = Process(tuple(tuple(draw() for _ in range(atoms)) for _ in range(horizon + 1)), mode)
+    band = Band(draw(), draw())
+    bd = band.coerced(mode)
+    paths = [f.path(w) for w in range(atoms)]
+    for N in range(horizon + 1):
+        counts = upcrossings_before(band, f, N)
+        assert counts == tuple(upcrossings_by_recursion(p, bd.a, bd.b, N) for p in paths)
+        if bd.a < bd.b:
+            assert counts == tuple(upcrossings_state_machine(p, bd.a, bd.b, N) for p in paths)
+        if mode == "float":
+            batch = count_upcrossings_batch(np.array(f.values).T, bd.a, bd.b, N)
+            assert tuple(batch.tolist()) == counts
+    assert upcrossings(band, f) == counts
+
+
+def test_exact_counts_reject_float_cells():
+    f = Process(((0.5,), (Fraction(1),)), "exact")
+    with pytest.raises(ModeError):
+        upcrossings_before(UNIT_BAND, f, 1)
 
 
 def test_calls_keep_no_reference_to_the_process():

@@ -196,6 +196,25 @@ def test_batch_counts_honor_a_shorter_horizon():
         assert counts[i] == upcrossings_state_machine(path, -0.5, 0.5, 10)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.0, 1.0), (0.0, 0.0)])
+def test_batch_counts_stick_on_a_reversed_band(a, b):
+    # the value 1 (or 0.5, or 0) is both <= a and >= b, so the chain sticks
+    # and every bound N past it counts N; the batch once gave 3, 2 and 1
+    path = [0.0, 1.0, 0.5, 2.0, 0.0]
+    f = Process.from_path(path, "float")
+    assert count_upcrossings_batch(np.array([path]), a, b).tolist() == [4]
+    assert upcrossings_before(Band(a, b), f, 4) == (4,)
+
+
+def test_simulate_stats_counts_a_reversed_band_like_upcrossings_before():
+    cfg = RunConfig(seed=5, trials=50, horizon=12)
+    stats = simulate_stats(FairWalk(), cfg, bands=[(1.0, 0.0)])
+    values = simulate(FairWalk(), cfg).values
+    want = [upcrossings_before(Band(1.0, 0.0), Process.from_path(row.tolist(), "float"), 12)[0]
+            for row in values]
+    assert stats.band_counts[(1.0, 0.0)].tolist() == want
+
+
 def exact_law(weights, values):
     """Exact probability of each value, keyed by the value as a float."""
     law = Counter()

@@ -129,6 +129,17 @@ def test_unknown_keys_are_rejected_with_their_path(decode, doc):
     assert exc.value.path == "$.ambiant" and "unknown key" in str(exc.value)
 
 
+@pytest.mark.parametrize("doc, stray", [
+    ({"kind": "at_most", "a": "1", "b": "5"}, "b"),
+    ({"kind": "at_least", "a": "1", "b": "5"}, "a"),
+])
+def test_predicate_rejects_the_bound_its_kind_does_not_use(doc, stray):
+    # at_most(1) once came back with the "b" silently dropped
+    with pytest.raises(SerializationError) as exc:
+        predicate_from_json(doc, "exact")
+    assert exc.value.path == f"$.{stray}" and "unknown key" in str(exc.value)
+
+
 def test_filtration_rejects_non_nested_steps():
     doc = {
         "atoms": 3,
