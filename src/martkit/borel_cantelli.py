@@ -21,8 +21,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .measure import FiniteMeasureSpace, indicator, set_measurable_wrt
-from .montecarlo import IndependentEvents, _run_blocks, _uniform_block
+from .montecarlo import IndependentEvents, _check_seed, _run_blocks, _uniform_block
 from .processes import Filtration, Process, _running_sums
+from .scalars import coerce_scalar
 
 __all__ = [
     "EventSequence",
@@ -126,6 +127,8 @@ def check_borel_cantelli(
     """
     if not 1 <= tail_start <= horizon:
         raise ValueError("tail_start must lie in 1..horizon")
+    _check_seed(seed)
+    divergence_cut = coerce_scalar(divergence_cut, "float")
     independent = isinstance(model, IndependentEvents)
     if independent:
         probs = model.probs(horizon)
@@ -168,7 +171,7 @@ def check_borel_cantelli(
         horizon=horizon,
         trials=trials,
         tail_start=tail_start,
-        divergence_cut=float(divergence_cut),
+        divergence_cut=divergence_cut,
         match_fraction=matched / trials,
         p_horizon_mean=p_total / trials,
         blocks=tuple(rows),

@@ -863,10 +863,13 @@ def cmd_run(args) -> int:
     _count(args.workers, "--workers", 1)
     doc = _load_json(args.scenario)
     return run_scenario(
-        doc, args.scenario, args.out_dir,
-        seed_override=args.seed, mode_override=args.mode,
-        require_exact=args.require_exact,
+        doc, args.scenario, args.out_dir, seed_override=args.seed, mode_override=args.mode
     )
+
+
+def cmd_check(args) -> int:
+    doc = _load_json(args.scenario)
+    return run_scenario(doc, args.scenario, args.out_dir, require_exact=True)
 
 
 def cmd_crossings(args) -> int:
@@ -926,6 +929,7 @@ def cmd_converge(args) -> int:
 def cmd_bc(args) -> int:
     for name in ("trials", "block_size", "workers"):
         _count(getattr(args, name), f"--{name.replace('_', '-')}", 1)
+    _count(args.seed, "--seed", 0, (1 << 64) - 1)
     if args.model != "independent":
         raise ConfigError("--model: only 'independent' event streams are supported")
     if args.schedule:
@@ -1090,14 +1094,12 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", choices=["exact", "float"], default=None, help="override scenario mode")
     run.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
     common(run)
-    run.set_defaults(fn=cmd_run, require_exact=False)
+    run.set_defaults(fn=cmd_run)
 
     chk = sub.add_parser("check", help="run an exact theorem-suite scenario")
     chk.add_argument("scenario")
-    chk.add_argument("--seed", type=int, default=None)
-    chk.add_argument("--mode", choices=["exact"], default=None)
     common(chk)
-    chk.set_defaults(fn=cmd_run, require_exact=True, workers=1)
+    chk.set_defaults(fn=cmd_check)
 
     cr = sub.add_parser("crossings", help="crossing table and upcrossing count for a path file")
     cr.add_argument("--band", required=True, help="a,b")

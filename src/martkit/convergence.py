@@ -60,6 +60,8 @@ __all__ = [
     "fatou_norm_check",
 ]
 
+UI_SMALL = 1e-6  # a terminal UI modulus at or below this counts as small
+
 
 # ---------------------------------------------------------------------------
 # Maximal inequality
@@ -187,9 +189,9 @@ def ae_convergence_diagnostic(
     cutoff: Scalar,
     bands: Sequence[Band],
     l1_bound: Optional[Scalar] = None,
-    checkpoints: Optional[Sequence[int]] = None,
 ) -> ConvergenceDiagnostic:
-    """Boundedness, band-violation, and Cauchy-gap diagnostics.
+    """Boundedness, band-violation, and Cauchy-gap diagnostics, the gaps
+    between consecutive ``geometric_checkpoints``.
 
     Per band the report measures {upcrossings_before(a, b, f, horizon) >= k}
     for k = 1, 2, 4, ...; an a.e.-convergent process drives these to zero.
@@ -233,7 +235,7 @@ def ae_convergence_diagnostic(
                 )
                 chain_rows.append((band, mu_u, bound, bool(mu_u <= bound)))
 
-    cps = tuple(checkpoints) if checkpoints is not None else geometric_checkpoints(f.horizon)
+    cps = geometric_checkpoints(f.horizon)
     gaps = []
     for i in range(len(cps) - 1):
         n, m = cps[i], cps[i + 1]
@@ -270,32 +272,26 @@ def check_l1_convergence_a(
     ui_modulus_curve: Sequence[tuple],
     tol: Scalar,
     window: int,
-    checkpoints: Optional[Sequence[int]] = None,
-    ui_threshold: float = 1e-6,
-    trend_slack: float = 0.0,
     classification: Optional[Classification] = None,
-    require_submartingale: bool = True,
 ) -> L1ConvergenceAReport:
-    """Conditional L1 convergence: when the family's UI modulus is small at
-    its largest truncation level, snorm(f_n - limit, 1) must trend down
-    across geometric checkpoints and end below tol.
+    """Conditional L1 convergence for a submartingale: when the family's UI
+    modulus is at most UI_SMALL at its largest truncation level,
+    snorm(f_n - limit, 1) must not rise across geometric checkpoints and
+    must end below tol.
 
     ``ui_modulus_curve`` is a sequence of (C, modulus) pairs, typically from
     :func:`martkit.uniform_integrability.probabilist_curve`.  When the
     terminal modulus is not small the assertion is vacuous (holds=True) and
     the gaps are still reported; this is the negative-control reading.
     """
-    if require_submartingale:
-        cls = classification if classification is not None else classify(space, f, F)
-        if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
-            raise ValueError("check (a) requires a submartingale or martingale")
+    cls = classification if classification is not None else classify(space, f, F)
+    if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
+        raise ValueError("check (a) requires a submartingale or martingale")
     est = limit_process_estimate(space, f, F, tol=tol, window=window)
-    cps = tuple(checkpoints) if checkpoints is not None else geometric_checkpoints(f.horizon)
+    cps = geometric_checkpoints(f.horizon)
     gaps = tuple(snorm(space, f.at(n) - est.values, 1) for n in cps)
-    ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= ui_threshold
-    trend_ok = all(
-        float(gaps[i + 1]) <= float(gaps[i]) + trend_slack for i in range(len(gaps) - 1)
-    )
+    ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= UI_SMALL
+    trend_ok = all(float(gaps[i + 1]) <= float(gaps[i]) for i in range(len(gaps) - 1))
     eps = tolerance(space.mode)
     final_below = gaps[-1] <= coerce_scalar(tol, space.mode) + eps
     holds = (not ui_small) or (trend_ok and final_below)

@@ -75,7 +75,9 @@ class FiniteMeasureSpace:
             raise ValueError("n must be >= 1")
         if mode == "exact":
             return FiniteMeasureSpace((Fraction(1, n),) * n, "exact")
-        return FiniteMeasureSpace((1.0 / n,) * n, "float")
+        if mode == "float":
+            return FiniteMeasureSpace((1.0 / n,) * n, "float")
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
 
     @property
     def atom_count(self) -> int:
@@ -265,6 +267,8 @@ def ae_witness(
     relation is one of "eq", "le", "ge".  Exact mode compares exactly; float
     mode allows absolute tolerance ``tol`` (default 1e-9).
     """
+    if relation not in ("eq", "le", "ge"):
+        raise ValueError(f"unknown relation {relation!r}; expected 'eq', 'le' or 'ge'")
     _check_rv(space, f)
     _check_rv(space, g)
     t = tolerance(space.mode, tol)

@@ -274,6 +274,12 @@ def _require_model(model) -> None:
         raise TypeError(f"unknown model {model!r}")
 
 
+def _check_seed(seed: int) -> None:
+    # Philox keys are uint64: the vectorised kernel would wrap where numpy raises
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
@@ -282,8 +288,7 @@ class RunConfig:
     checkpoint_schedule: tuple = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         if self.trials < 1 or self.horizon < 0:
             raise ValueError("need trials >= 1 and horizon >= 0")
         for c in self.checkpoint_schedule:
@@ -300,7 +305,6 @@ def exhaustive_space(
     model: TrajectoryModel,
     horizon: int,
     mode: Mode = "exact",
-    cap: int = EXHAUSTIVE_LEAF_CAP,
 ) -> tuple:
     """(space, process, filtration) for the full path tree up to ``horizon``.
 
@@ -321,9 +325,9 @@ def exhaustive_space(
         for state, wgt, hist in level:
             for p, s2 in model.branches(n, state, mode):
                 nxt.append((s2, wgt * p, hist + (model.value(s2, mode),)))
-            if len(nxt) > cap:
+            if len(nxt) > EXHAUSTIVE_LEAF_CAP:
                 raise ValueError(
-                    f"path tree exceeds the {cap}-leaf cap at depth {n}"
+                    f"path tree exceeds the {EXHAUSTIVE_LEAF_CAP}-leaf cap at depth {n}"
                 )
         level = nxt
     weights = [wgt for _, wgt, _ in level]
@@ -456,6 +460,8 @@ def count_upcrossings_batch(paths: np.ndarray, a: float, b: float, N: Optional[i
     """
     if N is None:
         N = paths.shape[1] - 1
+    elif not 0 <= N < paths.shape[1]:
+        raise ValueError("N must lie within the horizon")
     columns = ((paths[:, t] <= a, paths[:, t] >= b) for t in range(N))
     return _count_upcrossings(columns, paths.shape[0], N, a >= b)
 
@@ -493,7 +499,7 @@ def simulate_stats(
     if window is not None and not 1 <= window <= horizon + 1:
         raise ValueError("window must cover between 1 and horizon+1 values")
     _require_model(model)
-    bands = tuple((float(a), float(b)) for a, b in bands)
+    bands = tuple((coerce_scalar(a, "float"), coerce_scalar(b, "float")) for a, b in bands)
     schedule = tuple(config.checkpoint_schedule)
 
     def work(start, count):

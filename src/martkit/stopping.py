@@ -7,9 +7,10 @@ value, which gives the right total order against plain ints for free
 (``min(3, INF) == 3``).
 
 Hitting times come in two flavours: a bounded-window form that always returns
-a finite index (falling back to the window end when nothing is hit), used
-verbatim by the crossings machinery, and an unbounded form that returns a
-genuine StoppingTime with INF where the path never enters the target set.
+a finite index (falling back to the window end when nothing is hit), which
+``check_hitting_is_stopping_time`` wraps as a StoppingTime, and an unbounded
+form that returns a genuine StoppingTime with INF where the path never enters
+the target set.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ weight w, capacity delta).  Two independent exact solvers are kept.  A
 branch-and-bound over items sorted by density v/w is the exact-mode default;
 exhaustive subset search is its cross-check (``force_method="exhaustive"``),
 and the test suite compares the two.  Float mode keeps the numpy subset sweep
-up to EXHAUSTIVE_ATOM_LIMIT items and branch-and-bound above it.
+up to EXHAUSTIVE_ATOM_LIMIT items and branch-and-bound above it.  Above
+HARD_ATOM_CAP contributing atoms it raises rather than truncate the search.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ __all__ = [
 
 EXHAUSTIVE_ATOM_LIMIT = 20
 HARD_ATOM_CAP = 40
-BRANCH_NODE_BUDGET = 500_000
+_KNAPSACK_METHODS = ("exhaustive", "branch_bound")
+VITALI_DECAY_RATIO = 0.2
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,8 @@ def _knapsack_exhaustive(items: Sequence[tuple], capacity: Scalar, mode: str) ->
     return best
 
 
-def _knapsack_branch_bound(
-    items: Sequence[tuple], capacity: Scalar, mode: str, node_budget: Optional[int] = None
-) -> Scalar:
-    """Exact max value via DFS with a fractional (greedy) upper bound.
-
-    With a node budget the search may stop early and return the best value
-    found so far (a valid lower bound); without one it is exact.
-    """
+def _knapsack_branch_bound(items: Sequence[tuple], capacity: Scalar, mode: str) -> Scalar:
+    """Exact max value via DFS with a fractional (greedy) upper bound."""
     zero = coerce_scalar(0, mode)
     if not items:
         return zero
@@ -175,7 +171,6 @@ def _knapsack_branch_bound(
     vs = [it[1] for it in order]
     n = len(order)
     best = zero
-    nodes = 0
 
     def bound(i: int, cap, acc):
         # greedy fractional completion; valid upper bound for the 0/1 problem
@@ -192,9 +187,6 @@ def _knapsack_branch_bound(
     stack = [(0, capacity, zero)]
     while stack:
         i, cap, acc = stack.pop()
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            break
         if acc > best:
             best = acc
         if i >= n or bound(i, cap, acc) <= best:
@@ -211,7 +203,6 @@ def _analyst_modulus_one(
     f: RandomVariable,
     delta: Scalar,
     p: Scalar,
-    approximate: bool,
     force_method: Optional[str] = None,
 ) -> Scalar:
     if p == INF:
@@ -228,18 +219,16 @@ def _analyst_modulus_one(
     if method is None:
         if space.mode == "float" and len(items) <= EXHAUSTIVE_ATOM_LIMIT:
             method = "exhaustive"
-        elif len(items) <= HARD_ATOM_CAP or approximate:
+        elif len(items) <= HARD_ATOM_CAP:
             method = "branch_bound"
         else:
             raise ValueError(
-                f"{len(items)} contributing atoms exceed the exact-search cap "
-                f"({HARD_ATOM_CAP}); pass approximate=True for a budgeted search"
+                f"{len(items)} contributing atoms exceed the exact-search cap ({HARD_ATOM_CAP})"
             )
     if method == "exhaustive":
         total = _knapsack_exhaustive(items, delta, space.mode)
     else:
-        budget = BRANCH_NODE_BUDGET if (approximate and len(items) > HARD_ATOM_CAP) else None
-        total = _knapsack_branch_bound(items, delta, space.mode, node_budget=budget)
+        total = _knapsack_branch_bound(items, delta, space.mode)
     if space.mode == "float":
         return float(total) ** (1.0 / p)
     root = RootValue.of(total, int(p))
@@ -249,15 +238,20 @@ def _analyst_modulus_one(
 def analyst_modulus(
     fam: FunctionFamily,
     delta: Scalar,
-    approximate: bool = False,
     force_method: Optional[str] = None,
 ) -> Scalar:
-    """sup over members and atom sets A with mu(A) <= delta of snorm(f*1_A, p)."""
+    """sup over members and atom sets A with mu(A) <= delta of snorm(f*1_A, p).
+
+    ``force_method`` ("exhaustive" or "branch_bound") pins the knapsack solver
+    for cross-checks; by default the mode and item count choose it.
+    """
+    if force_method is not None and force_method not in _KNAPSACK_METHODS:
+        raise ValueError(f"force_method must be one of {_KNAPSACK_METHODS} or None, got {force_method!r}")
     delta = coerce_scalar(delta, fam.space.mode)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     vals = (
-        _analyst_modulus_one(fam.space, f, delta, fam.p, approximate, force_method)
+        _analyst_modulus_one(fam.space, f, delta, fam.p, force_method)
         for f in fam.members
     )
     return _max_scalar(vals, coerce_scalar(0, fam.space.mode))
@@ -347,7 +341,7 @@ def _holder_factor(space: FiniteMeasureSpace, p, q) -> Scalar:
     return root.as_fraction() if root.is_rational() else root
 
 
-def _default_c_grid(fam: FunctionFamily) -> tuple:
+def _c_grid(fam: FunctionFamily) -> tuple:
     m = _max_scalar(
         (abs(v) for f in fam.members for v in f.values), coerce_scalar(0, fam.space.mode)
     )
@@ -357,24 +351,22 @@ def _default_c_grid(fam: FunctionFamily) -> tuple:
     return (coerce_scalar(0, fam.space.mode), quarter, 2 * quarter, 3 * quarter, m, m + 1)
 
 
-def check_p_monotonicity(
-    fam: FunctionFamily, p: Scalar, q: Scalar, c_grid: Optional[Sequence[Scalar]] = None
-) -> PMonotonicityReport:
-    """modulus_p(C) <= modulus_q(C) * mu(Omega)^(1/p - 1/q) over a C grid."""
+def check_p_monotonicity(fam: FunctionFamily, p: Scalar, q: Scalar) -> PMonotonicityReport:
+    """modulus_p(C) <= modulus_q(C) * mu(Omega)^(1/p - 1/q) over the C grid
+    0, m/4, m/2, 3m/4, m, m+1 (m the largest |value| of any member)."""
     if p < 1 or q < p:
         raise ValueError("exponents must satisfy 1 <= p <= q")
     fam_p = FunctionFamily(space=fam.space, members=fam.members, p=p)
     fam_q = FunctionFamily(space=fam.space, members=fam.members, p=q)
     factor = _holder_factor(fam.space, p, q)
-    grid = tuple(c_grid) if c_grid is not None else _default_c_grid(fam)
     rows = []
     ok = True
-    for C in grid:
+    for C in _c_grid(fam):
         mp = probabilist_modulus(fam_p, C)
         mq = probabilist_modulus(fam_q, C)
         bound = mq * factor
         row_ok = bool(mp <= bound)
-        rows.append((coerce_scalar(C, fam.space.mode), mp, mq, bound, row_ok))
+        rows.append((C, mp, mq, bound, row_ok))
         ok = ok and row_ok
     return PMonotonicityReport(p=p, q=q, factor=factor, rows=tuple(rows), holds=ok)
 
@@ -397,11 +389,9 @@ class VitaliReport:
     consistent: bool
 
 
-def _observed_decay(curve: Sequence, ratio: float, tiny: float = 1e-12) -> bool:
-    if not curve:
-        return True
+def _observed_decay(curve: Sequence) -> bool:
     first, last = float(curve[0]), float(curve[-1])
-    return last <= max(ratio * first, tiny)
+    return last <= max(VITALI_DECAY_RATIO * first, 1e-12)
 
 
 def vitali_empirical(
@@ -410,9 +400,6 @@ def vitali_empirical(
     g: RandomVariable,
     p: Scalar,
     horizon: int,
-    eps_grid: Optional[Sequence[Scalar]] = None,
-    c_grid: Optional[Sequence[Scalar]] = None,
-    decay_ratio: float = 0.2,
 ) -> VitaliReport:
     """Convergence-in-measure, UI-modulus, and Lp-decay diagnostics for a
     function sequence against a candidate limit.
@@ -420,7 +407,8 @@ def vitali_empirical(
     ``consistent`` checks the Vitali direction empirically: Lp decay is
     observed exactly when in-measure decay and a small terminal UI modulus
     are both observed.  Decay/smallness are threshold judgements at the
-    truncation (final value <= decay_ratio * initial), not proofs.
+    truncation (final value <= VITALI_DECAY_RATIO * initial), not proofs,
+    in measure at eps = 1/2 and UI over C = 0, 1, 2, 4, ... up to max |f_n|.
     """
     if p == INF or p < 1:
         raise ValueError("Vitali diagnostics need p in [1, inf)")
@@ -432,9 +420,7 @@ def vitali_empirical(
     if not members:
         raise ValueError("empty function sequence")
     mode = space.mode
-    if eps_grid is None:
-        eps_grid = (coerce_scalar(1, mode) / 2,) if mode == "exact" else (0.5,)
-    eps_grid = tuple(coerce_scalar(e, mode) for e in eps_grid)
+    eps_grid = (coerce_scalar(1, mode) / 2,) if mode == "exact" else (0.5,)
 
     diffs = [f - g for f in members]
     in_measure = tuple(
@@ -447,23 +433,18 @@ def vitali_empirical(
     lp_curve = tuple(snorm(space, d, p) for d in diffs)
 
     fam = FunctionFamily(space=space, members=tuple(members), p=p)
-    if c_grid is None:
-        m = _max_scalar(
-            (abs(v) for f in members for v in f.values), coerce_scalar(0, mode)
-        )
-        grid = [coerce_scalar(0, mode)]
-        c = coerce_scalar(1, mode)
-        while c <= m and len(grid) < 40:
-            grid.append(c)
-            c = c * 2
-        c_grid = tuple(grid)
-    c_grid = tuple(coerce_scalar(c, mode) for c in c_grid)
+    m = _max_scalar((abs(v) for f in members for v in f.values), coerce_scalar(0, mode))
+    grid = [coerce_scalar(0, mode)]
+    c = coerce_scalar(1, mode)
+    while c <= m and len(grid) < 40:
+        grid.append(c)
+        c = c * 2
+    c_grid = tuple(grid)
     ui_curve = tuple((c, probabilist_modulus(fam, c)) for c in c_grid)
 
-    in_measure_decay = all(_observed_decay(curve, decay_ratio) for curve in in_measure)
-    lp_decay = _observed_decay(lp_curve, decay_ratio)
-    moduli = [float(v) for _, v in ui_curve]
-    ui_small = bool(moduli) and moduli[-1] <= max(decay_ratio * moduli[0], 1e-12)
+    in_measure_decay = all(_observed_decay(curve) for curve in in_measure)
+    lp_decay = _observed_decay(lp_curve)
+    ui_small = _observed_decay([v for _, v in ui_curve])
     consistent = lp_decay == (in_measure_decay and ui_small)
     return VitaliReport(
         eps_grid=eps_grid,

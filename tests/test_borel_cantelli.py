@@ -198,3 +198,16 @@ class TestMonteCarloSurrogate:
             check_borel_cantelli(IndependentEvents([0.5] * 10), 10, 100, 1, 2.0, 0)
         with pytest.raises(ValueError):
             check_borel_cantelli(IndependentEvents([0.5] * 10), 10, 100, 1, 2.0, 11)
+
+    @pytest.mark.parametrize("horizon", [20, 200])  # Philox kernel and trial_rng paths
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_must_fit_in_64_bits(self, horizon, seed):
+        # the kernel once masked -1 to 2^64 - 1; trial_rng raised OverflowError
+        with pytest.raises(ValueError, match="seed"):
+            check_borel_cantelli(IndependentEvents([0.5] * horizon), horizon, 10, seed, 2.0, 1)
+
+    @pytest.mark.parametrize("cut", [math.nan, math.inf])
+    def test_divergence_cut_must_be_finite(self, cut):
+        # a NaN cut once made every trial a silent non-divergence
+        with pytest.raises(ValueError, match="non-finite"):
+            check_borel_cantelli(IndependentEvents([0.5] * 10), 10, 10, 1, cut, 5)

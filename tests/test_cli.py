@@ -1,12 +1,14 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from martkit.cli import CHECK_OPS, main
+from martkit.cli import CHECK_OPS, _build_parser, main
 
 REFERENCE_VALUES = ["1/2", "-1/5", "3/10", "4/5", "9/10", "3/2", "3/5",
                  "-1/10", "2/5", "9/10", "13/10", "-1/5", "1/2", "7/10"]
@@ -163,6 +165,15 @@ def test_bc_counts_below_one_exit_two(flag, value, capsys):
     assert f"error: {flag}: expected an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["20", "200"])  # Philox kernel and trial_rng paths
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_bc_seed_outside_64_bits_exits_two(horizon, seed, capsys):
+    # -1 once ran as 2^64 - 1 at horizon 20 and raised OverflowError at 200
+    code = main(["bc", "--prob", "0.5", "--horizon", horizon, "--trials", "10", "--seed", seed])
+    assert code == 2
+    assert "error: --seed: expected an integer in 0..18446744073709551615" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_run_workers_below_one_exit_two(workers, tmp_path, capsys):
     doc = {"name": "mc", "mode": "float", "seed": 1,
@@ -294,6 +305,19 @@ def test_readme_lists_every_check_op_and_key():
         names = set(keys) | {k.alt[0] for k in keys.values() if k.alt}
         missing = [name for name in names if f"`{name}`" not in rows[op]]
         assert not missing, f"README row for {op} lacks {missing}"
+
+
+def test_readme_command_lines_parse():
+    # parse only: a flag deleted or renamed in the parser cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("martkit ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        command = re.split(r"\s{2,}", line)[0]  # drop the aligned description
+        args = parser.parse_args(shlex.split(command)[1:])
+        assert args.command == shlex.split(command)[1]
 
 
 @pytest.mark.parametrize("flags, flag", [

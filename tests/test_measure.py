@@ -156,6 +156,20 @@ def test_ae_witness_points_at_a_positive_atom():
     assert not ae_equal(sp, f, g)
 
 
+def test_ae_witness_rejects_an_unknown_relation():
+    # "bogus" once fell through to the "ge" test
+    sp = FiniteMeasureSpace.from_weights([1, 1])
+    f = RandomVariable.from_values([1, 2], "exact")
+    with pytest.raises(ValueError, match="'eq', 'le' or 'ge'"):
+        ae_witness(sp, f, f, relation="bogus")
+
+
+def test_uniform_space_rejects_an_unknown_mode():
+    # "banana" once built a float space
+    with pytest.raises(ValueError, match="'exact' or 'float'"):
+        FiniteMeasureSpace.uniform(3, "banana")
+
+
 def test_indicator_and_set_measurability():
     p = Partition.of([0, 0, 1, 1])
     ind = indicator(frozenset({0, 1}), 4, "exact")

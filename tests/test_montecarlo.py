@@ -196,6 +196,21 @@ def test_batch_counts_honor_a_shorter_horizon():
         assert counts[i] == upcrossings_state_machine(path, -0.5, 0.5, 10)
 
 
+@pytest.mark.parametrize("N", [-1, 25])
+def test_batch_counts_reject_a_bound_outside_the_horizon(N):
+    # N = -1 once returned zeros and N = 25 an IndexError
+    paths = simulate(FairWalk(), RunConfig(seed=13, trials=3, horizon=24)).values
+    with pytest.raises(ValueError, match="N must lie within the horizon"):
+        count_upcrossings_batch(paths, -0.5, 0.5, N=N)
+
+
+@pytest.mark.parametrize("band", [(math.nan, 1.0), (0.0, math.inf)])
+def test_simulate_stats_rejects_a_non_finite_band(band):
+    # a NaN edge once compared False everywhere and counted 0 upcrossings
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate_stats(FairWalk(), RunConfig(seed=5, trials=4, horizon=6), bands=[band])
+
+
 @pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.0, 1.0), (0.0, 0.0)])
 def test_batch_counts_stick_on_a_reversed_band(a, b):
     # the value 1 (or 0.5, or 0) is both <= a and >= b, so the chain sticks

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from martkit import (
     ui_moduli,
     vitali_empirical,
 )
+from martkit.uniform_integrability import HARD_ATOM_CAP
 from conftest import random_fraction, random_space
 from oracles import brute_analyst_power, norm_power_equals
 
@@ -142,6 +144,30 @@ def test_exact_knapsack_handles_values_beyond_float_range():
     want = analyst_modulus(fam, delta, force_method="exhaustive")
     assert analyst_modulus(fam, delta) == want
     assert analyst_modulus(fam, delta, force_method="branch_bound") == want
+
+
+def test_analyst_modulus_rejects_an_unknown_method():
+    # a misspelt method once ran branch-and-bound
+    with pytest.raises(ValueError, match="'exhaustive', 'branch_bound'"):
+        analyst_modulus(spike_family(), Fraction(1, 4), force_method="exhaustve")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_analyst_modulus_refuses_more_atoms_than_the_cap(mode):
+    # the message once offered approximate=True, a search that could stop at a lower bound
+    n = HARD_ATOM_CAP + 1
+    sp = FiniteMeasureSpace.uniform(n, mode)
+    fam = FunctionFamily(sp, (RandomVariable.from_values(range(1, n + 1), mode),), 1)
+    with pytest.raises(ValueError, match=rf"^{n} contributing atoms exceed the exact-search cap \({HARD_ATOM_CAP}\)$"):
+        analyst_modulus(fam, Fraction(1, 2))
+
+
+def test_analyst_modulus_searches_up_to_the_cap_exactly():
+    # a zero atom leaves HARD_ATOM_CAP contributing items; the best half is the top 20
+    n = HARD_ATOM_CAP + 1
+    sp = FiniteMeasureSpace.uniform(n)
+    fam = FunctionFamily(sp, (RandomVariable.from_values([0, *range(2, n + 1)], "exact"),), 1)
+    assert analyst_modulus(fam, Fraction(20, n)) == Fraction(sum(range(22, n + 1)), n)
 
 
 @given(seeds)
