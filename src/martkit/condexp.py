@@ -14,8 +14,11 @@ k+1 into those of step k (the tower rule).
 :func:`condexp_l2` is an intentionally separate second route: orthogonal
 projection onto the span of the block indicators under the weighted inner
 product, implemented by assembling and solving the normal equations.  The
-two constructions are exact oracles for each other; the test suite checks
-a.e. agreement on large random batches.
+assembly walks each atom's nonzero basis entries, so it costs O(n + nnz of
+B^T W B) plus ``_solve_linear``.  It stays independent of :func:`condexp`: it
+never assumes the blocks are disjoint, never divides by a block mass and
+shares no blockwise kernel.  The two constructions are exact oracles for each
+other; the test suite checks a.e. agreement on large random batches.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .measure import (
     ae_equal,
     ae_le,
     ae_witness,
-    indicator,
     partition_le,
     set_integral,
     _check_rv,
@@ -168,31 +170,45 @@ def condexp_l2(
 
     Projects f onto the span of the indicators of the blocks of ``sub``
     under the inner product ``<u, v> = integral(u * v)``, by assembling the
-    Gram matrix and solving the normal equations.  Violated preconditions
-    raise (no junk values on this route); blocks of measure zero get
-    projection coefficient 0.
+    Gram matrix B^T W B and the right side B^T W f and solving the normal
+    equations.  Violated preconditions raise (no junk values on this route);
+    blocks of measure zero get projection coefficient 0.
+
+    The assembly visits each atom's nonzero basis entries only, so it costs
+    O(n + nnz(B^T W B)) plus laying out the k x k matrix, then
+    ``_solve_linear``.  It stays generic: an atom may lie in any number of
+    basis vectors, nothing divides by a block mass, and no blockwise kernel
+    is shared with :func:`condexp`.  Each entry sums ``w * a * b`` (and
+    ``w * f * a``) from zero in ascending atom order.  The terms it skips are
+    the +-0 products of a zero entry, which leave a sum started at +0 as it
+    is, so every entry is bitwise the full inner product over all atoms.
     """
     _check_rv(space, f)
     ambient = _default_ambient(space, ambient)
     if not partition_le(sub, ambient):
         raise ValueError("sub is not a sub-sigma-algebra of ambient")
-    basis = [indicator(b, space.atom_count, space.mode) for b in sub.block_sets()]
-    k = len(basis)
-
-    def inner(u: RandomVariable, v: RandomVariable) -> Scalar:
-        return sum(
-            (w * a * b for w, a, b in zip(space.weights, u.values, v.values)),
-            zero(space.mode),
-        )
-
-    gram = [[inner(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    rhs = [inner(f, basis[i]) for i in range(k)]
-    coeff = _solve_linear(gram, rhs, space.mode)
-    out = [zero(space.mode)] * space.atom_count
-    for c, b in zip(coeff, sub.blocks()):
-        for a in b:
-            out[a] = c
-    return RandomVariable(tuple(out), space.mode)
+    mode, n = space.mode, space.atom_count
+    one = Fraction(1) if mode == "exact" else 1.0
+    blocks = sub.blocks()
+    entries: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    for i, block in enumerate(blocks):
+        for t in block:
+            entries[t].append((i, one))
+    k = len(blocks)
+    gram = [[zero(mode)] * k for _ in range(k)]
+    rhs = [zero(mode)] * k
+    for w, x, nonzero in zip(space.weights, f.values, entries):
+        for i, a in nonzero:
+            rhs[i] += w * x * a
+            row = gram[i]
+            for j, b in nonzero:
+                row[j] += w * a * b
+    coeff = _solve_linear(gram, rhs, mode)
+    out = [zero(mode)] * n
+    for c, block in zip(coeff, blocks):
+        for t in block:
+            out[t] = c
+    return RandomVariable(tuple(out), mode)
 
 
 @dataclass(frozen=True)

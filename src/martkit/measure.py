@@ -54,6 +54,8 @@ class FiniteMeasureSpace:
     mode: Mode
 
     def __post_init__(self) -> None:
+        if self.mode not in ("exact", "float"):
+            raise ValueError(f"unknown mode {self.mode!r}; expected 'exact' or 'float'")
         if len(self.weights) < 1:
             raise ValueError("a measure space needs at least one atom")
         for w in self.weights:
@@ -73,11 +75,7 @@ class FiniteMeasureSpace:
         """Uniform probability space on n atoms."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if mode == "exact":
-            return FiniteMeasureSpace((Fraction(1, n),) * n, "exact")
-        if mode == "float":
-            return FiniteMeasureSpace((1.0 / n,) * n, "float")
-        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
+        return FiniteMeasureSpace((Fraction(1, n) if mode == "exact" else 1.0 / n,) * n, mode)
 
     @property
     def atom_count(self) -> int:

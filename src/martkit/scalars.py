@@ -24,6 +24,7 @@ to be rational.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Union
@@ -65,18 +66,20 @@ def parse_rational(text: str) -> Fraction:
 def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
     """Coerce one raw value into a mode's canonical scalar type.
 
-    Exact mode accepts int/Fraction/str("p/q") and rejects floats (silent
-    binary-to-rational conversion would launder rounding error into "exact"
-    results).  Float mode accepts int/float/Fraction/str("p/q"), except NaN
-    and +-inf (ValueError), whose comparisons would make every check vacuous.
+    Integers are any ``numbers.Integral``, numpy integers included; numpy
+    booleans are not integers.  Exact mode accepts integer/Fraction/str("p/q")
+    and rejects bool and floats (silent binary-to-rational conversion would
+    launder rounding error into "exact" results).  Float mode accepts
+    integer/float/Fraction/str("p/q"), except NaN and +-inf (ValueError),
+    whose comparisons would make every check vacuous.
     """
     if mode == "exact":
         if isinstance(x, bool):
             raise ModeError("booleans are not scalars")
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, numbers.Integral)):  # the builtin first: an ABC check is slow
+            return Fraction(int(x))
         if isinstance(x, str):
             return parse_rational(x)
         if isinstance(x, float):
@@ -87,7 +90,7 @@ def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
     if mode == "float":
         if isinstance(x, str):
             x = Fraction(x)
-        elif not isinstance(x, (int, float, Fraction)):
+        elif not isinstance(x, (float, int, Fraction, numbers.Integral)):
             raise ModeError(f"cannot use {type(x).__name__} as a float scalar")
         if isinstance(x, float) and not math.isfinite(x):  # ints and Fractions are finite
             raise ValueError(f"non-finite value {x!r}; float scalars must be finite")

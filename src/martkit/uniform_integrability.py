@@ -12,7 +12,8 @@ branch-and-bound over items sorted by density v/w is the exact-mode default;
 exhaustive subset search is its cross-check (``force_method="exhaustive"``),
 and the test suite compares the two.  Float mode keeps the numpy subset sweep
 up to EXHAUSTIVE_ATOM_LIMIT items and branch-and-bound above it.  Above
-HARD_ATOM_CAP contributing atoms it raises rather than truncate the search.
+HARD_ATOM_CAP contributing atoms every solver raises rather than truncate the
+search, and a forced subset search raises above EXHAUSTIVE_ATOM_LIMIT.
 """
 
 from __future__ import annotations
@@ -215,16 +216,18 @@ def _analyst_modulus_one(
         ]
         return _max_scalar(candidates, coerce_scalar(0, space.mode))
     items = _knapsack_items(space, f, p)
+    if len(items) > HARD_ATOM_CAP:
+        raise ValueError(
+            f"{len(items)} contributing atoms exceed the exact-search cap ({HARD_ATOM_CAP})"
+        )
     method = force_method
     if method is None:
-        if space.mode == "float" and len(items) <= EXHAUSTIVE_ATOM_LIMIT:
-            method = "exhaustive"
-        elif len(items) <= HARD_ATOM_CAP:
-            method = "branch_bound"
-        else:
-            raise ValueError(
-                f"{len(items)} contributing atoms exceed the exact-search cap ({HARD_ATOM_CAP})"
-            )
+        small = space.mode == "float" and len(items) <= EXHAUSTIVE_ATOM_LIMIT
+        method = "exhaustive" if small else "branch_bound"
+    elif method == "exhaustive" and len(items) > EXHAUSTIVE_ATOM_LIMIT:
+        raise ValueError(
+            f"{len(items)} contributing atoms exceed the subset-search limit ({EXHAUSTIVE_ATOM_LIMIT})"
+        )
     if method == "exhaustive":
         total = _knapsack_exhaustive(items, delta, space.mode)
     else:
@@ -243,7 +246,9 @@ def analyst_modulus(
     """sup over members and atom sets A with mu(A) <= delta of snorm(f*1_A, p).
 
     ``force_method`` ("exhaustive" or "branch_bound") pins the knapsack solver
-    for cross-checks; by default the mode and item count choose it.
+    for cross-checks; by default the mode and item count choose it.  Every
+    method raises above HARD_ATOM_CAP contributing atoms, and "exhaustive"
+    above EXHAUSTIVE_ATOM_LIMIT, before any subset table is built.
     """
     if force_method is not None and force_method not in _KNAPSACK_METHODS:
         raise ValueError(f"force_method must be one of {_KNAPSACK_METHODS} or None, got {force_method!r}")

@@ -11,6 +11,11 @@ The filtration-wide references below are the per-pair atom loops that
 ``check_l1_convergence_b``, ``predictable_sum`` and
 ``borel_cantelli_martingale`` ran before their blockwise kernel: one public
 ``condexp`` call per time pair, then one subtraction and comparison per atom.
+
+``condexp_l2_dense`` is the dense Gram assembly that ``condexp_l2`` used
+before it walked each atom's nonzero basis entries: k dense indicator
+vectors and k^2 + k inner products over every atom.  It shares only
+``_solve_linear`` with the package, so the two can be held bitwise equal.
 """
 
 import struct
@@ -20,13 +25,18 @@ from itertools import combinations
 from martkit import (
     Classification,
     MartingaleClass,
+    Partition,
+    RandomVariable,
     RootValue,
     ae_witness,
     condexp,
     indicator,
+    partition_le,
     snorm,
     tolerance,
 )
+from martkit.condexp import _solve_linear
+from martkit.scalars import zero
 
 
 def upcrossings_state_machine(values, a, b, N):
@@ -204,3 +214,27 @@ def event_sums(space, S, compensated):
             acc = [r + c for r, c in zip(acc, ce.values)]
         rows.append(tuple(acc))
     return tuple(rows)
+
+
+def condexp_l2_dense(space, f, sub, ambient=None):
+    """condexp_l2 by dense normal equations: one indicator tuple per block of
+    ``sub``, every Gram entry and right side summed over all atoms."""
+    n = space.atom_count
+    if len(f) != n:
+        raise ValueError("f does not live on the space")
+    if not partition_le(sub, Partition.singletons(n) if ambient is None else ambient):
+        raise ValueError("sub is not a sub-sigma-algebra of ambient")
+    basis = [indicator(b, n, space.mode) for b in sub.block_sets()]
+    k = len(basis)
+
+    def inner(u, v):
+        return sum((w * a * b for w, a, b in zip(space.weights, u.values, v.values)), zero(space.mode))
+
+    gram = [[inner(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+    rhs = [inner(f, basis[i]) for i in range(k)]
+    coeff = _solve_linear(gram, rhs, space.mode)
+    out = [zero(space.mode)] * n
+    for c, b in zip(coeff, sub.blocks()):
+        for a in b:
+            out[a] = c
+    return RandomVariable(tuple(out), space.mode)

@@ -170,6 +170,12 @@ def test_uniform_space_rejects_an_unknown_mode():
         FiniteMeasureSpace.uniform(3, "banana")
 
 
+def test_space_rejects_an_unknown_mode_at_construction():
+    # "banana" once built, and failed only at a later coerce_scalar
+    with pytest.raises(ValueError, match="unknown mode 'banana'; expected 'exact' or 'float'"):
+        FiniteMeasureSpace((0.5, 0.5), "banana")
+
+
 def test_indicator_and_set_measurability():
     p = Partition.of([0, 0, 1, 1])
     ind = indicator(frozenset({0, 1}), 4, "exact")

@@ -211,6 +211,14 @@ def test_simulate_stats_rejects_a_non_finite_band(band):
         simulate_stats(FairWalk(), RunConfig(seed=5, trials=4, horizon=6), bands=[band])
 
 
+def test_simulate_stats_takes_numpy_integer_band_edges():
+    # np.int64 edges once raised "cannot use int64 as a float scalar"
+    cfg = RunConfig(seed=5, trials=50, horizon=12)
+    stats = simulate_stats(FairWalk(), cfg, bands=[(np.int64(-1), 1)])
+    want = simulate_stats(FairWalk(), cfg, bands=[(-1.0, 1.0)]).band_counts[(-1.0, 1.0)]
+    assert stats.band_counts[(-1.0, 1.0)].tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.0, 1.0), (0.0, 0.0)])
 def test_batch_counts_stick_on_a_reversed_band(a, b):
     # the value 1 (or 0.5, or 0) is both <= a and >= b, so the chain sticks

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RootValue
+from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue
 from martkit.scalars import coerce_scalar, format_rational, parse_rational
 
 
@@ -22,6 +23,21 @@ def test_exact_mode_accepts_ints_fractions_and_strings():
 def test_float_mode_coerces_to_float():
     v = coerce_scalar(Fraction(1, 4), "float")
     assert isinstance(v, float) and v == 0.25
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_numpy_integers_are_scalars(mode):
+    # np.int64 once raised "cannot use int64 as a float scalar"
+    values = RandomVariable.from_values(np.arange(3), mode).values
+    assert values == (0, 1, 2)
+    assert all(type(v) is (Fraction if mode == "exact" else float) for v in values)
+    assert coerce_scalar(np.uint8(7), mode) == 7
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_numpy_booleans_are_not_scalars(mode):
+    with pytest.raises(ModeError):
+        coerce_scalar(np.bool_(True), mode)
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])

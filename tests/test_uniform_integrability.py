@@ -19,7 +19,7 @@ from martkit import (
     ui_moduli,
     vitali_empirical,
 )
-from martkit.uniform_integrability import HARD_ATOM_CAP
+from martkit.uniform_integrability import EXHAUSTIVE_ATOM_LIMIT, HARD_ATOM_CAP
 from conftest import random_fraction, random_space
 from oracles import brute_analyst_power, norm_power_equals
 
@@ -160,6 +160,28 @@ def test_analyst_modulus_refuses_more_atoms_than_the_cap(mode):
     fam = FunctionFamily(sp, (RandomVariable.from_values(range(1, n + 1), mode),), 1)
     with pytest.raises(ValueError, match=rf"^{n} contributing atoms exceed the exact-search cap \({HARD_ATOM_CAP}\)$"):
         analyst_modulus(fam, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("method", ["branch_bound", "exhaustive"])
+def test_forced_methods_obey_the_cap(mode, method):
+    # a forced method once skipped the cap: branch_bound returned 630/41 on 41 items
+    n = HARD_ATOM_CAP + 1
+    sp = FiniteMeasureSpace.uniform(n, mode)
+    fam = FunctionFamily(sp, (RandomVariable.from_values(range(1, n + 1), mode),), 1)
+    with pytest.raises(ValueError, match=rf"^{n} contributing atoms exceed the exact-search cap"):
+        analyst_modulus(fam, Fraction(1, 2), force_method=method)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_forced_subset_search_obeys_its_limit(mode):
+    # a forced "exhaustive" once built all 2^n subset sums at any n
+    n = EXHAUSTIVE_ATOM_LIMIT + 1
+    sp = FiniteMeasureSpace.uniform(n, mode)
+    fam = FunctionFamily(sp, (RandomVariable.from_values(range(1, n + 1), mode),), 1)
+    with pytest.raises(ValueError, match=rf"^{n} contributing atoms exceed the subset-search limit \({EXHAUSTIVE_ATOM_LIMIT}\)$"):
+        analyst_modulus(fam, Fraction(1, 2), force_method="exhaustive")
+    assert analyst_modulus(fam, Fraction(1, 2), force_method="branch_bound") == analyst_modulus(fam, Fraction(1, 2))
 
 
 def test_analyst_modulus_searches_up_to_the_cap_exactly():
