@@ -8,7 +8,9 @@ is decoded and checked) and a default or "required".  One resolver checks each
 descriptor against its keys before any check runs and hands the handler the
 decoded values; model and family documents go through the same resolver.  The
 runner executes the checks in order, writes one CSV per check plus a summary,
-and exits 0 only when every check passes.  Exit 1 means a check failed; exit 2
+and exits 0 only when every check passes.  The ``crossings``, ``converge``,
+``bc`` and ``ui`` subcommands each build one descriptor from their flags and
+run it through the same resolver and handler.  Exit 1 means a check failed; exit 2
 means the scenario or flags were malformed (an unknown or missing key, a
 non-finite float, a non-bool flag, a non-integer count, ...), and the error
 names the offending JSON path or flag.
@@ -102,6 +104,8 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):  # already formatted
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (Fraction, int)):
@@ -151,11 +155,32 @@ class _Key(NamedTuple):
     ``default`` is _REQUIRED, None (an absent key stays None), a JSON value
     decoded like a given one, or ``fn(ctx, decoded, doc)`` computed from the
     keys decoded before it.  ``alt`` is ``(key, kind)``: a second key that may
-    stand in for this one, but not appear beside it."""
+    stand in for this one, but not appear beside it.  ``most(decoded)`` is the
+    largest value the key may take, read from the keys decoded before it."""
 
     kind: Callable
     default: object = _REQUIRED
     alt: Optional[tuple] = None
+    most: Optional[Callable] = None
+
+
+class _Flags(dict):
+    """Flag names for errors in a descriptor built from flags: key -> flag or
+    nested _Flags, else ``--key-with-dashes``; ``text`` names the document."""
+
+    def __init__(self, text: str, **flags) -> None:
+        super().__init__(flags)
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _join(path, key: str):
+    """The path of ``key`` in the document at ``path``: a JSON path or a flag."""
+    if isinstance(path, _Flags):
+        return path.get(key, "--" + key.replace("_", "-"))
+    return f"{path}.{key}"
 
 
 def _decode(kind, ctx, value, path: str):
@@ -167,7 +192,7 @@ def _decode(kind, ctx, value, path: str):
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _resolve(ctx, keys: dict, doc, path: str, skip=()) -> dict:
+def _resolve(ctx, keys: dict, doc, path, skip=()) -> dict:
     """Check ``doc`` against its declared ``keys`` and return the decoded
     values by key; ``skip`` names keys the caller has read already."""
     if not isinstance(doc, dict):
@@ -175,24 +200,26 @@ def _resolve(ctx, keys: dict, doc, path: str, skip=()) -> dict:
     known = set(keys) | {k.alt[0] for k in keys.values() if k.alt}
     for name in doc:
         if name not in known and name not in skip:
-            raise ConfigError(f"{path}.{name}: unknown key; expected one of {sorted(known)}")
+            raise ConfigError(f"{_join(path, name)}: unknown key; expected one of {sorted(known)}")
     out = {}
     for key, k in keys.items():
         choices = [(key, k.kind)] + ([k.alt] if k.alt else [])
         given = [(name, kind) for name, kind in choices if name in doc]
         if len(given) > 1:
             raise ConfigError(f"{path}: give '{key}' or '{k.alt[0]}', not both")
+        name, kind = given[0] if given else (key, k.kind)
         if given:
-            name, kind = given[0]
-            out[key] = _decode(kind, ctx, doc[name], f"{path}.{name}")
+            out[key] = _decode(kind, ctx, doc[name], _join(path, name))
         elif callable(k.default):
             out[key] = k.default(ctx, out, doc)
         elif k.default is None or k.default is _REQUIRED:
             out[key] = k.default
         else:
-            out[key] = _decode(k.kind, ctx, k.default, f"{path}.{key}")
+            out[key] = _decode(kind, ctx, k.default, _join(path, key))
         if out[key] is _REQUIRED:
             raise ConfigError(f"{path}: needs " + " or ".join(f"'{name}'" for name, _ in choices))
+        if k.most is not None and out[key] > k.most(out):
+            raise ConfigError(f"{_join(path, name)}: expected an integer <= {k.most(out)}")
     return out
 
 
@@ -208,6 +235,11 @@ def _count(v, path: str, low: int = 0, high: Optional[int] = None) -> int:
 
 def _int(low: int):
     return lambda ctx, v, path: _count(v, path, low)
+
+
+def _seed(ctx, v, path) -> int:
+    """A seed: every key and flag that takes one accepts exactly 64 bits."""
+    return _count(v, path, 0, (1 << 64) - 1)
 
 
 def _float(ctx, v, path):
@@ -298,6 +330,8 @@ def _stopping(ctx, v, path):
 
 def _constant_schedule(ctx, v, path):
     p = _scalar(ctx, v, path)
+    if not 0 <= p <= 1:
+        raise ConfigError(f"{path}: expected a probability in [0, 1]")
     return lambda n: p
 
 
@@ -314,13 +348,13 @@ _MODELS = {  # kind -> (constructor, keys besides 'kind')
 }
 
 
-def _model(ctx, doc, path: str, kinds=tuple(_MODELS), extra=None) -> tuple:
+def _model(ctx, doc, path, kinds=tuple(_MODELS), extra=None) -> tuple:
     """(model, decoded keys) of a model document; its 'kind' picks the
     constructor and the keys it takes, ``extra`` declares keys read besides."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
     if doc.get("kind") not in kinds:
-        raise ConfigError(f"{path}.kind: expected one of {sorted(kinds)}")
+        raise ConfigError(f"{_join(path, 'kind')}: expected one of {sorted(kinds)}")
     make, keys = _MODELS[doc["kind"]]
     p = _resolve(ctx, {**keys, **(extra or {})}, doc, path, skip=("kind",))
     try:
@@ -370,7 +404,7 @@ def _builtin_family(ctx, doc, path) -> tuple:
 # a scenario's own keys; the instance documents are decoded on demand by _Context
 _MODE = _choice({"exact": "exact", "float": "float"})
 _SCENARIO_KEYS = {
-    "name": _Key(_name), "mode": _Key(_MODE, None), "seed": _Key(_int(0), None),
+    "name": _Key(_name), "mode": _Key(_MODE, None), "seed": _Key(_seed, None),
     "checks": _Key(_nonempty),
     **dict.fromkeys(("model", "space", "process", "filtration"), _Key(lambda ctx, v, path: v, None)),
 }
@@ -383,11 +417,13 @@ _PATH_KEYS = {"mode": _Key(_MODE, "exact"), "values": _Key(_nonempty)}  # a ``cr
 
 
 class _Context:
-    """Scenario-wide instance store; exhaustive unrolls happen on demand."""
+    """Scenario-wide instance store; exhaustive unrolls happen on demand.
+    ``root`` is the path of the scenario document: ``"<file>: $"``, or the
+    _Flags of a subcommand."""
 
-    def __init__(self, doc: dict, src: str, mode: Mode, seed=None) -> None:
+    def __init__(self, doc: dict, root, mode: Mode, seed=None) -> None:
         self.doc = doc
-        self.src = src
+        self.root = root
         self.mode = mode
         self.seed = seed
         self._built = None
@@ -395,39 +431,35 @@ class _Context:
     def model(self, kinds=tuple(_MODELS)) -> tuple:
         """(model, decoded keys) of the scenario-level model document, which
         may also carry the unroll ``horizon``."""
+        path = _join(self.root, "model")
         if "model" not in self.doc:
-            raise ConfigError(f"{self.src}: $.model: no model given")
-        horizon = {"horizon": _Key(_int(0), None)}
-        return _model(self, self.doc["model"], f"{self.src}: $.model", kinds, horizon)
+            raise ConfigError(f"{path}: no model given")
+        return _model(self, self.doc["model"], path, kinds, {"horizon": _Key(_int(0), None)})
 
     def instances(self):
         """(space, process, filtration), built from explicit docs or by
         unrolling the scenario model."""
         if self._built is not None:
             return self._built
-        doc = self.doc
-        try:
-            if "space" in doc:
-                space = space_from_json(doc["space"], "$.space")
-                if space.mode != self.mode:
-                    raise ConfigError(f"{self.src}: $.space.mode: does not match scenario mode")
-                process = None
-                if "process" in doc:
-                    process = process_from_json(doc["process"], self.mode, "$.process")
-                filtration = None
-                if "filtration" in doc:
-                    filtration = filtration_from_json(doc["filtration"], "$.filtration")
-                elif process is not None:
-                    filtration = natural_filtration(process)
-            elif "model" in doc:
-                model, keys = self.model()
-                if keys["horizon"] is None:
-                    raise ConfigError(f"{self.src}: $.model: needs 'horizon' to unroll")
-                space, process, filtration = exhaustive_space(model, keys["horizon"], mode=self.mode)
-            else:
-                raise ConfigError(f"{self.src}: scenario gives neither 'space' nor 'model'")
-        except ValueError as e:  # SerializationError included
-            raise ConfigError(f"{self.src}: {e}") from None
+        doc, root = self.doc, self.root
+        decode = lambda kind, key: _decode(kind, self, doc[key], _join(root, key)) if key in doc else None
+        if "space" in doc:
+            space = decode(lambda ctx, v, path: space_from_json(v, path), "space")
+            if space.mode != self.mode:
+                raise ConfigError(f"{_join(root, 'space')}.mode: does not match scenario mode")
+            process = decode(_process, "process")
+            filtration = decode(_filtration, "filtration")
+            if filtration is None and process is not None:
+                filtration = natural_filtration(process)
+        elif "model" in doc:
+            model, keys = self.model()
+            if keys["horizon"] is None:
+                raise ConfigError(f"{_join(root, 'model')}: needs 'horizon' to unroll")
+            unroll = lambda ctx, horizon, path: exhaustive_space(model, horizon, mode=self.mode)
+            space, process, filtration = _decode(
+                unroll, self, keys["horizon"], _join(_join(root, "model"), "horizon"))
+        else:
+            raise ConfigError(f"{root}: scenario gives neither 'space' nor 'model'")
         self._built = (space, process, filtration)
         return self._built
 
@@ -437,13 +469,13 @@ class _Context:
     def process(self) -> Process:
         p = self.instances()[1]
         if p is None:
-            raise ConfigError(f"{self.src}: this check needs a process")
+            raise ConfigError(f"{self.root}: this check needs a process")
         return p
 
     def filtration(self) -> Filtration:
         F = self.instances()[2]
         if F is None:
-            raise ConfigError(f"{self.src}: this check needs a filtration")
+            raise ConfigError(f"{self.root}: this check needs a filtration")
         return F
 
 
@@ -453,13 +485,13 @@ _FILTRATION = _Key(
     _filtration,
     lambda ctx, out, doc: natural_filtration(out["process"]) if "process" in doc else ctx.filtration(),
 )
-_HORIZON = _Key(_int(0), lambda ctx, out, doc: out["process"].horizon)
+_HORIZON = _Key(_int(0), lambda ctx, out, doc: out["process"].horizon,
+               most=lambda out: out["process"].horizon)
 _BAND = _Key(_band)
 _F = _Key(_rv, alt=("f_at", _at))
 _SUB = _Key(_partition, alt=("sub_step", _sub_step))
 _FAMILY = _Key(_family)
-_SEED = _Key(_int(0), lambda ctx, out, doc: _REQUIRED if ctx.seed is None else ctx.seed)
-_WORKERS = _Key(_int(1), 1)  # checked, then ignored like the library's workers=
+_SEED = _Key(_seed, lambda ctx, out, doc: _REQUIRED if ctx.seed is None else ctx.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +508,15 @@ def _op(name: str, keys: dict):
     return register
 
 
-class CheckResult:
-    def __init__(self, holds: bool, detail: str, header, rows) -> None:
-        self.holds = holds
-        self.detail = detail
-        self.header = header
-        self.rows = rows
+class CheckResult(NamedTuple):
+    """What a check prints and writes; ``report`` is the library's own result,
+    for a subcommand that prints more than the CSV rows."""
+
+    holds: bool
+    detail: str
+    header: tuple
+    rows: list
+    report: object = None
 
 
 _KIND_NAMES = {
@@ -557,12 +592,11 @@ def _check_band_translation(ctx, p):
     return CheckResult(rep.holds, detail, ("field", "value"), rows)
 
 
-_CROSSING_HEADER = ("atom", "n", "sigma", "tau")
-
-
-def _crossings(band: Band, f: Process, N: int) -> tuple:
-    """Validated crossing-table rows (atom, n, sigma_n, tau_n), atom by atom,
-    and the per-atom upcrossing counts before N."""
+@_op("crossing_table", {"band": _BAND, "process": _PROCESS, "N": _HORIZON})
+def _check_crossing_table(ctx, p):
+    """Validated rows (atom, n, sigma_n, tau_n), atom by atom; the report is
+    the per-atom upcrossing counts before N."""
+    band, f, N = p["band"], p["process"], p["N"]
     table = crossing_table(band, f, N)
     table.validate()
     rows = [
@@ -570,14 +604,9 @@ def _crossings(band: Band, f: Process, N: int) -> tuple:
         for w in range(len(table.sigma[0]))
         for k in range(len(table.sigma))
     ]
-    return rows, upcrossings_before(band, f, N)
-
-
-@_op("crossing_table", {"band": _BAND, "process": _PROCESS, "N": _HORIZON})
-def _check_crossing_table(ctx, p):
-    rows, counts = _crossings(p["band"], p["process"], p["N"])
+    counts = upcrossings_before(band, f, N)
     detail = "upcrossings=" + ",".join(str(c) for c in counts)
-    return CheckResult(True, detail, _CROSSING_HEADER, rows)
+    return CheckResult(True, detail, ("atom", "n", "sigma", "tau"), rows, counts)
 
 
 @_op("optional_stopping", {"process": _PROCESS, "filtration": _FILTRATION,
@@ -654,6 +683,28 @@ def _check_l1_convergence_b(ctx, p):
     return CheckResult(rep.holds, detail, ("field", "value"), rows)
 
 
+@_op("ae_convergence", {"process": _PROCESS, "filtration": _FILTRATION, "cutoff": _Key(_scalar),
+                        "bands": _Key(_list(_band), []), "l1_bound": _Key(_scalar, None)})
+def _check_ae_convergence(ctx, p):
+    """Doob's a.e. convergence diagnostics; with an L1 bound it holds when
+    every band's chain bound does, and names the first that fails."""
+    diag = ae_convergence_diagnostic(ctx.space(), p["process"], p["filtration"], p["cutoff"],
+                                     p["bands"], l1_bound=p["l1_bound"])
+    band_name = lambda band: f"a={_fmt(band.a)} b={_fmt(band.b)}"
+    rows = [("bounded_fraction", "", diag.bounded_fraction), ("unbounded_measure", "", diag.unbounded_measure)]
+    for band, curve in diag.band_violations:
+        rows += [(f"violations {band_name(band)}", k, m) for k, m in curve]
+    rows += [("cauchy_gap", f"{n}->{m}", gap) for n, m, gap in diag.cauchy_gap]
+    chain = diag.chain_bounds or ()
+    rows += [(f"chain_bound {band_name(band)}", mu_u, ok) for band, mu_u, _, ok in chain]
+    failed = [(band, mu_u, bound) for band, mu_u, bound, ok in chain if not ok]
+    detail = f"bounded_fraction={_fmt(diag.bounded_fraction)}"
+    if failed:
+        band, mu_u, bound = failed[0]
+        detail += f" chain bound fails at {band_name(band)}: mu[U]={_fmt(mu_u)} > {_fmt(bound)}"
+    return CheckResult(not failed, detail, ("kind", "x", "value"), rows)
+
+
 @_op("bridging", {"family": _FAMILY, "C": _Key(_scalar), "A": _Key(_list(_int(0)))})
 def _check_bridging(ctx, p):
     rep = check_bridging_inequality(p["family"], p["C"], frozenset(p["A"]))
@@ -710,7 +761,7 @@ def _check_vitali(ctx, p):
     "window": _Key(_int(1), None), "osc_tol": _Key(_float, 1e-2), "min_osc_fraction": _Key(_float, None),
     "final_mean_abs_max": _Key(_float, None), "bands": _Key(_list(_band), []),
     "violation_ks": _Key(_list(_int(0)), []), "decay_factor_min": _Key(_float, None),
-    "workers": _WORKERS, "block_size": _Key(_int(1), 1024),
+    "block_size": _Key(_int(1), 1024),
 })
 def _check_mc_stats(ctx, p):
     bands = tuple((band.a, band.b) for band in p["bands"])
@@ -752,15 +803,13 @@ def _check_mc_stats(ctx, p):
     return CheckResult(holds, detail, ("stat", "param", "value"), rows)
 
 
-_BC_HEADER = ("trial_block", "match_fraction", "p_horizon_mean")
-
-
 @_op("borel_cantelli", {
     "model": _model_key("independent"), "seed": _SEED, "horizon": _Key(_int(1)),
     "trials": _Key(_int(1), 10_000),
-    "tail_start": _Key(_int(1), lambda ctx, out, doc: max(1, out["horizon"] // 2)),
+    "tail_start": _Key(_int(1), lambda ctx, out, doc: max(1, out["horizon"] // 2),
+                       most=lambda out: out["horizon"]),
     "divergence_cut": _Key(_float, lambda ctx, out, doc: out["horizon"] / 4),
-    "min_match": _Key(_float, 0.0), "workers": _WORKERS, "block_size": _Key(_int(1), 1000),
+    "min_match": _Key(_float, 0.0), "block_size": _Key(_int(1), 1000),
 })
 def _check_borel_cantelli(ctx, p):
     rep = check_borel_cantelli(
@@ -769,7 +818,7 @@ def _check_borel_cantelli(ctx, p):
     )
     holds = rep.match_fraction >= p["min_match"]
     detail = f"match_fraction={rep.match_fraction} p_horizon_mean={rep.p_horizon_mean}"
-    return CheckResult(holds, detail, _BC_HEADER, list(rep.blocks))
+    return CheckResult(holds, detail, ("trial_block", "match_fraction", "p_horizon_mean"), list(rep.blocks), rep)
 
 
 _MC_OPS = {"mc_stats", "borel_cantelli", "vitali"}
@@ -778,6 +827,17 @@ _MC_OPS = {"mc_stats", "borel_cantelli", "vitali"}
 # ---------------------------------------------------------------------------
 # scenario runner
 # ---------------------------------------------------------------------------
+
+
+def _run_check(ctx, op: str, p: dict, where, csv_path: Optional[str]) -> CheckResult:
+    """Run one resolved check and write its CSV to ``csv_path`` when given."""
+    try:
+        result = CHECK_OPS[op][0](ctx, p)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from None
+    if csv_path:
+        _write_csv(csv_path, result.header, result.rows)
+    return result
 
 
 def run_scenario(
@@ -797,7 +857,7 @@ def run_scenario(
         raise ConfigError(f"{src}: $.mode: must be 'exact' or 'float'")
     if require_exact and mode != "exact":
         raise ConfigError(f"{src}: $.mode: this command runs exact scenarios only")
-    seed = seed_override if seed_override is not None else top["seed"]
+    seed = top["seed"] if seed_override is None else _seed(None, seed_override, "--seed")
     name, checks = top["name"], top["checks"]
 
     # validate all descriptors before running anything
@@ -817,7 +877,7 @@ def run_scenario(
                 f"{src}: $.checks[{i}].op: exact mode rejects Monte Carlo checks ({op})"
             )
 
-    ctx = _Context(doc, src, mode, seed)
+    ctx = _Context(doc, f"{src}: $", mode, seed)
     params = [
         _resolve(ctx, CHECK_OPS[c["op"]][1], c, f"{src}: $.checks[{i}]", skip=("name", "op"))
         for i, c in enumerate(checks)
@@ -827,12 +887,8 @@ def run_scenario(
     summary = []
     failures = 0
     for i, (c, p) in enumerate(zip(checks, params)):
-        try:
-            result = CHECK_OPS[c["op"]][0](ctx, p)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"{src}: $.checks[{i}]: {e}") from None
         csv_path = os.path.join(out_dir, f"{name}__{c['name']}.csv")
-        _write_csv(csv_path, result.header, result.rows)
+        result = _run_check(ctx, c["op"], p, f"{src}: $.checks[{i}]", csv_path)
         status = "PASS" if result.holds else "FAIL"
         print(f"[{status}] {c['name']}: {result.detail}", file=stream)
         summary.append((c["name"], c["op"], result.holds, result.detail))
@@ -848,19 +904,44 @@ def run_scenario(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs one op on a descriptor built from its flags
 # ---------------------------------------------------------------------------
 
 
-def _band_flag(ctx: _Context, text: str) -> Band:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--band: expected 'a,b', got {text!r}")
-    return _decode(_band, ctx, [part.strip() for part in parts], "--band")
+def _run_one(op: str, descriptor: dict, root, mode: Mode, out_dir, csv_name: str, doc=None) -> CheckResult:
+    """Resolve ``descriptor`` against ``op``'s keys, run it on the instances
+    of ``doc`` and write ``csv_name`` into ``out_dir`` when one is given.
+    ``root`` names the descriptor's keys in errors: a _Flags or a JSON path."""
+    ctx = _Context(doc or {}, root, mode)
+    p = _resolve(ctx, CHECK_OPS[op][1], descriptor, root)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    return _run_check(ctx, op, p, root, out_dir and os.path.join(out_dir, csv_name))
+
+
+def _given(**keys) -> dict:
+    """The keys whose flag was given; the op's key table supplies the rest."""
+    return {k: v for k, v in keys.items() if v is not None}
+
+
+def _split(text: Optional[str], sep: str = ","):
+    return [t.strip() for t in text.split(sep)] if text else None
+
+
+def _print_rows(result: CheckResult) -> None:
+    for kind, x, v in result.rows:
+        print(f"{kind},{_fmt(x)},{_fmt(v)}")
+
+
+def _path_file(doc, src: str) -> tuple:
+    """(mode, process document) of a path file, whose 'values' are one path
+    or one row of atom values per time."""
+    top = _resolve(None, _PATH_KEYS, doc, f"{src}: $")
+    raw = top["values"]
+    return top["mode"], {"values": raw if isinstance(raw[0], list) else [[v] for v in raw]}
 
 
 def cmd_run(args) -> int:
-    _count(args.workers, "--workers", 1)
     doc = _load_json(args.scenario)
     return run_scenario(
         doc, args.scenario, args.out_dir, seed_override=args.seed, mode_override=args.mode
@@ -873,114 +954,51 @@ def cmd_check(args) -> int:
 
 
 def cmd_crossings(args) -> int:
-    doc = _load_json(args.path)
-    top = _resolve(None, _PATH_KEYS, doc, f"{args.path}: $")
-    mode, raw = top["mode"], top["values"]
-    ctx = _Context(doc, args.path, mode)
-    if isinstance(raw[0], list):
-        f = _decode(_process, ctx, {"values": raw}, f"{args.path}: $")
-    else:
-        f = Process.from_path(_decode(_list(_scalar), ctx, raw, f"{args.path}: $.values"), mode)
-    band = _band_flag(ctx, args.band)
-    N = args.n if args.n is not None else f.horizon
-    if not 0 <= N <= f.horizon:
-        raise ConfigError(f"--n: out of range 0..{f.horizon}")
-    rows, counts = _crossings(band, f, N)
-    _write_csv(sys.stdout, _CROSSING_HEADER, rows)
-    print("upcrossings_before," + ",".join(str(c) for c in counts))
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "crossings.csv"), _CROSSING_HEADER, rows)
+    """The ``crossing_table`` check on a path file."""
+    mode, process = _path_file(_load_json(args.path), args.path)
+    flags = _Flags("martkit crossings", process=f"{args.path}: $", N="--n")
+    descriptor = _given(band=_split(args.band), process=process, N=args.n)
+    result = _run_one("crossing_table", descriptor, flags, mode, args.out_dir, "crossings.csv")
+    _write_csv(sys.stdout, result.header, result.rows)
+    print("upcrossings_before," + ",".join(str(c) for c in result.report))
     return 0
 
 
 def cmd_converge(args) -> int:
-    ctx = _Context({}, "martkit converge", args.mode or "exact")
-    model_doc = {"kind": args.model}
-    if args.p_up is not None:
-        model_doc["p_up"] = args.p_up
-    model, _ = _model(ctx, model_doc, "--model")
-    try:
-        space, f, F = exhaustive_space(model, args.horizon, mode=ctx.mode)
-    except ValueError as e:
-        raise ConfigError(f"--horizon: {e}") from None
-    bands = [_band_flag(ctx, part) for part in (args.bands.split(";") if args.bands else [])]
-    cutoff = _decode(_scalar, ctx, args.cutoff, "--cutoff")
-    l1_bound = _decode(_scalar, ctx, args.l1_bound, "--l1-bound") if args.l1_bound else None
-    diag = ae_convergence_diagnostic(space, f, F, cutoff, bands, l1_bound=l1_bound)
-    rows = [("bounded_fraction", "", diag.bounded_fraction)]
-    rows.append(("unbounded_measure", "", diag.unbounded_measure))
-    for band, curve in diag.band_violations:
-        for k, m in curve:
-            rows.append((f"violations a={_fmt(band.a)} b={_fmt(band.b)}", k, m))
-    for n, m, gap in diag.cauchy_gap:
-        rows.append(("cauchy_gap", f"{n}->{m}", gap))
-    if diag.chain_bounds:
-        for band, mu_u, bound, ok in diag.chain_bounds:
-            rows.append((f"chain_bound a={_fmt(band.a)} b={_fmt(band.b)}", _fmt(mu_u), ok))
-    for kind, x, v in rows:
-        print(f"{kind},{x},{_fmt(v)}")
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "converge.csv"), ("kind", "x", "value"), rows)
+    """The ``ae_convergence`` check on a model unrolled to ``--horizon``."""
+    flags = _Flags("martkit converge", model=_Flags("--model/--p-up", kind="--model"))
+    model = _given(kind=args.model, p_up=args.p_up, horizon=args.horizon)
+    bands = [_split(t) for t in args.bands.split(";")] if args.bands else None
+    descriptor = _given(cutoff=args.cutoff, bands=bands, l1_bound=args.l1_bound)
+    _print_rows(_run_one("ae_convergence", descriptor, flags, args.mode, args.out_dir, "converge.csv",
+                         doc={"model": model}))
     return 0
 
 
 def cmd_bc(args) -> int:
-    for name in ("trials", "block_size", "workers"):
-        _count(getattr(args, name), f"--{name.replace('_', '-')}", 1)
-    _count(args.seed, "--seed", 0, (1 << 64) - 1)
-    if args.model != "independent":
-        raise ConfigError("--model: only 'independent' event streams are supported")
-    if args.schedule:
-        model_doc = {"kind": "independent", "schedule": args.schedule}
-    elif args.prob is not None:
-        model_doc = {"kind": "independent", "prob": args.prob}
-    else:
-        raise ConfigError("--prob or --schedule is required")
-    model, _ = _model(_Context({}, "martkit bc", "float"), model_doc, "--model")
-    horizon = _count(args.horizon, "--horizon", 1)
-    tail_start = _count(max(1, horizon // 2) if args.tail_start is None else args.tail_start,
-                        "--tail-start", 1, horizon)
-    cut = horizon / 4 if args.cut is None else _decode(_float, None, args.cut, "--cut")
-    min_match = _decode(_float, None, args.min_match, "--min-match")
-    try:
-        rep = check_borel_cantelli(
-            model, horizon, args.trials, args.seed, cut, tail_start, block_size=args.block_size
-        )
-    except ValueError as e:  # an event probability outside [0, 1]
-        raise ConfigError(f"--prob/--schedule: {e}") from None
-    print(f"match_fraction = {rep.match_fraction}")
-    print(f"p_horizon_mean = {rep.p_horizon_mean}")
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "bc.csv"), _BC_HEADER, rep.blocks)
-    return 0 if rep.match_fraction >= min_match else 1
+    """The ``borel_cantelli`` check; exits 1 below ``--min-match``."""
+    flags = _Flags("martkit bc", model=_Flags("--prob/--schedule", kind="--model"), divergence_cut="--cut")
+    model = _given(kind=args.model, schedule=args.schedule,
+                   prob=None if args.schedule else args.prob)  # a schedule overrides --prob
+    descriptor = _given(model=model, horizon=args.horizon, trials=args.trials, tail_start=args.tail_start,
+                        divergence_cut=args.cut, seed=args.seed, min_match=args.min_match,
+                        block_size=args.block_size)
+    result = _run_one("borel_cantelli", descriptor, flags, "float", args.out_dir, "bc.csv")
+    print(f"match_fraction = {result.report.match_fraction}")
+    print(f"p_horizon_mean = {result.report.p_horizon_mean}")
+    return 0 if result.holds else 1
 
 
 def cmd_ui(args) -> int:
-    """The ``ui_curves`` check on a builtin family given by flags."""
-    ctx = _Context({}, "martkit ui", args.mode or "exact")
-    descriptor = {
-        "family": {"builtin": args.family, "horizon": args.horizon, "p": args.p},
-        "deltas": [t.strip() for t in args.deltas.split(",")] if args.deltas else [],
-        "cs": [t.strip() for t in args.cs.split(",")] if args.cs else [],
-    }
-    handler, keys = CHECK_OPS["ui_curves"]
-    result = handler(ctx, _resolve(ctx, keys, descriptor, "martkit ui: $"))
-    for kind, x, v in result.rows:
-        print(f"{kind},{_fmt(x)},{_fmt(v)}")
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "ui.csv"), result.header, result.rows)
+    """The ``ui_curves`` check on a builtin family."""
+    flags = _Flags("martkit ui", family=_Flags("--family", builtin="--family"))
+    family = _given(builtin=args.family, horizon=args.horizon, p=args.p)
+    descriptor = _given(family=family, deltas=_split(args.deltas), cs=_split(args.cs))
+    _print_rows(_run_one("ui_curves", descriptor, flags, args.mode, args.out_dir, "ui.csv"))
     return 0
 
 
-_REFERENCE_PATH_EXPECT = {
-    "sigma": (0, 5, 10, 13, 13),
-    "tau": (1, 7, 11, 13, 13),
-    "upcrossings": 2,
-}
+_REFERENCE_PATH_EXPECT = ((0, 5, 10, 13, 13), (1, 7, 11, 13, 13), 2)  # sigma, tau, upcrossings
 
 
 def _scenario_text(filename: str) -> str:
@@ -1002,6 +1020,7 @@ def _rng_streams_mismatch() -> Optional[int]:
 
 
 def cmd_selftest(args) -> int:
+    _seed(None, args.seed, "--seed")  # before the exact suite runs
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     failures = 0
@@ -1016,28 +1035,15 @@ def cmd_selftest(args) -> int:
         print(f"[FAIL] rng-streams: vectorised Philox4x64-10 differs from trial_rng at horizon {bad_horizon}")
         failures += 1
 
-    exact_doc = json.loads(_scenario_text("exact_suite.json"))
-    code = run_scenario(exact_doc, "exact_suite.json", os.path.join(out, "exact"))
-    failures += code != 0
-
-    mc_doc = json.loads(_scenario_text("mc_suite.json"))
-    code = run_scenario(
-        mc_doc, "mc_suite.json", os.path.join(out, "mc"), seed_override=args.seed
-    )
-    failures += code != 0
-
-    # Replaying the suite in this process must give byte-identical CSVs.  Monte
-    # Carlo blocks run sequentially, so this check tests run-to-run
-    # determinism; it keeps its "parallel-determinism" name and output line.
-    buf = io.StringIO()
-    code = run_scenario(
-        json.loads(_scenario_text("mc_suite.json")),
-        "mc_suite.json",
-        os.path.join(out, "mc_parallel"),
-        seed_override=args.seed,
-        stream=buf,
-    )
-    failures += code != 0
+    # Replaying the Monte Carlo suite in this process (quietly, into
+    # mc_parallel) must give byte-identical CSVs.  Monte Carlo blocks run
+    # sequentially, so this check tests run-to-run determinism; it keeps its
+    # "parallel-determinism" name and output line.
+    for name, sub, seed, stream in (("exact_suite.json", "exact", None, None),
+                                    ("mc_suite.json", "mc", args.seed, None),
+                                    ("mc_suite.json", "mc_parallel", args.seed, io.StringIO())):
+        doc = json.loads(_scenario_text(name))
+        failures += run_scenario(doc, name, os.path.join(out, sub), seed_override=seed, stream=stream) != 0
     seq_dir, par_dir = os.path.join(out, "mc"), os.path.join(out, "mc_parallel")
     mismatched = [
         fname for fname in sorted(os.listdir(seq_dir))
@@ -1049,20 +1055,11 @@ def cmd_selftest(args) -> int:
     else:
         print("[PASS] parallel-determinism: sequential and parallel CSVs identical")
 
-    ref_doc = json.loads(_scenario_text("reference_path.json"))
-    values = [decode_scalar(v, "exact", "$.values") for v in ref_doc["values"]]
-    f = Process.from_path(values, "exact")
-    band = Band(a=Fraction(0), b=Fraction(1))
-    rows, counts = _crossings(band, f, f.horizon)
-    sigma = tuple(r[2] for r in rows)
-    tau = tuple(r[3] for r in rows)
-    count = counts[0]
-    ref_ok = (
-        sigma == _REFERENCE_PATH_EXPECT["sigma"]
-        and tau == _REFERENCE_PATH_EXPECT["tau"]
-        and count == _REFERENCE_PATH_EXPECT["upcrossings"]
-    )
-    _write_csv(os.path.join(out, "reference_path.csv"), _CROSSING_HEADER, rows)
+    mode, process = _path_file(json.loads(_scenario_text("reference_path.json")), "reference_path.json")
+    result = _run_one("crossing_table", {"band": [0, 1], "process": process}, "reference_path.json: $",
+                      mode, out, "reference_path.csv")
+    sigma, tau, count = tuple(r[2] for r in result.rows), tuple(r[3] for r in result.rows), result.report[0]
+    ref_ok = (sigma, tau, count) == _REFERENCE_PATH_EXPECT
     print(f"[{'PASS' if ref_ok else 'FAIL'}] reference_path: sigma={sigma} tau={tau} upcrossings={count}")
     failures += not ref_ok
 
@@ -1092,7 +1089,6 @@ def _build_parser() -> _Parser:
     run.add_argument("scenario")
     run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     run.add_argument("--mode", choices=["exact", "float"], default=None, help="override scenario mode")
-    run.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
     common(run)
     run.set_defaults(fn=cmd_run)
 
@@ -1108,39 +1104,38 @@ def _build_parser() -> _Parser:
     cr.add_argument("--out-dir", default=None)
     cr.set_defaults(fn=cmd_crossings)
 
-    cv = sub.add_parser("converge", help="exact convergence diagnostics on an unrolled model")
+    cv = sub.add_parser("converge", help="the ae_convergence check on an unrolled model")
     cv.add_argument("--model", choices=["fair_walk", "biased_walk", "polya"], required=True)
     cv.add_argument("--p-up", default=None, help="biased walk up-probability")
     cv.add_argument("--horizon", type=int, required=True)
     cv.add_argument("--cutoff", required=True, help="sup-bound cutoff")
     cv.add_argument("--bands", default=None, help="semicolon-separated a,b pairs")
     cv.add_argument("--l1-bound", default=None)
-    cv.add_argument("--mode", choices=["exact", "float"], default=None)
+    cv.add_argument("--mode", choices=["exact", "float"], default="exact")
     cv.add_argument("--out-dir", default=None)
     cv.set_defaults(fn=cmd_converge)
 
-    bc = sub.add_parser("bc", help="Borel-Cantelli tail-vs-divergence agreement")
+    bc = sub.add_parser("bc", help="the borel_cantelli check (tail-vs-divergence agreement)")
     bc.add_argument("--model", default="independent")
     bc.add_argument("--prob", type=float, default=None, help="constant event probability")
-    bc.add_argument("--schedule", choices=["inverse_square"], default=None)
+    bc.add_argument("--schedule", choices=sorted(_SCHEDULES), default=None)
     bc.add_argument("--horizon", type=int, required=True)
-    bc.add_argument("--trials", type=int, default=10_000)
+    bc.add_argument("--trials", type=int, default=None)
     bc.add_argument("--tail-start", type=int, default=None, help="default horizon//2")
     bc.add_argument("--cut", default=None, help="default horizon/4")
     bc.add_argument("--seed", type=int, default=42)
-    bc.add_argument("--min-match", default="0")
-    bc.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored (>= 1)")
-    bc.add_argument("--block-size", type=int, default=1000)
+    bc.add_argument("--min-match", default=None)
+    bc.add_argument("--block-size", type=int, default=None)
     bc.add_argument("--out-dir", default=None)
     bc.set_defaults(fn=cmd_bc)
 
-    ui = sub.add_parser("ui", help="uniform integrability modulus curves for builtin families")
+    ui = sub.add_parser("ui", help="the ui_curves check on a builtin family")
     ui.add_argument("--family", choices=sorted(_BUILTIN_FAMILIES), required=True)
     ui.add_argument("--horizon", type=int, required=True)
-    ui.add_argument("--p", default="1")
+    ui.add_argument("--p", default=None)
     ui.add_argument("--deltas", default=None, help="comma-separated small-set sizes")
     ui.add_argument("--cs", default=None, help="comma-separated truncation levels")
-    ui.add_argument("--mode", choices=["exact", "float"], default=None)
+    ui.add_argument("--mode", choices=["exact", "float"], default="exact")
     ui.add_argument("--out-dir", default=None)
     ui.set_defaults(fn=cmd_ui)
 

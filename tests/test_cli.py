@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -97,13 +98,18 @@ def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
 
 
-def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
+def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path, capsys):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-m", "martkit", "selftest", "--seed", "42"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "selftest: ok"
+    # selftest reads the reference path with the crossings reader and op
+    ref = src / "martkit" / "scenarios" / "reference_path.json"
+    assert main(["crossings", "--band", "0,1", "--path", str(ref), "--out-dir", str(tmp_path / "cr")]) == 0
+    assert ((tmp_path / "martkit_out" / "reference_path.csv").read_bytes()
+            == (tmp_path / "cr" / "crossings.csv").read_bytes())
 
 
 def test_run_writes_deterministic_csv(tmp_path):
@@ -157,8 +163,7 @@ def test_bc_fails_when_the_threshold_is_unreachable(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--block-size", "-3"),
-                                         ("--workers", "0")])
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--block-size", "-3")])
 def test_bc_counts_below_one_exit_two(flag, value, capsys):
     code = main(["bc", "--prob", "0.5", "--horizon", "20", flag, value])
     assert code == 2
@@ -172,17 +177,6 @@ def test_bc_seed_outside_64_bits_exits_two(horizon, seed, capsys):
     code = main(["bc", "--prob", "0.5", "--horizon", horizon, "--trials", "10", "--seed", seed])
     assert code == 2
     assert "error: --seed: expected an integer in 0..18446744073709551615" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_run_workers_below_one_exit_two(workers, tmp_path, capsys):
-    doc = {"name": "mc", "mode": "float", "seed": 1,
-           "checks": [{"name": "walk", "op": "mc_stats", "model": {"kind": "fair_walk"},
-                       "trials": 10, "horizon": 4}]}
-    src = write_json(tmp_path / "s.json", doc)
-    code = main(["run", src, "--workers", workers, "--out-dir", str(tmp_path / "out")])
-    assert code == 2
-    assert "error: --workers: expected an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -318,6 +312,9 @@ def test_readme_command_lines_parse():
         command = re.split(r"\s{2,}", line)[0]  # drop the aligned description
         args = parser.parse_args(shlex.split(command)[1:])
         assert args.command == shlex.split(command)[1]
+    # every subcommand is documented by at least one command line
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {shlex.split(line)[1] for line in lines} == set(subcommands.choices)
 
 
 @pytest.mark.parametrize("flags, flag", [
@@ -367,3 +364,165 @@ def test_unknown_keys_in_instance_documents_exit_two(where, path, tmp_path, caps
     src = write_json(tmp_path / "s.json", doc)
     assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"{path}.ambiant: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon, bands", [(2, "-1/2,1/2"), (3, "-1/2,1/2"), (3, "-1,1"),
+                                            (4, "-1/2,1/2;0,1")])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_converge_csv_body_equals_stdout(horizon, bands, mode, tmp_path, capsys):
+    # an exact whole-number mu[U] was once written to converge.csv as 0.0
+    code = main(["converge", "--model", "fair_walk", "--horizon", str(horizon), "--cutoff", "4",
+                 f"--bands={bands}", "--l1-bound", "2", "--mode", mode, "--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("chain_bound") for line in out)
+    csv_lines = (tmp_path / "converge.csv").read_text().splitlines()
+    assert csv_lines[0] == "kind,x,value"
+    assert csv_lines[1:] == out
+
+
+def test_a_numeric_check_name_stays_as_written_in_the_summary(tmp_path):
+    # _fmt once re-read the name "1" as a float and wrote 1.0
+    doc = walk_scenario()
+    doc["checks"][0]["name"] = "1"
+    src = write_json(tmp_path / "s.json", doc)
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 0
+    summary = (tmp_path / "out" / "walk__summary.csv").read_text().splitlines()
+    assert summary[1].startswith("1,classify,true,")
+
+
+def mc_scenario(**overrides):
+    return {"name": "mc", "mode": "float", "seed": 1,
+            "model": {"kind": "fair_walk", "horizon": 2},
+            "checks": [{"name": "c", "op": "classify", "assert": "martingale"},
+                       {"name": "m", "op": "mc_stats", "trials": 10, "horizon": 4}],
+            **overrides}
+
+
+@pytest.mark.parametrize("argv, doc, where", [
+    ([], mc_scenario(seed=1 << 64), "$.seed"),
+    ([], mc_scenario(seed=-1), "$.seed"),
+    (["--seed", "-1"], mc_scenario(), "--seed"),
+    (["--seed", str(1 << 64)], mc_scenario(), "--seed"),
+    ([], mc_scenario(checks=[mc_scenario()["checks"][0],
+                             dict(mc_scenario()["checks"][1], seed=1 << 64)]), "$.checks[1].seed"),
+], ids=["scenario_2_64", "scenario_negative", "flag_negative", "flag_2_64", "op_key"])
+def test_a_seed_outside_64_bits_exits_two_before_any_check(argv, doc, where, tmp_path, capsys):
+    # the classify check once ran, printed [PASS] and wrote its CSV first
+    src = write_json(tmp_path / "s.json", doc)
+    out_dir = tmp_path / "out"
+    assert main(["run", src, *argv, "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert f"{where}: expected an integer in 0..18446744073709551615" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_selftest_rejects_its_seed_before_running(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["selftest", "--seed", "-1", "--out-dir", str(out_dir)]) == 2
+    assert "error: --seed: expected an integer in 0..18446744073709551615" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "m", "op": "mc_stats", "trials": 10, "horizon": 4, "workers": 1},
+    {"name": "b", "op": "borel_cantelli", "model": {"kind": "independent", "prob": 0.5},
+     "horizon": 8, "trials": 20, "workers": 2},
+], ids=["mc_stats", "borel_cantelli"])
+def test_a_workers_key_exits_two_as_unknown(check, tmp_path, capsys):
+    src = write_json(tmp_path / "s.json", mc_scenario(checks=[check]))
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "$.checks[0].workers: unknown key" in capsys.readouterr().err
+
+
+def test_the_workers_flags_are_gone(tmp_path, capsys):
+    assert main(["bc", "--prob", "0.5", "--horizon", "20", "--workers", "2"]) == 2
+    src = write_json(tmp_path / "s.json", walk_scenario())
+    assert main(["run", src, "--workers", "2", "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def ae_check(**keys):
+    return {"name": "ae", "op": "ae_convergence", "cutoff": "4", **keys}
+
+
+@pytest.mark.parametrize("keys, holds", [
+    ({}, True),
+    ({"bands": [["-1/2", "1/2"]]}, True),
+    ({"bands": [["-1/2", "1/2"], ["0", "1"]], "l1_bound": "2"}, True),
+    # the walk is not 0 in L1, so a bound of 0 is broken by its first upcrossing of [0, 1]
+    ({"bands": [["-1/2", "1/2"], ["0", "1"]], "l1_bound": "0"}, False),
+], ids=["no_bands", "no_bound", "bound_2", "bound_0"])
+def test_ae_convergence_op(keys, holds, tmp_path, capsys):
+    doc = walk_scenario(model={"kind": "fair_walk", "horizon": 4}, checks=[ae_check(**keys)])
+    src = write_json(tmp_path / "s.json", doc)
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == (0 if holds else 1)
+    out = capsys.readouterr().out
+    rows = (tmp_path / "out" / "walk__ae.csv").read_text().splitlines()
+    assert rows[:3] == ["kind,x,value", "bounded_fraction,,1", "unbounded_measure,,0"]
+    if holds:
+        assert "[PASS] ae: bounded_fraction=1" in out
+    else:
+        assert "[FAIL] ae: bounded_fraction=1 chain bound fails at a=0 b=1: mu[U]=" in out
+        assert rows[-2].endswith(",true") and rows[-1].startswith("chain_bound a=0 b=1,")
+        assert rows[-1].endswith(",false")
+
+
+def test_converge_runs_the_ae_convergence_op(tmp_path, capsys):
+    doc = walk_scenario(model={"kind": "fair_walk", "horizon": 4},
+                        checks=[ae_check(bands=[["-1/2", "1/2"]], l1_bound="2")])
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["converge", "--model", "fair_walk", "--horizon", "4", "--cutoff", "4",
+                 "--bands=-1/2,1/2", "--l1-bound", "2", "--out-dir", str(tmp_path / "cli")]) == 0
+    run_csv = (tmp_path / "run" / "walk__ae.csv").read_bytes()
+    assert (tmp_path / "cli" / "converge.csv").read_bytes() == run_csv
+
+
+@pytest.mark.parametrize("check, where", [
+    ({"op": "upcrossing_estimate", "band": [0, 1], "N": 3}, "$.checks[1].N"),
+    ({"op": "crossing_table", "band": [0, 1], "N": 3}, "$.checks[1].N"),
+    ({"op": "maximal_inequality", "level": 1, "n": 3}, "$.checks[1].n"),
+], ids=["upcrossing_estimate", "crossing_table", "maximal_inequality"])
+def test_a_time_past_the_horizon_exits_two_before_any_check(check, where, tmp_path, capsys):
+    # each once ran the classify check and wrote its CSV before exiting 2
+    doc = walk_scenario()
+    doc["checks"].append(dict(check, name="late"))
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 2
+    assert f"{where}: expected an integer <= 2" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_an_event_probability_outside_the_unit_interval_exits_two(tmp_path, capsys):
+    check = {"name": "b", "op": "borel_cantelli", "model": {"kind": "independent", "prob": 1.5},
+             "horizon": 8, "trials": 20}
+    src = write_json(tmp_path / "s.json", mc_scenario(checks=[mc_scenario()["checks"][0], check]))
+    assert main(["run", src, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "$.checks[1].model.prob: expected a probability in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["crossings", "--band", "0,1", "--path", "{path}", "--n", "14"], "--n"),
+    (["crossings", "--band", "0,x", "--path", "{path}"], "--band"),
+    (["converge", "--model", "biased_walk", "--p-up", "x", "--horizon", "2", "--cutoff", "1"], "--p-up"),
+    (["converge", "--model", "fair_walk", "--horizon", "-1", "--cutoff", "1"], "--horizon"),
+    (["converge", "--model", "fair_walk", "--horizon", "40", "--cutoff", "1"], "--horizon"),
+    (["converge", "--model", "fair_walk", "--horizon", "2", "--cutoff", "x"], "--cutoff"),
+    (["converge", "--model", "fair_walk", "--horizon", "2", "--cutoff", "1", "--bands=0,1;x,1"], "--bands"),
+    (["converge", "--model", "fair_walk", "--horizon", "2", "--cutoff", "1", "--l1-bound", "x"],
+     "--l1-bound"),
+    (["ui", "--family", "shrinking_spike", "--horizon", "0"], "--horizon"),
+    (["ui", "--family", "shrinking_spike", "--horizon", "2", "--p", "x"], "--p"),
+    (["ui", "--family", "shrinking_spike", "--horizon", "2", "--cs", "1,x"], "--cs"),
+    (["bc", "--model", "polya", "--prob", "0.5", "--horizon", "4"], "--model"),
+    (["bc", "--horizon", "4"], "--prob/--schedule"),
+])
+def test_subcommand_errors_name_the_flag(argv, flag, tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", {"mode": "exact", "values": REFERENCE_VALUES})
+    out_dir = tmp_path / "out"
+    argv = [a.format(path=path) for a in argv]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not out_dir.exists()
