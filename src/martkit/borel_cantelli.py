@@ -113,7 +113,6 @@ def check_borel_cantelli(
     divergence_cut: float,
     tail_start: int,
     block_size: int = 1000,
-    workers: int = 1,
 ) -> BorelCantelliReport:
     """Tail-occurrence vs predictable-sum-divergence agreement rate.
 
@@ -122,8 +121,7 @@ def check_borel_cantelli(
     "some event with n >= tail_start occurred", surrogate divergence is
     "sum of conditional probabilities >= divergence_cut".  The lemma makes
     these agree a.e. in the limit; match_fraction measures the truncation.
-    Blocks, and a callable model, run on the calling thread; ``workers`` is
-    accepted for compatibility and ignored.
+    Blocks, and a callable model, run on the calling thread.
     """
     if not 1 <= tail_start <= horizon:
         raise ValueError("tail_start must lie in 1..horizon")

@@ -829,15 +829,12 @@ _MC_OPS = {"mc_stats", "borel_cantelli", "vitali"}
 # ---------------------------------------------------------------------------
 
 
-def _run_check(ctx, op: str, p: dict, where, csv_path: Optional[str]) -> CheckResult:
-    """Run one resolved check and write its CSV to ``csv_path`` when given."""
+def _run_check(ctx, op: str, p: dict, where) -> CheckResult:
+    """Run one resolved check; a value the library rejects is a ConfigError."""
     try:
-        result = CHECK_OPS[op][0](ctx, p)
+        return CHECK_OPS[op][0](ctx, p)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}") from None
-    if csv_path:
-        _write_csv(csv_path, result.header, result.rows)
-    return result
 
 
 def run_scenario(
@@ -883,12 +880,16 @@ def run_scenario(
         for i, c in enumerate(checks)
     ]
 
+    # run every check before printing or writing, so an exit 2 leaves nothing
+    results = [
+        _run_check(ctx, c["op"], p, f"{src}: $.checks[{i}]")
+        for i, (c, p) in enumerate(zip(checks, params))
+    ]
     os.makedirs(out_dir, exist_ok=True)
     summary = []
     failures = 0
-    for i, (c, p) in enumerate(zip(checks, params)):
-        csv_path = os.path.join(out_dir, f"{name}__{c['name']}.csv")
-        result = _run_check(ctx, c["op"], p, f"{src}: $.checks[{i}]", csv_path)
+    for c, result in zip(checks, results):
+        _write_csv(os.path.join(out_dir, f"{name}__{c['name']}.csv"), result.header, result.rows)
         status = "PASS" if result.holds else "FAIL"
         print(f"[{status}] {c['name']}: {result.detail}", file=stream)
         summary.append((c["name"], c["op"], result.holds, result.detail))
@@ -914,9 +915,11 @@ def _run_one(op: str, descriptor: dict, root, mode: Mode, out_dir, csv_name: str
     ``root`` names the descriptor's keys in errors: a _Flags or a JSON path."""
     ctx = _Context(doc or {}, root, mode)
     p = _resolve(ctx, CHECK_OPS[op][1], descriptor, root)
+    result = _run_check(ctx, op, p, root)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    return _run_check(ctx, op, p, root, out_dir and os.path.join(out_dir, csv_name))
+        _write_csv(os.path.join(out_dir, csv_name), result.header, result.rows)
+    return result
 
 
 def _given(**keys) -> dict:
@@ -978,8 +981,7 @@ def cmd_converge(args) -> int:
 def cmd_bc(args) -> int:
     """The ``borel_cantelli`` check; exits 1 below ``--min-match``."""
     flags = _Flags("martkit bc", model=_Flags("--prob/--schedule", kind="--model"), divergence_cut="--cut")
-    model = _given(kind=args.model, schedule=args.schedule,
-                   prob=None if args.schedule else args.prob)  # a schedule overrides --prob
+    model = _given(kind=args.model, schedule=args.schedule, prob=args.prob)
     descriptor = _given(model=model, horizon=args.horizon, trials=args.trials, tail_start=args.tail_start,
                         divergence_cut=args.cut, seed=args.seed, min_match=args.min_match,
                         block_size=args.block_size)

@@ -38,7 +38,6 @@ from .measure import (
     ae_le,
     ae_witness,
     partition_le,
-    set_integral,
     _check_rv,
     _exact_sums,
     _unmeasured,
@@ -231,11 +230,13 @@ def check_set_integral_characterization(
     the default absolute tolerance.
     """
     ce = condexp(space, f, sub, ambient)
-    worst = zero(space.mode)
-    for block in sub.block_sets():
-        gap = abs(set_integral(space, ce, block) - set_integral(space, f, block))
-        if gap > worst:
-            worst = gap
+    kernel = _Kernel(space, (sub,))
+    sums = [kernel.sums(kernel.array(g.values), 0) for g in (ce, f)]
+    if kernel.exact:  # (numerators by block, denominator)
+        sums = [[Fraction(n, d) for n in nums] for nums, d in sums]
+    else:
+        sums = [s.tolist() for s in sums]
+    worst = max(abs(a - b) for a, b in zip(*sums))
     limit = tolerance(space.mode, tol)
     return CharacterizationReport(holds=worst <= limit, worst_block_gap=worst)
 

@@ -14,9 +14,8 @@ default branch of a non-computational choice function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .condexp import _Kernel
 from .measure import (
@@ -24,12 +23,12 @@ from .measure import (
     Partition,
     RandomVariable,
     ae_witness,
-    measure,
-    set_integral,
     snorm,
     _check_rv,
+    _mass,
+    _sum,
 )
-from .crossings import Band, _count_integral, _counts
+from .crossings import Band, _counts
 from .processes import (
     Classification,
     Filtration,
@@ -97,11 +96,12 @@ def check_maximal_inequality(
     cls = classification if classification is not None else classify(space, f, F, tol=tol)
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("the maximal inequality requires a submartingale or martingale")
+    _check_rv(space, f.at(n))
     running = [max(f.values[k][w] for k in range(n + 1)) for w in range(f.atom_count)]
-    level_set = frozenset(w for w, m in enumerate(running) if m >= lam)
-    mass = measure(space, level_set)
+    level_set = [m >= lam for m in running]  # a 0/1 mask of the atoms
+    mass = _mass(space, level_set)
     lhs = lam * mass
-    rhs = set_integral(space, f.at(n), level_set)
+    rhs = _sum(space.mode, compress(space.weights, level_set), compress(f.values[n], level_set))
     eps = tolerance(space.mode, tol)
     return MaximalInequalityReport(
         n=n, level=lam, set_mass=mass, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps
@@ -198,13 +198,13 @@ def ae_convergence_diagnostic(
     With an L1 bound R it also verifies mu[U] <= (R + |a| mu(Omega)) / (b-a)
     on every band with a < b.
     """
+    _check_rv(space, f.at(0))
     cutoff = coerce_scalar(cutoff, space.mode)
     sup_abs = [
         max(abs(f.values[n][w]) for n in range(f.horizon + 1))
         for w in range(f.atom_count)
     ]
-    unbounded = frozenset(w for w, m in enumerate(sup_abs) if m > cutoff)
-    unbounded_measure = measure(space, unbounded)
+    unbounded_measure = _mass(space, [m > cutoff for m in sup_abs])
     total = space.total
     bounded_fraction = (
         (total - unbounded_measure) / total if total > 0 else coerce_scalar(0, space.mode)
@@ -221,15 +221,12 @@ def ae_convergence_diagnostic(
     chain_rows = [] if l1_bound is not None else None
     for band in bands:
         counts = _counts(band, f, f.horizon)
-        row = tuple(
-            (k, measure(space, frozenset(np.flatnonzero(counts >= k).tolist())))
-            for k in ks
-        )
+        row = tuple((k, _mass(space, (counts >= k).tolist())) for k in ks)
         band_rows.append((band, row))
         if l1_bound is not None:
             bd = band.coerced(space.mode)
             if bd.a < bd.b:
-                mu_u = _count_integral(space, counts)
+                mu_u = _sum(space.mode, space.weights, counts.tolist())
                 bound = (coerce_scalar(l1_bound, space.mode) + abs(bd.a) * total) / (
                     bd.b - bd.a
                 )
@@ -276,8 +273,10 @@ def check_l1_convergence_a(
 ) -> L1ConvergenceAReport:
     """Conditional L1 convergence for a submartingale: when the family's UI
     modulus is at most UI_SMALL at its largest truncation level,
-    snorm(f_n - limit, 1) must not rise across geometric checkpoints and
-    must end below tol.
+    snorm(f_n - limit, 1) must end below tol.  ``trend_ok`` reports whether
+    the gaps never rise across geometric checkpoints; it is a diagnostic, not
+    part of ``holds``, because L1 distances to the limit may rise before they
+    vanish (see :func:`check_levy_upward`).
 
     ``ui_modulus_curve`` is a sequence of (C, modulus) pairs, typically from
     :func:`martkit.uniform_integrability.probabilist_curve`.  When the
@@ -294,7 +293,7 @@ def check_l1_convergence_a(
     trend_ok = all(float(gaps[i + 1]) <= float(gaps[i]) for i in range(len(gaps) - 1))
     eps = tolerance(space.mode)
     final_below = gaps[-1] <= coerce_scalar(tol, space.mode) + eps
-    holds = (not ui_small) or (trend_ok and final_below)
+    holds = (not ui_small) or bool(final_below)
     return L1ConvergenceAReport(
         checkpoints=cps,
         gaps=gaps,

@@ -27,22 +27,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, _exact_dot, integral
+from .measure import FiniteMeasureSpace, RandomVariable, _check_rv, _sum
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
 from .scalars import (
     INF,
     ModeError,
     Scalar,
     coerce_scalar,
-    ext_mul,
-    of_real,
     positive_part,
     tolerance,
+    zero,
 )
 
 __all__ = [
@@ -237,15 +235,6 @@ def _counts(band: Band, f: Process, N: int) -> np.ndarray:
     return _count_upcrossings(zip(low, high), f.atom_count, N, bd.a >= bd.b)
 
 
-def _count_integral(space: FiniteMeasureSpace, counts: np.ndarray) -> Scalar:
-    """Integral of per-atom int counts, bit for bit ``integral`` of the counts
-    coerced to the space's mode, in ascending atom order."""
-    counts = counts.tolist()
-    if space.mode == "exact":
-        return _exact_dot(space.weights, counts)
-    return sum(map(mul, space.weights, counts), 0.0)
-
-
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
     return tuple(_counts(band, f, N).tolist())
@@ -279,6 +268,15 @@ def _require_submartingale(
     return cls
 
 
+def _excess(space: FiniteMeasureSpace, f_n: RandomVariable, a: Scalar) -> Scalar:
+    """The estimate's right side mu[(f_n - a)^+], in one pass over the atoms.
+    v > a exactly when v - a > 0, also in float mode, where a difference of
+    finite doubles is 0 only for equal operands."""
+    _check_rv(space, f_n)
+    z = zero(space.mode)
+    return _sum(space.mode, space.weights, (v - a if v > a else z for v in f_n.values))
+
+
 @dataclass(frozen=True)
 class UpcrossingEstimateReport:
     a: Scalar
@@ -305,9 +303,8 @@ def check_upcrossing_estimate(
     """
     _require_submartingale(space, f, F, classification, tol)
     bd = band.coerced(f.mode)
-    lhs = (bd.b - bd.a) * _count_integral(space, _counts(band, f, N))
-    shifted = f.at(N).shift(-bd.a).positive_part()
-    rhs = integral(space, shifted)
+    lhs = (bd.b - bd.a) * _sum(space.mode, space.weights, _counts(band, f, N).tolist())
+    rhs = _excess(space, f.at(N), bd.a)
     eps = tolerance(space.mode, tol)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
 
@@ -334,20 +331,20 @@ def check_upcrossing_estimate_sup(
 ) -> UpcrossingSupReport:
     """Sup form: (b-a)^+ * lintegral(upcrossings) <= sup_N lintegral((f_N - a)^+).
 
-    Extended nonnegative arithmetic with 0 * inf = 0; on a finite horizon all
-    quantities are finite.  ``check_classification=False`` skips the
-    submartingale gate and evaluates the arithmetic only (the inequality is
-    not guaranteed then).
+    On a finite horizon every count and integral is finite, so the extended
+    product with 0 * inf = 0 is the plain product.  ``check_classification=False``
+    skips the submartingale gate and evaluates the arithmetic only (the
+    inequality is not guaranteed then).
     """
     if check_classification:
         _require_submartingale(space, f, F, classification, tol)
     bd = band.coerced(f.mode)
-    coeff = of_real(bd.b - bd.a)
-    lhs = ext_mul(coeff, _count_integral(space, _counts(band, f, f.horizon)))
+    coeff = positive_part(bd.b - bd.a)
+    lhs = coeff * _sum(space.mode, space.weights, _counts(band, f, f.horizon).tolist())
     best = None
     best_n = 0
     for N in range(f.horizon + 1):
-        val = integral(space, f.at(N).shift(-bd.a).positive_part())
+        val = _excess(space, f.at(N), bd.a)
         if best is None or val > best:
             best, best_n = val, N
     eps = tolerance(space.mode, tol)

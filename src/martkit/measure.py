@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ class FiniteMeasureSpace:
 
     @property
     def total(self) -> Scalar:
-        return sum(self.weights, zero(self.mode))
+        return _sum(self.mode, self.weights, repeat(1))
 
     def is_probability(self) -> bool:
         """Total mass 1: exactly in exact mode, within DEFAULT_FLOAT_TOL in float mode."""
@@ -113,18 +114,26 @@ def _exact_sums(xs: Iterable, ys: Iterable, block_of: Iterable[int] | None = Non
     return nums, den
 
 
-def _exact_dot(xs: Iterable, ys: Iterable) -> Fraction:
-    """sum(x * y) over paired Fractions or ints; only the result pays a gcd."""
-    nums, den = _exact_sums(xs, ys)
-    return Fraction(nums[0], den)
+def _sum(mode: Mode, weights: Iterable, values: Iterable) -> Scalar:
+    """sum of w * v over paired weights and values, in the order given: the
+    one summation rule behind every integral, mass and norm.  Exact mode adds
+    integer numerators over one common denominator (``_exact_sums``); float
+    mode adds left to right from +0.0, the order of ``_Kernel``'s block sums."""
+    if mode == "exact":
+        nums, den = _exact_sums(weights, values)
+        return Fraction(nums[0], den)
+    return sum(map(mul, weights, values), 0.0)
+
+
+def _mass(space: FiniteMeasureSpace, mask: Iterable) -> Scalar:
+    """mu of the atoms a 0/1 mask over all atoms selects, in ascending order."""
+    return _sum(space.mode, compress(space.weights, mask), repeat(1))
 
 
 def measure(space: FiniteMeasureSpace, s: AtomSet) -> Scalar:
     """mu(s) = sum of the weights of the atoms in s, in ascending atom order."""
     space.check_atoms(s)
-    if space.mode == "exact":
-        return _exact_dot((space.weights[a] for a in s), repeat(1))
-    return sum((space.weights[a] for a in sorted(s)), zero(space.mode))
+    return _sum(space.mode, [space.weights[a] for a in sorted(s)], repeat(1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +211,15 @@ def _check_rv(space: FiniteMeasureSpace, f: RandomVariable) -> None:
 def integral(space: FiniteMeasureSpace, f: RandomVariable) -> Scalar:
     """Integral of f over the whole space."""
     _check_rv(space, f)
-    if space.mode == "exact":
-        return _exact_dot(space.weights, f.values)
-    return sum((w * v for w, v in zip(space.weights, f.values)), zero(space.mode))
+    return _sum(space.mode, space.weights, f.values)
 
 
 def set_integral(space: FiniteMeasureSpace, f: RandomVariable, s: AtomSet) -> Scalar:
     """Integral of f over the atom set s, summed in ascending atom order."""
     _check_rv(space, f)
     space.check_atoms(s)
-    if space.mode == "exact":
-        return _exact_dot((space.weights[a] for a in s), (f.values[a] for a in s))
-    return sum((space.weights[a] * f.values[a] for a in sorted(s)), zero(space.mode))
+    atoms = sorted(s)
+    return _sum(space.mode, [space.weights[a] for a in atoms], [f.values[a] for a in atoms])
 
 
 def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue:
@@ -238,14 +244,15 @@ def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue
             raise ValueError(
                 f"exact-mode snorm requires integer p >= 1 or inf, got {p!r}"
             )
-        total = _exact_dot(space.weights, (abs(v) ** p for v in f.values))
-        out = RootValue.of(total, p)
-        return out.as_fraction() if out.is_rational() else out
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"snorm requires p >= 1, got {p!r}")
-    total = sum(w * abs(v) ** p for w, v in zip(space.weights, f.values))
-    return total ** (1.0 / p)
+    else:
+        p = float(p)
+        if p < 1:
+            raise ValueError(f"snorm requires p >= 1, got {p!r}")
+    total = _sum(space.mode, space.weights, (abs(v) ** p for v in f.values))
+    if space.mode == "float":
+        return total ** (1.0 / p)
+    out = RootValue.of(total, p)
+    return out.as_fraction() if out.is_rational() else out
 
 
 # ---------------------------------------------------------------------------

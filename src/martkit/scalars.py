@@ -66,16 +66,16 @@ def parse_rational(text: str) -> Fraction:
 def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
     """Coerce one raw value into a mode's canonical scalar type.
 
-    Integers are any ``numbers.Integral``, numpy integers included; numpy
-    booleans are not integers.  Exact mode accepts integer/Fraction/str("p/q")
-    and rejects bool and floats (silent binary-to-rational conversion would
-    launder rounding error into "exact" results).  Float mode accepts
-    integer/float/Fraction/str("p/q"), except NaN and +-inf (ValueError),
-    whose comparisons would make every check vacuous.
+    Integers are any ``numbers.Integral``, numpy integers included; booleans,
+    Python's or numpy's, are not scalars in either mode.  Exact mode accepts
+    integer/Fraction/str("p/q") and rejects floats (silent binary-to-rational
+    conversion would launder rounding error into "exact" results).  Float mode
+    accepts integer/float/Fraction/str("p/q"), except NaN and +-inf
+    (ValueError), whose comparisons would make every check vacuous.
     """
+    if isinstance(x, bool):
+        raise ModeError("booleans are not scalars")
     if mode == "exact":
-        if isinstance(x, bool):
-            raise ModeError("booleans are not scalars")
         if isinstance(x, Fraction):
             return x
         if isinstance(x, (int, numbers.Integral)):  # the builtin first: an ABC check is slow
@@ -117,33 +117,6 @@ def zero(mode: Mode) -> Scalar:
 def positive_part(x: Scalar) -> Scalar:
     z = Fraction(0) if isinstance(x, (Fraction, int)) else 0.0
     return x if x > z else z
-
-
-# ---------------------------------------------------------------------------
-# Extended nonnegative arithmetic.
-#
-# Upcrossing counts live in the extended nonnegative integers and the
-# integral form of the upcrossing estimate multiplies them by a nonnegative
-# band width.  On finite horizons every count is finite, but the arithmetic
-# convention 0 * inf = 0 is part of the contract and is honored here so the
-# formulas remain meaningful if a caller feeds in infinite values.
-# ---------------------------------------------------------------------------
-
-
-def ext_mul(x: Scalar, y: Scalar) -> Scalar:
-    """Multiply in extended nonnegative arithmetic: 0 * inf = 0."""
-    if x < 0 or y < 0:
-        raise ValueError("extended arithmetic is defined for nonnegative values")
-    if x == 0 or y == 0:
-        return x * 0 if y == INF else y * 0 if x == INF else x * y
-    if x == INF or y == INF:
-        return INF
-    return x * y
-
-
-def of_real(x: Scalar) -> Scalar:
-    """Clamp a real scalar into the nonnegative extended range: max(x, 0)."""
-    return positive_part(x)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .measure import (
     RandomVariable,
     measure,
     snorm,
+    _mass,
 )
 from .scalars import INF, RootValue, Scalar, coerce_scalar
 
@@ -429,10 +430,7 @@ def vitali_empirical(
 
     diffs = [f - g for f in members]
     in_measure = tuple(
-        tuple(
-            measure(space, frozenset(w for w, v in enumerate(d.values) if abs(v) > eps))
-            for d in diffs
-        )
+        tuple(_mass(space, [abs(v) > eps for v in d.values]) for d in diffs)
         for eps in eps_grid
     )
     lp_curve = tuple(snorm(space, d, p) for d in diffs)

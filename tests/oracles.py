@@ -12,6 +12,12 @@ The filtration-wide references below are the per-pair atom loops that
 ``borel_cantelli_martingale`` ran before their blockwise kernel: one public
 ``condexp`` call per time pair, then one subtraction and comparison per atom.
 
+The summation references (``left_to_right`` and the sides built on it) add
+one term at a time from zero, in ascending atom order and over only the
+atoms a set or condition selects, as ``martkit`` did before every integral,
+mass and norm went through one weighted-sum helper that sums 0/1 masks over
+all atoms.
+
 ``condexp_l2_dense`` is the dense Gram assembly that ``condexp_l2`` used
 before it walked each atom's nonzero basis entries: k dense indicator
 vectors and k^2 + k inner products over every atom.  It shares only
@@ -23,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from martkit import (
+    INF,
     Classification,
     MartingaleClass,
     Partition,
@@ -238,3 +245,56 @@ def condexp_l2_dense(space, f, sub, ambient=None):
         for a in b:
             out[a] = c
     return RandomVariable(tuple(out), space.mode)
+
+
+def left_to_right(mode, terms):
+    """The terms added one at a time from zero, in the order given."""
+    acc = zero(mode)
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def lp_norm(space, f, p):
+    """snorm by its definition: the essential sup at p = inf, else the p-th
+    root of the left-to-right sum of w * |v|^p."""
+    mode = space.mode
+    if p == INF:
+        return max((abs(v) for w, v in zip(space.weights, f.values) if w > 0), default=zero(mode))
+    if mode == "float":
+        p = float(p)
+    total = left_to_right(mode, (w * abs(v) ** p for w, v in zip(space.weights, f.values)))
+    if mode == "float":
+        return total ** (1.0 / p)
+    root = RootValue.of(total, p)
+    return root.as_fraction() if root.is_rational() else root
+
+
+def estimate_sides(space, a, b, f, N):
+    """(lhs, rhs) of the upcrossing estimate at N: (b - a) times the integral
+    of the recursion's counts, and the integral of (f_N - a)^+."""
+    mode, w = space.mode, space.weights
+    counts = [upcrossings_by_recursion(path, a, b, N) for path in zip(*f.values)]
+    lhs = (b - a) * left_to_right(mode, (x * c for x, c in zip(w, counts)))
+    rhs = left_to_right(mode, (x * max(v - a, zero(mode)) for x, v in zip(w, f.values[N])))
+    return lhs, rhs
+
+
+def estimate_sup_sides(space, a, b, f):
+    """(coefficient, lhs, rhs) of the sup form: (b - a)^+, its product with
+    the integral of the counts at the horizon, and the largest right side."""
+    H = f.horizon
+    coeff = b - a if b > a else zero(space.mode)
+    counts = [upcrossings_by_recursion(path, a, b, H) for path in zip(*f.values)]
+    counts_integral = left_to_right(space.mode, (x * c for x, c in zip(space.weights, counts)))
+    rhs = max(estimate_sides(space, a, b, f, N)[1] for N in range(H + 1))
+    return coeff, coeff * counts_integral, rhs
+
+
+def maximal_sides(space, f, n, level):
+    """(mass, lhs, rhs) of the maximal inequality, summing over the atoms
+    whose running maximum up to n reaches the level, in ascending order."""
+    hit = [w for w in range(f.atom_count) if max(f.values[k][w] for k in range(n + 1)) >= level]
+    mass = left_to_right(space.mode, (space.weights[w] for w in hit))
+    rhs = left_to_right(space.mode, (space.weights[w] * f.values[n][w] for w in hit))
+    return mass, level * mass, rhs

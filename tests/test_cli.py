@@ -494,6 +494,18 @@ def test_a_time_past_the_horizon_exits_two_before_any_check(check, where, tmp_pa
     assert not out_dir.exists()
 
 
+def test_a_value_only_the_library_rejects_exits_two_before_any_output(tmp_path, capsys):
+    # the classify check before it once printed [PASS] and wrote its CSV
+    doc = walk_scenario()
+    doc["checks"].append({"name": "late", "op": "maximal_inequality", "level": 0, "n": 2})
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "$.checks[1]: the maximal inequality needs a level > 0" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_an_event_probability_outside_the_unit_interval_exits_two(tmp_path, capsys):
     check = {"name": "b", "op": "borel_cantelli", "model": {"kind": "independent", "prob": 1.5},
              "horizon": 8, "trials": 20}
@@ -518,6 +530,9 @@ def test_an_event_probability_outside_the_unit_interval_exits_two(tmp_path, caps
     (["ui", "--family", "shrinking_spike", "--horizon", "2", "--cs", "1,x"], "--cs"),
     (["bc", "--model", "polya", "--prob", "0.5", "--horizon", "4"], "--model"),
     (["bc", "--horizon", "4"], "--prob/--schedule"),
+    # --schedule once silently overrode --prob
+    (["bc", "--prob", "0.5", "--schedule", "inverse_square", "--horizon", "4"],
+     "--prob/--schedule: give 'prob' or 'schedule', not both"),
 ])
 def test_subcommand_errors_name_the_flag(argv, flag, tmp_path, capsys):
     path = write_json(tmp_path / "p.json", {"mode": "exact", "values": REFERENCE_VALUES})

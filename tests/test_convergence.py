@@ -157,6 +157,22 @@ class TestL1Criteria:
         )
         assert rep.holds
 
+    def test_conditional_criterion_allows_the_gaps_to_rise(self):
+        # the README's 6-atom witness: f_n = condexp(g | F_n) is a martingale
+        # reaching g, and its L1 gaps rise before they vanish; holds was once
+        # False because it also required the gaps never to rise
+        sp = FiniteMeasureSpace.uniform(6, mode="exact")
+        g = RandomVariable.from_values([0, 0, 3, -3, 0, 0], "exact")
+        steps = [Partition.trivial(6), Partition.trivial(6), Partition.of([0, 0, 0, 1, 1, 1]),
+                 Partition.singletons(6)]
+        F = Filtration.of(steps)
+        f = Process.from_rvs([condexp(sp, g, p) for p in steps])
+        fam = FunctionFamily(sp, f.rows(), 1)
+        rep = check_l1_convergence_a(sp, f, F, probabilist_curve(fam, [0, 1, 2, 4]), tol=0, window=1)
+        assert rep.gaps == (Fraction(1), Fraction(4, 3), Fraction(0))
+        assert rep.ui_small and rep.final_below_tol and not rep.trend_ok
+        assert rep.holds
+
 
 class TestFatou:
     def test_constant_process_attains_equality(self):

@@ -1,5 +1,8 @@
 import random
+import struct
+import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +10,24 @@ from hypothesis import strategies as st
 
 from martkit import (
     INF,
+    Band,
+    Classification,
+    Filtration,
     FiniteMeasureSpace,
+    MartingaleClass,
     ModeError,
     Partition,
+    Process,
     RandomVariable,
     RootValue,
     ae_equal,
     ae_le,
     ae_witness,
+    check_maximal_inequality,
+    check_set_integral_characterization,
+    check_upcrossing_estimate,
+    check_upcrossing_estimate_sup,
+    condexp,
     generated_partition,
     indicator,
     integral,
@@ -28,6 +41,7 @@ from martkit import (
     snorm,
 )
 from conftest import nested_partition_pair, random_partition, random_rv, random_space
+from oracles import estimate_sides, estimate_sup_sides, left_to_right, lp_norm, maximal_sides
 
 seeds = st.integers(0, 10**9)
 
@@ -277,3 +291,70 @@ def test_snorm_rejects_non_integer_exponent_in_exact_mode():
     f = RandomVariable.from_values([1, 3], "exact")
     with pytest.raises(ValueError):
         snorm(sp, f, Fraction(3, 2))
+
+
+_FLOAT_SUMS_COMPENSATE = sys.version_info >= (3, 12)  # the builtin sum() is Neumaier's there
+_float_values = st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.3, 1.0]), st.floats(-50, 50))
+_float_weights = st.one_of(st.sampled_from([0.0, -0.0, 0.1]), st.floats(0, 10))
+_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+_nonneg_fractions = st.one_of(st.just(Fraction(0)), st.fractions(0, 5, max_denominator=12))
+
+
+def _bitwise(got, want):
+    if isinstance(want, float):
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("mode", [
+    "exact",
+    pytest.param("float", marks=pytest.mark.skipif(
+        _FLOAT_SUMS_COMPENSATE, reason="the builtin sum() compensates from Python 3.12")),
+])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_sum_is_the_left_to_right_sum(mode, data):
+    # total, masses, integrals, norms, both sides of both upcrossing estimates,
+    # the maximal inequality and the characterization's block gaps, held bit
+    # for bit to sums over only the selected atoms, one term at a time
+    values, weights = (_fractions, _nonneg_fractions) if mode == "exact" else (_float_values, _float_weights)
+    n = data.draw(st.integers(1, 8))
+    horizon = data.draw(st.integers(0, 4))
+    sp = FiniteMeasureSpace.from_weights(data.draw(st.lists(weights, min_size=n, max_size=n)), mode)
+    rows = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=horizon + 1,
+                              max_size=horizon + 1))
+    f = Process.from_values(rows, mode)
+    s = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+    fN = f.at(horizon)
+    atoms = sorted(s)
+    cases = [
+        (sp.total, left_to_right(mode, sp.weights)),
+        (measure(sp, s), left_to_right(mode, (sp.weights[a] for a in atoms))),
+        (integral(sp, fN), left_to_right(mode, map(mul, sp.weights, fN.values))),
+        (set_integral(sp, fN, s), left_to_right(mode, (sp.weights[a] * fN.values[a] for a in atoms))),
+    ]
+    for p in (1, 2, INF) if mode == "exact" else (1, 2, 2.5, INF):
+        cases.append((snorm(sp, fN, p), lp_norm(sp, fN, p)))
+
+    a, b = data.draw(values), data.draw(values)
+    band, F = Band(a, b), Filtration.constant(Partition.trivial(n), horizon)
+    passed = Classification(MartingaleClass.MARTINGALE, True, None, None, None)
+    for N in range(horizon + 1):
+        rep = check_upcrossing_estimate(sp, band, f, F, N, classification=passed)
+        cases += zip((rep.lhs, rep.rhs), estimate_sides(sp, a, b, f, N))
+    rep = check_upcrossing_estimate_sup(sp, band, f, F, check_classification=False)
+    cases += zip((rep.coefficient, rep.lhs, rep.rhs), estimate_sup_sides(sp, a, b, f))
+
+    level = data.draw(values.filter(lambda v: v > 0))
+    rep = check_maximal_inequality(sp, f, F, horizon, level, classification=passed)
+    cases += zip((rep.set_mass, rep.lhs, rep.rhs), maximal_sides(sp, f, horizon, level))
+
+    sub = Partition.of(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    ce = condexp(sp, fN, sub)
+    gaps = [abs(left_to_right(mode, (sp.weights[a] * ce.values[a] for a in block))
+                - left_to_right(mode, (sp.weights[a] * fN.values[a] for a in block)))
+            for block in sub.blocks()]
+    cases.append((check_set_integral_characterization(sp, fN, sub).worst_block_gap, max(gaps)))
+
+    for i, (got, want) in enumerate(cases):
+        assert _bitwise(got, want), (i, got, want)

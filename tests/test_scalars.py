@@ -40,6 +40,13 @@ def test_numpy_booleans_are_not_scalars(mode):
         coerce_scalar(np.bool_(True), mode)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_booleans_are_not_scalars(mode):
+    # float mode once turned True into 1.0
+    with pytest.raises(ModeError, match="booleans are not scalars"):
+        coerce_scalar(True, mode)
+
+
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_float_mode_rejects_non_finite_values(x):
     # every comparison with NaN is false, so a NaN value once passed every check
