@@ -109,17 +109,18 @@ class TestMonteCarloSurrogate:
         assert a.match_fraction == b.match_fraction
         assert a.p_horizon_mean == b.p_horizon_mean
 
+    @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("block_size", [1, 77, 1024])
-    def test_block_fractions_match_trial_rng(self, block_size):
+    def test_block_fractions_match_trial_rng(self, block_size, seed):
         probs = [0.5 / n for n in range(1, 33)]
         trials, tail_start = 1100, 16
-        rep = check_borel_cantelli(IndependentEvents(probs), 32, trials, 5, 1.5, tail_start,
+        rep = check_borel_cantelli(IndependentEvents(probs), 32, trials, seed, 1.5, tail_start,
                                    block_size=block_size)
         diverge = sum(probs) >= 1.5
         want = []
         for start in range(0, trials, block_size):
             count = min(block_size, trials - start)
-            hits = [(trial_rng(5, t).random(32) < probs)[tail_start - 1 :].any()
+            hits = [(trial_rng(seed, t).random(32) < probs)[tail_start - 1 :].any()
                     for t in range(start, start + count)]
             want.append(sum(h == diverge for h in hits) / count)
         assert [row[1] for row in rep.blocks] == want
