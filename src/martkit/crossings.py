@@ -21,6 +21,14 @@ denominators, so no ``Fraction`` is compared.  Crossing times
 translation identity instead scan each atom's path once into its unbounded
 chain and clip it at every N.  There is no memo.  The N-bounded recursion and
 a single-pass scanner live in the test suite as oracles.
+
+A float process derives its rows once as a read-only float64 matrix
+(``Process._matrix``); the float masks slice it, and the estimates take both
+sides from it and the space's weight vector: the left side from the counts
+array, each right side mu[(f_N - a)^+] from row N, and the sup form's H + 1
+right sides from one pass over the matrix.  Those sums add left to right from
++0.0 in ascending atom order (``measure._float_sums``); exact estimates sum
+through ``measure._sum``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, RandomVariable, _check_rv, _sum
+from .measure import FiniteMeasureSpace, _check_rv, _float_sums, _sum
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
 from .scalars import (
     INF,
@@ -207,11 +215,10 @@ def _count_upcrossings(masks: Iterable, width: int, N: int, overlap: bool) -> np
 
 def _band_masks(bd: Band, f: Process, N: int) -> tuple:
     """(values <= a, values >= b) over rows 0..N-1 of f, each (N, atoms)."""
-    shape = (N, f.atom_count)
-    rows = f.values[:N]
     if f.mode == "float":
-        values = np.asarray(rows, dtype=float).reshape(shape)
+        values = f._matrix[:N]
         return values <= bd.a, values >= bd.b
+    shape, rows = (N, f.atom_count), f.values[:N]
     # x = n/d against a = p/q with d, q > 0: x <= a iff n * q <= p * d
     try:
         nums = np.array([[x.numerator for x in row] for row in rows], dtype=object)
@@ -268,13 +275,23 @@ def _require_submartingale(
     return cls
 
 
-def _excess(space: FiniteMeasureSpace, f_n: RandomVariable, a: Scalar) -> Scalar:
-    """The estimate's right side mu[(f_n - a)^+], in one pass over the atoms.
-    v > a exactly when v - a > 0, also in float mode, where a difference of
-    finite doubles is 0 only for equal operands."""
-    _check_rv(space, f_n)
-    z = zero(space.mode)
-    return _sum(space.mode, space.weights, (v - a if v > a else z for v in f_n.values))
+def _count_integral(space: FiniteMeasureSpace, counts: np.ndarray) -> Scalar:
+    """mu[U] of an int64 array of counts over the atoms."""
+    if space.mode == "exact":
+        return _sum("exact", space.weights, counts.tolist())
+    return _float_sums(space._weight_vector * counts).tolist()
+
+
+def _excesses(space: FiniteMeasureSpace, f: Process, a: Scalar, times) -> list:
+    """The estimate's right sides mu[(f_n - a)^+] for n in ``times``, each one
+    weighted sum over the atoms; float mode takes all of them in one pass over
+    rows of the process's matrix.  v > a exactly when v - a > 0, also in float
+    mode, where a difference of finite doubles is 0 only for equal operands."""
+    if space.mode == "exact":
+        z = zero("exact")
+        return [_sum("exact", space.weights, (v - a if v > a else z for v in f.values[n])) for n in times]
+    rows = f._matrix[list(times)]
+    return _float_sums(space._weight_vector * np.where(rows > a, rows - a, 0.0)).tolist()
 
 
 @dataclass(frozen=True)
@@ -302,9 +319,10 @@ def check_upcrossing_estimate(
     nonnegative, so the inequality is automatic.
     """
     _require_submartingale(space, f, F, classification, tol)
+    _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
-    lhs = (bd.b - bd.a) * _sum(space.mode, space.weights, _counts(band, f, N).tolist())
-    rhs = _excess(space, f.at(N), bd.a)
+    lhs = (bd.b - bd.a) * _count_integral(space, _counts(band, f, N))
+    rhs = _excesses(space, f, bd.a, [N])[0]
     eps = tolerance(space.mode, tol)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
 
@@ -338,15 +356,13 @@ def check_upcrossing_estimate_sup(
     """
     if check_classification:
         _require_submartingale(space, f, F, classification, tol)
+    _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
     coeff = positive_part(bd.b - bd.a)
-    lhs = coeff * _sum(space.mode, space.weights, _counts(band, f, f.horizon).tolist())
-    best = None
-    best_n = 0
-    for N in range(f.horizon + 1):
-        val = _excess(space, f.at(N), bd.a)
-        if best is None or val > best:
-            best, best_n = val, N
+    lhs = coeff * _count_integral(space, _counts(band, f, f.horizon))
+    rhs = _excesses(space, f, bd.a, range(f.horizon + 1))
+    best_n = max(range(len(rhs)), key=rhs.__getitem__)  # the first largest
+    best = rhs[best_n]
     eps = tolerance(space.mode, tol)
     return UpcrossingSupReport(
         a=bd.a,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
 from operator import mul
@@ -82,6 +83,12 @@ class FiniteMeasureSpace:
     def atom_count(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def _weight_vector(self) -> np.ndarray:
+        """The weights as one read-only float64 vector, derived at most once
+        from the immutable tuple; float spaces only."""
+        return _frozen_floats(self.mode, self.weights, (self.atom_count,))
+
     @property
     def total(self) -> Scalar:
         return _sum(self.mode, self.weights, repeat(1))
@@ -123,6 +130,26 @@ def _sum(mode: Mode, weights: Iterable, values: Iterable) -> Scalar:
         nums, den = _exact_sums(weights, values)
         return Fraction(nums[0], den)
     return sum(map(mul, weights, values), 0.0)
+
+
+def _float_sums(terms: np.ndarray) -> np.ndarray:
+    """``_sum``'s float rule along the last axis of a float64 array: each row
+    added left to right from +0.0, on every Python version (``np.sum`` adds
+    pairwise, and the builtin ``sum()`` compensates from Python 3.12).  The
+    running sum starts at the first term, and adding it to +0.0 turns a -0.0
+    into +0.0.  ``.tolist()`` gives Python floats."""
+    return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _frozen_floats(mode: Mode, rows, shape: tuple) -> np.ndarray:
+    """Float ``rows`` as one read-only float64 array of the given shape: the
+    derived form that float spaces, processes and function families build at
+    most once.  Exact data never gets one."""
+    if mode != "float":
+        raise ModeError("only float data has a float64 matrix")
+    out = np.array(rows, dtype=float).reshape(shape)
+    out.flags.writeable = False
+    return out
 
 
 def _mass(space: FiniteMeasureSpace, mask: Iterable) -> Scalar:

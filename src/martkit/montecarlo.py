@@ -23,15 +23,18 @@ checkpoints), which is how the 1e4 x 1e4 runs stay in memory.
 
 The stream of trial t is ``trial_rng(seed, t)``, numpy's Philox4x64-10 keyed
 by [seed, t].  Building one numpy generator per trial costs about 20 us, which
-dominates short horizons, so blocks with horizons <= 128 are drawn instead by
+dominates short horizons, so blocks with horizons <= 256 are drawn instead by
 an in-house numpy Philox4x64-10 that computes every (trial, counter-block)
 pair of the block in one pass of array operations and reproduces
 ``trial_rng(seed, t).random(horizon)`` bit for bit.  The kernel's cost grows
 with the horizon (about 45 ns per uniform against about 4 ns in C) while the
 set-up cost does not, so the per-trial C generator catches up at a few
-hundred steps (measured between 384 and 512 at blocks of 250-1000 trials);
-the cut at 128, where the kernel is 2-4x faster, keeps a wide margin below
-that crossover, and longer horizons keep the C generator.
+hundred steps.  Per 1000-trial block on a 2-core Xeon, per-trial generators
+against the kernel took 27.6 against 11.9 ms at horizon 200, 28.7 against
+16.7 ms at 256, 30.8 against 23.4 ms at 384 and 32.3 against 27.4 ms at 512
+(medians of 5; another series put the crossover between 384 and 512).  The
+cut at 256 keeps the kernel where it wins by a clear margin, and longer
+horizons keep the C generator.
 """
 
 from __future__ import annotations
@@ -360,8 +363,8 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 # Horizons up to this cut are drawn by ``_philox_uniforms``, longer ones by
-# the per-trial C generator (see the module docstring for why 128).
-_VECTOR_RNG_MAX_HORIZON = 128
+# the per-trial C generator (see the module docstring for why 256).
+_VECTOR_RNG_MAX_HORIZON = 256
 # Counter blocks per pass of the array kernel, bounding its temporaries.
 _PHILOX_CHUNK_BLOCKS = 1 << 14
 
@@ -408,11 +411,11 @@ def _uniform_block(seed: int, start: int, count: int, horizon: int) -> np.ndarra
     """U[i, t] = t-th uniform of trial start+i, drawn from its own stream.
 
     Row i equals ``trial_rng(seed, start + i).random(horizon)`` bit for bit.
-    Horizons <= 128 are drawn for the whole block at once by the in-house
+    Horizons <= 256 are drawn for the whole block at once by the in-house
     Philox4x64-10 ``_philox_uniforms``, which avoids building one numpy
     generator per trial; longer horizons loop over ``trial_rng``, because the
     kernel's per-uniform cost makes it slower than the C generator from a few
-    hundred steps on, and 128 keeps a wide margin below that crossover.
+    hundred steps on, and 256 stays below that crossover.
     """
     if horizon <= _VECTOR_RNG_MAX_HORIZON:
         return _philox_uniforms(seed, start, count, horizon)

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .condexp import _Kernel
 from .measure import (
@@ -25,6 +28,7 @@ from .measure import (
     join,
     meet,
     partition_le,
+    _frozen_floats,
 )
 from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
 
@@ -104,6 +108,13 @@ class Process:
     @property
     def atom_count(self) -> int:
         return len(self.values[0])
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """``values`` as one read-only (times x atoms) float64 matrix, derived
+        at most once from the immutable rows; float processes only.  Not a
+        field, so equality and hashing ignore it."""
+        return _frozen_floats(self.mode, self.values, (len(self.values), self.atom_count))
 
     def at(self, n: int) -> RandomVariable:
         return RandomVariable(self.values[n], self.mode)

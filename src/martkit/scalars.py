@@ -115,6 +115,8 @@ def zero(mode: Mode) -> Scalar:
 
 
 def positive_part(x: Scalar) -> Scalar:
+    if type(x) is float:  # before the isinstance test, which runs Fraction's slow ABC check
+        return x if x > 0.0 else 0.0
     z = Fraction(0) if isinstance(x, (Fraction, int)) else 0.0
     return x if x > z else z
 

@@ -14,12 +14,21 @@ and the test suite compares the two.  Float mode keeps the numpy subset sweep
 up to EXHAUSTIVE_ATOM_LIMIT items and branch-and-bound above it.  Above
 HARD_ATOM_CAP contributing atoms every solver raises rather than truncate the
 search, and a forced subset search raises above EXHAUSTIVE_ATOM_LIMIT.
+
+The probabilist's modulus, the norm bound, the bridging inequality, the
+p-monotonicity check and the Vitali diagnostics read a float family through
+matrices it derives once: f, |f| and |f|^p over (members x atoms), read-only,
+with |f|^p taken by Python's ``**`` as ``snorm`` takes it.  Truncation at C
+is the mask |f| >= C, a member's norm the p-th root of its row's weighted sum
+added left to right from +0.0, and Vitali's differences one matrix f - g.
+Exact families go member by member through ``snorm``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +38,9 @@ from .measure import (
     RandomVariable,
     measure,
     snorm,
+    _check_rv,
+    _float_sums,
+    _frozen_floats,
     _mass,
 )
 from .scalars import INF, RootValue, Scalar, coerce_scalar
@@ -77,20 +89,66 @@ class FunctionFamily:
     def of(space: FiniteMeasureSpace, members: Iterable[RandomVariable], p: Scalar = 1) -> "FunctionFamily":
         return FunctionFamily(space=space, members=tuple(members), p=p)
 
+    @cached_property
+    def _matrices(self) -> tuple:
+        """(f, |f|, |f|^p) as read-only (members x atoms) float64 matrices,
+        derived at most once; float families only.  Not fields, so equality
+        and hashing ignore them."""
+        values = _frozen_floats(
+            self.space.mode, [f.values for f in self.members], (len(self.members), self.space.atom_count)
+        )
+        absolute = np.abs(values)
+        absolute.flags.writeable = False
+        return values, absolute, _float_powers(absolute, self.p)
 
-def _truncated_above(f: RandomVariable, C: Scalar) -> RandomVariable:
-    """f restricted to the super-level set {|f| >= C} (zero elsewhere)."""
-    zero = coerce_scalar(0, f.mode)
-    return RandomVariable(
-        values=tuple(v if abs(v) >= C else zero for v in f.values), mode=f.mode
-    )
+
+def _float_powers(absolute: np.ndarray, p: Scalar) -> np.ndarray:
+    """|f|^p from a float64 matrix of |f|, read-only: |f| itself at p = 1 and
+    at p = inf (where norms take the essential sup of |f|), else Python's
+    ``**`` value by value, the power ``snorm`` takes.  numpy's ``**`` differs
+    from it in the last bit on some values."""
+    if p == 1 or p == INF:
+        return absolute
+    p = float(p)
+    out = np.array([x**p for x in absolute.ravel().tolist()]).reshape(absolute.shape)
+    out.flags.writeable = False
+    return out
 
 
-def _restricted(f: RandomVariable, A: frozenset) -> RandomVariable:
-    zero = coerce_scalar(0, f.mode)
-    return RandomVariable(
-        values=tuple(v if w in A else zero for w, v in enumerate(f.values)), mode=f.mode
-    )
+def _float_norms(space: FiniteMeasureSpace, powered: np.ndarray, p: Scalar) -> list:
+    """``snorm`` of each row of a float64 matrix given as |f|^p (as |f| at
+    p = inf), as Python floats: the essential sup over positive-weight atoms,
+    or the p-th root of the row's weighted sum, added left to right."""
+    weights = space._weight_vector
+    if p == INF:
+        return np.where(weights > 0, powered, 0.0).max(axis=-1, initial=0.0).tolist()
+    return [total ** (1.0 / float(p)) for total in _float_sums(weights * powered).tolist()]
+
+
+def _norms(fam: FunctionFamily, C: Scalar, atoms: Optional[frozenset] = None) -> list:
+    """snorm(f * 1{|f| >= C} * 1_atoms, p) for each member f, over every atom
+    when ``atoms`` is None.  Float families read their derived matrices, exact
+    ones sum through ``snorm``."""
+    space = fam.space
+    if space.mode == "exact":
+        z = coerce_scalar(0, "exact")
+        kept = (
+            tuple(v if abs(v) >= C and (atoms is None or w in atoms) else z for w, v in enumerate(f.values))
+            for f in fam.members
+        )
+        return [snorm(space, RandomVariable(values, "exact"), fam.p) for values in kept]
+    _, absolute, powered = fam._matrices
+    keep = absolute >= C
+    if atoms is not None:
+        keep &= np.isin(np.arange(space.atom_count), list(atoms))
+    return _float_norms(space, np.where(keep, powered, 0.0), fam.p)
+
+
+def _largest_abs(fam: FunctionFamily) -> Scalar:
+    """The largest |value| of any member, 0 for a family without members."""
+    if fam.space.mode == "float":
+        return fam._matrices[1].max(initial=0.0).item()
+    return _max_scalar((abs(v) for f in fam.members for v in f.values), Fraction(0))
 
 
 def _max_scalar(values, default):
@@ -111,8 +169,7 @@ def probabilist_modulus(fam: FunctionFamily, C: Scalar) -> Scalar:
     C = coerce_scalar(C, fam.space.mode)
     if C < 0:
         raise ValueError("truncation level must be >= 0")
-    vals = (snorm(fam.space, _truncated_above(f, C), fam.p) for f in fam.members)
-    return _max_scalar(vals, coerce_scalar(0, fam.space.mode))
+    return _max_scalar(_norms(fam, C), coerce_scalar(0, fam.space.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +340,8 @@ class UIModuli:
 
 
 def ui_moduli(fam: FunctionFamily) -> UIModuli:
-    bound = _max_scalar(
-        (snorm(fam.space, f, fam.p) for f in fam.members),
-        coerce_scalar(0, fam.space.mode),
-    )
-    return UIModuli(family=fam, l1_bound=bound)
+    z = coerce_scalar(0, fam.space.mode)
+    return UIModuli(family=fam, l1_bound=_max_scalar(_norms(fam, z), z))
 
 
 def probabilist_curve(fam: FunctionFamily, cs: Sequence[Scalar]) -> tuple:
@@ -317,15 +371,11 @@ def check_bridging_inequality(
     if C < 0:
         raise ValueError("truncation level must be >= 0")
     mass = measure(fam.space, A)
-    rows = []
-    ok = True
-    for f in fam.members:
-        lhs = snorm(fam.space, _restricted(f, A), 1)
-        rhs = C * mass + snorm(fam.space, _truncated_above(f, C), 1)
-        rows.append((lhs, rhs))
-        if not lhs <= rhs:
-            ok = False
-    return BridgingReport(C=C, set_mass=mass, rows=tuple(rows), holds=ok)
+    rows = tuple(
+        (lhs, C * mass + tail)
+        for lhs, tail in zip(_norms(fam, coerce_scalar(0, fam.space.mode), A), _norms(fam, C))
+    )
+    return BridgingReport(C=C, set_mass=mass, rows=rows, holds=all(lhs <= rhs for lhs, rhs in rows))
 
 
 @dataclass(frozen=True)
@@ -348,9 +398,7 @@ def _holder_factor(space: FiniteMeasureSpace, p, q) -> Scalar:
 
 
 def _c_grid(fam: FunctionFamily) -> tuple:
-    m = _max_scalar(
-        (abs(v) for f in fam.members for v in f.values), coerce_scalar(0, fam.space.mode)
-    )
+    m = _largest_abs(fam)
     if m <= 0:
         return (coerce_scalar(0, fam.space.mode), coerce_scalar(1, fam.space.mode))
     quarter = m / 4 if fam.space.mode == "exact" else m / 4.0
@@ -427,16 +475,26 @@ def vitali_empirical(
         raise ValueError("empty function sequence")
     mode = space.mode
     eps_grid = (coerce_scalar(1, mode) / 2,) if mode == "exact" else (0.5,)
-
-    diffs = [f - g for f in members]
-    in_measure = tuple(
-        tuple(_mass(space, [abs(v) > eps for v in d.values]) for d in diffs)
-        for eps in eps_grid
-    )
-    lp_curve = tuple(snorm(space, d, p) for d in diffs)
-
+    _check_rv(space, g)
+    for f in members:
+        _check_rv(space, f)
     fam = FunctionFamily(space=space, members=tuple(members), p=p)
-    m = _max_scalar((abs(v) for f in members for v in f.values), coerce_scalar(0, mode))
+
+    if mode == "exact":
+        diffs = [f - g for f in members]
+        in_measure = tuple(
+            tuple(_mass(space, [abs(v) > eps for v in d.values]) for d in diffs)
+            for eps in eps_grid
+        )
+        lp_curve = tuple(snorm(space, d, p) for d in diffs)
+    else:
+        values = fam._matrices[0]
+        gaps = np.abs(values - np.asarray(g.values, dtype=float))
+        in_measure = tuple(
+            tuple(_float_sums(space._weight_vector * (gaps > eps)).tolist()) for eps in eps_grid
+        )
+        lp_curve = tuple(_float_norms(space, _float_powers(gaps, p), p))
+    m = _largest_abs(fam)
     grid = [coerce_scalar(0, mode)]
     c = coerce_scalar(1, mode)
     while c <= m and len(grid) < 40:

@@ -18,6 +18,11 @@ atoms a set or condition selects, as ``martkit`` did before every integral,
 mass and norm went through one weighted-sum helper that sums 0/1 masks over
 all atoms.
 
+``probabilist_by_atoms``, ``bridging_norms_by_atoms`` and ``vitali_curves_by_atoms``
+are the per-member, per-atom forms that the uniform integrability checks took
+before float families read one (members x atoms) matrix: each member is
+truncated or restricted value by value and normed by ``lp_norm``.
+
 ``condexp_l2_dense`` is the dense Gram assembly that ``condexp_l2`` used
 before it walked each atom's nonzero basis entries: k dense indicator
 vectors and k^2 + k inner products over every atom.  It shares only
@@ -298,3 +303,49 @@ def maximal_sides(space, f, n, level):
     mass = left_to_right(space.mode, (space.weights[w] for w in hit))
     rhs = left_to_right(space.mode, (space.weights[w] * f.values[n][w] for w in hit))
     return mass, level * mass, rhs
+
+
+def probabilist_by_atoms(space, members, p, C):
+    """The largest norm of a member truncated to {|f| >= C}, each truncated
+    value by value and normed by ``lp_norm``; 0 when there is no member."""
+    mode = space.mode
+    best = zero(mode)
+    for f in members:
+        cut = RandomVariable(tuple(v if abs(v) >= C else zero(mode) for v in f.values), mode)
+        norm = lp_norm(space, cut, p)
+        if norm > best:
+            best = norm
+    return best
+
+
+def bridging_norms_by_atoms(space, members, C, A):
+    """(||f 1_A||_1, ||f 1_{|f| >= C}||_1) per member, each restricted or
+    truncated value by value and normed by ``lp_norm``."""
+    mode = space.mode
+    rows = []
+    for f in members:
+        inside = RandomVariable(tuple(v if w in A else zero(mode) for w, v in enumerate(f.values)), mode)
+        cut = RandomVariable(tuple(v if abs(v) >= C else zero(mode) for v in f.values), mode)
+        rows.append((lp_norm(space, inside, 1), lp_norm(space, cut, 1)))
+    return tuple(rows)
+
+
+def vitali_curves_by_atoms(space, members, g, p):
+    """(in_measure, c_grid, ui_modulus_curve, lp_curve) of ``vitali_empirical``
+    at eps = 1/2: the differences f - g value by value, the mass of
+    {|f - g| > eps} summed over only the atoms it holds, and the UI curve over
+    C = 0, 1, 2, 4, ... up to the largest |value| of any member."""
+    mode = space.mode
+    one = Fraction(1) if mode == "exact" else 1.0
+    eps = one / 2
+    diffs = [RandomVariable(tuple(x - y for x, y in zip(f.values, g.values)), mode) for f in members]
+    in_measure = tuple(
+        left_to_right(mode, (w for w, v in zip(space.weights, d.values) if abs(v) > eps)) for d in diffs
+    )
+    largest = max([abs(v) for f in members for v in f.values] + [zero(mode)])
+    grid, c = [zero(mode)], one
+    while c <= largest and len(grid) < 40:
+        grid.append(c)
+        c = c * 2
+    ui = tuple((c, probabilist_by_atoms(space, members, p, c)) for c in grid)
+    return (in_measure,), tuple(grid), ui, tuple(lp_norm(space, d, p) for d in diffs)

@@ -135,7 +135,7 @@ class TestVectorPhilox:
     @given(
         seed=st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
         start=st.sampled_from([1, 2**40, 2**63]) | st.integers(0, 2**40),
-        horizon=st.sampled_from([0, 1, 3, 4, 5, 127, 128, 129]),
+        horizon=st.sampled_from([0, 1, 3, 4, 5, 127, 128, 129, 255, 256, 257]),
         count=st.integers(1, 600),
         chunk_blocks=st.sampled_from([montecarlo._PHILOX_CHUNK_BLOCKS, 64, 7]),
     )
@@ -148,7 +148,7 @@ class TestVectorPhilox:
         assert np.array_equal(block.view(np.uint64), want)
 
     def test_default_chunking_crosses_a_chunk_boundary(self):
-        # 32 counter blocks per trial, so one pass covers 512 trials
+        # 64 counter blocks per trial at the 256 cut, so one pass covers 256 trials
         horizon = montecarlo._VECTOR_RNG_MAX_HORIZON
         count = 2 * montecarlo._PHILOX_CHUNK_BLOCKS // (horizon // 4) + 3
         want = reference_uniforms(2**64 - 1, 2**40, count, horizon).view(np.uint64)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue
-from martkit.scalars import coerce_scalar, format_rational, parse_rational
+from martkit.scalars import coerce_scalar, format_rational, parse_rational, positive_part
 
 
 def test_exact_mode_rejects_floats():
@@ -102,3 +103,25 @@ class TestRootValue:
         f1, f2 = b1 ** (1.0 / k1), b2 ** (1.0 / k2)
         if abs(f1 - f2) > 1e-9:
             assert (r1 < r2) == (f1 < f2)
+
+
+@pytest.mark.parametrize("x, want", [
+    (Fraction(3, 2), Fraction(3, 2)),
+    (Fraction(-1, 2), Fraction(0)),
+    (Fraction(0), Fraction(0)),
+    (5, 5),
+    (-3, Fraction(0)),
+    (0, Fraction(0)),
+    (2.5, 2.5),
+    (-2.5, 0.0),
+    (0.0, 0.0),
+    (-0.0, 0.0),
+    (np.float64(2.5), np.float64(2.5)),
+    (np.float64(-2.5), 0.0),
+    (np.float64(-0.0), 0.0),
+])
+def test_positive_part_values_and_types(x, want):
+    got = positive_part(x)
+    assert type(got) is type(want) and got == want
+    if isinstance(want, float):
+        assert math.copysign(1.0, got) == 1.0  # never -0.0
