@@ -61,6 +61,7 @@ from .montecarlo import (
     RunConfig,
     _VECTOR_RNG_MAX_HORIZON,
     _philox_uniforms,
+    _uniform_block,
     exhaustive_space,
     simulate_stats,
     trial_rng,
@@ -1007,17 +1008,28 @@ def _scenario_text(filename: str) -> str:
     return resources.files("martkit").joinpath("scenarios", filename).read_text()
 
 
-def _rng_streams_mismatch() -> Optional[int]:
-    """First horizon at which the in-house Philox kernel differs from numpy's
-    own ``trial_rng`` streams, testing one block at the vectorised-horizon
-    cut and one just above it; None when both agree bit for bit.  A numpy
-    whose Philox stream or double conversion changed is caught here."""
+# Drawn by the re-keyed route; not a multiple of 4, so its last counter block
+# is part-used.
+_RNG_LONG_HORIZON = 1001
+
+
+def _rng_streams_mismatch() -> Optional[tuple]:
+    """First (route, horizon) at which a block draw differs from generators
+    built per trial by ``trial_rng``; None when all agree bit for bit.  The
+    vectorised kernel is tested at the cut and just above it, and
+    ``_uniform_block``'s re-keyed generator just above the cut and at a long
+    horizon.  A numpy whose Philox stream, double conversion or state layout
+    changed is caught here."""
     seed, start, count = (1 << 63) + 12345, (1 << 40) + 7, 5
-    for horizon in (_VECTOR_RNG_MAX_HORIZON, _VECTOR_RNG_MAX_HORIZON + 1):
+    cut = _VECTOR_RNG_MAX_HORIZON
+    for route, draw, horizon in (("vectorised", _philox_uniforms, cut),
+                                 ("vectorised", _philox_uniforms, cut + 1),
+                                 ("re-keyed", _uniform_block, cut + 1),
+                                 ("re-keyed", _uniform_block, _RNG_LONG_HORIZON)):
         want = np.stack([trial_rng(seed, start + i).random(horizon) for i in range(count)])
-        got = _philox_uniforms(seed, start, count, horizon)
+        got = draw(seed, start, count, horizon)
         if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
-            return horizon
+            return route, horizon
     return None
 
 
@@ -1027,14 +1039,16 @@ def cmd_selftest(args) -> int:
     os.makedirs(out, exist_ok=True)
     failures = 0
 
-    bad_horizon = _rng_streams_mismatch()
-    if bad_horizon is None:
+    mismatch = _rng_streams_mismatch()
+    if mismatch is None:
+        cut = _VECTOR_RNG_MAX_HORIZON
         print(
             "[PASS] rng-streams: vectorised Philox4x64-10 matches trial_rng at horizons "
-            f"{_VECTOR_RNG_MAX_HORIZON} and {_VECTOR_RNG_MAX_HORIZON + 1}"
+            f"{cut} and {cut + 1}, re-keyed at {cut + 1} and {_RNG_LONG_HORIZON}"
         )
     else:
-        print(f"[FAIL] rng-streams: vectorised Philox4x64-10 differs from trial_rng at horizon {bad_horizon}")
+        route, horizon = mismatch
+        print(f"[FAIL] rng-streams: {route} Philox4x64-10 differs from trial_rng at horizon {horizon}")
         failures += 1
 
     # Replaying the Monte Carlo suite in this process (quietly, into

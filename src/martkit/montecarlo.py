@@ -22,23 +22,31 @@ only summaries (final value, tail-window oscillation, band-crossing counts,
 checkpoints), which is how the 1e4 x 1e4 runs stay in memory.
 
 The stream of trial t is ``trial_rng(seed, t)``, numpy's Philox4x64-10 keyed
-by [seed, t].  Building one numpy generator per trial costs about 20 us, which
-dominates short horizons, so blocks with horizons <= 256 are drawn instead by
-an in-house numpy Philox4x64-10 that computes every (trial, counter-block)
-pair of the block in one pass of array operations and reproduces
-``trial_rng(seed, t).random(horizon)`` bit for bit.  The kernel's cost grows
-with the horizon (about 45 ns per uniform against about 4 ns in C) while the
-set-up cost does not, so the per-trial C generator catches up at a few
-hundred steps.  Per 1000-trial block on a 2-core Xeon, per-trial generators
-against the kernel took 27.6 against 11.9 ms at horizon 200, 28.7 against
-16.7 ms at 256, 30.8 against 23.4 ms at 384 and 32.3 against 27.4 ms at 512
-(medians of 5; another series put the crossover between 384 and 512).  The
-cut at 256 keeps the kernel where it wins by a clear margin, and longer
-horizons keep the C generator.
+by [seed, t].  Philox is counter-based, so the stream depends only on the key
+and the counter, and a block draws it by one of two routes that reproduce
+``trial_rng(seed, t).random(horizon)`` bit for bit.  Horizons <= 40 go to an
+in-house numpy Philox4x64-10 that computes every (trial, counter-block) pair
+of the block in one pass of array operations; its cost grows with the
+horizon (about 45 ns per uniform against about 4 ns in C).  Longer horizons
+build one numpy generator per block and, for each trial, reset its key to
+[seed, t], its counter to 0 and its buffer to empty, then draw in C straight
+into the trial's row: about 2 us per trial instead of the 12-20 us that
+building a generator per trial costs.  Per 1024-trial block on a 2-core
+Xeon (ms, medians of 15 in three series):
+
+    horizon   kernel      one generator per trial   re-keyed
+    32        2.7-3.1     21-23                     2.9-3.1
+    64        3.8-5.3     14-23                     1.9-3.5
+    200       8.3-13.3    13-26                     2.6-5.5
+    4096      -           56-75                     38-52
+
+In paired runs the re-keyed route took 1.09-1.25 times the kernel's time at
+horizon 32, 0.88-1.02 at 40 and 0.72-0.96 at 48, hence the cut at 40.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence, Union
@@ -70,6 +78,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LEAF_CAP = 1 << 16
+_URN_MAX_BALLS = 1 << 52
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +96,7 @@ class BiasedWalk:
     def __post_init__(self) -> None:
         if not 0 <= self.p_up <= 1:
             raise ValueError("p_up must lie in [0, 1]")
+        coerce_scalar(self.step, "float")  # a NaN or infinite step raises
 
     def start(self, mode: Mode):
         return coerce_scalar(0, mode)
@@ -103,7 +113,12 @@ class BiasedWalk:
         step = float(self.step)
         out = np.empty((u.shape[0], u.shape[1] + 1), dtype=np.float64)
         out[:, 0] = 0.0
-        np.cumsum(np.where(u < float(self.p_up), step, -step), axis=1, out=out[:, 1:])
+        # +-1.0 from the mask, then times step: exactly np.where(up, step, -step)
+        # for every finite step, -0.0 and 1e308 included, without the select
+        steps = np.multiply(u < float(self.p_up), 2.0, dtype=np.float64)
+        steps -= 1.0
+        steps *= step
+        np.cumsum(steps, axis=1, out=out[:, 1:])
         return out
 
 
@@ -122,8 +137,16 @@ class PolyaUrn:
     initial_black: int = 1
 
     def __post_init__(self) -> None:
+        counts = (self.initial_red, self.initial_black)
+        if not all(isinstance(c, numbers.Integral) for c in counts):
+            raise TypeError("urn counts must be integers")
         if self.initial_red < 1 or self.initial_black < 1:
             raise ValueError("urn counts must be positive")
+        # sample() divides by the ball count n0 + t as a float, which is exact
+        # while it stays below 2**53; no path array is long enough to climb
+        # from 2**52 to there
+        if self.initial_red + self.initial_black > _URN_MAX_BALLS:
+            raise ValueError(f"urn counts must total at most {_URN_MAX_BALLS}")
 
     def start(self, mode: Mode):
         return (self.initial_red, self.initial_black)
@@ -138,17 +161,18 @@ class PolyaUrn:
         return Fraction(r, r + b) if mode == "exact" else r / (r + b)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
+        """Paths in Fortran order: the loop runs over time on contiguous rows
+        of the transposed block, and step t draws red when u < proportion."""
         count, horizon = u.shape
-        out = np.empty((count, horizon + 1), dtype=np.float64)
+        ut = np.ascontiguousarray(u.T)
+        out = np.empty((horizon + 1, count), dtype=np.float64)
+        n0 = self.initial_red + self.initial_black
         r = np.full(count, float(self.initial_red))
-        b = np.full(count, float(self.initial_black))
-        out[:, 0] = r / (r + b)
+        np.divide(r, n0, out=out[0])
         for t in range(horizon):
-            red = u[:, t] < r / (r + b)
-            r += red
-            b += ~red
-            out[:, t + 1] = r / (r + b)
-        return out
+            r += ut[t] < out[t]
+            np.divide(r, n0 + t + 1, out=out[t + 1])
+        return out.T
 
 
 @dataclass(frozen=True)
@@ -363,8 +387,8 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 # Horizons up to this cut are drawn by ``_philox_uniforms``, longer ones by
-# the per-trial C generator (see the module docstring for why 256).
-_VECTOR_RNG_MAX_HORIZON = 256
+# the re-keyed C generator (see the module docstring for why 40).
+_VECTOR_RNG_MAX_HORIZON = 40
 # Counter blocks per pass of the array kernel, bounding its temporaries.
 _PHILOX_CHUNK_BLOCKS = 1 << 14
 
@@ -411,17 +435,31 @@ def _uniform_block(seed: int, start: int, count: int, horizon: int) -> np.ndarra
     """U[i, t] = t-th uniform of trial start+i, drawn from its own stream.
 
     Row i equals ``trial_rng(seed, start + i).random(horizon)`` bit for bit.
-    Horizons <= 256 are drawn for the whole block at once by the in-house
-    Philox4x64-10 ``_philox_uniforms``, which avoids building one numpy
-    generator per trial; longer horizons loop over ``trial_rng``, because the
-    kernel's per-uniform cost makes it slower than the C generator from a few
-    hundred steps on, and 256 stays below that crossover.
+    Horizons <= ``_VECTOR_RNG_MAX_HORIZON`` are drawn for the whole block at
+    once by the in-house Philox4x64-10 ``_philox_uniforms``.  Longer horizons
+    build one ``trial_rng(seed, start)`` per call and re-key it for each
+    trial: key [seed, start + i], counter 0 and an empty buffer are the state
+    of a freshly built ``trial_rng(seed, start + i)``, so ``random(out=row)``
+    then draws that trial's stream without building a generator.  The
+    generator is local to the call, so concurrent callers share nothing.
+    Per 1024-trial block (ms, 2-core Xeon; see the module docstring):
+
+        horizon   kernel      one generator per trial   re-keyed
+        32        2.7-3.1     21-23                     2.9-3.1
+        200       8.3-13.3    13-26                     2.6-5.5
+        4096      -           56-75                     38-52
     """
     if horizon <= _VECTOR_RNG_MAX_HORIZON:
         return _philox_uniforms(seed, start, count, horizon)
     out = np.empty((count, horizon), dtype=np.float64)
+    gen = trial_rng(seed, start)
+    key = [seed, start]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(count):
-        out[i] = trial_rng(seed, start + i).random(horizon)
+        key[1] = start + i
+        gen.bit_generator.state = fresh
+        gen.random(out=out[i])
     return out
 
 
@@ -459,8 +497,10 @@ def count_upcrossings_batch(paths: np.ndarray, a: float, b: float, N: Optional[i
 
     The state machine of ``upcrossings_before``, fed one column at a time so
     memory stays O(rows); it equals ``upcrossings_before`` on each row, for
-    a >= b too.
+    a >= b too.  Band edges are float scalars: NaN and +-inf raise, where
+    their comparisons would count no upcrossing at all.
     """
+    a, b = coerce_scalar(a, "float"), coerce_scalar(b, "float")
     if N is None:
         N = paths.shape[1] - 1
     elif not 0 <= N < paths.shape[1]:

@@ -23,6 +23,12 @@ are the per-member, per-atom forms that the uniform integrability checks took
 before float families read one (members x atoms) matrix: each member is
 truncated or restricted value by value and normed by ``lp_norm``.
 
+``polya_sample_by_columns`` and ``walk_sample_by_select`` are the Monte Carlo
+samplers that ``PolyaUrn`` and ``BiasedWalk`` used before their time-major
+and select-free forms: the urn keeps float red and black counts and divides
+by their sum one strided column at a time, and the walk picks each step with
+``np.where``.
+
 ``condexp_l2_dense`` is the dense Gram assembly that ``condexp_l2`` used
 before it walked each atom's nonzero basis entries: k dense indicator
 vectors and k^2 + k inner products over every atom.  It shares only
@@ -32,6 +38,8 @@ vectors and k^2 + k inner products over every atom.  It shares only
 import struct
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from martkit import (
     INF,
@@ -349,3 +357,27 @@ def vitali_curves_by_atoms(space, members, g, p):
         c = c * 2
     ui = tuple((c, probabilist_by_atoms(space, members, p, c)) for c in grid)
     return (in_measure,), tuple(grid), ui, tuple(lp_norm(space, d, p) for d in diffs)
+
+
+def polya_sample_by_columns(u, initial_red, initial_black):
+    """Polya urn proportions, (trials, horizon + 1), one column per step."""
+    count, horizon = u.shape
+    out = np.empty((count, horizon + 1), dtype=np.float64)
+    r = np.full(count, float(initial_red))
+    b = np.full(count, float(initial_black))
+    out[:, 0] = r / (r + b)
+    for t in range(horizon):
+        red = u[:, t] < r / (r + b)
+        r += red
+        b += ~red
+        out[:, t + 1] = r / (r + b)
+    return out
+
+
+def walk_sample_by_select(u, p_up, step):
+    """Walk paths from 0 whose step t is +step where u < p_up, else -step."""
+    step = float(step)
+    out = np.empty((u.shape[0], u.shape[1] + 1), dtype=np.float64)
+    out[:, 0] = 0.0
+    np.cumsum(np.where(u < float(p_up), step, -step), axis=1, out=out[:, 1:])
+    return out

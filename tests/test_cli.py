@@ -418,6 +418,24 @@ def test_a_seed_outside_64_bits_exits_two_before_any_check(argv, doc, where, tmp
     assert not out_dir.exists()
 
 
+def test_selftest_compares_both_rng_routes_with_trial_rng(monkeypatch):
+    from martkit import cli
+
+    assert cli._rng_streams_mismatch() is None
+    real = cli._uniform_block
+    cut = cli._VECTOR_RNG_MAX_HORIZON
+
+    def short_only(seed, start, count, horizon):
+        u = real(seed, start, count, horizon)
+        if horizon > cut + 1:
+            u[-1, -1] = 0.5
+        return u
+
+    monkeypatch.setattr(cli, "_uniform_block", short_only)
+    assert cli._rng_streams_mismatch() == ("re-keyed", cli._RNG_LONG_HORIZON)
+    assert cli._RNG_LONG_HORIZON > cut + 1 and cli._RNG_LONG_HORIZON % 4
+
+
 def test_selftest_rejects_its_seed_before_running(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["selftest", "--seed", "-1", "--out-dir", str(out_dir)]) == 2

@@ -2,6 +2,7 @@ import math
 import random
 import threading
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
@@ -31,7 +32,9 @@ from martkit import (
     upcrossings_before,
 )
 from martkit import montecarlo
-from oracles import upcrossings_state_machine
+from oracles import polya_sample_by_columns, upcrossings_state_machine, walk_sample_by_select
+
+CUT = montecarlo._VECTOR_RNG_MAX_HORIZON
 
 
 def reference_uniforms(seed, start, count, horizon):
@@ -124,7 +127,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_size", [1, 77, 1024])
     def test_short_horizon_finals_match_trial_rng(self, block_size, workers):
-        cfg = RunConfig(seed=21, trials=1100, horizon=montecarlo._VECTOR_RNG_MAX_HORIZON)
+        cfg = RunConfig(seed=21, trials=1100, horizon=CUT)
         steps = np.where(reference_uniforms(21, 0, 1100, cfg.horizon) < 0.5, 1.0, -1.0)
         got = simulate_stats(FairWalk(), cfg, block_size=block_size, workers=workers)
         assert np.array_equal(got.final, steps.sum(axis=1))
@@ -135,7 +138,7 @@ class TestVectorPhilox:
     @given(
         seed=st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
         start=st.sampled_from([1, 2**40, 2**63]) | st.integers(0, 2**40),
-        horizon=st.sampled_from([0, 1, 3, 4, 5, 127, 128, 129, 255, 256, 257]),
+        horizon=st.sampled_from([0, 1, 3, 4, 5, CUT - 1, CUT, CUT + 1, 1000, 4097]),
         count=st.integers(1, 600),
         chunk_blocks=st.sampled_from([montecarlo._PHILOX_CHUNK_BLOCKS, 64, 7]),
     )
@@ -148,12 +151,108 @@ class TestVectorPhilox:
         assert np.array_equal(block.view(np.uint64), want)
 
     def test_default_chunking_crosses_a_chunk_boundary(self):
-        # 64 counter blocks per trial at the 256 cut, so one pass covers 256 trials
-        horizon = montecarlo._VECTOR_RNG_MAX_HORIZON
+        # CUT // 4 counter blocks per trial at the cut (10 at 40), so one pass
+        # covers _PHILOX_CHUNK_BLOCKS // (CUT // 4) trials (1638)
+        horizon = CUT
         count = 2 * montecarlo._PHILOX_CHUNK_BLOCKS // (horizon // 4) + 3
         want = reference_uniforms(2**64 - 1, 2**40, count, horizon).view(np.uint64)
         got = montecarlo._uniform_block(2**64 - 1, 2**40, count, horizon)
         assert np.array_equal(got.view(np.uint64), want)
+
+    def test_long_horizons_build_one_generator_per_block(self):
+        want = reference_uniforms(7, 100, 50, CUT + 1).view(np.uint64)
+        with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+            got = montecarlo._uniform_block(7, 100, 50, CUT + 1)
+        assert philox.call_count == 1
+        assert np.array_equal(got.view(np.uint64), want)
+
+
+def uniforms_with_ties(seed, count, horizon, tie_at):
+    """Uniforms of which about a third in column t are replaced by a draw
+    from ``tie_at(t, rng, size)``."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((count, horizon))
+    for t in range(horizon):
+        tie = rng.random(count) < 1 / 3
+        u[tie, t] = tie_at(t, rng, int(tie.sum()))
+    return u
+
+
+class TestBlockSamplers:
+    """The time-major urn and the select-free walk, held bit for bit to the
+    column-loop and ``np.where`` samplers they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        red=st.integers(1, 20),
+        black=st.integers(1, 20),
+        horizon=st.sampled_from([0, 1, 300]) | st.integers(0, 300),
+        count=st.just(1) | st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_urn_matches_the_column_loop(self, red, black, horizon, count, seed):
+        # a tie in column t is a proportion r / (red + black + t) the urn can
+        # hold there, so u often equals it and the strict u < proportion decides
+        u = uniforms_with_ties(seed, count, horizon, lambda t, rng, size:
+                               rng.integers(red, red + t + 1, size=size) / (red + black + t))
+        got = PolyaUrn(red, black).sample(u)
+        want = polya_sample_by_columns(u, red, black)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p_up=st.sampled_from([0, Fraction(1, 2), 1, 0.3]),
+        step=st.sampled_from([0.0, -0.0, 0.1, 1e308, -1e308, Fraction(1, 3), 1, 2.5]),
+        horizon=st.sampled_from([0, 1, 300]) | st.integers(0, 300),
+        count=st.just(1) | st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walk_matches_the_select(self, p_up, step, horizon, count, seed):
+        u = uniforms_with_ties(seed, count, horizon, lambda t, rng, size: float(p_up))
+        with np.errstate(over="ignore"):  # 1e308 steps overflow to inf
+            got = BiasedWalk(p_up, step).sample(u)
+            want = walk_sample_by_select(u, p_up, step)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fortran_paths_summarise_like_their_c_copy(self):
+        @dataclass(frozen=True)
+        class COrderUrn(PolyaUrn):
+            def sample(self, u):
+                return np.ascontiguousarray(super().sample(u))
+
+        cfg = RunConfig(seed=9, trials=70, horizon=CUT + 30, checkpoint_schedule=(0, 5, CUT + 30))
+        bands = [(0.4, 0.6), (0.6, 0.4)]
+        f_order = simulate_stats(PolyaUrn(2, 3), cfg, window=20, bands=bands, block_size=32)
+        c_order = simulate_stats(COrderUrn(2, 3), cfg, window=20, bands=bands, block_size=32)
+        for name in ("final", "sup_abs", "window_osc", "checkpoint_values"):
+            assert np.array_equal(getattr(f_order, name), getattr(c_order, name))
+        for band in bands:
+            assert np.array_equal(f_order.band_counts[band], c_order.band_counts[band])
+        paths = simulate(PolyaUrn(2, 3), cfg).values
+        assert paths.flags.f_contiguous
+        for a, b in bands:
+            assert np.array_equal(count_upcrossings_batch(paths, a, b, N=17),
+                                  count_upcrossings_batch(np.ascontiguousarray(paths), a, b, N=17))
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_walk_rejects_a_non_finite_step(step):
+    # such a walk once simulated NaN finals and counted 0 upcrossings
+    with pytest.raises(ValueError, match="non-finite"):
+        BiasedWalk(Fraction(1, 2), step)
+
+
+@pytest.mark.parametrize("red, black", [(1.0, 1), (1, Fraction(3, 2))])
+def test_urn_rejects_non_integer_counts(red, black):
+    with pytest.raises(TypeError, match="urn counts must be integers"):
+        PolyaUrn(red, black)
+
+
+def test_urn_rejects_counts_whose_float_sum_could_round():
+    PolyaUrn(2**51, 2**51)
+    with pytest.raises(ValueError, match="must total at most"):
+        PolyaUrn(2**51, 2**51 + 1)
 
 
 class TestStatisticalBehavior:
@@ -202,6 +301,14 @@ def test_batch_counts_reject_a_bound_outside_the_horizon(N):
     paths = simulate(FairWalk(), RunConfig(seed=13, trials=3, horizon=24)).values
     with pytest.raises(ValueError, match="N must lie within the horizon"):
         count_upcrossings_batch(paths, -0.5, 0.5, N=N)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (-1.0, math.inf)])
+def test_batch_counts_reject_a_non_finite_band(a, b):
+    # both once counted 0 upcrossings on every row
+    paths = simulate(FairWalk(), RunConfig(seed=13, trials=3, horizon=24)).values
+    with pytest.raises(ValueError, match="non-finite"):
+        count_upcrossings_batch(paths, a, b)
 
 
 @pytest.mark.parametrize("band", [(math.nan, 1.0), (0.0, math.inf)])
@@ -314,7 +421,7 @@ CALLBACK_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("horizon", [40, montecarlo._VECTOR_RNG_MAX_HORIZON + 22])
+@pytest.mark.parametrize("horizon", [40, CUT + 22])
 @pytest.mark.parametrize("model, path_of", CALLBACK_MODELS, ids=["betting", "custom"])
 def test_callback_paths_match_a_per_trial_recomputation(model, path_of, horizon):
     cfg = RunConfig(seed=17, trials=30, horizon=horizon, checkpoint_schedule=tuple(range(horizon + 1)))
