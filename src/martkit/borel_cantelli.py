@@ -20,7 +20,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, indicator, set_measurable_wrt
+from .condexp import _Kernel
+from .measure import FiniteMeasureSpace, set_measurable_wrt
 from .montecarlo import IndependentEvents, _check_seed, _run_blocks, _uniform_block
 from .processes import Filtration, Process, _running_sums
 from .scalars import coerce_scalar
@@ -69,11 +70,21 @@ def event_sequence_from_counts(counts: Process, F: Filtration) -> EventSequence:
     return EventSequence(sets=tuple(sets), adapted_to=F)
 
 
+def _event_sums(space: FiniteMeasureSpace, S: EventSequence, lag) -> Process:
+    """``processes._running_sums`` over the indicators of the event sets."""
+    F = S.adapted_to
+    if F.atom_count != space.atom_count:
+        raise ValueError("atom counts differ between space and filtration")
+    # 0/1 ints: the indicators' values, read through either mode's derived form
+    atoms = range(F.atom_count)
+    rows = Process(tuple(tuple(int(a in s) for a in atoms) for s in map(frozenset, S.sets)), space.mode)
+    return Process(_running_sums(_Kernel(space, F.steps), rows, lag)[0], space.mode)
+
+
 def predictable_sum(space: FiniteMeasureSpace, S: EventSequence) -> Process:
     """p_n = sum_{k<n} condexp(1_{S_{k+1}} | steps[k]); predictable and
     nondecreasing per atom."""
-    rows = [indicator(frozenset(s), S.adapted_to.atom_count, space.mode).values for s in S.sets]
-    return Process(_running_sums(space, S.adapted_to, rows, lambda k, ce, rows: (ce, None)), space.mode)
+    return _event_sums(space, S, None)
 
 
 def borel_cantelli_martingale(space: FiniteMeasureSpace, S: EventSequence) -> Process:
@@ -82,9 +93,7 @@ def borel_cantelli_martingale(space: FiniteMeasureSpace, S: EventSequence) -> Pr
     This is the compensated occurrence count: raw count minus predictable
     sum, the martingale part of the count's Doob decomposition.
     """
-    rows = [indicator(frozenset(s), S.adapted_to.atom_count, space.mode).values for s in S.sets]
-    terms = lambda k, ce, rows: (rows[k + 1], ce)
-    return Process(_running_sums(space, S.adapted_to, rows, terms), space.mode)
+    return _event_sums(space, S, 1)
 
 
 # ---------------------------------------------------------------------------

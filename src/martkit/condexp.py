@@ -7,9 +7,11 @@ the ambient one, the integrand itself, value for value, when it is already
 measurable, and 0 on blocks of measure zero.  Its averages come from
 ``_Kernel``, the blockwise kernel it shares with classification, the Doob
 decomposition, Levy's upward theorem and the predictable sums: float block
-sums run in ascending atom order, exact ones as integer numerators over one
-denominator, and exact filtration-wide work folds the block integrals of step
-k+1 into those of step k (the tower rule).
+sums run in ascending atom order; exact ones add products of the integer
+numerators that the space and the data each derived once
+(``measure._integer_twin``), so a Fraction is built only per block average;
+and exact filtration-wide work folds the block integrals of step k+1 into
+those of step k (the tower rule).
 
 :func:`condexp_l2` is an intentionally separate second route: orthogonal
 projection onto the span of the block indicators under the weighted inner
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +41,6 @@ from .measure import (
     ae_witness,
     partition_le,
     _check_rv,
-    _exact_sums,
     _unmeasured,
 )
 from .scalars import Scalar, tolerance, zero
@@ -53,27 +54,50 @@ class _Kernel:
     """Block tables of a sequence of partitions over one space, built inside
     each call and never kept.  Per step k: ``of[k]`` is each atom's block,
     ``first[k]`` each block's first atom, ``rep[k]`` the first positive-weight
-    atom of each block of positive mass, ``mass[k]`` the block masses.  Rows
-    are numpy arrays of floats or of exact objects.  Block sums run in
-    ascending atom order: ``np.bincount`` in float mode, integer numerators
-    over one common denominator in exact mode."""
+    atom of each block of positive mass, ``mass[k]`` the block masses.  A row
+    is a float64 array in float mode and, in exact mode, the pair (integer
+    numerators, common denominator) that its data derived once
+    (``measure._integer_twin``); exact weights come from the space's own
+    twin.  Block sums run in ascending atom order: ``np.bincount`` in float
+    mode, sums of integer products in exact mode, so a Fraction is built only
+    per block average."""
 
     def __init__(self, space: FiniteMeasureSpace, steps: Sequence[Partition]) -> None:
         self.mode, self.exact, self.steps = space.mode, space.mode == "exact", steps
-        self.weights = space.weights if self.exact else np.asarray(space.weights, dtype=float)
-        self.positive = np.flatnonzero([w != 0 for w in space.weights])  # weights are >= 0
+        if self.exact:
+            weights, self.unit = space._numerators
+            self.weights = weights.tolist()
+        else:
+            weights = self.weights = space._weight_vector
+        self.positive = np.flatnonzero(weights != 0)  # weights are >= 0
         self.of = [np.asarray(p.block_of, dtype=np.intp) for p in steps]
         self.first = [np.unique(of, return_index=True)[1] for of in self.of]
         self.rep = [self.positive[np.unique(of[self.positive], return_index=True)[1]] for of in self.of]
-        self.mass = [self.sums(repeat(1) if self.exact else 1.0, k) for k in range(len(steps))]
+        self.mass = [(self._add(self.weights, k), self.unit) if self.exact else self.sums(1.0, k)
+                     for k in range(len(steps))]
 
-    def array(self, values) -> np.ndarray:
-        return np.array(values, dtype=object if self.exact else float)
+    def row(self, g: RandomVariable):
+        """The row of a random variable."""
+        return g._numerators if self.exact else np.array(g.values, dtype=float)
+
+    def rows(self, f) -> list:
+        """The rows of a process, over one denominator in exact mode."""
+        if not self.exact:
+            return [np.array(r, dtype=float) for r in f.values]
+        nums, den = f._numerators
+        return [(row, den) for row in nums]
+
+    def _add(self, terms, k: int) -> list:
+        out = [0] * len(self.first[k])
+        for b, t in zip(self.steps[k].block_of, terms):
+            out[b] += t
+        return out
 
     def sums(self, row, k: int):
         """Integrals over the blocks of step k: floats, or (numerators, denominator)."""
         if self.exact:
-            return _exact_sums(self.weights, row, self.steps[k].block_of, len(self.first[k]))
+            nums, den = row
+            return self._add(map(mul, self.weights, nums.tolist()), k), self.unit * den
         return np.bincount(self.of[k], weights=self.weights * row, minlength=len(self.first[k]))
 
     def means(self, sums, k: int) -> np.ndarray:
@@ -83,13 +107,21 @@ class _Kernel:
         (s, d), (m, e) = sums, self.mass[k]
         return np.array([Fraction(x * e, d * y) if y else Fraction(0) for x, y in zip(s, m)])
 
-    def unmeasured(self, row: np.ndarray, k: int) -> int | None:
+    def unmeasured(self, row, k: int) -> int | None:
         """``measure._unmeasured`` on step k: None when ``row`` is measurable."""
-        return _unmeasured(row, self.mode, self.of[k], self.first[k])
+        return _unmeasured(row[0] if self.exact else row, self.mode, self.of[k], self.first[k])
 
-    def tower(self, row: np.ndarray, top: int, low: int):
-        """(i, condexp(row | steps[i]) per block) for i = top down to low.  Exact
-        mode folds step i+1's block integrals into step i's (the tower rule);
+    def unadapted(self, rows) -> tuple | None:
+        """(n, atom) for the first row n not measurable at step n, or None."""
+        for n, row in enumerate(rows):
+            atom = self.unmeasured(row, n)
+            if atom is not None:
+                return n, atom
+        return None
+
+    def tower(self, row, top: int, low: int):
+        """(i, block integrals of row over steps[i]) for i = top down to low.
+        Exact mode folds step i+1's integrals into step i's (the tower rule);
         float mode sums each step from the atoms, as the fold rounds otherwise."""
         sums = None
         for i in range(top, low - 1, -1):
@@ -100,11 +132,28 @@ class _Kernel:
                 sums = folded, sums[1]
             else:
                 sums = self.sums(row, i)
-            yield i, row[self.first[i]] if self.unmeasured(row, i) is None else self.means(sums, i)
+            yield i, sums
+
+    def averages(self, row: np.ndarray, sums, k: int) -> np.ndarray:
+        """Float condexp(row | steps[k]) per block, from the row's block
+        integrals: the row's own values where it is measurable, else the
+        block averages."""
+        return row[self.first[k]] if self.unmeasured(row, k) is None else self.means(sums, k)
 
     def condexp(self, row: np.ndarray, k: int) -> np.ndarray:
-        """condexp(row | steps[k]) at every atom."""
-        return next(self.tower(row, k, k))[1][self.of[k]]
+        """Float condexp(row | steps[k]) at every atom."""
+        return self.averages(row, self.sums(row, k), k)[self.of[k]]
+
+    def gaps(self, row, sums, i: int, low, at: np.ndarray) -> np.ndarray:
+        """condexp(row | steps[i]) - low at the atoms ``at``, whose blocks have
+        positive mass, from ``row``'s block integrals over steps[i].  Exact mode
+        returns each difference times its block's mass and the denominators,
+        a positive factor, so only the sign counts there; no Fraction is built."""
+        blocks = self.of[i][at]
+        if not self.exact:
+            return self.averages(row, sums, i)[blocks] - low[at]
+        s, m = (np.array(x[0], dtype=object)[blocks] for x in (sums, self.mass[i]))
+        return s - low[0][at] * m
 
 
 def condexp(
@@ -127,7 +176,7 @@ def condexp(
     if not partition_le(sub, ambient):
         return RandomVariable.constant(0, space.atom_count, space.mode)
     kernel = _Kernel(space, (sub,))
-    row = kernel.array(f.values)
+    row = kernel.row(f)
     if kernel.unmeasured(row, 0) is None:
         return f
     means = kernel.means(kernel.sums(row, 0), 0)
@@ -231,7 +280,7 @@ def check_set_integral_characterization(
     """
     ce = condexp(space, f, sub, ambient)
     kernel = _Kernel(space, (sub,))
-    sums = [kernel.sums(kernel.array(g.values), 0) for g in (ce, f)]
+    sums = [kernel.sums(kernel.row(g), 0) for g in (ce, f)]
     if kernel.exact:  # (numerators by block, denominator)
         sums = [[Fraction(n, d) for n in nums] for nums, d in sums]
     else:

@@ -14,6 +14,7 @@ default branch of a non-computational choice function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -326,12 +327,24 @@ def check_l1_convergence_b(
     if cls.kind != MartingaleClass.MARTINGALE and not allow_non_martingale:
         raise ValueError("check (b) is a martingale statement; classification says otherwise")
     kernel = _Kernel(space, F.steps)
-    rows = [kernel.array(r) for r in f.values]
-    adapted = all(kernel.unmeasured(row, n) is None for n, row in enumerate(rows))
-    found = _violations(kernel, rows, f.horizon, f.horizon, 0, tol, adapted)
+    rows = kernel.rows(f)
+    found = _violations(kernel, rows, f.horizon, f.horizon, 0, tol, kernel.unadapted(rows) is None)
     witness = next(((n, min(a for a in w if a is not None)) for (n, _), w in sorted(found.items())
                     if w != (None, None)), None)
     return L1ConvergenceBReport(holds=witness is None, witness=witness, kind=cls.kind)
+
+
+def _l1_distance(kernel: _Kernel, row, sums, k: int) -> Fraction:
+    """snorm(condexp(g | steps[k]) - g, 1) for exact g, from g's integer row
+    and block integrals: each block B of mass m_B > 0 adds
+    sum over B of w |S_B - g m_B| / m_B, so one Fraction is built per block
+    where g is not constant and none per atom."""
+    nums, den = row
+    (s, _), (m, _) = sums, kernel.mass[k]
+    spread = [0] * len(s)
+    for b, w, x in zip(kernel.steps[k].block_of, kernel.weights, nums.tolist()):
+        spread[b] += w * abs(s[b] - x * m[b])
+    return sum((Fraction(x, y) for x, y in zip(spread, m) if x), Fraction(0)) / (kernel.unit * den)
 
 
 @dataclass(frozen=True)
@@ -364,11 +377,15 @@ def check_levy_upward(
     if F.atom_count != space.atom_count:
         raise ValueError("atom counts differ between space and filtration")
     kernel = _Kernel(space, F.steps)
-    row = kernel.array(g.values)
+    row = kernel.row(g)
     if kernel.unmeasured(row, F.horizon) is not None:  # the sup of monotone steps is the last
         raise ValueError("Levy upward requires g measurable w.r.t. the filtration's sup")
-    d = [snorm(space, RandomVariable(tuple(ce[kernel.of[n]].tolist()), space.mode) - g, 1)
-         for n, ce in kernel.tower(row, F.horizon, 0)][::-1]
+    if kernel.exact:
+        d = [_l1_distance(kernel, row, sums, n) for n, sums in kernel.tower(row, F.horizon, 0)]
+    else:
+        d = [snorm(space, RandomVariable(tuple(kernel.condexp(row, n).tolist()), space.mode) - g, 1)
+             for n in range(F.horizon, -1, -1)]
+    d.reverse()
     eps = tolerance(space.mode, tol)
     monotone = all(d[i + 1] <= d[i] + eps for i in range(len(d) - 1))
     final_zero = d[-1] <= eps

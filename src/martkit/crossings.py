@@ -15,40 +15,43 @@ Counts come from one state machine that steps through times 0..N-1 with
 array operations over every atom (or, for
 :func:`martkit.montecarlo.count_upcrossings_batch`, every trial) at once,
 reading only the masks "value <= a" and "value >= b".  Float masks compare
-one array of the rows; exact masks cross-multiply numerators and
-denominators, so no ``Fraction`` is compared.  Crossing times
-(``crossing_table``, ``upper_crossing``, ``lower_crossing``) and the band
-translation identity instead scan each atom's path once into its unbounded
-chain and clip it at every N.  There is no memo.  The N-bounded recursion and
-a single-pass scanner live in the test suite as oracles.
+one array of the rows; exact masks compare the process's integer numerators
+(``Process._numerators``) with the band edges moved onto their scale, so no
+``Fraction`` is compared.  Crossing times (``crossing_table``,
+``upper_crossing``, ``lower_crossing``) and the band translation identity
+instead scan each atom's path, read from the same rows, once into its
+unbounded chain and clip it at every N.  There is no memo.  The N-bounded
+recursion and a single-pass scanner live in the test suite as oracles.
 
 A float process derives its rows once as a read-only float64 matrix
 (``Process._matrix``); the float masks slice it, and the estimates take both
 sides from it and the space's weight vector: the left side from the counts
 array, each right side mu[(f_N - a)^+] from row N, and the sup form's H + 1
 right sides from one pass over the matrix.  Those sums add left to right from
-+0.0 in ascending atom order (``measure._float_sums``); exact estimates sum
-through ``measure._sum``.
++0.0 in ascending atom order (``measure._float_sums``); exact estimates add
+products of the space's and the process's integer numerators and build one
+``Fraction`` per side.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil, floor
+from operator import mul
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, _check_rv, _float_sums, _sum
+from .measure import FiniteMeasureSpace, _check_rv, _float_sums
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
 from .scalars import (
     INF,
-    ModeError,
     Scalar,
     coerce_scalar,
     positive_part,
     tolerance,
-    zero,
 )
 
 __all__ = [
@@ -130,9 +133,42 @@ def _atom_chain(path, a: Scalar, b: Scalar) -> tuple:
     return sigmas, taus, INF
 
 
-def _chains(band: Band, f: Process) -> list:
+def _scaled(band: Band, f: Process) -> tuple:
+    """(rows, low, high): f's derived matrix and edges with v <= a iff
+    v <= low and v >= b iff v >= high on its entries.  In float mode those are
+    the float64 rows and the band's own edges.  In exact mode they are the
+    integer numerators over f's denominator den and the edges moved onto the
+    same scale: an integer n has n/den <= a iff n <= floor(a * den), and
+    n/den >= b iff n >= ceil(b * den), so no Fraction is compared."""
     bd = band.coerced(f.mode)
-    return [_atom_chain(path, bd.a, bd.b) for path in zip(*f.values)]
+    if f.mode == "float":
+        return f._matrix, bd.a, bd.b
+    rows, den = f._numerators
+    return rows, floor(bd.a * den), ceil(bd.b * den)
+
+
+def _shifted(band: Band, f: Process, times) -> tuple:
+    """((f_n - a)^+ for the rows n that ``times`` indexes, their scale): float64
+    rows and 1 in float mode, where v > a exactly when v - a > 0, as a
+    difference of finite doubles is 0 only for equal operands.  In exact mode,
+    with a = p/q and f's denominator den, the integer numerators
+    (n q - p den)^+ over the scale den q."""
+    rows, low, _ = _scaled(band, f)
+    rows = rows[times]
+    if f.mode == "float":
+        return np.where(rows > low, rows - low, 0.0), 1
+    a, den = band.coerced("exact").a, f._numerators[1]
+    return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
+
+
+def _chains(band: Band, f: Process) -> list:
+    """Each atom's unbounded chain: float paths read f's values, exact ones
+    its integer numerators against the ``_scaled`` edges."""
+    if f.mode == "float":
+        bd = band.coerced("float")
+        return [_atom_chain(path, bd.a, bd.b) for path in zip(*f.values)]
+    rows, low, high = _scaled(band, f)
+    return [_atom_chain(path, low, high) for path in rows.T.tolist()]
 
 
 def _check_bound(f: Process, N: int, n: int = 0) -> None:
@@ -213,33 +249,12 @@ def _count_upcrossings(masks: Iterable, width: int, N: int, overlap: bool) -> np
     return counts
 
 
-def _band_masks(bd: Band, f: Process, N: int) -> tuple:
-    """(values <= a, values >= b) over rows 0..N-1 of f, each (N, atoms)."""
-    if f.mode == "float":
-        values = f._matrix[:N]
-        return values <= bd.a, values >= bd.b
-    shape, rows = (N, f.atom_count), f.values[:N]
-    # x = n/d against a = p/q with d, q > 0: x <= a iff n * q <= p * d
-    try:
-        nums = np.array([[x.numerator for x in row] for row in rows], dtype=object)
-        dens = np.array([[x.denominator for x in row] for row in rows], dtype=object)
-    except AttributeError:
-        raise ModeError(
-            "non-rational value in an exact-mode process; pass Fractions or ints"
-        ) from None
-    nums, dens = nums.reshape(shape), dens.reshape(shape)
-    return (
-        nums * bd.a.denominator <= bd.a.numerator * dens,
-        nums * bd.b.denominator >= bd.b.numerator * dens,
-    )
-
-
 def _counts(band: Band, f: Process, N: int) -> np.ndarray:
     """``upcrossings_before`` as an int64 array over atoms."""
     _check_bound(f, N)
     bd = band.coerced(f.mode)
-    low, high = _band_masks(bd, f, N)
-    return _count_upcrossings(zip(low, high), f.atom_count, N, bd.a >= bd.b)
+    rows, low, high = _scaled(bd, f)
+    return _count_upcrossings(zip(rows[:N] <= low, rows[:N] >= high), f.atom_count, N, bd.a >= bd.b)
 
 
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
@@ -278,20 +293,20 @@ def _require_submartingale(
 def _count_integral(space: FiniteMeasureSpace, counts: np.ndarray) -> Scalar:
     """mu[U] of an int64 array of counts over the atoms."""
     if space.mode == "exact":
-        return _sum("exact", space.weights, counts.tolist())
+        weights, unit = space._numerators
+        return Fraction(sum(map(mul, weights.tolist(), counts.tolist())), unit)
     return _float_sums(space._weight_vector * counts).tolist()
 
 
-def _excesses(space: FiniteMeasureSpace, f: Process, a: Scalar, times) -> list:
+def _excesses(space: FiniteMeasureSpace, f: Process, band: Band, times) -> list:
     """The estimate's right sides mu[(f_n - a)^+] for n in ``times``, each one
-    weighted sum over the atoms; float mode takes all of them in one pass over
-    rows of the process's matrix.  v > a exactly when v - a > 0, also in float
-    mode, where a difference of finite doubles is 0 only for equal operands."""
+    weighted sum over the atoms of a row of ``_shifted``: left to right in
+    float mode, in integers and one Fraction per side in exact mode."""
+    rows, scale = _shifted(band, f, list(times))
     if space.mode == "exact":
-        z = zero("exact")
-        return [_sum("exact", space.weights, (v - a if v > a else z for v in f.values[n])) for n in times]
-    rows = f._matrix[list(times)]
-    return _float_sums(space._weight_vector * np.where(rows > a, rows - a, 0.0)).tolist()
+        weights, unit = space._numerators
+        return [Fraction(sum(map(mul, weights.tolist(), row)), unit * scale) for row in rows.tolist()]
+    return _float_sums(space._weight_vector * rows).tolist()
 
 
 @dataclass(frozen=True)
@@ -322,7 +337,7 @@ def check_upcrossing_estimate(
     _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
     lhs = (bd.b - bd.a) * _count_integral(space, _counts(band, f, N))
-    rhs = _excesses(space, f, bd.a, [N])[0]
+    rhs = _excesses(space, f, band, [N])[0]
     eps = tolerance(space.mode, tol)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
 
@@ -360,7 +375,7 @@ def check_upcrossing_estimate_sup(
     bd = band.coerced(f.mode)
     coeff = positive_part(bd.b - bd.a)
     lhs = coeff * _count_integral(space, _counts(band, f, f.horizon))
-    rhs = _excesses(space, f, bd.a, range(f.horizon + 1))
+    rhs = _excesses(space, f, band, range(f.horizon + 1))
     best_n = max(range(len(rhs)), key=rhs.__getitem__)  # the first largest
     best = rhs[best_n]
     eps = tolerance(space.mode, tol)
@@ -392,14 +407,9 @@ def band_translation_identity(band: Band, f: Process) -> BandTranslationReport:
     bd = band.coerced(f.mode)
     if not bd.a < bd.b:
         raise ValueError("band translation requires a < b")
-    g = Process(
-        values=tuple(
-            tuple(positive_part(v - bd.a) for v in row) for row in f.values
-        ),
-        mode=f.mode,
-    )
-    shifted = Band(a=coerce_scalar(0, f.mode), b=bd.b - bd.a)
-    pairs = list(zip(_chains(band, f), _chains(shifted, g)))
+    shifted, scale = _shifted(bd, f, slice(None))
+    width = bd.b - bd.a if f.mode == "float" else ceil((bd.b - bd.a) * scale)
+    pairs = list(zip(_chains(bd, f), (_atom_chain(path, 0, width) for path in shifted.T.tolist())))
     for N in range(f.horizon + 1):
         for w, (lc, rc) in enumerate(pairs):
             x, y = _count_before(lc, N), _count_before(rc, N)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,9 +89,15 @@ class FiniteMeasureSpace:
         from the immutable tuple; float spaces only."""
         return _frozen_floats(self.mode, self.weights, (self.atom_count,))
 
+    @cached_property
+    def _numerators(self) -> tuple:
+        """The weights as integer numerators over one common denominator,
+        derived at most once from the immutable tuple; exact spaces only."""
+        return _integer_twin(self.mode, self.weights, (self.atom_count,))
+
     @property
     def total(self) -> Scalar:
-        return _sum(self.mode, self.weights, repeat(1))
+        return _mass(self, repeat(True))
 
     def is_probability(self) -> bool:
         """Total mass 1: exactly in exact mode, within DEFAULT_FLOAT_TOL in float mode."""
@@ -106,29 +112,35 @@ class FiniteMeasureSpace:
                 raise ValueError(f"atom {a!r} outside range 0..{self.atom_count - 1}")
 
 
-def _exact_sums(xs: Iterable, ys: Iterable, block_of: Iterable[int] | None = None, count: int = 1):
-    """Per-block sums of x * y over paired Fractions or ints, in ascending
-    order: integer numerators over one common denominator, so no Fraction
-    pays a gcd here.  Returns (numerators by block, denominator)."""
+def _integer_twin(mode: Mode, values, shape: tuple) -> tuple:
+    """Exact ``values`` as (a read-only object array of the given shape of
+    Python-int numerators, their common denominator): the derived form that
+    exact spaces, random variables and processes build at most once.  Over
+    one denominator, two numerators are equal exactly when the values are,
+    and a sum of w * v over both forms is a sum of integers.  This is where
+    a value that is not an int or a Fraction raises ModeError."""
+    if mode != "exact":
+        raise ModeError("only exact data has integer numerators")
     try:
-        terms = [(x.numerator * y.numerator, x.denominator * y.denominator) for x, y in zip(xs, ys)]
+        nums, dens = (list(map(attrgetter(name), values)) for name in ("numerator", "denominator"))
     except AttributeError:
-        raise ModeError("non-rational operand in an exact-mode sum; pass Fractions or ints") from None
-    den = lcm(*{d for _, d in terms})
-    nums = [0] * count
-    for b, (n, d) in zip(repeat(0) if block_of is None else block_of, terms):
-        nums[b] += n * (den // d)
-    return nums, den
+        raise ModeError("non-rational value in exact mode; pass Fractions or ints") from None
+    den = lcm(*set(dens))
+    out = np.array([n * (den // d) for n, d in zip(nums, dens)], dtype=object).reshape(shape)
+    out.flags.writeable = False
+    return out, den
 
 
 def _sum(mode: Mode, weights: Iterable, values: Iterable) -> Scalar:
     """sum of w * v over paired weights and values, in the order given: the
-    one summation rule behind every integral, mass and norm.  Exact mode adds
-    integer numerators over one common denominator (``_exact_sums``); float
-    mode adds left to right from +0.0, the order of ``_Kernel``'s block sums."""
+    rule behind every integral, mass and norm that no derived form serves.
+    Exact mode adds integer numerators (``_integer_twin`` of each side), so
+    no Fraction pays a gcd until the result; float mode adds left to right
+    from +0.0, the order of ``_Kernel``'s block sums."""
     if mode == "exact":
-        nums, den = _exact_sums(weights, values)
-        return Fraction(nums[0], den)
+        pairs = list(zip(weights, values))
+        (w, d), (v, e) = (_integer_twin(mode, [p[i] for p in pairs], (len(pairs),)) for i in (0, 1))
+        return Fraction(sum(map(mul, w.tolist(), v.tolist())), d * e)
     return sum(map(mul, weights, values), 0.0)
 
 
@@ -153,14 +165,18 @@ def _frozen_floats(mode: Mode, rows, shape: tuple) -> np.ndarray:
 
 
 def _mass(space: FiniteMeasureSpace, mask: Iterable) -> Scalar:
-    """mu of the atoms a 0/1 mask over all atoms selects, in ascending order."""
+    """mu of the atoms a 0/1 mask over all atoms selects, in ascending order;
+    exact mode adds the space's weight numerators."""
+    if space.mode == "exact":
+        weights, unit = space._numerators
+        return Fraction(sum(compress(weights.tolist(), mask)), unit)
     return _sum(space.mode, compress(space.weights, mask), repeat(1))
 
 
 def measure(space: FiniteMeasureSpace, s: AtomSet) -> Scalar:
     """mu(s) = sum of the weights of the atoms in s, in ascending atom order."""
     space.check_atoms(s)
-    return _sum(space.mode, [space.weights[a] for a in sorted(s)], repeat(1))
+    return _mass(space, [a in s for a in range(space.atom_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +205,13 @@ class RandomVariable:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def _numerators(self) -> tuple:
+        """``values`` as integer numerators over one common denominator,
+        derived at most once; exact random variables only.  Not a field, so
+        equality, hashing and ``repr`` ignore it."""
+        return _integer_twin(self.mode, self.values, (len(self.values),))
 
     def __getitem__(self, i: int) -> Scalar:
         return self.values[i]
@@ -481,12 +504,18 @@ def _unmeasured(values, mode: Mode, of: np.ndarray, first: np.ndarray) -> int | 
     return int(first[of[bad].min()]) if bad.any() else None
 
 
+def _measurable(values, mode: Mode, p: Partition) -> bool:
+    """True iff ``values`` is constant on every block of P, under ``_value_keys``
+    equality."""
+    of = np.asarray(p.block_of)
+    return _unmeasured(values, mode, of, np.unique(of, return_index=True)[1]) is None
+
+
 def is_measurable_wrt(f: RandomVariable, p: Partition) -> bool:
     """True iff f is constant on every block of P (same equality as grouping)."""
     if len(f) != p.atom_count:
         raise ValueError("value count does not match partition atom count")
-    of = np.asarray(p.block_of)
-    return _unmeasured(f.values, f.mode, of, np.unique(of, return_index=True)[1]) is None
+    return _measurable(f.values, f.mode, p)
 
 
 def set_measurable_wrt(s: AtomSet, p: Partition) -> bool:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -24,11 +26,12 @@ from .measure import (
     Partition,
     RandomVariable,
     generated_partition,
-    is_measurable_wrt,
     join,
     meet,
     partition_le,
     _frozen_floats,
+    _integer_twin,
+    _measurable,
 )
 from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
 
@@ -116,6 +119,20 @@ class Process:
         field, so equality and hashing ignore it."""
         return _frozen_floats(self.mode, self.values, (len(self.values), self.atom_count))
 
+    @cached_property
+    def _numerators(self) -> tuple:
+        """``values`` as one read-only (times x atoms) object array of integer
+        numerators over one common denominator, derived at most once; exact
+        processes only.  Not a field, so equality, hashing and ``repr``
+        ignore it."""
+        return _integer_twin(self.mode, [v for row in self.values for v in row],
+                             (len(self.values), self.atom_count))
+
+    def _keys(self):
+        """The rows under ``measure._value_keys`` equality: the integer
+        numerators in exact mode, the values in float mode."""
+        return self._numerators[0] if self.mode == "exact" else self.values
+
     def at(self, n: int) -> RandomVariable:
         return RandomVariable(self.values[n], self.mode)
 
@@ -149,16 +166,18 @@ def _check_process(space: FiniteMeasureSpace, f: Process, F: Filtration) -> None
 def is_adapted(f: Process, F: Filtration) -> bool:
     if f.horizon != F.horizon or f.atom_count != F.atom_count:
         raise ValueError("process and filtration shapes differ")
-    return all(is_measurable_wrt(f.at(n), F.steps[n]) for n in range(f.horizon + 1))
+    keys = f._keys()
+    return all(_measurable(keys[n], f.mode, F.steps[n]) for n in range(f.horizon + 1))
 
 
 def is_predictable(c: Process, F: Filtration) -> bool:
     """c_0 measurable at step 0 and c_{n+1} measurable at step n."""
     if c.horizon != F.horizon or c.atom_count != F.atom_count:
         raise ValueError("process and filtration shapes differ")
-    if not is_measurable_wrt(c.at(0), F.steps[0]):
+    keys = c._keys()
+    if not _measurable(keys[0], c.mode, F.steps[0]):
         return False
-    return all(is_measurable_wrt(c.at(n + 1), F.steps[n]) for n in range(c.horizon))
+    return all(_measurable(keys[n + 1], c.mode, F.steps[n]) for n in range(c.horizon))
 
 
 def filtration_sup(F: Filtration) -> Partition:
@@ -232,9 +251,9 @@ def _violations(kernel, rows, j: int, top: int, low: int, tol, adapted: bool = T
     positive mass, or per positive-weight atom when f is not adapted."""
     t = tolerance(kernel.mode, tol)
     out = {}
-    for i, ce in kernel.tower(rows[j], top, low):
+    for i, sums in kernel.tower(rows[j], top, low):
         at = kernel.rep[i] if adapted else kernel.positive
-        d = ce[kernel.of[i][at]] - rows[i][at]
+        d = kernel.gaps(rows[j], sums, i, rows[i], at)
         out[i, j] = tuple(int(at[m].min()) if m.any() else None for m in (d < -t, d > t))
     return out
 
@@ -258,11 +277,10 @@ def classify(
     if pairs not in ("all", "consecutive"):
         raise ValueError("pairs must be 'all' or 'consecutive'")
     kernel = _Kernel(space, F.steps)
-    rows = [kernel.array(r) for r in f.values]
-    for n, row in enumerate(rows):
-        atom = kernel.unmeasured(row, n)
-        if atom is not None:
-            return Classification(MartingaleClass.NONE, False, (n, atom), None, None)
+    rows = kernel.rows(f)
+    witness = kernel.unadapted(rows)
+    if witness is not None:
+        return Classification(MartingaleClass.NONE, False, witness, None, None)
     found: dict = {}
     for j in range(1, f.horizon + 1):
         found.update(_violations(kernel, rows, j, j - 1, 0 if pairs == "all" else j - 1, tol))
@@ -318,27 +336,78 @@ def doob_decomposition(
     martingale_part = f - predictable_part.  The identity f = m + p holds
     bitwise by construction; the classification facts (m is a martingale,
     p is predictable, p is nondecreasing iff f is a submartingale) are
-    verified by the test suite, not assumed here.
+    verified by the test suite, not assumed here.  In exact mode m_n is
+    formed once per cell of ``_running_sums``, which for adapted input is a
+    block of steps[n], where m_n is constant.
     """
     _check_process(space, f, F)
-    pred = _running_sums(space, F, f.values, lambda k, ce, rows: (ce, rows[k]))
-    predictable = Process(pred, f.mode)
-    return DoobDecomposition(martingale_part=f - predictable, predictable_part=predictable)
-
-
-def _running_sums(space: FiniteMeasureSpace, F: Filtration, rows, terms) -> tuple:
-    """Rows 0..horizon of the running sums over k < n of a_k - b_k (of a_k when
-    b_k is None), where (a_k, b_k) = terms(k, ce_k, rows) and ce_k =
-    condexp(rows[k+1] | steps[k]) at every atom, averaged from the atoms (rows
-    need not be adapted)."""
-    if F.atom_count != space.atom_count:
-        raise ValueError("atom counts differ between space and filtration")
     kernel = _Kernel(space, F.steps)
-    rows = [kernel.array(r) for r in rows]
-    acc = kernel.array([zero(space.mode)] * F.atom_count)
-    out = [tuple(acc.tolist())]
-    for k in range(F.horizon):
-        a, b = terms(k, kernel.condexp(rows[k + 1], k), rows)
-        acc = acc + a if b is None else acc + a - b
-        out.append(tuple(acc.tolist()))
-    return tuple(out)
+    pred, cells = _running_sums(kernel, f, 0)
+    predictable = Process(pred, f.mode)
+    if cells is None:
+        return DoobDecomposition(martingale_part=f - predictable, predictable_part=predictable)
+    nums, den = f._numerators
+    mart = []
+    for cell_of, first, row, pred_row in zip(*cells, nums, pred):
+        per_cell = []
+        for a, y in zip(first.tolist(), row[first].tolist()):
+            q = pred_row[a]
+            per_cell.append(Fraction(y * q.denominator - q.numerator * den, den * q.denominator))
+        mart.append(tuple(map(per_cell.__getitem__, cell_of.tolist())))
+    return DoobDecomposition(Process(tuple(mart), f.mode), predictable)
+
+
+def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
+    """(rows 0..horizon, cells) of the running sums over k < n of the
+    increments ce_k - f_k (lag 0, Doob's predictable part), f_{k+1} - ce_k
+    (lag 1, the compensated count) or ce_k alone (lag None), where ce_k =
+    condexp(f_{k+1} | steps[k]), averaged from the atoms.
+
+    Float input is summed at every atom, and ``cells`` is None.  Exact input
+    is summed once per cell, in integers up to one Fraction per cell: over
+    f's denominator den, ce_k on a block B of steps[k] is n_B / (m_B den),
+    with n_B, m_B the block integral and mass (the row's own numerator and 1
+    where the row is measurable, 0 and 1 on a block of mass zero), so each
+    increment is an integer over m_B den.  The cells of step n are the
+    blocks of steps[n] when f is adapted (increment k is then constant on
+    the blocks of steps[k + 1] for lag 1, and of steps[k] otherwise), and
+    single atoms when it is not; ``cells`` holds, per step, each atom's cell
+    and each cell's first atom, and a cell's atoms share its sum."""
+    rows = kernel.rows(f)
+    if not kernel.exact:
+        acc = np.zeros(f.atom_count)
+        out = [tuple(acc.tolist())]
+        for k in range(f.horizon):
+            ce = kernel.condexp(rows[k + 1], k)
+            a, b = (ce, rows[k]) if lag == 0 else (rows[k + 1], ce) if lag == 1 else (ce, None)
+            acc = acc + a if b is None else acc + a - b
+            out.append(tuple(acc.tolist()))
+        return tuple(out), None
+    if kernel.unadapted(rows) is None:
+        cells = kernel.of, kernel.first
+    else:
+        atoms = [np.arange(f.atom_count)] * len(rows)
+        cells = atoms, atoms
+    nums, den = f._numerators
+    level, acc = 0, [zero("exact")] * len(cells[1][0])
+    out = [tuple(map(acc.__getitem__, cells[0][0].tolist()))]
+    for k in range(f.horizon):
+        new = k + 1 if lag == 1 else k
+        first = cells[1][new]
+        row = rows[k + 1]
+        if kernel.unmeasured(row, k) is None:
+            ce_num, ce_mass = row[0][kernel.first[k]].tolist(), [1] * len(kernel.first[k])
+        else:
+            (ce_num, _), (mass, _) = kernel.sums(row, k), kernel.mass[k]
+            ce_mass = [m or 1 for m in mass]
+        own = repeat(0) if lag is None else nums[k + lag][first].tolist()
+        sign = -1 if lag == 1 else 1  # f_{k+1} - ce_k = -(ce_k - f_{k+1})
+        new_acc = []
+        for u, b, y in zip(cells[0][level][first].tolist(), kernel.of[k][first].tolist(), own):
+            a, m = acc[u], ce_mass[b]
+            d = m * den
+            new_acc.append(Fraction(a.numerator * d + sign * (ce_num[b] - y * m) * a.denominator,
+                                    a.denominator * d))
+        level, acc = new, new_acc
+        out.append(tuple(map(acc.__getitem__, cells[0][new].tolist())))
+    return tuple(out), cells

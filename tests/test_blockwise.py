@@ -1,8 +1,12 @@
 """The blockwise kernel against the per-pair atom loops of ``oracles``.
 
 Every routed function must equal its reference bitwise (compared through
-``repr``, so float -0.0 and 0.0 differ and atoms must be plain ints), in both
-modes, on random spaces with zero-weight atoms and ragged refinements.
+``repr``, so float -0.0 and 0.0 differ, atoms must be plain ints and an exact
+int must not turn into a Fraction or back), in both modes, on random spaces
+with zero-weight atoms, whole blocks of mass zero and ragged refinements.
+Exact processes are adapted, adapted to earlier steps, or not adapted, so
+both routes of the running sums run; some rows lie over large coprime
+denominators, and some are built directly with whole numbers left as ints.
 """
 
 import random
@@ -71,21 +75,34 @@ def test_float_set_sums_run_in_ascending_atom_order():
     assert measure(weighted, block) == 0.1 + 3.0 + 0.2
 
 
-def _block_values(rng, space, part, zeros):
-    """One random value per block of ``part``, written to every atom of it."""
+_PRIMES = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1, 4294967291)
+
+
+def _block_values(rng, space, part, zeros, den=None):
+    """One random value per block of ``part``, written to every atom of it;
+    over ``den`` when given."""
     out = [Fraction(0)] * space.atom_count
     for block in part.blocks():
-        v = random_fraction(rng, -3, 3, 2) if zeros else random_fraction(rng)
+        if den is not None:
+            v = Fraction(rng.randint(-3 * den, 3 * den), den)
+        else:
+            v = random_fraction(rng, -3, 3, 2) if zeros else random_fraction(rng)
         for a in block:
             out[a] = v
     return out
 
 
+def _direct(rng, values):
+    """The same values as built directly, not coerced: some whole numbers as ints."""
+    return tuple(int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in values)
+
+
 def _process(rng, space, F):
     """A martingale, a submartingale, a martingale nudged on a few blocks, a
     process adapted to earlier steps (so f_j is often F_i-measurable, i < j),
-    or values drawn per atom (rarely adapted)."""
-    kind = rng.choice(["martingale", "sub", "nudged", "early", "raw"])
+    values drawn per atom (rarely adapted), or rows over large coprime
+    denominators, drawn per block or per atom."""
+    kind = rng.choice(["martingale", "sub", "nudged", "early", "raw", "coprime"])
     if kind == "martingale":
         return random_martingale(rng, space, F), kind
     if kind == "sub":
@@ -97,6 +114,11 @@ def _process(rng, space, F):
             d = Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
             for a in block:
                 rows[n][a] += d
+        return Process.from_values(rows, "exact"), kind
+    if kind == "coprime":
+        per_atom = rng.random() < 0.5
+        rows = [_block_values(rng, space, Partition.singletons(space.atom_count) if per_atom else p,
+                              True, den) for p, den in zip(F.steps, _PRIMES)]
         return Process.from_values(rows, "exact"), kind
     if kind == "early":
         rows = [_block_values(rng, space, F.steps[rng.randint(0, n)], True)
@@ -122,8 +144,16 @@ def _instance(seed, mode):
     rng = random.Random(seed)
     space = random_space(rng, max_atoms=12, zero_prob=0.3)
     F = random_filtration(rng, space.atom_count, rng.randint(1, 4))
+    if rng.random() < 0.3:  # a whole block of mass zero at some step
+        block = rng.choice(F.steps[rng.randint(0, F.horizon)].blocks())
+        weights = [Fraction(0) if a in block else w for a, w in enumerate(space.weights)]
+        if any(weights):
+            space = FiniteMeasureSpace(tuple(weights), "exact")
     f, kind = _process(rng, space, F)
     g = _block_values(rng, space, F.steps[-1], False)
+    if mode == "exact" and rng.random() < 0.5:
+        f = Process(tuple(_direct(rng, row) for row in f.values), "exact")
+        g = _direct(rng, g)
     sets = []
     for part in F.steps:
         picked = [b for b in part.blocks() if rng.random() < 0.5]
@@ -132,7 +162,7 @@ def _instance(seed, mode):
         space = FiniteMeasureSpace.from_weights([float(w) for w in space.weights], "float")
         f = Process.from_values(_signed_zeros(rng, f.values), "float")
         g = [float(v) for v in g]
-    return space, f, F, RandomVariable.from_values(g, mode), EventSequence(tuple(sets), F), kind
+    return space, f, F, RandomVariable(tuple(g), mode), EventSequence(tuple(sets), F), kind
 
 
 def _same(a, b):

@@ -220,9 +220,8 @@ def test_projection_route_shares_no_blockwise_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("condexp_l2 reached a kernel of the averaging route")
 
-    for name in ("_Kernel", "_exact_sums"):
-        monkeypatch.setattr(condexp_module, name, forbidden)
-    for name in ("_exact_sums", "_sum"):
+    monkeypatch.setattr(condexp_module, "_Kernel", forbidden)
+    for name in ("_integer_twin", "_sum"):
         monkeypatch.setattr(measure_module, name, forbidden)
     sp = FiniteMeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     f = RandomVariable.from_values([2, 6, 5], "exact")

@@ -295,8 +295,8 @@ def test_chain_matches_the_bounded_recursion_at_every_bound(seed, mode):
 def test_counter_matches_the_oracles_on_mixed_cells(seed, mode):
     # mixed signs and denominators, exact cells kept as the raw ints and
     # Fractions given (Process does not coerce), band edges drawn from the
-    # same values so ties with a and b are common, and a >= b as often as
-    # a < b
+    # same values so ties with a and b are common, or p/q with a large q just
+    # beside them, and a >= b as often as a < b
     rng = random.Random(seed)
     horizon = rng.randint(0, 10)
     atoms = rng.randint(1, 6)
@@ -307,8 +307,14 @@ def test_counter_matches_the_oracles_on_mixed_cells(seed, mode):
             return float(v)
         return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
 
+    def edge():
+        # a cell value, or one within 1/q of it for a large q, which the exact
+        # masks and chains must place on the right side of every cell
+        v = draw()
+        return v + Fraction(rng.choice([-1, 1]), rng.randint(10**9, 10**12)) if rng.random() < 0.3 else v
+
     f = Process(tuple(tuple(draw() for _ in range(atoms)) for _ in range(horizon + 1)), mode)
-    band = Band(draw(), draw())
+    band = Band(edge(), edge())
     bd = band.coerced(mode)
     paths = [f.path(w) for w in range(atoms)]
     for N in range(horizon + 1):

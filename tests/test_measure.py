@@ -298,6 +298,8 @@ _float_values = st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.3, 1.0]), st.float
 _float_weights = st.one_of(st.sampled_from([0.0, -0.0, 0.1]), st.floats(0, 10))
 _fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 _nonneg_fractions = st.one_of(st.just(Fraction(0)), st.fractions(0, 5, max_denominator=12))
+_large_denominators = st.builds(Fraction, st.integers(-10**13, 10**13),
+                                st.sampled_from([10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1]))
 
 
 def _bitwise(got, want):
@@ -316,14 +318,17 @@ def _bitwise(got, want):
 def test_every_sum_is_the_left_to_right_sum(mode, data):
     # total, masses, integrals, norms, both sides of both upcrossing estimates,
     # the maximal inequality and the characterization's block gaps, held bit
-    # for bit to sums over only the selected atoms, one term at a time
+    # for bit to sums over only the selected atoms, one term at a time; exact
+    # rows and band edges mix ints, small and large coprime denominators
     values, weights = (_fractions, _nonneg_fractions) if mode == "exact" else (_float_values, _float_weights)
     n = data.draw(st.integers(1, 8))
     horizon = data.draw(st.integers(0, 4))
     sp = FiniteMeasureSpace.from_weights(data.draw(st.lists(weights, min_size=n, max_size=n)), mode)
+    if mode == "exact":  # rows over large coprime denominators, whole numbers as ints
+        values = st.one_of(values, _large_denominators).map(lambda v: int(v) if v.denominator == 1 else v)
     rows = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=horizon + 1,
                               max_size=horizon + 1))
-    f = Process.from_values(rows, mode)
+    f = Process(tuple(map(tuple, rows)), mode) if mode == "exact" else Process.from_values(rows, mode)
     s = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
     fN = f.at(horizon)
     atoms = sorted(s)
@@ -336,7 +341,8 @@ def test_every_sum_is_the_left_to_right_sum(mode, data):
     for p in (1, 2, INF) if mode == "exact" else (1, 2, 2.5, INF):
         cases.append((snorm(sp, fN, p), lp_norm(sp, fN, p)))
 
-    a, b = data.draw(values), data.draw(values)
+    edges = st.one_of(_fractions, _large_denominators) if mode == "exact" else values
+    a, b = data.draw(edges), data.draw(edges)
     band, F = Band(a, b), Filtration.constant(Partition.trivial(n), horizon)
     passed = Classification(MartingaleClass.MARTINGALE, True, None, None, None)
     for N in range(horizon + 1):
