@@ -221,11 +221,11 @@ def ae_convergence_diagnostic(
     band_rows = []
     chain_rows = [] if l1_bound is not None else None
     for band in bands:
-        counts = _counts(band, f, f.horizon)
+        bd = band.coerced(f.mode)
+        counts = _counts(bd, f, f.horizon)
         row = tuple((k, _mass(space, (counts >= k).tolist())) for k in ks)
         band_rows.append((band, row))
         if l1_bound is not None:
-            bd = band.coerced(space.mode)
             if bd.a < bd.b:
                 mu_u = _sum(space.mode, space.weights, counts.tolist())
                 bound = (coerce_scalar(l1_bound, space.mode) + abs(bd.a) * total) / (

@@ -11,17 +11,20 @@ and stabilizes: once sigma_{k+1} == sigma_k every later row repeats.
 strictly before N; a >= b is deliberately allowed, the estimate's left side
 is then nonpositive.
 
-Counts come from one state machine that steps through times 0..N-1 with
+One state machine (``_count_upcrossings``) gives the counts, the crossing
+times and the band translation identity.  It steps through times 0..N-1 with
 array operations over every atom (or, for
 :func:`martkit.montecarlo.count_upcrossings_batch`, every trial) at once,
 reading only the masks "value <= a" and "value >= b".  Float masks compare
 one array of the rows; exact masks compare the process's integer numerators
 (``Process._numerators``) with the band edges moved onto their scale, so no
-``Fraction`` is compared.  Crossing times (``crossing_table``,
-``upper_crossing``, ``lower_crossing``) and the band translation identity
-instead scan each atom's path, read from the same rows, once into its
-unbounded chain and clip it at every N.  There is no memo.  The N-bounded
-recursion and a single-pass scanner live in the test suite as oracles.
+``Fraction`` is compared.  On request it also records when a row closes a leg
+(a sigma), arms (a tau) and first sits on both sides of a band with a >= b;
+``crossing_table``, ``upper_crossing`` and ``lower_crossing`` rank those
+events per atom and clip them at N.  The band translation identity compares
+the two bands' masks and runs the machine at every N only for the atoms
+whose masks differ.  There is no memo.  The N-bounded recursion and a
+single-pass scanner live in the test suite as oracles.
 
 A float process derives its rows once as a read-only float64 matrix
 (``Process._matrix``); the float masks slice it, and the estimates take both
@@ -35,11 +38,10 @@ products of the space's and the process's integer numerators and build one
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional
 
 import numpy as np
@@ -47,7 +49,6 @@ import numpy as np
 from .measure import FiniteMeasureSpace, _check_rv, _float_sums
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
 from .scalars import (
-    INF,
     Scalar,
     coerce_scalar,
     positive_part,
@@ -106,134 +107,22 @@ class CrossingTable:
 
 
 # ---------------------------------------------------------------------------
-# Chain construction: every N-dependent quantity is read off one unbounded chain.
+# One state machine over time, vectorised over atoms: counts, then leg times.
 # ---------------------------------------------------------------------------
 
 
-def _atom_chain(path, a: Scalar, b: Scalar) -> tuple:
-    """(sigmas, taus, stick) of one path with no time bound: the finite sigma_k
-    and tau_k, then the time from which every row repeats (a value both <= a
-    and >= b, so only when a >= b), or INF, the value of every later row."""
-    sigmas = [0]
-    taus = []
-    want_low = True
-    for t, v in enumerate(path):
-        while True:  # one value may close several legs at the same time
-            if want_low:
-                if not v <= a:
-                    break
-                taus.append(t)
-            else:
-                if not v >= b:
-                    break
-                if t == sigmas[-1]:
-                    return sigmas, taus, t
-                sigmas.append(t)
-            want_low = not want_low
-    return sigmas, taus, INF
-
-
-def _scaled(band: Band, f: Process) -> tuple:
-    """(rows, low, high): f's derived matrix and edges with v <= a iff
-    v <= low and v >= b iff v >= high on its entries.  In float mode those are
-    the float64 rows and the band's own edges.  In exact mode they are the
-    integer numerators over f's denominator den and the edges moved onto the
-    same scale: an integer n has n/den <= a iff n <= floor(a * den), and
-    n/den >= b iff n >= ceil(b * den), so no Fraction is compared."""
-    bd = band.coerced(f.mode)
-    if f.mode == "float":
-        return f._matrix, bd.a, bd.b
-    rows, den = f._numerators
-    return rows, floor(bd.a * den), ceil(bd.b * den)
-
-
-def _shifted(band: Band, f: Process, times) -> tuple:
-    """((f_n - a)^+ for the rows n that ``times`` indexes, their scale): float64
-    rows and 1 in float mode, where v > a exactly when v - a > 0, as a
-    difference of finite doubles is 0 only for equal operands.  In exact mode,
-    with a = p/q and f's denominator den, the integer numerators
-    (n q - p den)^+ over the scale den q."""
-    rows, low, _ = _scaled(band, f)
-    rows = rows[times]
-    if f.mode == "float":
-        return np.where(rows > low, rows - low, 0.0), 1
-    a, den = band.coerced("exact").a, f._numerators[1]
-    return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
-
-
-def _chains(band: Band, f: Process) -> list:
-    """Each atom's unbounded chain: float paths read f's values, exact ones
-    its integer numerators against the ``_scaled`` edges."""
-    if f.mode == "float":
-        bd = band.coerced("float")
-        return [_atom_chain(path, bd.a, bd.b) for path in zip(*f.values)]
-    rows, low, high = _scaled(band, f)
-    return [_atom_chain(path, low, high) for path in rows.T.tolist()]
-
-
-def _check_bound(f: Process, N: int, n: int = 0) -> None:
-    if not 0 <= N <= f.horizon:
-        raise ValueError("N must lie within the horizon")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-
-def _row(chain: tuple, which: int, n: int):
-    """Unbounded sigma_n (which = 0) or tau_n (which = 1)."""
-    return chain[which][n] if n < len(chain[which]) else chain[2]
-
-
-def _count_before(chain: tuple, N: int) -> int:
-    """Largest n in 0..N with sigma_n < N (0 when N = 0)."""
-    if N == 0:
-        return 0
-    if chain[2] < N:
-        # stuck strictly below N: sigma_n < N for every n, so the count
-        # tops out at N (reachable only when a >= b)
-        return N
-    return bisect_left(chain[0], N) - 1
-
-
-def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
-    """Chain rows at bound N, up to (and including) the first repeat: an
-    atom's rows end at the first k with sigma_k >= N or with the chain stuck
-    at sigma_k, so its bounded chain has k + 2 sigma rows."""
-    _check_bound(f, N)
-    chains = _chains(band, f)
-    rows = 2 + max(bisect_left(c[0], N) - (c[2] < N) for c in chains)
-    sigma, tau = (
-        tuple(tuple(min(_row(c, which, k), N) for c in chains) for k in range(rows))
-        for which in (0, 1)
-    )
-    return CrossingTable(sigma=sigma, tau=tau, N=N)
-
-
-def upper_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
-    """sigma_n per atom: time the n-th upcrossing of the band completes
-    (0 for n = 0, N once the chain has run out of crossings)."""
-    _check_bound(f, N, n)
-    return tuple(min(_row(c, 0, n), N) for c in _chains(band, f))
-
-
-def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
-    """tau_n per atom: first visit below a at or after sigma_n."""
-    _check_bound(f, N, n)
-    return tuple(min(_row(c, 1, n), N) for c in _chains(band, f))
-
-
-# ---------------------------------------------------------------------------
-# Upcrossing counts: one state machine over time, vectorised over atoms.
-# ---------------------------------------------------------------------------
-
-
-def _count_upcrossings(masks: Iterable, width: int, N: int, overlap: bool) -> np.ndarray:
+def _count_upcrossings(
+    masks: Iterable, width: int, N: int, overlap: bool, events: Optional[list] = None
+) -> np.ndarray:
     """Upcrossings before N of ``width`` atoms or trials, as an int64 array.
 
     ``masks`` yields, for t = 0..N-1, the bool arrays (value <= a, value >= b).
     A row is armed by a value <= a; an armed row completes an upcrossing (its
     next sigma) at a value >= b.  ``overlap`` says a >= b: a value that is
     both then sticks the chain, and a row stuck before N counts N.  For a < b
-    no value is both, so the loop skips that test.
+    no value is both, so the loop skips that test.  A list passed as
+    ``events`` receives, per time, the rows that close a leg (a sigma), the
+    rows that arm (a tau) and the rows stuck at or before that time.
     """
     armed = np.zeros(width, dtype=bool)
     counts = np.zeros(width, dtype=np.int64)
@@ -242,6 +131,8 @@ def _count_upcrossings(masks: Iterable, width: int, N: int, overlap: bool) -> np
         done = armed & high
         counts += done
         armed ^= done  # done is within armed: disarm those rows
+        if events is not None:
+            events.append((done, low & ~armed, stuck | (low & high)))
         armed |= low
         if overlap:
             stuck |= low & high
@@ -249,17 +140,115 @@ def _count_upcrossings(masks: Iterable, width: int, N: int, overlap: bool) -> np
     return counts
 
 
-def _counts(band: Band, f: Process, N: int) -> np.ndarray:
-    """``upcrossings_before`` as an int64 array over atoms."""
-    _check_bound(f, N)
-    bd = band.coerced(f.mode)
+def _scaled(bd: Band, f: Process) -> tuple:
+    """(rows, low, high): f's derived matrix and edges with v <= a iff
+    v <= low and v >= b iff v >= high on its entries, for a band ``bd``
+    already coerced to f's mode.  In float mode those are the float64 rows
+    and the band's own edges.  In exact mode they are the integer numerators
+    over f's denominator den and the edges moved onto the same scale: an
+    integer n has n/den <= a iff n <= floor(a * den), and n/den >= b iff
+    n >= ceil(b * den), so no Fraction is compared."""
+    if f.mode == "float":
+        return f._matrix, bd.a, bd.b
+    rows, den = f._numerators
+    return rows, floor(bd.a * den), ceil(bd.b * den)
+
+
+def _shifted(bd: Band, f: Process, rows: np.ndarray, low) -> tuple:
+    """((f_n - a)^+ for ``rows`` and ``low`` from ``_scaled``, their scale):
+    float64 rows and 1 in float mode, where v > a exactly when v - a > 0, as a
+    difference of finite doubles is 0 only for equal operands.  In exact mode,
+    with a = p/q and f's denominator den, the integer numerators
+    (n q - p den)^+ over the scale den q."""
+    if f.mode == "float":
+        return np.where(rows > low, rows - low, 0.0), 1
+    a, den = bd.a, f._numerators[1]
+    return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
+
+
+def _check_bound(f: Process, N, n=0) -> tuple:
+    """(N, n) as Python ints: ints and numpy integers pass through
+    ``operator.index``; bools and non-integers raise TypeError."""
+    if isinstance(N, bool) or isinstance(n, bool):
+        raise TypeError("N and n must be integers, not bools")
+    N, n = index(N), index(n)
+    if not 0 <= N <= f.horizon:
+        raise ValueError("N must lie within the horizon")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return N, n
+
+
+def _counts(bd: Band, f: Process, N: int, events: Optional[list] = None) -> np.ndarray:
+    """``upcrossings_before`` of a coerced band as an int64 array over atoms,
+    recording ``_count_upcrossings``' events into ``events`` when given."""
     rows, low, high = _scaled(bd, f)
-    return _count_upcrossings(zip(rows[:N] <= low, rows[:N] >= high), f.atom_count, N, bd.a >= bd.b)
+    masks = zip(rows[:N] <= low, rows[:N] >= high)
+    return _count_upcrossings(masks, f.atom_count, N, bd.a >= bd.b, events)
+
+
+def _legs(band: Band, f: Process, N: int) -> tuple:
+    """(sigma, tau, limit) of every atom's chain at bound N, from one run of
+    the state machine.  ``limit`` is the atom's first time on both sides of
+    the band (a >= b only; every later row sits there), or N.  sigma and tau
+    hold the leg times before the limit as (atoms, times, ranks) arrays, atom
+    by atom in time order: sigma_0 = 0 and each closing event, and each
+    arming event."""
+    events = []
+    _counts(band.coerced(f.mode), f, N, events)
+    closes, arms, stuck = np.array(events, dtype=bool).reshape(N, 3, f.atom_count).transpose(1, 2, 0)
+    limit = N - stuck.sum(1)
+    closes[:, :1] = True  # sigma_0 = 0: no row is armed at time 0
+    legs = []
+    for hits in (closes, arms):
+        atoms, times = np.nonzero(hits & (np.arange(N) < limit[:, None]))
+        legs.append((atoms, times, np.arange(atoms.size) - np.searchsorted(atoms, atoms)))
+    return legs[0], legs[1], limit
+
+
+def _rows(leg: tuple, limit: np.ndarray, start: int, stop: int) -> tuple:
+    """Rows start..stop-1 of one leg as tuples of Python ints: row k of an
+    atom is its k-th time, or its limit once its times run out."""
+    atoms, times, ranks = leg
+    out = np.tile(limit, (stop - start, 1))
+    sel = (start <= ranks) & (ranks < stop)
+    out[ranks[sel] - start, atoms[sel]] = times[sel]
+    return tuple(map(tuple, out.tolist()))
+
+
+def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
+    """Chain rows at bound N, up to (and including) the first repeat: an
+    atom's rows end at the first k with sigma_k >= N or with the chain stuck
+    at sigma_k, so its bounded chain has k + 2 sigma rows."""
+    N, _ = _check_bound(f, N)
+    sigma, tau, limit = _legs(band, f, N)
+    rows = 3 + int(sigma[2].max(initial=-1))
+    return CrossingTable(sigma=_rows(sigma, limit, 0, rows), tau=_rows(tau, limit, 0, rows), N=N)
+
+
+def _leg_row(band: Band, f: Process, N: int, n: int, which: int) -> tuple:
+    """Row n of sigma (which = 0) or tau (which = 1) at bound N."""
+    N, n = _check_bound(f, N, n)
+    legs = _legs(band, f, N)
+    n = min(n, N)  # no atom has more than N times before N: row N is the limit
+    return _rows(legs[which], legs[2], n, n + 1)[0]
+
+
+def upper_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
+    """sigma_n per atom: time the n-th upcrossing of the band completes
+    (0 for n = 0, N once the chain has run out of crossings)."""
+    return _leg_row(band, f, N, n, 0)
+
+
+def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
+    """tau_n per atom: first visit below a at or after sigma_n."""
+    return _leg_row(band, f, N, n, 1)
 
 
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
-    return tuple(_counts(band, f, N).tolist())
+    N, _ = _check_bound(f, N)
+    return tuple(_counts(band.coerced(f.mode), f, N).tolist())
 
 
 def upcrossings(band: Band, f: Process) -> tuple:
@@ -290,22 +279,15 @@ def _require_submartingale(
     return cls
 
 
-def _count_integral(space: FiniteMeasureSpace, counts: np.ndarray) -> Scalar:
-    """mu[U] of an int64 array of counts over the atoms."""
+def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> list:
+    """mu[row] / scale for each row of a (rows x atoms) array: the estimates'
+    counts integral and right sides mu[(f_n - a)^+].  Float rows add
+    left to right (``_float_sums``); exact rows add integer products and build
+    one Fraction per row."""
     if space.mode == "exact":
         weights, unit = space._numerators
-        return Fraction(sum(map(mul, weights.tolist(), counts.tolist())), unit)
-    return _float_sums(space._weight_vector * counts).tolist()
-
-
-def _excesses(space: FiniteMeasureSpace, f: Process, band: Band, times) -> list:
-    """The estimate's right sides mu[(f_n - a)^+] for n in ``times``, each one
-    weighted sum over the atoms of a row of ``_shifted``: left to right in
-    float mode, in integers and one Fraction per side in exact mode."""
-    rows, scale = _shifted(band, f, list(times))
-    if space.mode == "exact":
-        weights, unit = space._numerators
-        return [Fraction(sum(map(mul, weights.tolist(), row)), unit * scale) for row in rows.tolist()]
+        weights = weights.tolist()
+        return [Fraction(sum(map(mul, weights, row)), unit * scale) for row in rows.tolist()]
     return _float_sums(space._weight_vector * rows).tolist()
 
 
@@ -335,9 +317,11 @@ def check_upcrossing_estimate(
     """
     _require_submartingale(space, f, F, classification, tol)
     _check_rv(space, f.at(0))
+    N, _ = _check_bound(f, N)
     bd = band.coerced(f.mode)
-    lhs = (bd.b - bd.a) * _count_integral(space, _counts(band, f, N))
-    rhs = _excesses(space, f, band, [N])[0]
+    rows, low, _ = _scaled(bd, f)
+    lhs = (bd.b - bd.a) * _weighted(space, _counts(bd, f, N)[None])[0]
+    rhs = _weighted(space, *_shifted(bd, f, rows[[N]], low))[0]
     eps = tolerance(space.mode, tol)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
 
@@ -374,8 +358,9 @@ def check_upcrossing_estimate_sup(
     _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
     coeff = positive_part(bd.b - bd.a)
-    lhs = coeff * _count_integral(space, _counts(band, f, f.horizon))
-    rhs = _excesses(space, f, band, range(f.horizon + 1))
+    lhs = coeff * _weighted(space, _counts(bd, f, f.horizon)[None])[0]
+    rows, low, _ = _scaled(bd, f)
+    rhs = _weighted(space, *_shifted(bd, f, rows, low))
     best_n = max(range(len(rhs)), key=rhs.__getitem__)  # the first largest
     best = rhs[best_n]
     eps = tolerance(space.mode, tol)
@@ -403,16 +388,30 @@ class BandTranslationReport:
 
 def band_translation_identity(band: Band, f: Process) -> BandTranslationReport:
     """Crossings of (a, b) by f equal crossings of (0, b-a) by (f - a)^+,
-    per atom, at every N <= horizon.  Requires a < b."""
+    per atom, at every N <= horizon.  Requires a < b.
+
+    Counts before N read only the two masks at times 0..N-1, so an atom whose
+    masks agree on both bands (every exact atom; a float one unless v - a
+    rounds across b - a) cannot differ.  The state machine counts the other
+    atoms at every N, and the report names the first (N, atom) in row-major
+    order."""
     bd = band.coerced(f.mode)
     if not bd.a < bd.b:
         raise ValueError("band translation requires a < b")
-    shifted, scale = _shifted(bd, f, slice(None))
+    H = f.horizon
+    rows, low, high = _scaled(bd, f)
+    shifted, scale = _shifted(bd, f, rows, low)
     width = bd.b - bd.a if f.mode == "float" else ceil((bd.b - bd.a) * scale)
-    pairs = list(zip(_chains(bd, f), (_atom_chain(path, 0, width) for path in shifted.T.tolist())))
-    for N in range(f.horizon + 1):
-        for w, (lc, rc) in enumerate(pairs):
-            x, y = _count_before(lc, N), _count_before(rc, N)
-            if x != y:
-                return BandTranslationReport(holds=False, first_mismatch=(N, w, x, y))
+    masks = np.array([[rows[:H] <= low, rows[:H] >= high], [shifted[:H] <= 0, shifted[:H] >= width]])
+    atoms = np.flatnonzero((masks[0] != masks[1]).any((0, 1)))
+    if atoms.size:
+        running = []  # counts at N = 1..H of the atoms whose masks differ
+        for lows, highs in masks[..., atoms]:
+            events = []
+            _count_upcrossings(zip(lows, highs), atoms.size, H, False, events)
+            running.append(np.cumsum([closes for closes, _, _ in events], axis=0))
+        N, w = np.nonzero(running[0] != running[1])
+        if N.size:
+            x, y = (int(c[N[0], w[0]]) for c in running)
+            return BandTranslationReport(holds=False, first_mismatch=(int(N[0]) + 1, int(atoms[w[0]]), x, y))
     return BandTranslationReport(holds=True, first_mismatch=None)

@@ -2,8 +2,8 @@
 
 These deliberately share no code with ``martkit`` internals: the upcrossing
 counter is a two-state scanner, the sigma/tau chain is the N-bounded
-recursion that rescans the path for every bound (the package scans each path
-once and clips), the analyst modulus is plain subset enumeration, and the
+recursion that rescans the path for every bound (the package ranks the times
+its vectorised state machine records and clips them at N), the analyst modulus is plain subset enumeration, and the
 stopping-time check walks partition blocks by hand.
 
 The filtration-wide references below are the per-pair atom loops that

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 import weakref
 from fractions import Fraction
 
@@ -326,6 +327,89 @@ def test_counter_matches_the_oracles_on_mixed_cells(seed, mode):
             batch = count_upcrossings_batch(np.array(f.values).T, bd.a, bd.b, N)
             assert tuple(batch.tolist()) == counts
     assert upcrossings(band, f) == counts
+
+
+ROUNDING_BAND = (-2.6008966690384145, 0.4187035239425576)
+
+
+def _rounding_paths():
+    # v < b, but v - a rounds up to b - a: the shifted path crosses where f does not
+    a, b = ROUNDING_BAND
+    v = math.nextafter(b, -math.inf)
+    return [a - 1, v, a - 1, v, b], [a - 1, a - 1, a - 1, v, b]
+
+
+def test_band_translation_names_the_rounding_witness():
+    a, b = ROUNDING_BAND
+    early, _ = _rounding_paths()
+    expected = _first_translation_mismatch([early], a, b, 4)
+    assert expected == (2, 0, 0, 1)
+    rep = band_translation_identity(Band(a, b), Process.from_path(early, "float"))
+    assert not rep.holds
+    assert rep.first_mismatch == expected
+
+
+def test_band_translation_reports_the_first_mismatch_in_row_major_order():
+    # atom 1 mismatches at N = 2, atom 0 only at N = 4
+    a, b = ROUNDING_BAND
+    early, late = _rounding_paths()
+    expected = _first_translation_mismatch([late, early], a, b, 4)
+    assert expected == (2, 1, 0, 1)
+    rep = band_translation_identity(Band(a, b), Process.from_values(list(zip(late, early)), "float"))
+    assert not rep.holds
+    assert rep.first_mismatch == expected
+    assert all(type(v) is int for v in rep.first_mismatch)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "2"])
+def test_bounds_must_be_integers(bad):
+    f = reference_process()
+    for call in (
+        lambda: crossing_table(UNIT_BAND, f, bad),
+        lambda: upcrossings_before(UNIT_BAND, f, bad),
+        lambda: upper_crossing(UNIT_BAND, f, bad, 1),
+        lambda: upper_crossing(UNIT_BAND, f, 13, bad),
+        lambda: lower_crossing(UNIT_BAND, f, 13, bad),
+    ):
+        with pytest.raises(TypeError, match="integer"):
+            call()
+
+
+def test_numpy_integer_bounds_give_python_ints():
+    f = reference_process()
+    tab = crossing_table(UNIT_BAND, f, np.int64(13))
+    assert tab == crossing_table(UNIT_BAND, f, 13)
+    assert type(tab.N) is int
+    assert all(type(v) is int for rows in (tab.sigma, tab.tau) for row in rows for v in row)
+    assert upper_crossing(UNIT_BAND, f, np.int32(13), np.int64(1)) == (5,)
+    assert upcrossings_before(UNIT_BAND, f, np.uint8(13)) == (2,)
+
+
+@given(seeds, st.sampled_from(["exact", "float"]))
+@settings(max_examples=60, deadline=None)
+def test_crossing_times_are_python_ints(seed, mode):
+    rng = random.Random(seed)
+    horizon = rng.randint(0, 8)
+    atoms = rng.randint(1, 4)
+    rows = [[Fraction(rng.randint(-4, 4), 2) for _ in range(atoms)] for _ in range(horizon + 1)]
+    f = Process.from_values(rows, mode)
+    band = Band(Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
+    N = rng.randint(0, horizon)
+    tab = crossing_table(band, f, N)
+    values = [v for rows in (tab.sigma, tab.tau) for row in rows for v in row]
+    for n in range(len(tab.sigma) + 2):
+        values += upper_crossing(band, f, N, n) + lower_crossing(band, f, N, n)
+    assert all(type(v) is int for v in values)
+
+
+def test_a_huge_leg_index_returns_the_clipped_row_at_once():
+    sp, f, F = exhaustive_space(FairWalk(), 10, mode="float")
+    band = Band(-1, 1)
+    start = time.perf_counter()
+    for n in (10**9, 10**30):
+        assert upper_crossing(band, f, 10, n) == (10,) * f.atom_count
+        assert lower_crossing(band, f, 10, n) == (10,) * f.atom_count
+    assert time.perf_counter() - start < 2.0
 
 
 def test_exact_counts_reject_float_cells():
