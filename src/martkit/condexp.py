@@ -51,10 +51,12 @@ def _default_ambient(space: FiniteMeasureSpace, ambient: Partition | None) -> Pa
 
 
 class _Kernel:
-    """Block tables of a sequence of partitions over one space, built inside
-    each call and never kept.  Per step k: ``of[k]`` is each atom's block,
-    ``first[k]`` each block's first atom, ``rep[k]`` the first positive-weight
-    atom of each block of positive mass, ``mass[k]`` the block masses.  A row
+    """Block tables of a sequence of partitions over one space.  Per step k,
+    ``of[k]`` (each atom's block) and ``first[k]`` (each block's first atom)
+    are the partition's own block table, derived once when it was built;
+    ``rep[k]`` (the first positive-weight atom of each block of positive
+    mass) and ``mass[k]`` (the block masses) depend on the weights, so they
+    are built inside each call and never kept.  A row
     is a float64 array in float mode and, in exact mode, the pair (integer
     numerators, common denominator) that its data derived once
     (``measure._integer_twin``); exact weights come from the space's own
@@ -70,8 +72,7 @@ class _Kernel:
         else:
             weights = self.weights = space._weight_vector
         self.positive = np.flatnonzero(weights != 0)  # weights are >= 0
-        self.of = [np.asarray(p.block_of, dtype=np.intp) for p in steps]
-        self.first = [np.unique(of, return_index=True)[1] for of in self.of]
+        self.of, self.first = [p._of for p in steps], [p._first for p in steps]
         self.rep = [self.positive[np.unique(of[self.positive], return_index=True)[1]] for of in self.of]
         self.mass = [(self._add(self.weights, k), self.unit) if self.exact else self.sums(1.0, k)
                      for k in range(len(steps))]

@@ -166,13 +166,13 @@ def _shifted(bd: Band, f: Process, rows: np.ndarray, low) -> tuple:
     return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
 
 
-def _check_bound(f: Process, N, n=0) -> tuple:
-    """(N, n) as Python ints: ints and numpy integers pass through
-    ``operator.index``; bools and non-integers raise TypeError."""
+def _check_bound(horizon: int, N, n=0) -> tuple:
+    """(N, n) as Python ints, N in 0..horizon: ints and numpy integers pass
+    through ``operator.index``; bools and non-integers raise TypeError."""
     if isinstance(N, bool) or isinstance(n, bool):
         raise TypeError("N and n must be integers, not bools")
     N, n = index(N), index(n)
-    if not 0 <= N <= f.horizon:
+    if not 0 <= N <= horizon:
         raise ValueError("N must lie within the horizon")
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -220,7 +220,7 @@ def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
     """Chain rows at bound N, up to (and including) the first repeat: an
     atom's rows end at the first k with sigma_k >= N or with the chain stuck
     at sigma_k, so its bounded chain has k + 2 sigma rows."""
-    N, _ = _check_bound(f, N)
+    N, _ = _check_bound(f.horizon, N)
     sigma, tau, limit = _legs(band, f, N)
     rows = 3 + int(sigma[2].max(initial=-1))
     return CrossingTable(sigma=_rows(sigma, limit, 0, rows), tau=_rows(tau, limit, 0, rows), N=N)
@@ -228,7 +228,7 @@ def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
 
 def _leg_row(band: Band, f: Process, N: int, n: int, which: int) -> tuple:
     """Row n of sigma (which = 0) or tau (which = 1) at bound N."""
-    N, n = _check_bound(f, N, n)
+    N, n = _check_bound(f.horizon, N, n)
     legs = _legs(band, f, N)
     n = min(n, N)  # no atom has more than N times before N: row N is the limit
     return _rows(legs[which], legs[2], n, n + 1)[0]
@@ -247,7 +247,7 @@ def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
 
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
-    N, _ = _check_bound(f, N)
+    N, _ = _check_bound(f.horizon, N)
     return tuple(_counts(band.coerced(f.mode), f, N).tolist())
 
 
@@ -317,7 +317,7 @@ def check_upcrossing_estimate(
     """
     _require_submartingale(space, f, F, classification, tol)
     _check_rv(space, f.at(0))
-    N, _ = _check_bound(f, N)
+    N, _ = _check_bound(f.horizon, N)
     bd = band.coerced(f.mode)
     rows, low, _ = _scaled(bd, f)
     lhs = (bd.b - bd.a) * _weighted(space, _counts(bd, f, N)[None])[0]

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
 from operator import attrgetter, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -350,14 +350,11 @@ def ae_le(space, f, g, tol: float | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_block_of(block_of: Sequence[int]) -> tuple:
-    relabel: dict[int, int] = {}
-    out = []
-    for b in block_of:
-        if b not in relabel:
-            relabel[b] = len(relabel)
-        out.append(relabel[b])
-    return tuple(out)
+def _first_appearance(keys: Iterable) -> tuple:
+    """Hashable keys numbered by first appearance: 0 for the first key, then
+    one more for each new key.  The one relabel rule of the partition lattice."""
+    seen: dict = {}
+    return tuple([seen.setdefault(k, len(seen)) for k in keys])
 
 
 @dataclass(frozen=True)
@@ -367,19 +364,39 @@ class Partition:
     The partial order used throughout: P <= Q iff every block of Q is
     contained in a block of P, i.e. Q refines P, i.e. the sigma-algebra
     generated by P is contained in the one generated by Q.
+
+    ``block_of`` is a tuple of ints already in that canonical form;
+    ``Partition.of`` and ``from_blocks`` number any hashable labels.  Building
+    a partition derives its block table once: ``_of``, each atom's block as a
+    read-only intp array, and ``_first``, each block's first atom.  They are
+    not fields, so equality, hashing and ``repr`` ignore them.  The lattice,
+    measurability and ``condexp._Kernel`` read them.
     """
 
     block_of: tuple
 
     def __post_init__(self) -> None:
-        if len(self.block_of) < 1:
+        labels = self.block_of
+        if len(labels) < 1:
             raise ValueError("a partition needs at least one atom")
-        if self.block_of != _canonical_block_of(self.block_of):
+        if type(labels) is not tuple or set(map(type, labels)) != {int}:
+            raise TypeError("block_of must be a tuple of ints; use Partition.of for other labels")
+        try:
+            of = np.array(labels, dtype=np.intp)
+        except OverflowError:  # a label far outside 0..n-1
+            of = np.array([-1])
+        # canonical iff every label is >= 0 and each label that raises the
+        # running maximum is the number of blocks opened before it
+        first = np.flatnonzero(of > np.concatenate(([-1], np.maximum.accumulate(of)[:-1])))
+        if of.min() < 0 or (of[first] != np.arange(len(first))).any():
             raise ValueError("block_of not canonical; use Partition.of or from_blocks")
+        of.flags.writeable = first.flags.writeable = False
+        object.__setattr__(self, "_of", of)
+        object.__setattr__(self, "_first", first)
 
     @staticmethod
-    def of(block_of: Sequence[int]) -> "Partition":
-        return Partition(_canonical_block_of(block_of))
+    def of(block_of: Iterable) -> "Partition":
+        return Partition(_first_appearance(block_of))
 
     @staticmethod
     def trivial(n: int) -> "Partition":
@@ -411,7 +428,7 @@ class Partition:
 
     @property
     def block_count(self) -> int:
-        return max(self.block_of) + 1
+        return len(self._first)
 
     def blocks(self) -> tuple:
         out: list[list[int]] = [[] for _ in range(self.block_count)]
@@ -423,40 +440,28 @@ class Partition:
         return tuple(frozenset(b) for b in self.blocks())
 
 
-def partition_le(p: Partition, q: Partition) -> bool:
-    """P <= Q iff every block of Q is contained in a block of P."""
+def _same_atoms(p: Partition, q: Partition) -> None:
     if p.atom_count != q.atom_count:
         raise ValueError("partitions over different atom counts")
-    rep: dict[int, int] = {}
-    for a in range(q.atom_count):
-        qb = q.block_of[a]
-        pb = p.block_of[a]
-        if qb in rep:
-            if rep[qb] != pb:
-                return False
-        else:
-            rep[qb] = pb
-    return True
+
+
+def partition_le(p: Partition, q: Partition) -> bool:
+    """P <= Q iff every block of Q is contained in a block of P: each atom's
+    P-block is the P-block of its Q-block's first atom."""
+    _same_atoms(p, q)
+    return bool((p._of[q._first][q._of] == p._of).all())
 
 
 def join(p: Partition, q: Partition) -> Partition:
-    """Least upper bound: the common refinement."""
-    if p.atom_count != q.atom_count:
-        raise ValueError("partitions over different atom counts")
-    seen: dict[tuple, int] = {}
-    out = []
-    for pb, qb in zip(p.block_of, q.block_of):
-        key = (pb, qb)
-        if key not in seen:
-            seen[key] = len(seen)
-        out.append(seen[key])
-    return Partition(tuple(out))
+    """Least upper bound: the common refinement, one block per (P-block,
+    Q-block) pair that occurs."""
+    _same_atoms(p, q)
+    return Partition(_first_appearance((p._of * q.block_count + q._of).tolist()))
 
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Greatest lower bound: the finest partition coarser than both."""
-    if p.atom_count != q.atom_count:
-        raise ValueError("partitions over different atom counts")
+    _same_atoms(p, q)
     n = p.atom_count
     parent = list(range(n))
 
@@ -472,12 +477,8 @@ def meet(p: Partition, q: Partition) -> Partition:
             parent[ry] = rx
 
     for part in (p, q):
-        first: dict[int, int] = {}
-        for a, b in enumerate(part.block_of):
-            if b in first:
-                union(first[b], a)
-            else:
-                first[b] = a
+        for a, head in enumerate(part._first[part._of].tolist()):
+            union(head, a)
     return Partition.of([find(a) for a in range(n)])
 
 
@@ -490,9 +491,7 @@ def _value_keys(values, mode: Mode) -> np.ndarray:
 
 def generated_partition(f: RandomVariable) -> Partition:
     """Partition into the level sets of f, numbered by first appearance."""
-    seen: dict = {}
-    keys = _value_keys(f.values, f.mode).tolist()
-    return Partition(tuple(seen.setdefault(k, len(seen)) for k in keys))
+    return Partition(_first_appearance(_value_keys(f.values, f.mode).tolist()))
 
 
 def _unmeasured(values, mode: Mode, of: np.ndarray, first: np.ndarray) -> int | None:
@@ -507,8 +506,7 @@ def _unmeasured(values, mode: Mode, of: np.ndarray, first: np.ndarray) -> int | 
 def _measurable(values, mode: Mode, p: Partition) -> bool:
     """True iff ``values`` is constant on every block of P, under ``_value_keys``
     equality."""
-    of = np.asarray(p.block_of)
-    return _unmeasured(values, mode, of, np.unique(of, return_index=True)[1]) is None
+    return _unmeasured(values, mode, p._of, p._first) is None
 
 
 def is_measurable_wrt(f: RandomVariable, p: Partition) -> bool:

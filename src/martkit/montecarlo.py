@@ -53,7 +53,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .crossings import _count_upcrossings
+from .crossings import _check_bound, _count_upcrossings
 from .measure import FiniteMeasureSpace
 from .processes import Process, natural_filtration
 from .scalars import Mode, Scalar, coerce_scalar
@@ -498,13 +498,12 @@ def count_upcrossings_batch(paths: np.ndarray, a: float, b: float, N: Optional[i
     The state machine of ``upcrossings_before``, fed one column at a time so
     memory stays O(rows); it equals ``upcrossings_before`` on each row, for
     a >= b too.  Band edges are float scalars: NaN and +-inf raise, where
-    their comparisons would count no upcrossing at all.
+    their comparisons would count no upcrossing at all.  N is checked as
+    ``upcrossings_before`` checks it: bools and non-integers raise TypeError.
     """
     a, b = coerce_scalar(a, "float"), coerce_scalar(b, "float")
-    if N is None:
-        N = paths.shape[1] - 1
-    elif not 0 <= N < paths.shape[1]:
-        raise ValueError("N must lie within the horizon")
+    horizon = paths.shape[1] - 1
+    N, _ = _check_bound(horizon, horizon if N is None else N)
     columns = ((paths[:, t] <= a, paths[:, t] >= b) for t in range(N))
     return _count_upcrossings(columns, paths.shape[0], N, a >= b)
 

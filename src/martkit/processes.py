@@ -186,16 +186,14 @@ def filtration_sup(F: Filtration) -> Partition:
 
 
 def natural_filtration(f: Process, ambient: Partition | None = None) -> Filtration:
-    """Smallest filtration making f adapted, bounded by ambient."""
+    """Smallest filtration making f adapted, bounded by ambient: step n joins
+    the level sets of rows 0..n, and meets ambient when it is not below it."""
     if ambient is None:
         ambient = Partition.singletons(f.atom_count)
-    steps = []
-    current = generated_partition(f.at(0))
-    for n in range(f.horizon + 1):
-        if n > 0:
-            current = join(current, generated_partition(f.at(n)))
-        step = current if partition_le(current, ambient) else meet(current, ambient)
-        steps.append(step)
+    steps, current = [], Partition.trivial(f.atom_count)
+    for row in f.rows():
+        current = join(current, generated_partition(row))
+        steps.append(current if partition_le(current, ambient) else meet(current, ambient))
     return Filtration(tuple(steps), ambient)
 
 

@@ -29,6 +29,12 @@ and select-free forms: the urn keeps float red and black counts and divides
 by their sum one strided column at a time, and the walk picks each step with
 ``np.where``.
 
+The lattice references work on sets of atom sets, grouped by hand from the
+labels, never on a block table: ``join_blocks`` keeps the nonempty pairwise
+intersections, ``meet_blocks`` the connected components of the overlapping
+blocks, ``refines`` asks whether every Q-block lies inside a P-block, and
+``canonical_labels`` numbers the blocks by their least atom.
+
 ``condexp_l2_dense`` is the dense Gram assembly that ``condexp_l2`` used
 before it walked each atom's nonzero basis entries: k dense indicator
 vectors and k^2 + k inner products over every atom.  It shares only
@@ -381,3 +387,60 @@ def walk_sample_by_select(u, p_up, step):
     out[:, 0] = 0.0
     np.cumsum(np.where(u < float(p_up), step, -step), axis=1, out=out[:, 1:])
     return out
+
+
+def blocks_of_labels(labels):
+    """The blocks of a labelling: the sets of atoms that share a label."""
+    groups = {}
+    for a, label in enumerate(labels):
+        groups.setdefault(label, set()).add(a)
+    return {frozenset(g) for g in groups.values()}
+
+
+def level_sets(values, mode):
+    """The blocks on which values are equal, under ``_key`` equality."""
+    return blocks_of_labels([_key(v, mode) for v in values])
+
+
+def canonical_labels(blocks, n):
+    """Each atom's block index, the blocks numbered by their least atom."""
+    out = [None] * n
+    for i, block in enumerate(sorted(blocks, key=min)):
+        for a in block:
+            out[a] = i
+    return tuple(out)
+
+
+def join_blocks(P, Q):
+    """The common refinement: the nonempty intersections of a P-block and a Q-block."""
+    return {b & c for b in P for c in Q if b & c}
+
+
+def meet_blocks(P, Q):
+    """The finest common coarsening: the connected components of the blocks
+    of P and Q, two blocks linked when they share an atom."""
+    components = []
+    for block in P | Q:
+        merged = set(block)
+        apart = []
+        for c in components:
+            if c & merged:
+                merged |= c
+            else:
+                apart.append(c)
+        components = apart + [merged]
+    return {frozenset(c) for c in components}
+
+
+def refines(P, Q):
+    """P <= Q: every Q-block lies inside a P-block."""
+    return all(any(c <= b for b in P) for c in Q)
+
+
+def natural_filtration_blocks(rows, mode, ambient):
+    """Per time n, the level sets of rows 0..n joined, then met with ambient."""
+    current, steps = {frozenset(range(len(rows[0])))}, []
+    for row in rows:
+        current = join_blocks(current, level_sets(row, mode))
+        steps.append(meet_blocks(current, ambient))
+    return steps

@@ -442,3 +442,19 @@ def test_callback_paths_match_a_per_trial_recomputation(model, path_of, horizon)
 def test_non_models_raise_type_error(call, non_model):
     with pytest.raises(TypeError, match="unknown model"):
         call(non_model)
+
+
+@pytest.mark.parametrize("N", [True, 2.0, Fraction(2), "2"])
+def test_batch_counts_take_integer_bounds_only(N):
+    # N = True once counted as N = 1
+    paths = simulate(FairWalk(), RunConfig(seed=13, trials=3, horizon=24)).values
+    with pytest.raises(TypeError):
+        count_upcrossings_batch(paths, -0.5, 0.5, N=N)
+
+
+def test_batch_counts_take_numpy_integer_bounds():
+    paths = simulate(FairWalk(), RunConfig(seed=13, trials=10, horizon=24)).values
+    want = count_upcrossings_batch(paths, -0.5, 0.5, N=10)
+    assert np.array_equal(count_upcrossings_batch(paths, -0.5, 0.5, N=np.int64(10)), want)
+    with pytest.raises(ValueError, match="N must lie within the horizon"):
+        count_upcrossings_batch(paths, -0.5, 0.5, N=np.int64(25))
