@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import filecmp
 import io
 import json
@@ -520,6 +521,17 @@ class CheckResult(NamedTuple):
     report: object = None
 
 
+def _fields(rep, skip=()) -> list:
+    """(name, value) rows for a report's fields in declaration order, but those in ``skip``."""
+    return [(f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep) if f.name not in skip]
+
+
+def _sides(rep) -> CheckResult:
+    """The result of a check whose report compares ``lhs`` with ``rhs``."""
+    detail = f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}"
+    return CheckResult(rep.holds, detail, ("field", "value"), _fields(rep))
+
+
 _KIND_NAMES = {
     "martingale": MartingaleClass.MARTINGALE,
     "submartingale": MartingaleClass.SUBMARTINGALE,
@@ -552,33 +564,22 @@ def _check_condexp_agreement(ctx, p):
 @_op("set_integral_characterization", {"f": _F, "sub": _SUB})
 def _check_set_integral(ctx, p):
     rep = check_set_integral_characterization(ctx.space(), p["f"], p["sub"])
-    rows = [("holds", rep.holds), ("worst_block_gap", rep.worst_block_gap)]
-    return CheckResult(rep.holds, f"worst_gap={_fmt(rep.worst_block_gap)}", ("field", "value"), rows)
+    return CheckResult(rep.holds, f"worst_gap={_fmt(rep.worst_block_gap)}", ("field", "value"), _fields(rep))
 
 
 @_op("upcrossing_estimate",
      {"band": _BAND, "process": _PROCESS, "filtration": _FILTRATION, "N": _HORIZON})
 def _check_upcrossing_estimate(ctx, p):
-    rep = check_upcrossing_estimate(ctx.space(), p["band"], p["process"], p["filtration"], p["N"])
-    rows = [
-        ("a", rep.a), ("b", rep.b), ("N", rep.N),
-        ("lhs", rep.lhs), ("rhs", rep.rhs), ("holds", rep.holds),
-    ]
-    return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
+    return _sides(check_upcrossing_estimate(ctx.space(), p["band"], p["process"], p["filtration"], p["N"]))
 
 
 @_op("upcrossing_estimate_sup", {"band": _BAND, "process": _PROCESS, "filtration": _FILTRATION,
                                  "check_classification": _Key(_bool, True)})
 def _check_upcrossing_estimate_sup(ctx, p):
-    rep = check_upcrossing_estimate_sup(
+    return _sides(check_upcrossing_estimate_sup(
         ctx.space(), p["band"], p["process"], p["filtration"],
         check_classification=p["check_classification"],
-    )
-    rows = [
-        ("a", rep.a), ("b", rep.b), ("coefficient", rep.coefficient),
-        ("lhs", rep.lhs), ("rhs", rep.rhs), ("argmax_n", rep.argmax_n), ("holds", rep.holds),
-    ]
-    return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
+    ))
 
 
 @_op("band_translation", {"band": _BAND, "process": _PROCESS})
@@ -613,23 +614,13 @@ def _check_crossing_table(ctx, p):
 @_op("optional_stopping", {"process": _PROCESS, "filtration": _FILTRATION,
                            "tau": _Key(_stopping), "sigma": _Key(_stopping)})
 def _check_optional_stopping(ctx, p):
-    rep = check_optional_stopping(ctx.space(), p["process"], p["filtration"], p["tau"], p["sigma"])
-    rows = [
-        ("lhs", rep.lhs), ("rhs", rep.rhs), ("holds", rep.holds),
-        ("is_martingale", rep.is_martingale), ("equality_holds", rep.equality_holds),
-    ]
-    return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
+    return _sides(check_optional_stopping(ctx.space(), p["process"], p["filtration"], p["tau"], p["sigma"]))
 
 
 @_op("maximal_inequality", {"process": _PROCESS, "filtration": _FILTRATION,
                             "n": _HORIZON, "level": _Key(_scalar)})
 def _check_maximal_inequality(ctx, p):
-    rep = check_maximal_inequality(ctx.space(), p["process"], p["filtration"], p["n"], p["level"])
-    rows = [
-        ("n", rep.n), ("level", rep.level), ("set_mass", rep.set_mass),
-        ("lhs", rep.lhs), ("rhs", rep.rhs), ("holds", rep.holds),
-    ]
-    return CheckResult(rep.holds, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)}", ("field", "value"), rows)
+    return _sides(check_maximal_inequality(ctx.space(), p["process"], p["filtration"], p["n"], p["level"]))
 
 
 @_op("doob_decomposition", {"process": _PROCESS, "filtration": _FILTRATION})
@@ -709,14 +700,14 @@ def _check_ae_convergence(ctx, p):
 @_op("bridging", {"family": _FAMILY, "C": _Key(_scalar), "A": _Key(_list(_int(0)))})
 def _check_bridging(ctx, p):
     rep = check_bridging_inequality(p["family"], p["C"], frozenset(p["A"]))
-    rows = [("C", rep.C), ("set_mass", rep.set_mass), ("holds", rep.holds)]
-    return CheckResult(rep.holds, f"C={_fmt(rep.C)} mass={_fmt(rep.set_mass)}", ("field", "value"), rows)
+    detail = f"C={_fmt(rep.C)} mass={_fmt(rep.set_mass)}"
+    return CheckResult(rep.holds, detail, ("field", "value"), _fields(rep, skip=("rows",)))
 
 
 @_op("p_monotonicity", {"family": _FAMILY, "p": _Key(_scalar), "q": _Key(_scalar)})
 def _check_p_monotonicity(ctx, p):
     rep = check_p_monotonicity(p["family"], p["p"], p["q"])
-    rows = [("p", rep.p), ("q", rep.q), ("factor", rep.factor), ("holds", rep.holds)]
+    rows = _fields(rep, skip=("rows",))
     return CheckResult(rep.holds, f"factor={_fmt(rep.factor)}", ("field", "value"), rows)
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from math import ceil, floor
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .condexp import _Kernel
 from .measure import (
@@ -26,8 +28,10 @@ from .measure import (
     ae_witness,
     snorm,
     _check_rv,
-    _mass,
-    _sum,
+    _lp_norms,
+    _threshold,
+    _twin,
+    _weighted,
 )
 from .crossings import Band, _counts
 from .processes import (
@@ -98,11 +102,11 @@ def check_maximal_inequality(
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("the maximal inequality requires a submartingale or martingale")
     _check_rv(space, f.at(n))
-    running = [max(f.values[k][w] for k in range(n + 1)) for w in range(f.atom_count)]
-    level_set = [m >= lam for m in running]  # a 0/1 mask of the atoms
-    mass = _mass(space, level_set)
+    rows, scale = _twin(f)
+    level_set = rows[: n + 1].max(axis=0) >= _threshold(space.mode, lam, scale, ceil)
+    mass = _weighted(space, level_set[None])[0]
     lhs = lam * mass
-    rhs = _sum(space.mode, compress(space.weights, level_set), compress(f.values[n], level_set))
+    rhs = _weighted(space, np.where(level_set, rows[n], 0)[None], scale)[0]
     eps = tolerance(space.mode, tol)
     return MaximalInequalityReport(
         n=n, level=lam, set_mass=mass, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps
@@ -201,11 +205,9 @@ def ae_convergence_diagnostic(
     """
     _check_rv(space, f.at(0))
     cutoff = coerce_scalar(cutoff, space.mode)
-    sup_abs = [
-        max(abs(f.values[n][w]) for n in range(f.horizon + 1))
-        for w in range(f.atom_count)
-    ]
-    unbounded_measure = _mass(space, [m > cutoff for m in sup_abs])
+    rows, scale = _twin(f)
+    unbounded = abs(rows).max(axis=0) > _threshold(space.mode, cutoff, scale, floor)
+    unbounded_measure = _weighted(space, unbounded[None])[0]
     total = space.total
     bounded_fraction = (
         (total - unbounded_measure) / total if total > 0 else coerce_scalar(0, space.mode)
@@ -223,27 +225,23 @@ def ae_convergence_diagnostic(
     for band in bands:
         bd = band.coerced(f.mode)
         counts = _counts(bd, f, f.horizon)
-        row = tuple((k, _mass(space, (counts >= k).tolist())) for k in ks)
-        band_rows.append((band, row))
+        band_rows.append((band, tuple(zip(ks, _weighted(space, counts >= np.array(ks)[:, None])))))
         if l1_bound is not None:
             if bd.a < bd.b:
-                mu_u = _sum(space.mode, space.weights, counts.tolist())
+                mu_u = _weighted(space, counts[None])[0]
                 bound = (coerce_scalar(l1_bound, space.mode) + abs(bd.a) * total) / (
                     bd.b - bd.a
                 )
                 chain_rows.append((band, mu_u, bound, bool(mu_u <= bound)))
 
     cps = geometric_checkpoints(f.horizon)
-    gaps = []
-    for i in range(len(cps) - 1):
-        n, m = cps[i], cps[i + 1]
-        gaps.append((n, m, snorm(space, f.at(m) - f.at(n), 1)))
+    gaps = _lp_norms(space, abs(rows[list(cps[1:])] - rows[list(cps[:-1])]), scale, 1)
     return ConvergenceDiagnostic(
         cutoff=cutoff,
         bounded_fraction=bounded_fraction,
         unbounded_measure=unbounded_measure,
         band_violations=tuple(band_rows),
-        cauchy_gap=tuple(gaps),
+        cauchy_gap=tuple(zip(cps, cps[1:], gaps)),
         chain_bounds=tuple(chain_rows) if chain_rows is not None else None,
     )
 
@@ -383,8 +381,8 @@ def check_levy_upward(
     if kernel.exact:
         d = [_l1_distance(kernel, row, sums, n) for n, sums in kernel.tower(row, F.horizon, 0)]
     else:
-        d = [snorm(space, RandomVariable(tuple(kernel.condexp(row, n).tolist()), space.mode) - g, 1)
-             for n in range(F.horizon, -1, -1)]
+        ce = np.array([kernel.condexp(row, n) for n in range(F.horizon, -1, -1)])
+        d = _lp_norms(space, abs(ce - row), 1, 1)
     d.reverse()
     eps = tolerance(space.mode, tol)
     monotone = all(d[i + 1] <= d[i] + eps for i in range(len(d) - 1))
@@ -433,10 +431,7 @@ def fatou_norm_check(
     if not 0 <= start <= f.horizon:
         raise ValueError("tail_start must lie within the horizon")
     curve = tuple(snorm(space, f.at(n), p) for n in range(f.horizon + 1))
-    surrogate = None
-    for n in range(start, f.horizon + 1):
-        if surrogate is None or curve[n] < surrogate:
-            surrogate = curve[n]
+    surrogate = min(curve[start:])  # the first least
     limit_norm = snorm(space, g, p)
     # exact-mode norms can be irrational root forms; compare directly there
     if space.mode == "exact":

@@ -27,26 +27,23 @@ whose masks differ.  There is no memo.  The N-bounded recursion and a
 single-pass scanner live in the test suite as oracles.
 
 A float process derives its rows once as a read-only float64 matrix
-(``Process._matrix``); the float masks slice it, and the estimates take both
-sides from it and the space's weight vector: the left side from the counts
-array, each right side mu[(f_N - a)^+] from row N, and the sup form's H + 1
-right sides from one pass over the matrix.  Those sums add left to right from
-+0.0 in ascending atom order (``measure._float_sums``); exact estimates add
-products of the space's and the process's integer numerators and build one
-``Fraction`` per side.
+(``Process._matrix``); the float masks slice it.  The estimates take both
+sides from the process's twin and the space's weights, through the one
+weighted sum of :mod:`martkit.measure`: the left side from the counts array,
+each right side mu[(f_N - a)^+] from row N, and the sup form's H + 1 right
+sides from one pass over the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, floor
-from operator import index, mul
+from operator import index
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, _check_rv, _float_sums
+from .measure import FiniteMeasureSpace, _check_rv, _threshold, _twin, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, classify
 from .scalars import (
     Scalar,
@@ -141,17 +138,12 @@ def _count_upcrossings(
 
 
 def _scaled(bd: Band, f: Process) -> tuple:
-    """(rows, low, high): f's derived matrix and edges with v <= a iff
-    v <= low and v >= b iff v >= high on its entries, for a band ``bd``
-    already coerced to f's mode.  In float mode those are the float64 rows
-    and the band's own edges.  In exact mode they are the integer numerators
-    over f's denominator den and the edges moved onto the same scale: an
-    integer n has n/den <= a iff n <= floor(a * den), and n/den >= b iff
-    n >= ceil(b * den), so no Fraction is compared."""
-    if f.mode == "float":
-        return f._matrix, bd.a, bd.b
-    rows, den = f._numerators
-    return rows, floor(bd.a * den), ceil(bd.b * den)
+    """(rows, low, high): f's twin and the edges of a band ``bd`` already
+    coerced to f's mode, moved onto the twin's scale (``measure._threshold``),
+    so that v <= a iff its entry is <= low and v >= b iff it is >= high.  In
+    exact mode no Fraction is compared."""
+    rows, den = _twin(f)
+    return rows, _threshold(f.mode, bd.a, den, floor), _threshold(f.mode, bd.b, den, ceil)
 
 
 def _shifted(bd: Band, f: Process, rows: np.ndarray, low) -> tuple:
@@ -277,18 +269,6 @@ def _require_submartingale(
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("the upcrossing estimate requires a submartingale or martingale")
     return cls
-
-
-def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> list:
-    """mu[row] / scale for each row of a (rows x atoms) array: the estimates'
-    counts integral and right sides mu[(f_n - a)^+].  Float rows add
-    left to right (``_float_sums``); exact rows add integer products and build
-    one Fraction per row."""
-    if space.mode == "exact":
-        weights, unit = space._numerators
-        weights = weights.tolist()
-        return [Fraction(sum(map(mul, weights, row)), unit * scale) for row in rows.tolist()]
-    return _float_sums(space._weight_vector * rows).tolist()
 
 
 @dataclass(frozen=True)

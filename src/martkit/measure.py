@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
 from math import lcm
 from operator import attrgetter, mul
 from typing import Callable, Iterable
@@ -97,7 +96,7 @@ class FiniteMeasureSpace:
 
     @property
     def total(self) -> Scalar:
-        return _mass(self, repeat(True))
+        return _weighted(self, np.ones((1, self.atom_count), dtype=bool))[0]
 
     def is_probability(self) -> bool:
         """Total mass 1: exactly in exact mode, within DEFAULT_FLOAT_TOL in float mode."""
@@ -131,25 +130,26 @@ def _integer_twin(mode: Mode, values, shape: tuple) -> tuple:
     return out, den
 
 
-def _sum(mode: Mode, weights: Iterable, values: Iterable) -> Scalar:
-    """sum of w * v over paired weights and values, in the order given: the
-    rule behind every integral, mass and norm that no derived form serves.
-    Exact mode adds integer numerators (``_integer_twin`` of each side), so
-    no Fraction pays a gcd until the result; float mode adds left to right
-    from +0.0, the order of ``_Kernel``'s block sums."""
-    if mode == "exact":
-        pairs = list(zip(weights, values))
-        (w, d), (v, e) = (_integer_twin(mode, [p[i] for p in pairs], (len(pairs),)) for i in (0, 1))
-        return Fraction(sum(map(mul, w.tolist(), v.tolist())), d * e)
-    return sum(map(mul, weights, values), 0.0)
+def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> list:
+    """mu[row] / scale for each row of a (rows x atoms) array: the one weighted
+    sum over atoms behind every integral, mass and norm.  Exact rows hold
+    integers (numerators over ``scale``, or 0/1 masks) and add their products
+    with the space's weight numerators, one Fraction per row.  Float rows add
+    left to right from +0.0 (``_float_sums``).  An atom that a row leaves out
+    holds 0 and adds a signed zero, which leaves a sum started at +0.0 as it
+    is."""
+    if space.mode == "exact":
+        weights, unit = space._numerators
+        weights = weights.tolist()
+        return [Fraction(sum(map(mul, weights, row)), unit * scale) for row in rows.tolist()]
+    return _float_sums(space._weight_vector * rows).tolist()
 
 
 def _float_sums(terms: np.ndarray) -> np.ndarray:
-    """``_sum``'s float rule along the last axis of a float64 array: each row
-    added left to right from +0.0, on every Python version (``np.sum`` adds
-    pairwise, and the builtin ``sum()`` compensates from Python 3.12).  The
-    running sum starts at the first term, and adding it to +0.0 turns a -0.0
-    into +0.0.  ``.tolist()`` gives Python floats."""
+    """Each row of a float64 array added left to right from +0.0 along the
+    last axis, the order of ``_Kernel``'s block sums (``np.sum`` adds
+    pairwise).  The running sum starts at the first term, and adding it to
+    +0.0 turns a -0.0 into +0.0.  ``.tolist()`` gives Python floats."""
     return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
 
 
@@ -164,19 +164,22 @@ def _frozen_floats(mode: Mode, rows, shape: tuple) -> np.ndarray:
     return out
 
 
-def _mass(space: FiniteMeasureSpace, mask: Iterable) -> Scalar:
-    """mu of the atoms a 0/1 mask over all atoms selects, in ascending order;
-    exact mode adds the space's weight numerators."""
-    if space.mode == "exact":
-        weights, unit = space._numerators
-        return Fraction(sum(compress(weights.tolist(), mask)), unit)
-    return _sum(space.mode, compress(space.weights, mask), repeat(1))
+def _threshold(mode: Mode, c: Scalar, scale: int, rounding: Callable) -> Scalar:
+    """A level c on the scale of a twin's entries: c itself in float mode, and
+    ``rounding(c * scale)`` in exact mode, as an integer n has n/scale <= c
+    iff n <= floor(c scale) and n/scale >= c iff n >= ceil(c scale)."""
+    return rounding(c * scale) if mode == "exact" else c
+
+
+def _mask(n: int, s: AtomSet) -> np.ndarray:
+    """The atoms of s as a bool vector over atoms 0..n-1."""
+    return np.isin(np.arange(n), list(s))
 
 
 def measure(space: FiniteMeasureSpace, s: AtomSet) -> Scalar:
     """mu(s) = sum of the weights of the atoms in s, in ascending atom order."""
     space.check_atoms(s)
-    return _mass(space, [a in s for a in range(space.atom_count)])
+    return _weighted(space, _mask(space.atom_count, s)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +261,74 @@ def _check_rv(space: FiniteMeasureSpace, f: RandomVariable) -> None:
         )
 
 
+def _twin(x) -> tuple:
+    """(entries, scale) of a random variable or process: its integer
+    numerators and their common denominator in exact mode; in float mode the
+    process's ``_matrix``, or a fresh float64 vector of a random variable's
+    values, over 1."""
+    if x.mode == "exact":
+        return x._numerators
+    if isinstance(x, RandomVariable):
+        return np.array(x.values, dtype=float), 1
+    return x._matrix, 1
+
+
+def _powers(mode: Mode, absolute: np.ndarray, scale: int, p) -> tuple:
+    """(|f|^p, its scale, p checked) from a twin's |f| over ``scale``: |f|
+    itself at p = 1 and at p = inf (where norms take the essential sup).
+    Exact mode takes an integer p and integer powers over scale^p.  Float
+    mode takes a real p >= 1 as a float and Python's ``**`` value by value,
+    which numpy's ``**`` misses in the last bit on some values."""
+    if p != INF and mode == "exact":
+        p = int(p) if isinstance(p, Fraction) and p.denominator == 1 else p
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise ValueError(f"exact-mode norms require integer p >= 1 or inf, got {p!r}")
+    elif p != INF and float(p) < 1:
+        raise ValueError(f"norms require p >= 1, got {p!r}")
+    if p == 1 or p == INF:
+        return absolute, scale, p
+    if mode == "exact":
+        return absolute**p, scale**p, p
+    p = float(p)
+    out = np.array([x**p for x in absolute.ravel().tolist()]).reshape(absolute.shape)
+    out.flags.writeable = False
+    return out, scale, p
+
+
+def _lp_norms(space: FiniteMeasureSpace, powered: np.ndarray, scale: int, p, pick=None) -> list:
+    """``snorm`` of each row of an array from ``_powers``: the p-th root of the
+    row's ``_weighted`` sum, as a float, a rational Fraction or a RootValue.
+    At p = inf the essential sup over positive-weight atoms: a float row's
+    largest entry, or ``pick(row, atom)`` at an exact row's first largest
+    atom, so a stored value keeps its type; 0 without such atoms."""
+    if p != INF:
+        totals = _weighted(space, powered, scale)
+        if space.mode == "float":
+            return [total ** (1.0 / p) for total in totals]
+        roots = [RootValue.of(total, p) for total in totals]
+        return [root.as_fraction() if root.is_rational() else root for root in roots]
+    if space.mode == "float":
+        return np.where(space._weight_vector > 0, powered, 0.0).max(axis=-1, initial=0.0).tolist()
+    positive = np.flatnonzero(space._numerators[0] > 0)
+    if not positive.size:
+        return [Fraction(0)] * len(powered)
+    firsts = positive[[row.index(max(row)) for row in powered[:, positive].tolist()]]
+    return [pick(r, a) for r, a in enumerate(firsts.tolist())]
+
+
 def integral(space: FiniteMeasureSpace, f: RandomVariable) -> Scalar:
     """Integral of f over the whole space."""
     _check_rv(space, f)
-    return _sum(space.mode, space.weights, f.values)
+    values, scale = _twin(f)
+    return _weighted(space, values[None], scale)[0]
 
 
 def set_integral(space: FiniteMeasureSpace, f: RandomVariable, s: AtomSet) -> Scalar:
     """Integral of f over the atom set s, summed in ascending atom order."""
     _check_rv(space, f)
     space.check_atoms(s)
-    atoms = sorted(s)
-    return _sum(space.mode, [space.weights[a] for a in atoms], [f.values[a] for a in atoms])
+    values, scale = _twin(f)
+    return _weighted(space, np.where(_mask(space.atom_count, s), values, 0)[None], scale)[0]
 
 
 def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue:
@@ -281,28 +340,9 @@ def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue
     :class:`RootValue` in root form.  Float mode accepts any real p >= 1.
     """
     _check_rv(space, f)
-    if p == INF:
-        best = None
-        for w, v in zip(space.weights, f.values):
-            if w > 0 and (best is None or abs(v) > best):
-                best = abs(v)
-        return best if best is not None else zero(space.mode)
-    if space.mode == "exact":
-        if isinstance(p, Fraction) and p.denominator == 1:
-            p = int(p)
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(
-                f"exact-mode snorm requires integer p >= 1 or inf, got {p!r}"
-            )
-    else:
-        p = float(p)
-        if p < 1:
-            raise ValueError(f"snorm requires p >= 1, got {p!r}")
-    total = _sum(space.mode, space.weights, (abs(v) ** p for v in f.values))
-    if space.mode == "float":
-        return total ** (1.0 / p)
-    out = RootValue.of(total, p)
-    return out.as_fraction() if out.is_rational() else out
+    values, scale = _twin(f)
+    powered, scale, p = _powers(space.mode, abs(values), scale, p)
+    return _lp_norms(space, powered[None], scale, p, lambda _, a: abs(f.values[a]))[0]
 
 
 # ---------------------------------------------------------------------------

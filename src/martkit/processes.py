@@ -32,6 +32,7 @@ from .measure import (
     _frozen_floats,
     _integer_twin,
     _measurable,
+    _twin,
 )
 from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
 
@@ -128,11 +129,6 @@ class Process:
         return _integer_twin(self.mode, [v for row in self.values for v in row],
                              (len(self.values), self.atom_count))
 
-    def _keys(self):
-        """The rows under ``measure._value_keys`` equality: the integer
-        numerators in exact mode, the values in float mode."""
-        return self._numerators[0] if self.mode == "exact" else self.values
-
     def at(self, n: int) -> RandomVariable:
         return RandomVariable(self.values[n], self.mode)
 
@@ -166,7 +162,7 @@ def _check_process(space: FiniteMeasureSpace, f: Process, F: Filtration) -> None
 def is_adapted(f: Process, F: Filtration) -> bool:
     if f.horizon != F.horizon or f.atom_count != F.atom_count:
         raise ValueError("process and filtration shapes differ")
-    keys = f._keys()
+    keys = _twin(f)[0]
     return all(_measurable(keys[n], f.mode, F.steps[n]) for n in range(f.horizon + 1))
 
 
@@ -174,7 +170,7 @@ def is_predictable(c: Process, F: Filtration) -> bool:
     """c_0 measurable at step 0 and c_{n+1} measurable at step n."""
     if c.horizon != F.horizon or c.atom_count != F.atom_count:
         raise ValueError("process and filtration shapes differ")
-    keys = c._keys()
+    keys = _twin(c)[0]
     if not _measurable(keys[0], c.mode, F.steps[0]):
         return False
     return all(_measurable(keys[n + 1], c.mode, F.steps[n]) for n in range(c.horizon))

@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .measure import FiniteMeasureSpace, integral, set_measurable_wrt
+import numpy as np
+
+from .measure import FiniteMeasureSpace, _check_rv, _measurable, _twin, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, classify, is_adapted
 from .scalars import INF, Mode, Scalar, coerce_scalar, tolerance
 
@@ -145,11 +147,8 @@ def is_stopping_time(tau: StoppingTime, F: Filtration) -> bool:
     """True iff every level set {tau <= i} is a union of blocks of steps[i]."""
     if tau.atom_count != F.atom_count:
         raise ValueError("stopping time and filtration live on different atom sets")
-    for i in range(F.horizon + 1):
-        level = frozenset(w for w, t in enumerate(tau.time_of) if t <= i)
-        if not set_measurable_wrt(level, F.steps[i]):
-            return False
-    return True
+    times = np.array(tau.time_of, dtype=float)
+    return all(_measurable(times <= i, "float", F.steps[i]) for i in range(F.horizon + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,6 @@ def stopped_process(f: Process, tau: StoppingTime) -> Process:
     return Process(values=tuple(rows), mode=f.mode)
 
 
-def _value_at_time(f: Process, tau: StoppingTime) -> tuple:
-    return tuple(f.values[tau.time_of[w]][w] for w in range(f.atom_count))
-
-
 @dataclass(frozen=True)
 class OptionalStoppingReport:
     lhs: Scalar  # integral of f at tau
@@ -255,13 +250,10 @@ def check_optional_stopping(
     cls = classification if classification is not None else classify(space, f, F, tol=tol)
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("optional stopping requires a submartingale or martingale")
-
-    from .measure import RandomVariable  # local to avoid a wide import surface
-
-    f_tau = RandomVariable(values=_value_at_time(f, tau), mode=f.mode)
-    f_sigma = RandomVariable(values=_value_at_time(f, sigma), mode=f.mode)
-    lhs = integral(space, f_tau)
-    rhs = integral(space, f_sigma)
+    _check_rv(space, f.at(0))
+    rows, scale = _twin(f)
+    atoms = np.arange(f.atom_count)
+    lhs, rhs = _weighted(space, rows[[tau.time_of, sigma.time_of], atoms], scale)
     eps = tolerance(space.mode, tol)
     is_mart = cls.kind == MartingaleClass.MARTINGALE
     return OptionalStoppingReport(

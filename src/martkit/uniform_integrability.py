@@ -16,12 +16,13 @@ HARD_ATOM_CAP contributing atoms every solver raises rather than truncate the
 search, and a forced subset search raises above EXHAUSTIVE_ATOM_LIMIT.
 
 The probabilist's modulus, the norm bound, the bridging inequality, the
-p-monotonicity check and the Vitali diagnostics read a float family through
-matrices it derives once: f, |f| and |f|^p over (members x atoms), read-only,
-with |f|^p taken by Python's ``**`` as ``snorm`` takes it.  Truncation at C
-is the mask |f| >= C, a member's norm the p-th root of its row's weighted sum
-added left to right from +0.0, and Vitali's differences one matrix f - g.
-Exact families go member by member through ``snorm``.
+p-monotonicity check and the Vitali diagnostics read a family's twin, the
+(members x atoms) array it derives once: in float mode the read-only float64
+matrices f, |f| and |f|^p, with |f|^p taken by Python's ``**`` as ``snorm``
+takes it; in exact mode the integer numerators over one denominator.
+Truncation at C is the mask |f| >= C, a member's norm the p-th root of its
+row's weighted sum (``measure._lp_norms``, the rule behind ``snorm``), and
+Vitali's differences one array f - g.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import ceil, floor, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,11 +39,15 @@ from .measure import (
     FiniteMeasureSpace,
     RandomVariable,
     measure,
-    snorm,
     _check_rv,
-    _float_sums,
     _frozen_floats,
-    _mass,
+    _integer_twin,
+    _lp_norms,
+    _mask,
+    _powers,
+    _threshold,
+    _twin,
+    _weighted,
 )
 from .scalars import INF, RootValue, Scalar, coerce_scalar
 
@@ -99,64 +105,43 @@ class FunctionFamily:
         )
         absolute = np.abs(values)
         absolute.flags.writeable = False
-        return values, absolute, _float_powers(absolute, self.p)
+        return values, absolute, _powers("float", absolute, 1, self.p)[0]
 
-
-def _float_powers(absolute: np.ndarray, p: Scalar) -> np.ndarray:
-    """|f|^p from a float64 matrix of |f|, read-only: |f| itself at p = 1 and
-    at p = inf (where norms take the essential sup of |f|), else Python's
-    ``**`` value by value, the power ``snorm`` takes.  numpy's ``**`` differs
-    from it in the last bit on some values."""
-    if p == 1 or p == INF:
-        return absolute
-    p = float(p)
-    out = np.array([x**p for x in absolute.ravel().tolist()]).reshape(absolute.shape)
-    out.flags.writeable = False
-    return out
-
-
-def _float_norms(space: FiniteMeasureSpace, powered: np.ndarray, p: Scalar) -> list:
-    """``snorm`` of each row of a float64 matrix given as |f|^p (as |f| at
-    p = inf), as Python floats: the essential sup over positive-weight atoms,
-    or the p-th root of the row's weighted sum, added left to right."""
-    weights = space._weight_vector
-    if p == INF:
-        return np.where(weights > 0, powered, 0.0).max(axis=-1, initial=0.0).tolist()
-    return [total ** (1.0 / float(p)) for total in _float_sums(weights * powered).tolist()]
+    @cached_property
+    def _numerators(self) -> tuple:
+        """The members' values as one read-only (members x atoms) object array
+        of integer numerators over one common denominator, derived at most
+        once; exact families only.  Not a field, so equality, hashing and
+        ``repr`` ignore it."""
+        return _integer_twin(self.space.mode, [v for f in self.members for v in f.values],
+                             (len(self.members), self.space.atom_count))
 
 
 def _norms(fam: FunctionFamily, C: Scalar, atoms: Optional[frozenset] = None) -> list:
     """snorm(f * 1{|f| >= C} * 1_atoms, p) for each member f, over every atom
-    when ``atoms`` is None.  Float families read their derived matrices, exact
-    ones sum through ``snorm``."""
-    space = fam.space
-    if space.mode == "exact":
-        z = coerce_scalar(0, "exact")
-        kept = (
-            tuple(v if abs(v) >= C and (atoms is None or w in atoms) else z for w, v in enumerate(f.values))
-            for f in fam.members
-        )
-        return [snorm(space, RandomVariable(values, "exact"), fam.p) for values in kept]
-    _, absolute, powered = fam._matrices
-    keep = absolute >= C
+    when ``atoms`` is None, from the family's twin: its float matrices over 1,
+    or its integer numerators and their powers."""
+    if fam.space.mode == "float":
+        _, absolute, powered = fam._matrices
+        scale, power_scale, p = 1, 1, fam.p if fam.p == INF else float(fam.p)
+    else:
+        values, scale = fam._numerators
+        absolute = abs(values)
+        powered, power_scale, p = _powers("exact", absolute, scale, fam.p)
+    keep = absolute >= _threshold(fam.space.mode, C, scale, ceil)
     if atoms is not None:
-        keep &= np.isin(np.arange(space.atom_count), list(atoms))
-    return _float_norms(space, np.where(keep, powered, 0.0), fam.p)
+        keep &= _mask(fam.space.atom_count, atoms)
+    kept = lambda r, a: abs(fam.members[r].values[a]) if keep[r, a] else Fraction(0)
+    return _lp_norms(fam.space, np.where(keep, powered, 0), power_scale, p, kept)
 
 
 def _largest_abs(fam: FunctionFamily) -> Scalar:
-    """The largest |value| of any member, 0 for a family without members."""
+    """The largest |value| of any member, 0 for a family without members: a
+    Fraction in exact mode, from the integer twin."""
     if fam.space.mode == "float":
         return fam._matrices[1].max(initial=0.0).item()
-    return _max_scalar((abs(v) for f in fam.members for v in f.values), Fraction(0))
-
-
-def _max_scalar(values, default):
-    best = default
-    for v in values:
-        if best is None or v > best:
-            best = v
-    return best
+    values, den = fam._numerators
+    return Fraction(abs(values).max(initial=0), den)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +154,7 @@ def probabilist_modulus(fam: FunctionFamily, C: Scalar) -> Scalar:
     C = coerce_scalar(C, fam.space.mode)
     if C < 0:
         raise ValueError("truncation level must be >= 0")
-    return _max_scalar(_norms(fam, C), coerce_scalar(0, fam.space.mode))
+    return max([coerce_scalar(0, fam.space.mode), *_norms(fam, C)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +257,7 @@ def _analyst_modulus_one(
             for w in range(space.atom_count)
             if 0 < space.weights[w] <= delta
         ]
-        return _max_scalar(candidates, coerce_scalar(0, space.mode))
+        return max([coerce_scalar(0, space.mode), *candidates])
     items = _knapsack_items(space, f, p)
     if len(items) > HARD_ATOM_CAP:
         raise ValueError(
@@ -317,7 +302,7 @@ def analyst_modulus(
         _analyst_modulus_one(fam.space, f, delta, fam.p, force_method)
         for f in fam.members
     )
-    return _max_scalar(vals, coerce_scalar(0, fam.space.mode))
+    return max([coerce_scalar(0, fam.space.mode), *vals])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +326,7 @@ class UIModuli:
 
 def ui_moduli(fam: FunctionFamily) -> UIModuli:
     z = coerce_scalar(0, fam.space.mode)
-    return UIModuli(family=fam, l1_bound=_max_scalar(_norms(fam, z), z))
+    return UIModuli(family=fam, l1_bound=max([z, *_norms(fam, z)]))
 
 
 def probabilist_curve(fam: FunctionFamily, cs: Sequence[Scalar]) -> tuple:
@@ -401,7 +386,7 @@ def _c_grid(fam: FunctionFamily) -> tuple:
     m = _largest_abs(fam)
     if m <= 0:
         return (coerce_scalar(0, fam.space.mode), coerce_scalar(1, fam.space.mode))
-    quarter = m / 4 if fam.space.mode == "exact" else m / 4.0
+    quarter = m / 4
     return (coerce_scalar(0, fam.space.mode), quarter, 2 * quarter, 3 * quarter, m, m + 1)
 
 
@@ -480,20 +465,16 @@ def vitali_empirical(
         _check_rv(space, f)
     fam = FunctionFamily(space=space, members=tuple(members), p=p)
 
-    if mode == "exact":
-        diffs = [f - g for f in members]
-        in_measure = tuple(
-            tuple(_mass(space, [abs(v) > eps for v in d.values]) for d in diffs)
-            for eps in eps_grid
-        )
-        lp_curve = tuple(snorm(space, d, p) for d in diffs)
-    else:
-        values = fam._matrices[0]
-        gaps = np.abs(values - np.asarray(g.values, dtype=float))
-        in_measure = tuple(
-            tuple(_float_sums(space._weight_vector * (gaps > eps)).tolist()) for eps in eps_grid
-        )
-        lp_curve = tuple(_float_norms(space, _float_powers(gaps, p), p))
+    values, scale = (fam._matrices[0], 1) if mode == "float" else fam._numerators
+    limit, limit_scale = _twin(g)
+    unit = lcm(scale, limit_scale)
+    if unit != 1:  # exact twins over different denominators: move both onto their lcm
+        values, limit = values * (unit // scale), limit * (unit // limit_scale)
+    gaps = abs(values - limit)
+    in_measure = tuple(
+        tuple(_weighted(space, gaps > _threshold(mode, eps, unit, floor))) for eps in eps_grid
+    )
+    lp_curve = tuple(_lp_norms(space, *_powers(mode, gaps, unit, p)))
     m = _largest_abs(fam)
     grid = [coerce_scalar(0, mode)]
     c = coerce_scalar(1, mode)

@@ -197,20 +197,21 @@ def test_float_routes_skip_the_per_atom_sum(monkeypatch):
 
 
 def test_exact_estimates_sum_the_integer_twins(monkeypatch):
-    # exact estimates add the space's and the process's integer numerators;
-    # the exact UI moduli, which no twin serves, still go through _sum
+    # exact estimates add the space's and the process's integer numerators,
+    # and the exact UI moduli the family's; no random variable derives one
     space, f, F = exhaustive_space(FairWalk(), 3, "exact")
     cls = classify(space, f, F)
     sp, members, _ = shrinking_spike_family(8, mode="exact")
-    calls, weighted_sum = [], measure._sum
+    fam = FunctionFamily(sp, members, 1)
 
-    def counted(mode, weights, values):
-        calls.append(mode)
-        return weighted_sum(mode, weights, values)
+    def forbidden(self):
+        raise AssertionError("an exact route derived a random variable's twin")
 
-    monkeypatch.setattr(measure, "_sum", counted)
+    monkeypatch.setattr(RandomVariable, "_numerators", property(forbidden))
     check_upcrossing_estimate(space, Band(-1, 1), f, F, 3, classification=cls)
     check_upcrossing_estimate_sup(space, Band(-1, 1), f, F, classification=cls)
-    assert calls == [] and "_numerators" in vars(f) and "_numerators" in vars(space)
-    assert probabilist_modulus(FunctionFamily(sp, members, 1), 4) == Fraction(1, 4)
-    assert calls and set(calls) == {"exact"}
+    assert "_numerators" in vars(f) and "_numerators" in vars(space)
+    assert "_numerators" not in vars(fam)
+    assert probabilist_modulus(fam, 4) == Fraction(1, 4)
+    assert ui_moduli(fam).l1_bound == 1  # the first spike, height 1 on mass 1
+    assert fam._numerators is vars(fam)["_numerators"] and "_numerators" in vars(sp)

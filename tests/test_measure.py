@@ -1,6 +1,5 @@
 import random
 import struct
-import sys
 from fractions import Fraction
 from operator import mul
 
@@ -293,7 +292,6 @@ def test_snorm_rejects_non_integer_exponent_in_exact_mode():
         snorm(sp, f, Fraction(3, 2))
 
 
-_FLOAT_SUMS_COMPENSATE = sys.version_info >= (3, 12)  # the builtin sum() is Neumaier's there
 _float_values = st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.3, 1.0]), st.floats(-50, 50))
 _float_weights = st.one_of(st.sampled_from([0.0, -0.0, 0.1]), st.floats(0, 10))
 _fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -308,11 +306,7 @@ def _bitwise(got, want):
     return type(got) is type(want) and got == want
 
 
-@pytest.mark.parametrize("mode", [
-    "exact",
-    pytest.param("float", marks=pytest.mark.skipif(
-        _FLOAT_SUMS_COMPENSATE, reason="the builtin sum() compensates from Python 3.12")),
-])
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_every_sum_is_the_left_to_right_sum(mode, data):

@@ -9,6 +9,7 @@ from martkit import (
     FiniteMeasureSpace,
     FunctionFamily,
     RandomVariable,
+    RootValue,
     analyst_modulus,
     check_bridging_inequality,
     check_p_monotonicity,
@@ -67,6 +68,31 @@ def test_p_monotonicity_reference_and_equal_exponents():
     assert same.holds and same.factor == Fraction(1)
     for row in same.rows:
         assert row[1] == row[3]
+
+
+def test_p_monotonicity_on_a_stored_int_maximum():
+    # the largest |value| was the stored int 4, and the grid's 4 / 4 a float
+    # that exact mode rejected with ModeError
+    fam = FunctionFamily(FiniteMeasureSpace.uniform(2), (RandomVariable((0, 4), "exact"),), 1)
+    rep = check_p_monotonicity(fam, 1, 2)
+    assert rep.holds
+    assert [row[0] for row in rep.rows] == [0, 1, 2, 3, 4, 5]
+    assert all(type(row[0]) is Fraction for row in rep.rows)
+    assert rep.rows[0][1:4] == (Fraction(2), RootValue.of(8, 2), RootValue.of(8, 2))
+
+
+@pytest.mark.parametrize("check", [
+    lambda fam: probabilist_modulus(fam, 0),
+    lambda fam: ui_moduli(fam),
+    lambda fam: vitali_empirical(fam.space, fam.members, fam.members[0], fam.p, 2),
+], ids=["probabilist_modulus", "ui_moduli", "vitali_empirical"])
+def test_exact_norms_refuse_a_fractional_exponent(check):
+    # int ** Fraction(3, 2) silently gives a float
+    sp = FiniteMeasureSpace.uniform(2)
+    fam = FunctionFamily(sp, (RandomVariable((1, 4), "exact"), RandomVariable((Fraction(1, 3), 2), "exact")),
+                         Fraction(3, 2))
+    with pytest.raises(ValueError):
+        check(fam)
 
 
 @given(seeds)
