@@ -6,14 +6,15 @@ descriptors.  Each descriptor maps to exactly one library operation, and each
 op declares its keys in ``CHECK_OPS``: every key has a kind (how its JSON value
 is decoded and checked) and a default or "required".  One resolver checks each
 descriptor against its keys before any check runs and hands the handler the
-decoded values; model and family documents go through the same resolver.  The
-runner executes the checks in order, writes one CSV per check plus a summary,
-and exits 0 only when every check passes.  The ``crossings``, ``converge``,
-``bc`` and ``ui`` subcommands each build one descriptor from their flags and
-run it through the same resolver and handler.  Exit 1 means a check failed; exit 2
-means the scenario or flags were malformed (an unknown or missing key, a
-non-finite float, a non-bool flag, a non-integer count, ...), and the error
-names the offending JSON path or flag.
+decoded values.  Model and family documents go through the same resolver, and
+so do the instance documents: space, process, filtration, random variable,
+partition and stopping time.  The runner executes the checks in order,
+writes one CSV per check plus a summary, and exits 0 only when every check
+passes.  The ``crossings``, ``converge``, ``bc`` and ``ui`` subcommands each
+build one descriptor from their flags and run it through the same resolver and
+handler.  Exit 1 means a check failed; exit 2 means the scenario or flags were
+malformed (an unknown or missing key, a non-finite float, a non-bool flag, a
+non-integer count, ...), and the error names the offending JSON path or flag.
 
 All CSV output is deterministic for a fixed scenario and seed: header row,
 '.' decimal separator, rationals as p/q strings in exact mode, no
@@ -76,18 +77,8 @@ from .processes import (
     is_predictable,
     natural_filtration,
 )
-from .scalars import Mode
-from .serialize import (
-    SerializationError,
-    decode_scalar,
-    filtration_from_json,
-    partition_from_json,
-    process_from_json,
-    rv_from_json,
-    space_from_json,
-    stopping_from_json,
-)
-from .stopping import check_optional_stopping
+from .scalars import INF, Mode, coerce_scalar
+from .stopping import StoppingTime, check_optional_stopping
 from .uniform_integrability import (
     FunctionFamily,
     check_bridging_inequality,
@@ -188,9 +179,7 @@ def _join(path, key: str):
 def _decode(kind, ctx, value, path: str):
     try:
         return kind(ctx, value, path)
-    except SerializationError as e:
-        raise ConfigError(str(e)) from None
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -246,11 +235,11 @@ def _seed(ctx, v, path) -> int:
 
 def _float(ctx, v, path):
     """A finite float in either mode."""
-    return decode_scalar(v, "float", path)
+    return coerce_scalar(v, "float")
 
 
 def _scalar(ctx, v, path):
-    return decode_scalar(v, ctx.mode, path)
+    return coerce_scalar(v, ctx.mode)
 
 
 def _bool(ctx, v, path):
@@ -283,7 +272,7 @@ def _list(kind):
     def parse(ctx, v, path):
         if not isinstance(v, list):
             raise ConfigError(f"{path}: expected an array")
-        return [kind(ctx, x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return [_decode(kind, ctx, x, f"{path}[{i}]") for i, x in enumerate(v)]
     return parse
 
 
@@ -298,8 +287,66 @@ def _band(ctx, v, path) -> Band:
     return Band(**_resolve(ctx, _BAND_KEYS, v, path))
 
 
-def _rv(ctx, v, path) -> RandomVariable:
-    return rv_from_json(v, ctx.mode, path)
+_MODE = _choice({"exact": "exact", "float": "float"})
+
+
+# instance documents: each object is built under the key that holds its
+# data, so an error the library raises names that key's path
+
+
+def _same_mode(ctx, v, path) -> Mode:
+    if _MODE(ctx, v, path) != ctx.mode:
+        raise ConfigError(f"{path}: does not match scenario mode")
+    return v
+
+
+def _field(key: str, kind, **keys):
+    """A kind for an object with ``keys`` and then ``key``, whose decoded value it returns."""
+    table = {**keys, key: _Key(kind)}
+    return lambda ctx, v, path: _resolve(ctx, table, v, path)[key]
+
+
+def _into(make, kind):
+    """A kind that builds ``make(value, mode)`` from the value ``kind`` decodes."""
+    return lambda ctx, v, path: make(kind(ctx, v, path), ctx.mode)
+
+
+_SCALARS = _list(_scalar)
+_space = _field("weights", _into(FiniteMeasureSpace.from_weights, _SCALARS), mode=_Key(_same_mode))
+_rv = _field("values", _into(RandomVariable.from_values, _SCALARS))
+_process = _field("values", _into(Process.from_values, _list(_SCALARS)))
+_BLOCKS = _list(_list(_int(0)))  # blocks of atom indices
+_PARTITION_KEYS = {"atoms": _Key(_int(0)), "blocks": _Key(_BLOCKS)}
+_FILTRATION_KEYS = {"atoms": _Key(_int(0)), "steps": _Key(_list(_BLOCKS)), "ambient": _Key(_BLOCKS, None)}
+
+
+def _blocks_of(atoms: int):
+    """A kind for checked blocks: the partition of ``atoms`` atoms into them."""
+    return lambda ctx, blocks, path: Partition.from_blocks(blocks, atoms)
+
+
+def _partition(ctx, v, path) -> Partition:
+    p = _resolve(ctx, _PARTITION_KEYS, v, path)
+    return _decode(_blocks_of(p["atoms"]), ctx, p["blocks"], _join(path, "blocks"))
+
+
+def _filtration(ctx, v, path) -> Filtration:
+    p = _resolve(ctx, _FILTRATION_KEYS, v, path)
+    partition = _blocks_of(p["atoms"])
+    steps = _decode(_list(partition), ctx, p["steps"], _join(path, "steps"))
+    ambient = None if p["ambient"] is None else _decode(partition, ctx, p["ambient"], _join(path, "ambient"))
+    return _decode(lambda ctx, steps, path: Filtration.of(steps, ambient), ctx, steps, _join(path, "steps"))
+
+
+def _time(ctx, v, path):
+    """One atom's stopping time: a natural, or "inf" for never."""
+    if v != "inf" and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
+        raise ConfigError(f"{path}: expected an integer >= 0 or 'inf'")
+    return INF if v == "inf" else v
+
+
+def _stopping(ctx, v, path) -> StoppingTime:
+    return StoppingTime.of(_list(_time)(ctx, v, path))
 
 
 def _at(ctx, n, path) -> RandomVariable:
@@ -308,26 +355,10 @@ def _at(ctx, n, path) -> RandomVariable:
     return f.at(_count(n, path, 0, f.horizon))
 
 
-def _process(ctx, v, path) -> Process:
-    return process_from_json(v, ctx.mode, path)
-
-
-def _filtration(ctx, v, path) -> Filtration:
-    return filtration_from_json(v, path)
-
-
-def _partition(ctx, v, path) -> Partition:
-    return partition_from_json(v, path)
-
-
 def _sub_step(ctx, k, path) -> Partition:
     """``sub_step``: step k of the scenario filtration."""
     F = ctx.filtration()
     return F.steps[_count(k, path, 0, F.horizon)]
-
-
-def _stopping(ctx, v, path):
-    return stopping_from_json(v, path)
 
 
 def _constant_schedule(ctx, v, path):
@@ -404,7 +435,6 @@ def _builtin_family(ctx, doc, path) -> tuple:
 
 
 # a scenario's own keys; the instance documents are decoded on demand by _Context
-_MODE = _choice({"exact": "exact", "float": "float"})
 _SCENARIO_KEYS = {
     "name": _Key(_name), "mode": _Key(_MODE, None), "seed": _Key(_seed, None),
     "checks": _Key(_nonempty),
@@ -446,9 +476,7 @@ class _Context:
         doc, root = self.doc, self.root
         decode = lambda kind, key: _decode(kind, self, doc[key], _join(root, key)) if key in doc else None
         if "space" in doc:
-            space = decode(lambda ctx, v, path: space_from_json(v, path), "space")
-            if space.mode != self.mode:
-                raise ConfigError(f"{_join(root, 'space')}.mode: does not match scenario mode")
+            space = decode(_space, "space")
             process = decode(_process, "process")
             filtration = decode(_filtration, "filtration")
             if filtration is None and process is not None:
@@ -1042,25 +1070,23 @@ def cmd_selftest(args) -> int:
         print(f"[FAIL] rng-streams: {route} Philox4x64-10 differs from trial_rng at horizon {horizon}")
         failures += 1
 
-    # Replaying the Monte Carlo suite in this process (quietly, into
-    # mc_parallel) must give byte-identical CSVs.  Monte Carlo blocks run
-    # sequentially, so this check tests run-to-run determinism; it keeps its
-    # "parallel-determinism" name and output line.
+    # replaying the Monte Carlo suite in this process (quietly, into
+    # mc_replay) must give byte-identical CSVs
     for name, sub, seed, stream in (("exact_suite.json", "exact", None, None),
                                     ("mc_suite.json", "mc", args.seed, None),
-                                    ("mc_suite.json", "mc_parallel", args.seed, io.StringIO())):
+                                    ("mc_suite.json", "mc_replay", args.seed, io.StringIO())):
         doc = json.loads(_scenario_text(name))
         failures += run_scenario(doc, name, os.path.join(out, sub), seed_override=seed, stream=stream) != 0
-    seq_dir, par_dir = os.path.join(out, "mc"), os.path.join(out, "mc_parallel")
+    first_dir, replay_dir = os.path.join(out, "mc"), os.path.join(out, "mc_replay")
     mismatched = [
-        fname for fname in sorted(os.listdir(seq_dir))
-        if not filecmp.cmp(os.path.join(seq_dir, fname), os.path.join(par_dir, fname), shallow=False)
+        fname for fname in sorted(os.listdir(first_dir))
+        if not filecmp.cmp(os.path.join(first_dir, fname), os.path.join(replay_dir, fname), shallow=False)
     ]
     if mismatched:
-        print(f"[FAIL] parallel-determinism: {','.join(mismatched)} differ")
+        print(f"[FAIL] replay-determinism: {','.join(mismatched)} differ")
         failures += len(mismatched)
     else:
-        print("[PASS] parallel-determinism: sequential and parallel CSVs identical")
+        print("[PASS] replay-determinism: first run and replay CSVs identical")
 
     mode, process = _path_file(json.loads(_scenario_text("reference_path.json")), "reference_path.json")
     result = _run_one("crossing_table", {"band": [0, 1], "process": process}, "reference_path.json: $",

@@ -29,11 +29,13 @@ from .measure import (
     snorm,
     _check_rv,
     _lp_norms,
+    _mask,
+    _powers,
     _threshold,
     _twin,
     _weighted,
 )
-from .crossings import Band, _counts
+from .crossings import Band, _counts, _scaled
 from .processes import (
     Classification,
     Filtration,
@@ -143,20 +145,13 @@ def limit_process_estimate(
     tol = coerce_scalar(tol, space.mode)
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    start = f.horizon + 1 - window
-    out = []
-    converged = set()
+    rows, scale = _twin(f)
+    tail = rows[f.horizon + 1 - window:]
+    converged = (tail.max(axis=0) - tail.min(axis=0) <= _threshold(space.mode, tol, scale, floor)).tolist()
     z = coerce_scalar(0, space.mode)
-    for w in range(f.atom_count):
-        tail = [f.values[n][w] for n in range(start, f.horizon + 1)]
-        if max(tail) - min(tail) <= tol:
-            out.append(f.values[f.horizon][w])
-            converged.add(w)
-        else:
-            out.append(z)
     return LimitEstimate(
-        values=RandomVariable(values=tuple(out), mode=space.mode),
-        converged_mask=frozenset(converged),
+        values=RandomVariable(tuple(v if ok else z for v, ok in zip(f.values[-1], converged)), space.mode),
+        converged_mask=frozenset(w for w, ok in enumerate(converged) if ok),
         sup_partition=filtration_sup(F),
     )
 
@@ -224,7 +219,7 @@ def ae_convergence_diagnostic(
     chain_rows = [] if l1_bound is not None else None
     for band in bands:
         bd = band.coerced(f.mode)
-        counts = _counts(bd, f, f.horizon)
+        counts = _counts(bd, _scaled(bd, f), f.horizon)
         band_rows.append((band, tuple(zip(ks, _weighted(space, counts >= np.array(ks)[:, None])))))
         if l1_bound is not None:
             if bd.a < bd.b:
@@ -285,9 +280,12 @@ def check_l1_convergence_a(
     cls = classification if classification is not None else classify(space, f, F)
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("check (a) requires a submartingale or martingale")
+    _check_rv(space, f.at(0))
     est = limit_process_estimate(space, f, F, tol=tol, window=window)
     cps = geometric_checkpoints(f.horizon)
-    gaps = tuple(snorm(space, f.at(n) - est.values, 1) for n in cps)
+    rows, scale = _twin(f)
+    limit = np.where(_mask(f.atom_count, est.converged_mask), rows[-1], 0)
+    gaps = tuple(_lp_norms(space, abs(rows[list(cps)] - limit), scale, 1))
     ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= UI_SMALL
     trend_ok = all(float(gaps[i + 1]) <= float(gaps[i]) for i in range(len(gaps) - 1))
     eps = tolerance(space.mode)
@@ -430,7 +428,10 @@ def fatou_norm_check(
     start = f.horizon // 2 if tail_start is None else tail_start
     if not 0 <= start <= f.horizon:
         raise ValueError("tail_start must lie within the horizon")
-    curve = tuple(snorm(space, f.at(n), p) for n in range(f.horizon + 1))
+    _check_rv(space, f.at(0))
+    rows, scale = _twin(f)
+    powered, scale, p = _powers(space.mode, abs(rows), scale, p)
+    curve = tuple(_lp_norms(space, powered, scale, p, lambda n, a: abs(f.values[n][a])))
     surrogate = min(curve[start:])  # the first least
     limit_norm = snorm(space, g, p)
     # exact-mode norms can be irrational root forms; compare directly there

@@ -171,12 +171,13 @@ def _check_bound(horizon: int, N, n=0) -> tuple:
     return N, n
 
 
-def _counts(bd: Band, f: Process, N: int, events: Optional[list] = None) -> np.ndarray:
+def _counts(bd: Band, scaled: tuple, N: int, events: Optional[list] = None) -> np.ndarray:
     """``upcrossings_before`` of a coerced band as an int64 array over atoms,
-    recording ``_count_upcrossings``' events into ``events`` when given."""
-    rows, low, high = _scaled(bd, f)
+    from ``_scaled``'s (rows, low, high), recording ``_count_upcrossings``'
+    events into ``events`` when given."""
+    rows, low, high = scaled
     masks = zip(rows[:N] <= low, rows[:N] >= high)
-    return _count_upcrossings(masks, f.atom_count, N, bd.a >= bd.b, events)
+    return _count_upcrossings(masks, rows.shape[1], N, bd.a >= bd.b, events)
 
 
 def _legs(band: Band, f: Process, N: int) -> tuple:
@@ -187,7 +188,8 @@ def _legs(band: Band, f: Process, N: int) -> tuple:
     by atom in time order: sigma_0 = 0 and each closing event, and each
     arming event."""
     events = []
-    _counts(band.coerced(f.mode), f, N, events)
+    bd = band.coerced(f.mode)
+    _counts(bd, _scaled(bd, f), N, events)
     closes, arms, stuck = np.array(events, dtype=bool).reshape(N, 3, f.atom_count).transpose(1, 2, 0)
     limit = N - stuck.sum(1)
     closes[:, :1] = True  # sigma_0 = 0: no row is armed at time 0
@@ -240,7 +242,8 @@ def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
     N, _ = _check_bound(f.horizon, N)
-    return tuple(_counts(band.coerced(f.mode), f, N).tolist())
+    bd = band.coerced(f.mode)
+    return tuple(_counts(bd, _scaled(bd, f), N).tolist())
 
 
 def upcrossings(band: Band, f: Process) -> tuple:
@@ -299,8 +302,9 @@ def check_upcrossing_estimate(
     _check_rv(space, f.at(0))
     N, _ = _check_bound(f.horizon, N)
     bd = band.coerced(f.mode)
-    rows, low, _ = _scaled(bd, f)
-    lhs = (bd.b - bd.a) * _weighted(space, _counts(bd, f, N)[None])[0]
+    scaled = _scaled(bd, f)
+    rows, low, _ = scaled
+    lhs = (bd.b - bd.a) * _weighted(space, _counts(bd, scaled, N)[None])[0]
     rhs = _weighted(space, *_shifted(bd, f, rows[[N]], low))[0]
     eps = tolerance(space.mode, tol)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
@@ -338,8 +342,9 @@ def check_upcrossing_estimate_sup(
     _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
     coeff = positive_part(bd.b - bd.a)
-    lhs = coeff * _weighted(space, _counts(bd, f, f.horizon)[None])[0]
-    rows, low, _ = _scaled(bd, f)
+    scaled = _scaled(bd, f)
+    rows, low, _ = scaled
+    lhs = coeff * _weighted(space, _counts(bd, scaled, f.horizon)[None])[0]
     rhs = _weighted(space, *_shifted(bd, f, rows, low))
     best_n = max(range(len(rhs)), key=rhs.__getitem__)  # the first largest
     best = rhs[best_n]

@@ -273,18 +273,25 @@ def _twin(x) -> tuple:
     return x._matrix, 1
 
 
-def _powers(mode: Mode, absolute: np.ndarray, scale: int, p) -> tuple:
-    """(|f|^p, its scale, p checked) from a twin's |f| over ``scale``: |f|
-    itself at p = 1 and at p = inf (where norms take the essential sup).
-    Exact mode takes an integer p and integer powers over scale^p.  Float
-    mode takes a real p >= 1 as a float and Python's ``**`` value by value,
-    which numpy's ``**`` misses in the last bit on some values."""
+def _exponent(mode: Mode, p):
+    """p checked for a norm: inf, or else an integer >= 1 in exact mode (a
+    whole Fraction as an int) and a real >= 1 in float mode."""
     if p != INF and mode == "exact":
         p = int(p) if isinstance(p, Fraction) and p.denominator == 1 else p
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"exact-mode norms require integer p >= 1 or inf, got {p!r}")
     elif p != INF and float(p) < 1:
         raise ValueError(f"norms require p >= 1, got {p!r}")
+    return p
+
+
+def _powers(mode: Mode, absolute: np.ndarray, scale: int, p) -> tuple:
+    """(|f|^p, its scale, p checked by ``_exponent``) from a twin's |f| over
+    ``scale``: |f| itself at p = 1 and at p = inf (where norms take the
+    essential sup).  Exact mode takes integer powers over scale^p.  Float
+    mode takes p as a float and Python's ``**`` value by value, which
+    numpy's ``**`` misses in the last bit on some values."""
+    p = _exponent(mode, p)
     if p == 1 or p == INF:
         return absolute, scale, p
     if mode == "exact":

@@ -59,7 +59,7 @@ class Filtration:
     @staticmethod
     def of(steps: Iterable[Partition], ambient: Partition | None = None) -> "Filtration":
         steps = tuple(steps)
-        if ambient is None:
+        if ambient is None and steps:  # no steps: __post_init__ raises
             ambient = Partition.singletons(steps[0].atom_count)
         return Filtration(steps, ambient)
 

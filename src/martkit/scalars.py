@@ -53,11 +53,6 @@ class ModeError(TypeError):
     """Raised when exact and float quantities meet in one computation."""
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as ``"p/q"`` (or ``"p"`` when the denominator is 1)."""
-    return str(x)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` / ``"p"`` strings (also accepts plain ints)."""
     return Fraction(text)

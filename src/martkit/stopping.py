@@ -48,8 +48,8 @@ __all__ = [
 class ValuePredicate:
     """A target set of values: half-line, closed interval, or arbitrary test.
 
-    Only the closed forms (``at_most``, ``at_least``, ``between``) round-trip
-    through JSON; ``custom`` wraps any membership callback for in-process use.
+    The closed forms are ``at_most``, ``at_least`` and ``between``; ``custom``
+    wraps any membership callback.
     """
 
     kind: str  # "at_most" | "at_least" | "between" | "custom"

@@ -41,6 +41,7 @@ from .measure import (
     measure,
     _check_rv,
     _frozen_floats,
+    _exponent,
     _integer_twin,
     _lp_norms,
     _mask,
@@ -298,10 +299,8 @@ def analyst_modulus(
     delta = coerce_scalar(delta, fam.space.mode)
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    vals = (
-        _analyst_modulus_one(fam.space, f, delta, fam.p, force_method)
-        for f in fam.members
-    )
+    p = _exponent(fam.space.mode, fam.p)
+    vals = (_analyst_modulus_one(fam.space, f, delta, p, force_method) for f in fam.members)
     return max([coerce_scalar(0, fam.space.mode), *vals])
 
 

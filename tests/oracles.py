@@ -23,6 +23,12 @@ are the per-member, per-atom forms that the uniform integrability checks took
 before float families read one (members x atoms) matrix: each member is
 truncated or restricted value by value and normed by ``lp_norm``.
 
+``limit_estimate_by_atoms`` and ``norm_curve_by_rows`` are the forms that
+``limit_process_estimate`` and the norm curves of ``fatou_norm_check`` and
+``check_l1_convergence_a`` took before they read the process's twin: each
+atom's tail compared value by value, and one random variable per time normed
+by ``lp_norm``.
+
 ``polya_sample_by_columns`` and ``walk_sample_by_select`` are the Monte Carlo
 samplers that ``PolyaUrn`` and ``BiasedWalk`` used before their time-major
 and select-free forms: the urn keeps float red and black counts and divides
@@ -287,6 +293,29 @@ def lp_norm(space, f, p):
         return total ** (1.0 / p)
     root = RootValue.of(total, p)
     return root.as_fraction() if root.is_rational() else root
+
+
+def limit_estimate_by_atoms(f, tol, window):
+    """(values, converged atoms) of the windowed-oscillation estimator: an
+    atom whose last ``window`` values span at most ``tol`` keeps its final
+    value, every other atom gets 0."""
+    values, converged = [], set()
+    for w in range(f.atom_count):
+        tail = [f.values[n][w] for n in range(f.horizon + 1 - window, f.horizon + 1)]
+        if max(tail) - min(tail) <= tol:
+            values.append(f.values[f.horizon][w])
+            converged.add(w)
+        else:
+            values.append(zero(f.mode))
+    return tuple(values), frozenset(converged)
+
+
+def norm_curve_by_rows(space, f, p, limit=None):
+    """``lp_norm`` of f_n - limit at every time n, with limit 0 when None."""
+    rows = [f.at(n) for n in range(f.horizon + 1)]
+    if limit is not None:
+        rows = [RandomVariable(tuple(x - y for x, y in zip(r.values, limit)), f.mode) for r in rows]
+    return tuple(lp_norm(space, r, p) for r in rows)
 
 
 def estimate_sides(space, a, b, f, N):

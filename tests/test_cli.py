@@ -366,6 +366,66 @@ def test_unknown_keys_in_instance_documents_exit_two(where, path, tmp_path, caps
     assert f"{path}.ambiant: unknown key" in capsys.readouterr().err
 
 
+MISSING = object()
+
+
+def documents_scenario(mode="exact"):
+    """An explicit scenario whose checks hold a stopping time, a random
+    variable and a partition document."""
+    doc = explicit_scenario()
+    doc["checks"].insert(0, {"name": "o", "op": "optional_stopping", "tau": [0, 0], "sigma": [1, 1]})
+    if mode == "float":
+        doc["mode"] = doc["space"]["mode"] = "float"
+        doc["space"]["weights"] = [0.5, 0.5]
+    return doc
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    (("space", "weights", 1), True, "$.space.weights[1]"),
+    (("space", "weights", 1), "junk", "$.space.weights[1]"),
+    (("space", "weights", 1), "1/0", "$.space.weights[1]"),
+    (("space", "weights", 1), 0.5, "$.space.weights[1]"),
+    (("space", "mode"), "float", "$.space.mode"),
+    (("space", "weights"), MISSING, "$.space"),
+    (("process", "values"), [["1", "2"], ["3"]], "$.process.values"),
+    (("process", "values"), [], "$.process.values"),
+    (("filtration", "steps"), [[[0], [1]], [[0, 1]]], "$.filtration.steps"),
+    (("filtration", "steps"), [], "$.filtration.steps"),
+    (("filtration", "steps", 1, 1, 0), True, "$.filtration.steps[1][1][0]"),
+    (("checks", 0, "tau", 1), "x", "$.checks[0].tau[1]"),
+    (("checks", 0, "tau", 1), -1, "$.checks[0].tau[1]"),
+    (("checks", 1, "sub", "blocks"), [[0]], "$.checks[1].sub.blocks"),
+    (("checks", 1, "f", "values"), "12", "$.checks[1].f.values"),
+], ids=["bool_scalar", "junk_scalar", "zero_denominator", "float_in_exact", "space_mode",
+        "missing_weights", "ragged_rows", "empty_rows", "non_nested_steps", "no_steps", "bool_atom",
+        "junk_time", "negative_time", "uncovered_block", "string_values"])
+def test_malformed_instance_documents_exit_two_naming_the_field(keys, value, path, tmp_path, capsys):
+    # a filtration without steps once ended in an IndexError traceback
+    doc = documents_scenario()
+    *head, last = keys
+    node = doc
+    for key in head:
+        node = node[key]
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert f"s.json: {path}: " in captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_an_infinite_time_decodes_and_only_optional_stopping_refuses_it(tmp_path, capsys):
+    doc = documents_scenario("float")
+    assert main(["run", write_json(tmp_path / "ok.json", doc), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "docs: 2/2 checks passed" in capsys.readouterr().out
+    doc["checks"][0]["sigma"] = [1, "inf"]
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "$.checks[0]: optional stopping requires bounded (finite) stopping times" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("horizon, bands", [(2, "-1/2,1/2"), (3, "-1/2,1/2"), (3, "-1,1"),
                                             (4, "-1/2,1/2;0,1")])
 @pytest.mark.parametrize("mode", ["exact", "float"])

