@@ -11,20 +11,26 @@ and stabilizes: once sigma_{k+1} == sigma_k every later row repeats.
 strictly before N; a >= b is deliberately allowed, the estimate's left side
 is then nonpositive.
 
-One state machine (``_count_upcrossings``) gives the counts, the crossing
-times and the band translation identity.  It steps through times 0..N-1 with
-array operations over every atom (or, for
-:func:`martkit.montecarlo.count_upcrossings_batch`, every trial) at once,
-reading only the masks "value <= a" and "value >= b".  Float masks compare
-one array of the rows; exact masks compare the process's integer numerators
-(``Process._numerators``) with the band edges moved onto their scale, so no
-``Fraction`` is compared.  On request it also records when a row closes a leg
-(a sigma), arms (a tau) and first sits on both sides of a band with a >= b;
-``crossing_table``, ``upper_crossing`` and ``lower_crossing`` rank those
-events per atom and clip them at N.  The band translation identity compares
-the two bands' masks and runs the machine at every N only for the atoms
-whose masks differ.  There is no memo.  The N-bounded recursion and a
-single-pass scanner live in the test suite as oracles.
+One state machine (``_count_upcrossings``) gives the path-space counts, the
+crossing times and the band translation identity.  It steps through times
+0..N-1 with array operations over every atom at once, reading only the masks
+"value <= a" and "value >= b".  Float masks compare one array of the rows;
+exact masks compare the process's integer numerators (``Process._numerators``)
+with the band edges moved onto their scale, so no ``Fraction`` is compared.
+On request it also records when a row closes a leg (a sigma), arms (a tau)
+and first sits on both sides of a band with a >= b; ``crossing_table``,
+``upper_crossing`` and ``lower_crossing`` rank those events per atom and clip
+them at N.  The band translation identity compares the two bands' masks and
+runs the machine at every N only for the atoms whose masks differ.  There is
+no memo.  The N-bounded recursion and a single-pass scanner live in the test
+suite as oracles.
+
+:func:`martkit.montecarlo.count_upcrossings_batch` reads the same two masks
+of a Monte Carlo block from run starts, in one pass with no loop over time
+(``_count_upcrossings_runs``), and equals the state machine on every row.
+Path spaces keep the stepped machine: the crossing times need its per-time
+events, and at path-space sizes it is the faster of the two (float H = 12,
+4096 atoms: about 0.1 ms against 0.3-0.4 ms from run starts).
 
 A float process derives its rows once as a read-only float64 matrix
 (``Process._matrix``); the float masks slice it.  The estimates take both
@@ -134,6 +140,38 @@ def _count_upcrossings(
         if overlap:
             stuck |= low & high
     counts[stuck] = N
+    return counts
+
+
+def _count_upcrossings_runs(paths: np.ndarray, a: float, b: float, N: int) -> np.ndarray:
+    """``_count_upcrossings`` of every row of a 2-D block at bound N, read
+    from run starts in one pass over ``paths[:, :N]`` with no loop over time.
+
+    Each entry is labelled +1 (>= b), -1 (<= a) or 0.  A run start is a
+    nonzero label that differs from the entry before it in its row, so every
+    nonzero label between two consecutive starts equals the first one's: an
+    upcrossing completes exactly at a +1 start whose previous start in its
+    row is -1.  Column 0 is forced to be a start, so the pair that straddles
+    two rows is the one whose later start lies in column 0, and is dropped.
+    For a >= b, a row with an entry that is both is stuck and counts N.
+    """
+    low, high = paths[:, :N] <= a, paths[:, :N] >= b
+    stuck = (low & high).any(1) if a >= b else None
+    # C order, also for F-order blocks: flat indices then run row by row
+    labels = np.subtract(high.view(np.int8), low.view(np.int8), order="C")
+    del low, high  # each del keeps the pass's peak memory near its masks
+    starts = labels != 0
+    starts[:, 1:] &= labels[:, 1:] != labels[:, :-1]
+    starts[:, :1] = True
+    idx = np.flatnonzero(starts)
+    runs = labels.ravel()[idx]
+    del labels, starts
+    ends = idx[1:][(runs[1:] == 1) & (runs[:-1] == -1)]
+    del idx, runs
+    ends = ends[ends % N != 0]
+    counts = np.bincount(ends // N, minlength=paths.shape[0])
+    if stuck is not None:
+        counts[stuck] = N
     return counts
 
 

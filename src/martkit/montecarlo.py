@@ -53,7 +53,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .crossings import _check_bound, _count_upcrossings
+from .crossings import _check_bound, _count_upcrossings_runs
 from .measure import FiniteMeasureSpace
 from .processes import Process, natural_filtration
 from .scalars import Mode, Scalar, coerce_scalar
@@ -495,17 +495,27 @@ def simulate(model: TrajectoryModel, config: RunConfig) -> TrajectoryBatch:
 def count_upcrossings_batch(paths: np.ndarray, a: float, b: float, N: Optional[int] = None) -> np.ndarray:
     """Upcrossings of (a, b) completed strictly before N, per trajectory row.
 
-    The state machine of ``upcrossings_before``, fed one column at a time so
-    memory stays O(rows); it equals ``upcrossings_before`` on each row, for
-    a >= b too.  Band edges are float scalars: NaN and +-inf raise, where
-    their comparisons would count no upcrossing at all.  N is checked as
-    ``upcrossings_before`` checks it: bools and non-integers raise TypeError.
+    ``paths`` is a 2-D numpy array of shape (trials, horizon + 1); anything
+    else raises ValueError.  The counts equal ``upcrossings_before`` on each
+    row, for a >= b too, and are read from run starts of the masks "value <=
+    a" and "value >= b" in one pass over the block, with no loop over time.
+    Besides the counts, the pass holds at most 3 bytes per entry of
+    ``paths[:, :N]`` (the bool and int8 masks), then 14 bytes per run start
+    (an int64 index, its label and its pair masks).  A run start at every
+    entry is the worst case, so the count stays below the 24 bytes per entry
+    (uniforms, steps and output) that the sampler holds for a block; on a
+    ``FairWalk`` block it peaks at the masks' 3.  Band edges are float
+    scalars: NaN and +-inf raise, where their comparisons would count no
+    upcrossing at all.  N is checked as ``upcrossings_before`` checks it:
+    bools and non-integers raise TypeError.
     """
+    if not (isinstance(paths, np.ndarray) and paths.ndim == 2 and paths.shape[1] >= 1):
+        shape = getattr(paths, "shape", type(paths).__name__)
+        raise ValueError(f"paths must be a 2-D array of shape (trials, horizon + 1), got {shape}")
     a, b = coerce_scalar(a, "float"), coerce_scalar(b, "float")
     horizon = paths.shape[1] - 1
     N, _ = _check_bound(horizon, horizon if N is None else N)
-    columns = ((paths[:, t] <= a, paths[:, t] >= b) for t in range(N))
-    return _count_upcrossings(columns, paths.shape[0], N, a >= b)
+    return _count_upcrossings_runs(paths, a, b, N)
 
 
 @dataclass(frozen=True)

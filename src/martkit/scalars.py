@@ -54,8 +54,12 @@ class ModeError(TypeError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` / ``"p"`` strings (also accepts plain ints)."""
-    return Fraction(text)
+    """Parse ``"p/q"`` / ``"p"`` strings (also accepts plain ints); a zero
+    denominator raises ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
@@ -84,7 +88,7 @@ def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
         raise ModeError(f"cannot use {type(x).__name__} as an exact scalar")
     if mode == "float":
         if isinstance(x, str):
-            x = Fraction(x)
+            x = parse_rational(x)
         elif not isinstance(x, (float, int, Fraction, numbers.Integral)):
             raise ModeError(f"cannot use {type(x).__name__} as a float scalar")
         if isinstance(x, float) and not math.isfinite(x):  # ints and Fractions are finite

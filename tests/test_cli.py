@@ -380,27 +380,28 @@ def documents_scenario(mode="exact"):
     return doc
 
 
-@pytest.mark.parametrize("keys, value, path", [
-    (("space", "weights", 1), True, "$.space.weights[1]"),
-    (("space", "weights", 1), "junk", "$.space.weights[1]"),
-    (("space", "weights", 1), "1/0", "$.space.weights[1]"),
-    (("space", "weights", 1), 0.5, "$.space.weights[1]"),
-    (("space", "mode"), "float", "$.space.mode"),
-    (("space", "weights"), MISSING, "$.space"),
-    (("process", "values"), [["1", "2"], ["3"]], "$.process.values"),
-    (("process", "values"), [], "$.process.values"),
-    (("filtration", "steps"), [[[0], [1]], [[0, 1]]], "$.filtration.steps"),
-    (("filtration", "steps"), [], "$.filtration.steps"),
-    (("filtration", "steps", 1, 1, 0), True, "$.filtration.steps[1][1][0]"),
-    (("checks", 0, "tau", 1), "x", "$.checks[0].tau[1]"),
-    (("checks", 0, "tau", 1), -1, "$.checks[0].tau[1]"),
-    (("checks", 1, "sub", "blocks"), [[0]], "$.checks[1].sub.blocks"),
-    (("checks", 1, "f", "values"), "12", "$.checks[1].f.values"),
+@pytest.mark.parametrize("keys, value, path, text", [
+    (("space", "weights", 1), True, "$.space.weights[1]", ""),
+    (("space", "weights", 1), "junk", "$.space.weights[1]", ""),
+    (("space", "weights", 1), "1/0", "$.space.weights[1]", "'1/0' has a zero denominator"),
+    (("space", "weights", 1), 0.5, "$.space.weights[1]", ""),
+    (("space", "mode"), "float", "$.space.mode", ""),
+    (("space", "weights"), MISSING, "$.space", ""),
+    (("process", "values"), [["1", "2"], ["3"]], "$.process.values", ""),
+    (("process", "values"), [], "$.process.values", ""),
+    (("filtration", "steps"), [[[0], [1]], [[0, 1]]], "$.filtration.steps", ""),
+    (("filtration", "steps"), [], "$.filtration.steps", ""),
+    (("filtration", "steps", 1, 1, 0), True, "$.filtration.steps[1][1][0]", ""),
+    (("checks", 0, "tau", 1), "x", "$.checks[0].tau[1]", ""),
+    (("checks", 0, "tau", 1), -1, "$.checks[0].tau[1]", ""),
+    (("checks", 1, "sub", "blocks"), [[0]], "$.checks[1].sub.blocks", ""),
+    (("checks", 1, "f", "values"), "12", "$.checks[1].f.values", ""),
 ], ids=["bool_scalar", "junk_scalar", "zero_denominator", "float_in_exact", "space_mode",
         "missing_weights", "ragged_rows", "empty_rows", "non_nested_steps", "no_steps", "bool_atom",
         "junk_time", "negative_time", "uncovered_block", "string_values"])
-def test_malformed_instance_documents_exit_two_naming_the_field(keys, value, path, tmp_path, capsys):
-    # a filtration without steps once ended in an IndexError traceback
+def test_malformed_instance_documents_exit_two_naming_the_field(keys, value, path, text, tmp_path, capsys):
+    # a filtration without steps once ended in an IndexError traceback, and a
+    # zero denominator once printed only "Fraction(1, 0)"
     doc = documents_scenario()
     *head, last = keys
     node = doc
@@ -413,7 +414,7 @@ def test_malformed_instance_documents_exit_two_naming_the_field(keys, value, pat
     out_dir = tmp_path / "out"
     assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 2
     captured = capsys.readouterr()
-    assert f"s.json: {path}: " in captured.err
+    assert f"s.json: {path}: {text}" in captured.err
     assert captured.out == "" and not out_dir.exists()
 
 

@@ -32,7 +32,13 @@ from martkit import (
     upcrossings_before,
 )
 from martkit import montecarlo
-from oracles import polya_sample_by_columns, upcrossings_state_machine, walk_sample_by_select
+from martkit.crossings import _count_upcrossings
+from oracles import (
+    polya_sample_by_columns,
+    upcrossings_by_recursion,
+    upcrossings_state_machine,
+    walk_sample_by_select,
+)
 
 CUT = montecarlo._VECTOR_RNG_MAX_HORIZON
 
@@ -334,6 +340,49 @@ def test_batch_counts_stick_on_a_reversed_band(a, b):
     f = Process.from_path(path, "float")
     assert count_upcrossings_batch(np.array([path]), a, b).tolist() == [4]
     assert upcrossings_before(Band(a, b), f, 4) == (4,)
+
+
+def stepped_counts(paths, a, b, N):
+    """The stepped state machine fed one column per time."""
+    columns = ((paths[:, t] <= a, paths[:, t] >= b) for t in range(N))
+    return _count_upcrossings(columns, paths.shape[0], N, a >= b)
+
+
+EDGES = st.integers(-3, 3).map(float) | st.just(-0.0)
+ENTRIES = EDGES | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(0, 9), EDGES, EDGES, st.booleans())
+def test_batch_counts_equal_the_stepped_machine_and_the_recursion(data, rows, H, a, b, fortran):
+    # small-integer entries tie both band edges; the edges cover a < b, a = b and a > b
+    entries = data.draw(st.lists(ENTRIES, min_size=rows * (H + 1), max_size=rows * (H + 1)))
+    paths = np.array(entries, dtype=np.float64).reshape(rows, H + 1)
+    if fortran:
+        paths = np.asfortranarray(paths)
+    N = data.draw(st.integers(0, H))
+    got = count_upcrossings_batch(paths, a, b, N)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, stepped_counts(paths, a, b, N))
+    assert got.tolist() == [upcrossings_by_recursion(row.tolist(), a, b, N) for row in paths]
+
+
+def test_batch_counts_equal_the_stepped_machine_on_a_long_walk_block():
+    # the block shape and bands of the benchmark's longest walk job
+    paths = simulate(FairWalk(), RunConfig(seed=21, trials=1024, horizon=4096)).values
+    for a, b in [(-2.0, 2.0), (0.0, 4.0)]:
+        got, want = count_upcrossings_batch(paths, a, b), stepped_counts(paths, a, b, 4096)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("paths", [np.array([0.0, 1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]],
+                                   np.zeros((3, 0)), np.zeros((2, 3, 4))],
+                         ids=["one_dimensional", "nested_list", "no_columns", "three_dimensional"])
+def test_batch_counts_reject_malformed_paths(paths):
+    # a 1-D array once raised IndexError and a nested list AttributeError
+    with pytest.raises(ValueError, match=r"\(trials, horizon \+ 1\)"):
+        count_upcrossings_batch(paths, -0.5, 0.5)
 
 
 def test_simulate_stats_counts_a_reversed_band_like_upcrossings_before():

@@ -48,6 +48,13 @@ def test_booleans_are_not_scalars(mode):
         coerce_scalar(True, mode)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_zero_denominator_is_named(mode):
+    # both modes once raised ZeroDivisionError("Fraction(1, 0)")
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        coerce_scalar("1/0", mode)
+
+
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_float_mode_rejects_non_finite_values(x):
     # every comparison with NaN is false, so a NaN value once passed every check
