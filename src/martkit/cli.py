@@ -148,13 +148,13 @@ class _Key(NamedTuple):
     ``default`` is _REQUIRED, None (an absent key stays None), a JSON value
     decoded like a given one, or ``fn(ctx, decoded, doc)`` computed from the
     keys decoded before it.  ``alt`` is ``(key, kind)``: a second key that may
-    stand in for this one, but not appear beside it.  ``most(decoded)`` is the
-    largest value the key may take, read from the keys decoded before it."""
+    stand in for this one, but not appear beside it.  ``check(value, decoded)``
+    is None, or the error for a value out of range given the keys before it."""
 
     kind: Callable
     default: object = _REQUIRED
     alt: Optional[tuple] = None
-    most: Optional[Callable] = None
+    check: Optional[Callable] = None
 
 
 class _Flags(dict):
@@ -209,8 +209,8 @@ def _resolve(ctx, keys: dict, doc, path, skip=()) -> dict:
             out[key] = _decode(kind, ctx, k.default, _join(path, key))
         if out[key] is _REQUIRED:
             raise ConfigError(f"{path}: needs " + " or ".join(f"'{name}'" for name, _ in choices))
-        if k.most is not None and out[key] > k.most(out):
-            raise ConfigError(f"{_join(path, name)}: expected an integer <= {k.most(out)}")
+        if k.check and (problem := k.check(out[key], out)):
+            raise ConfigError(f"{_join(path, name)}: {problem}")
     return out
 
 
@@ -226,6 +226,11 @@ def _count(v, path: str, low: int = 0, high: Optional[int] = None) -> int:
 
 def _int(low: int):
     return lambda ctx, v, path: _count(v, path, low)
+
+
+def _at_most(bound):
+    """A key check: an integer no larger than ``bound(decoded)``."""
+    return lambda n, out: f"expected an integer <= {bound(out)}" if n > bound(out) else None
 
 
 def _seed(ctx, v, path) -> int:
@@ -347,6 +352,17 @@ def _time(ctx, v, path):
 
 def _stopping(ctx, v, path) -> StoppingTime:
     return StoppingTime.of(_list(_time)(ctx, v, path))
+
+
+def _bounded(t: StoppingTime, out):
+    """A key check for optional stopping's times: one finite time in
+    0..horizon per atom of the process, each at or after tau's (as tau's are)."""
+    f = out["process"]
+    if t.atom_count != f.atom_count:
+        return f"expected {f.atom_count} times, one per atom"
+    if any(s > f.horizon for s in t.time_of):  # INF > horizon
+        return f"expected finite times <= {f.horizon}"
+    return None if out["tau"] <= t else "expected each time >= tau's"
 
 
 def _at(ctx, n, path) -> RandomVariable:
@@ -516,8 +532,9 @@ _FILTRATION = _Key(
     lambda ctx, out, doc: natural_filtration(out["process"]) if "process" in doc else ctx.filtration(),
 )
 _HORIZON = _Key(_int(0), lambda ctx, out, doc: out["process"].horizon,
-               most=lambda out: out["process"].horizon)
+               check=_at_most(lambda out: out["process"].horizon))
 _BAND = _Key(_band)
+_POSITIVE = _Key(_scalar, check=lambda x, out: None if x > 0 else "expected a value > 0")
 _F = _Key(_rv, alt=("f_at", _at))
 _SUB = _Key(_partition, alt=("sub_step", _sub_step))
 _FAMILY = _Key(_family)
@@ -640,13 +657,13 @@ def _check_crossing_table(ctx, p):
 
 
 @_op("optional_stopping", {"process": _PROCESS, "filtration": _FILTRATION,
-                           "tau": _Key(_stopping), "sigma": _Key(_stopping)})
+                           "tau": _Key(_stopping, check=_bounded), "sigma": _Key(_stopping, check=_bounded)})
 def _check_optional_stopping(ctx, p):
     return _sides(check_optional_stopping(ctx.space(), p["process"], p["filtration"], p["tau"], p["sigma"]))
 
 
 @_op("maximal_inequality", {"process": _PROCESS, "filtration": _FILTRATION,
-                            "n": _HORIZON, "level": _Key(_scalar)})
+                            "n": _HORIZON, "level": _POSITIVE})
 def _check_maximal_inequality(ctx, p):
     return _sides(check_maximal_inequality(ctx.space(), p["process"], p["filtration"], p["n"], p["level"]))
 
@@ -658,11 +675,8 @@ def _check_doob(ctx, p):
     m, a = dd.martingale_part, dd.predictable_part
     is_mart = classify(ctx.space(), m, F).kind == MartingaleClass.MARTINGALE
     pred = is_predictable(a, F)
-    nondec = all(
-        a.values[n][w] <= a.values[n + 1][w]
-        for n in range(a.horizon)
-        for w in range(a.atom_count)
-    )
+    live = ctx.space().positive_atoms()  # the drift need only be nondecreasing a.e.
+    nondec = all(a.values[n][w] <= a.values[n + 1][w] for n in range(a.horizon) for w in live)
     recon = all(
         m.values[n][w] + a.values[n][w] == f.values[n][w]
         for n in range(f.horizon + 1)
@@ -827,7 +841,7 @@ def _check_mc_stats(ctx, p):
     "model": _model_key("independent"), "seed": _SEED, "horizon": _Key(_int(1)),
     "trials": _Key(_int(1), 10_000),
     "tail_start": _Key(_int(1), lambda ctx, out, doc: max(1, out["horizon"] // 2),
-                       most=lambda out: out["horizon"]),
+                       check=_at_most(lambda out: out["horizon"])),
     "divergence_cut": _Key(_float, lambda ctx, out, doc: out["horizon"] / 4),
     "min_match": _Key(_float, 0.0), "block_size": _Key(_int(1), 1000),
 })

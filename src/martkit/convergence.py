@@ -35,7 +35,7 @@ from .measure import (
     _twin,
     _weighted,
 )
-from .crossings import Band, _counts, _scaled
+from .crossings import Band, _check_time, _counts, _scaled
 from .processes import (
     Classification,
     Filtration,
@@ -98,8 +98,7 @@ def check_maximal_inequality(
     lam = coerce_scalar(level, space.mode)
     if not lam > 0:
         raise ValueError("the maximal inequality needs a level > 0")
-    if not 0 <= n <= f.horizon:
-        raise ValueError("n must lie within the horizon")
+    n = _check_time(f.horizon, n, "n")
     cls = classification if classification is not None else classify(space, f, F, tol=tol)
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("the maximal inequality requires a submartingale or martingale")
@@ -425,9 +424,7 @@ def fatou_norm_check(
         raise ValueError(
             f"f does not reach g at the horizon (first mismatch at atom {w})"
         )
-    start = f.horizon // 2 if tail_start is None else tail_start
-    if not 0 <= start <= f.horizon:
-        raise ValueError("tail_start must lie within the horizon")
+    start = _check_time(f.horizon, f.horizon // 2 if tail_start is None else tail_start, "tail_start")
     _check_rv(space, f.at(0))
     rows, scale = _twin(f)
     powered, scale, p = _powers(space.mode, abs(rows), scale, p)

@@ -196,17 +196,25 @@ def _shifted(bd: Band, f: Process, rows: np.ndarray, low) -> tuple:
     return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
 
 
+def _check_time(horizon: int, t, name: str) -> int:
+    """The time ``name`` = t as a Python int in 0..horizon: ints and numpy
+    integers pass; bools and non-integers raise TypeError."""
+    if isinstance(t, bool) or not hasattr(type(t), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {t!r}")
+    t = index(t)
+    if not 0 <= t <= horizon:
+        raise ValueError(f"{name} must lie within the horizon")
+    return t
+
+
 def _check_bound(horizon: int, N, n=0) -> tuple:
-    """(N, n) as Python ints, N in 0..horizon: ints and numpy integers pass
-    through ``operator.index``; bools and non-integers raise TypeError."""
-    if isinstance(N, bool) or isinstance(n, bool):
-        raise TypeError("N and n must be integers, not bools")
-    N, n = index(N), index(n)
-    if not 0 <= N <= horizon:
-        raise ValueError("N must lie within the horizon")
+    """(N, n) as Python ints: N a time (``_check_time``), n an integer >= 0."""
+    if isinstance(n, bool):
+        raise TypeError("n must be an integer, not a bool")
+    n = index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return N, n
+    return _check_time(horizon, N, "N"), n
 
 
 def _counts(bd: Band, scaled: tuple, N: int, events: Optional[list] = None) -> np.ndarray:

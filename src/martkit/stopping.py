@@ -6,23 +6,25 @@ may be infinite; ``INF`` (IEEE infinity) plays the role of the extended
 value, which gives the right total order against plain ints for free
 (``min(3, INF) == 3``).
 
-Hitting times come in two flavours: a bounded-window form that always returns
-a finite index (falling back to the window end when nothing is hit), which
-``check_hitting_is_stopping_time`` wraps as a StoppingTime, and an unbounded
-form that returns a genuine StoppingTime with INF where the path never enters
-the target set.
+A target set is a closed interval [low, high] of values, a None end
+unbounded.  Both hitting times take the first time >= n at which one mask over
+the process's twin holds (``_first_entry``): ``hitting`` falls back to the
+window end m where that time is past m, ``hitting_unbounded`` to INF.
+``stopped_process`` is one gather of the stored values at min(tau, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from math import ceil, floor
+from typing import Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, _check_rv, _measurable, _twin, _weighted
+from .crossings import _check_time
+from .measure import FiniteMeasureSpace, _check_rv, _measurable, _threshold, _twin, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, classify, is_adapted
-from .scalars import INF, Mode, Scalar, coerce_scalar, tolerance
+from .scalars import INF, Scalar, coerce_scalar, tolerance
 
 __all__ = [
     "StoppingTime",
@@ -46,55 +48,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValuePredicate:
-    """A target set of values: half-line, closed interval, or arbitrary test.
+    """The closed target set [low, high] of values; a None end is unbounded."""
 
-    The closed forms are ``at_most``, ``at_least`` and ``between``; ``custom``
-    wraps any membership callback.
-    """
-
-    kind: str  # "at_most" | "at_least" | "between" | "custom"
-    a: Optional[Scalar] = None
-    b: Optional[Scalar] = None
-    fn: Optional[Callable] = None
-    label: str = ""
+    low: Optional[Scalar] = None
+    high: Optional[Scalar] = None
 
     @staticmethod
     def at_most(a: Scalar) -> "ValuePredicate":
         """Half-line (-inf, a]."""
-        return ValuePredicate(kind="at_most", a=a)
+        return ValuePredicate(None, a)
 
     @staticmethod
     def at_least(b: Scalar) -> "ValuePredicate":
         """Half-line [b, inf)."""
-        return ValuePredicate(kind="at_least", b=b)
+        return ValuePredicate(b, None)
 
     @staticmethod
     def between(a: Scalar, b: Scalar) -> "ValuePredicate":
-        """Closed interval [a, b]."""
-        return ValuePredicate(kind="between", a=a, b=b)
-
-    @staticmethod
-    def custom(fn: Callable, label: str = "custom") -> "ValuePredicate":
-        return ValuePredicate(kind="custom", fn=fn, label=label)
-
-    def coerced(self, mode: Mode) -> "ValuePredicate":
-        """Coerce threshold scalars into ``mode`` (rejects floats in exact mode)."""
-        if self.kind == "custom":
-            return self
-        a = None if self.a is None else coerce_scalar(self.a, mode)
-        b = None if self.b is None else coerce_scalar(self.b, mode)
-        return ValuePredicate(kind=self.kind, a=a, b=b, label=self.label)
+        """Closed interval [a, b], empty when a > b."""
+        return ValuePredicate(a, b)
 
     def __call__(self, v: Scalar) -> bool:
-        if self.kind == "at_most":
-            return v <= self.a
-        if self.kind == "at_least":
-            return v >= self.b
-        if self.kind == "between":
-            return self.a <= v <= self.b
-        if self.kind == "custom":
-            return bool(self.fn(v))
-        raise ValueError(f"unknown predicate kind {self.kind!r}")
+        return (self.low is None or self.low <= v) and (self.high is None or v <= self.high)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +107,21 @@ class StoppingTime:
         return all(t != INF for t in self.time_of)
 
     def __le__(self, other: "StoppingTime") -> bool:
-        return all(s <= t for s, t in zip(self.time_of, other.time_of))
+        return all(s <= t for s, t in self._pairs(other))
+
+    def _pairs(self, other: "StoppingTime"):
+        """(self, other) times atom by atom; both must live on the same atoms."""
+        if self.atom_count != other.atom_count:
+            raise ValueError("the stopping times live on different atom sets")
+        return zip(self.time_of, other.time_of)
 
 
 def stopping_min(tau: StoppingTime, sigma: StoppingTime) -> StoppingTime:
-    return StoppingTime(time_of=tuple(min(s, t) for s, t in zip(tau.time_of, sigma.time_of)))
+    return StoppingTime(time_of=tuple(map(min, tau._pairs(sigma))))
 
 
 def stopping_max(tau: StoppingTime, sigma: StoppingTime) -> StoppingTime:
-    return StoppingTime(time_of=tuple(max(s, t) for s, t in zip(tau.time_of, sigma.time_of)))
+    return StoppingTime(time_of=tuple(map(max, tau._pairs(sigma))))
 
 
 def is_stopping_time(tau: StoppingTime, F: Filtration) -> bool:
@@ -156,45 +137,39 @@ def is_stopping_time(tau: StoppingTime, F: Filtration) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _first_entry(f: Process, s: ValuePredicate, n) -> tuple:
+    """(entered, first) over atoms: whether the path lies in ``s`` at some
+    time >= n, and the first such time (n where there is none), from one mask
+    over the twin with the ends of ``s`` on its scale (``_threshold``)."""
+    n = _check_time(f.horizon, n, "n")
+    rows, scale = _twin(f)
+    rows = rows[n:]
+    inside = np.ones(rows.shape, dtype=bool)
+    if s.low is not None:
+        inside &= rows >= _threshold(f.mode, coerce_scalar(s.low, f.mode), scale, ceil)
+    if s.high is not None:
+        inside &= rows <= _threshold(f.mode, coerce_scalar(s.high, f.mode), scale, floor)
+    return inside.any(axis=0), n + inside.argmax(axis=0)
+
+
 def hitting(f: Process, s: ValuePredicate, n: int, m: int) -> tuple:
     """First time in the window [n, m] at which the path value lies in ``s``.
 
     Per atom: the least j in [n, m] with s(f_j); if there is none, or the
     window is empty (n > m), the window end m.  Always finite.
     """
-    if not 0 <= n <= f.horizon or not 0 <= m <= f.horizon:
-        raise ValueError("hitting window must lie within the horizon")
-    s = s.coerced(f.mode)
-    out = []
-    for w in range(f.atom_count):
-        hit = m
-        for j in range(n, m + 1):
-            if s(f.values[j][w]):
-                hit = j
-                break
-        out.append(hit)
-    return tuple(out)
+    m = _check_time(f.horizon, m, "m")
+    entered, first = _first_entry(f, s, n)
+    return tuple(np.where(entered & (first <= m), first, m).tolist())
 
 
 def hitting_unbounded(f: Process, s: ValuePredicate, n: int) -> StoppingTime:
     """First time >= n at which the path enters ``s``; INF when it never does."""
-    if not 0 <= n <= f.horizon:
-        raise ValueError("hitting window must lie within the horizon")
-    s = s.coerced(f.mode)
-    out = []
-    for w in range(f.atom_count):
-        hit = INF
-        for j in range(n, f.horizon + 1):
-            if s(f.values[j][w]):
-                hit = j
-                break
-        out.append(hit)
-    return StoppingTime(time_of=tuple(out))
+    entered, first = _first_entry(f, s, n)
+    return StoppingTime(time_of=tuple(np.where(entered, first.astype(object), INF).tolist()))
 
 
-def check_hitting_is_stopping_time(
-    f: Process, s: ValuePredicate, n: int, m: int, F: Filtration
-) -> bool:
+def check_hitting_is_stopping_time(f: Process, s: ValuePredicate, n: int, m: int, F: Filtration) -> bool:
     """Wrap the bounded hitting time of an adapted process and validate it."""
     if not is_adapted(f, F):
         raise ValueError("hitting time validity requires an adapted process")
@@ -211,10 +186,9 @@ def stopped_process(f: Process, tau: StoppingTime) -> Process:
     """g_n(w) = f_{min(tau(w), n)}(w).  INF entries leave the path unstopped."""
     if tau.atom_count != f.atom_count:
         raise ValueError("stopping time and process live on different atom sets")
-    rows = []
-    for nn in range(f.horizon + 1):
-        rows.append(tuple(f.values[min(tau.time_of[w], nn)][w] for w in range(f.atom_count)))
-    return Process(values=tuple(rows), mode=f.mode)
+    steps = np.minimum(np.array(tau.time_of, dtype=float), np.arange(f.horizon + 1)[:, None])
+    rows = np.take_along_axis(np.array(f.values, dtype=object), steps.astype(np.intp), axis=0)
+    return Process(values=tuple(map(tuple, rows.tolist())), mode=f.mode)
 
 
 @dataclass(frozen=True)

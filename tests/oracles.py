@@ -29,6 +29,12 @@ truncated or restricted value by value and normed by ``lp_norm``.
 atom's tail compared value by value, and one random variable per time normed
 by ``lp_norm``.
 
+``hitting_by_scan``, ``hitting_unbounded_by_scan`` and ``stopped_by_atoms``
+are the forms the stopping layer took before it read the process's twin:
+each atom's path scanned time by time against the ends of the target set,
+compared as stored values, and each stopped value looked up one atom and one
+time at a time.
+
 ``polya_sample_by_columns`` and ``walk_sample_by_select`` are the Monte Carlo
 samplers that ``PolyaUrn`` and ``BiasedWalk`` used before their time-major
 and select-free forms: the urn keeps float red and black counts and divides
@@ -163,6 +169,36 @@ def stopping_time_oracle(tau_values, filtration):
             if len(hits) > 1:
                 return False
     return True
+
+
+def _in_target(v, low, high):
+    return (low is None or low <= v) and (high is None or v <= high)
+
+
+def hitting_by_scan(f, low, high, n, m):
+    """Per atom the first j in n..m with low <= f_j <= high (a None end
+    unbounded), else m."""
+    out = []
+    for w in range(f.atom_count):
+        hits = [j for j in range(n, m + 1) if _in_target(f.values[j][w], low, high)]
+        out.append(hits[0] if hits else m)
+    return tuple(out)
+
+
+def hitting_unbounded_by_scan(f, low, high, n):
+    """Per atom the first j >= n with low <= f_j <= high, else INF."""
+    out = []
+    for w in range(f.atom_count):
+        hits = [j for j in range(n, f.horizon + 1) if _in_target(f.values[j][w], low, high)]
+        out.append(hits[0] if hits else INF)
+    return tuple(out)
+
+
+def stopped_by_atoms(f, times):
+    """Rows k = 0..horizon of f_{min(tau, k)}, one atom at a time."""
+    return tuple(
+        tuple(f.values[min(t, k)][w] for w, t in enumerate(times)) for k in range(f.horizon + 1)
+    )
 
 
 def _key(v, mode):

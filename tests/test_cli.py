@@ -394,11 +394,19 @@ def documents_scenario(mode="exact"):
     (("filtration", "steps", 1, 1, 0), True, "$.filtration.steps[1][1][0]", ""),
     (("checks", 0, "tau", 1), "x", "$.checks[0].tau[1]", ""),
     (("checks", 0, "tau", 1), -1, "$.checks[0].tau[1]", ""),
+    # each of these once named only the check, $.checks[0]
+    (("checks", 0, "tau"), [0, 0, 0], "$.checks[0].tau", "expected 2 times, one per atom"),
+    (("checks", 0, "sigma"), [1], "$.checks[0].sigma", "expected 2 times, one per atom"),
+    (("checks", 0, "tau"), ["inf", 0], "$.checks[0].tau", "expected finite times <= 1"),
+    (("checks", 0, "sigma"), [1, 2], "$.checks[0].sigma", "expected finite times <= 1"),
+    (("checks", 0), {"name": "o", "op": "optional_stopping", "tau": [1, 0], "sigma": [0, 1]},
+     "$.checks[0].sigma", "expected each time >= tau's"),
     (("checks", 1, "sub", "blocks"), [[0]], "$.checks[1].sub.blocks", ""),
     (("checks", 1, "f", "values"), "12", "$.checks[1].f.values", ""),
 ], ids=["bool_scalar", "junk_scalar", "zero_denominator", "float_in_exact", "space_mode",
         "missing_weights", "ragged_rows", "empty_rows", "non_nested_steps", "no_steps", "bool_atom",
-        "junk_time", "negative_time", "uncovered_block", "string_values"])
+        "junk_time", "negative_time", "tau_atom_count", "sigma_atom_count", "infinite_tau",
+        "sigma_past_horizon", "tau_after_sigma", "uncovered_block", "string_values"])
 def test_malformed_instance_documents_exit_two_naming_the_field(keys, value, path, text, tmp_path, capsys):
     # a filtration without steps once ended in an IndexError traceback, and a
     # zero denominator once printed only "Fraction(1, 0)"
@@ -424,7 +432,23 @@ def test_an_infinite_time_decodes_and_only_optional_stopping_refuses_it(tmp_path
     assert "docs: 2/2 checks passed" in capsys.readouterr().out
     doc["checks"][0]["sigma"] = [1, "inf"]
     assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "$.checks[0]: optional stopping requires bounded (finite) stopping times" in capsys.readouterr().err
+    assert "$.checks[0].sigma: expected finite times <= 1" in capsys.readouterr().err
+
+
+def test_doob_passes_a_submartingale_whose_drift_falls_only_on_a_null_block(tmp_path, capsys):
+    # the drift once had to be nondecreasing on the weight-0 atoms 2 and 3 as well
+    doc = {
+        "name": "null", "mode": "exact",
+        "space": {"mode": "exact", "weights": ["1/2", "1/2", "0", "0"]},
+        "process": {"values": [["0", "0", "3", "3"], ["1", "1", "5", "6"]]},
+        "filtration": {"atoms": 4, "steps": [[[0, 1], [2, 3]], [[0], [1], [2], [3]]]},
+        "checks": [{"name": "c", "op": "classify", "assert": "submartingale"},
+                   {"name": "d", "op": "doob_decomposition"}],
+    }
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 0
+    assert "[PASS] d: decomposition valid" in capsys.readouterr().out
+    assert "predictable_part_nondecreasing,true" in (out_dir / "null__d.csv").read_text()
 
 
 @pytest.mark.parametrize("horizon, bands", [(2, "-1/2,1/2"), (3, "-1/2,1/2"), (3, "-1,1"),
@@ -574,13 +598,14 @@ def test_a_time_past_the_horizon_exits_two_before_any_check(check, where, tmp_pa
 
 
 def test_a_value_only_the_library_rejects_exits_two_before_any_output(tmp_path, capsys):
-    # the classify check before it once printed [PASS] and wrote its CSV
+    # the classify check before it once printed [PASS] and wrote its CSV, and
+    # the error once named the check, not its key
     doc = walk_scenario()
     doc["checks"].append({"name": "late", "op": "maximal_inequality", "level": 0, "n": 2})
     out_dir = tmp_path / "out"
     assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 2
     captured = capsys.readouterr()
-    assert "$.checks[1]: the maximal inequality needs a level > 0" in captured.err
+    assert "$.checks[1].level: expected a value > 0" in captured.err
     assert captured.out == ""
     assert not out_dir.exists()
 

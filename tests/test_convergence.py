@@ -49,6 +49,13 @@ class TestMaximalInequality:
         assert rep.rhs == Fraction(1, 2)
         assert rep.set_mass == Fraction(1, 2)
 
+    @pytest.mark.parametrize("n, error", [(True, TypeError), (2.0, TypeError), (-1, ValueError), (3, ValueError)])
+    def test_n_is_an_integer_time_within_the_horizon(self, n, error):
+        # a bool n once ran as 1, and a float n failed inside a numpy slice
+        sp, f, F = fair_walk_two_steps()
+        with pytest.raises(error, match="^n must"):
+            check_maximal_inequality(sp, f, F, n, Fraction(1))
+
     def test_level_above_the_range_is_empty(self):
         sp, f, F = fair_walk_two_steps()
         rep = check_maximal_inequality(sp, f, F, 2, Fraction(5))
@@ -205,6 +212,13 @@ class TestFatou:
         rep = fatou_norm_check(sp, f, g, INF)
         assert rep.holds
         assert rep.limit_norm == Fraction(4)
+
+    @pytest.mark.parametrize("start, error", [(True, TypeError), (1.0, TypeError), (3, ValueError)])
+    def test_tail_start_is_an_integer_time_within_the_horizon(self, start, error):
+        sp = FiniteMeasureSpace.uniform(2, mode="exact")
+        f = Process.from_values([[9, 9], [5, 3], [1, 3]], "exact")
+        with pytest.raises(error, match="^tail_start must"):
+            fatou_norm_check(sp, f, RandomVariable.from_values([1, 3], "exact"), 1, tail_start=start)
 
     def test_rejects_a_process_that_misses_its_limit(self):
         sp = FiniteMeasureSpace.uniform(2, mode="exact")

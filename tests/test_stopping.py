@@ -1,6 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +11,7 @@ from martkit import (
     INF,
     FairWalk,
     MartingaleClass,
+    ModeError,
     Process,
     StoppingTime,
     ValuePredicate,
@@ -24,7 +28,7 @@ from martkit import (
     stopping_min,
 )
 from conftest import random_filtration, random_space, random_submartingale
-from oracles import stopping_time_oracle
+from oracles import hitting_by_scan, hitting_unbounded_by_scan, stopped_by_atoms, stopping_time_oracle
 
 seeds = st.integers(0, 10**9)
 
@@ -171,3 +175,80 @@ def test_non_adapted_threshold_is_not_a_stopping_time():
     peek = StoppingTime.of(tuple(0 if f.values[1][w] > 0 else 1 for w in range(4)))
     assert not is_stopping_time(peek, F)
     assert not stopping_time_oracle(peek.time_of, F)
+
+
+def test_a_target_set_is_its_two_ends():
+    assert ValuePredicate.at_most(2) == ValuePredicate(None, 2)
+    assert ValuePredicate.at_least(2) == ValuePredicate(2, None)
+    assert ValuePredicate.between(1, 2) == ValuePredicate(low=1, high=2)
+    assert ValuePredicate.between(1, 2)(2) and not ValuePredicate.between(2, 1)(2)
+
+
+def test_threshold_coercion_keeps_its_errors():
+    with pytest.raises(ModeError):
+        hitting(Process.from_path([0, 1], "exact"), ValuePredicate.at_least(0.5), 0, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            hitting_unbounded(Process.from_path([0.0, 1.0], "float"), ValuePredicate.at_most(bad), 0)
+
+
+@pytest.mark.parametrize("n, m, error, text", [
+    (True, 2, TypeError, "n must be an integer, got True"),
+    (0, 2.0, TypeError, "m must be an integer, got 2.0"),
+    (Fraction(1), 2, TypeError, "n must be an integer"),
+    (-1, 2, ValueError, "n must lie within the horizon"),
+    (0, 3, ValueError, "m must lie within the horizon"),
+])
+def test_hitting_windows_take_integer_times_within_the_horizon(n, m, error, text):
+    # a bool n once ran as 1, and a float m failed inside range() without naming m
+    with pytest.raises(error, match=text):
+        hitting(Process.from_path([5, 2, 8], "exact"), ValuePredicate.at_most(2), n, m)
+
+
+@pytest.mark.parametrize("n, error", [(True, TypeError), (1.0, TypeError), (-1, ValueError), (3, ValueError)])
+def test_unbounded_hitting_checks_its_start(n, error):
+    with pytest.raises(error, match="^n must"):
+        hitting_unbounded(Process.from_path([5, 2, 8], "exact"), ValuePredicate.at_most(2), n)
+
+
+def test_hitting_takes_numpy_integer_times():
+    f, s = Process.from_path([5, 2, 8], "exact"), ValuePredicate.at_most(2)
+    assert hitting(f, s, np.int64(1), np.int64(2)) == (1,)
+    assert hitting_unbounded(f, s, np.int64(2)).time_of == (INF,)
+
+
+def test_min_max_and_order_refuse_times_on_different_atoms():
+    # each once truncated to the shorter time: min gave (0, 2), <= gave True
+    long, short = StoppingTime.of([1, 2, 3]), StoppingTime.of([0, 5])
+    with pytest.raises(ValueError, match="different atom sets"):
+        stopping_min(long, short)
+    with pytest.raises(ValueError, match="different atom sets"):
+        stopping_max(long, short)
+    with pytest.raises(ValueError, match="different atom sets"):
+        long <= StoppingTime.of([5, 5])
+
+
+@given(seeds, st.sampled_from(["exact", "float"]))
+@settings(max_examples=200, deadline=None)
+def test_hitting_and_stopping_match_the_per_atom_scans(seed, mode):
+    # the ends come from the values' own pool, so they tie with path values;
+    # low > high is an empty set, n > m an empty window, H = 0 one row
+    rng = random.Random(seed)
+    horizon, atoms = rng.randint(0, 4), rng.randint(1, 6)
+    pool = [Fraction(k, 2) for k in range(-4, 5)]
+    if mode == "float":
+        pool = [float(x) for x in pool] + [-0.0]
+    f = Process.from_values([[rng.choice(pool) for _ in range(atoms)] for _ in range(horizon + 1)], mode)
+    low, high = rng.choice(pool + [None]), rng.choice(pool + [None])
+    s = ValuePredicate(low, high)
+    n, m = rng.randint(0, horizon), rng.randint(0, horizon)
+    typed = lambda xs: [(type(x), repr(x)) for x in xs]
+
+    assert typed(hitting(f, s, n, m)) == typed(hitting_by_scan(f, low, high, n, m))
+    tau = hitting_unbounded(f, s, n)
+    assert typed(tau.time_of) == typed(hitting_unbounded_by_scan(f, low, high, n))
+    times = [rng.choice([0, 1, horizon, horizon + 2, INF]) for _ in range(atoms)]
+    for t in (StoppingTime.of(times), tau):
+        g = stopped_process(f, t)
+        assert g.mode == mode
+        assert list(map(typed, g.values)) == list(map(typed, stopped_by_atoms(f, t.time_of)))
