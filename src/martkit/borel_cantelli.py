@@ -22,9 +22,9 @@ import numpy as np
 
 from .condexp import _Kernel
 from .measure import FiniteMeasureSpace, set_measurable_wrt
-from .montecarlo import IndependentEvents, _check_seed, _run_blocks, _uniform_block
+from .montecarlo import _SEED_MAX, IndependentEvents, _run_blocks, _uniform_block
 from .processes import Filtration, Process, _running_sums
-from .scalars import coerce_scalar
+from .scalars import coerce_scalar, integer
 
 __all__ = [
     "EventSequence",
@@ -132,9 +132,10 @@ def check_borel_cantelli(
     these agree a.e. in the limit; match_fraction measures the truncation.
     Blocks, and a callable model, run on the calling thread.
     """
-    if not 1 <= tail_start <= horizon:
-        raise ValueError("tail_start must lie in 1..horizon")
-    _check_seed(seed)
+    horizon = integer(horizon, "horizon", 1)
+    trials = integer(trials, "trials", 1)
+    seed = integer(seed, "seed", 0, _SEED_MAX)
+    tail_start = integer(tail_start, "tail_start", 1, horizon)
     divergence_cut = coerce_scalar(divergence_cut, "float")
     independent = isinstance(model, IndependentEvents)
     if independent:

@@ -77,7 +77,7 @@ from .processes import (
     is_predictable,
     natural_filtration,
 )
-from .scalars import INF, Mode, coerce_scalar
+from .scalars import INF, Mode, coerce_scalar, tolerance
 from .stopping import StoppingTime, check_optional_stopping
 from .uniform_integrability import (
     FunctionFamily,
@@ -676,9 +676,10 @@ def _check_doob(ctx, p):
     is_mart = classify(ctx.space(), m, F).kind == MartingaleClass.MARTINGALE
     pred = is_predictable(a, F)
     live = ctx.space().positive_atoms()  # the drift need only be nondecreasing a.e.
-    nondec = all(a.values[n][w] <= a.values[n + 1][w] for n in range(a.horizon) for w in live)
+    eps = tolerance(ctx.mode)  # float parts are rounded: m = f - a only within it
+    nondec = all(a.values[n][w] <= a.values[n + 1][w] + eps for n in range(a.horizon) for w in live)
     recon = all(
-        m.values[n][w] + a.values[n][w] == f.values[n][w]
+        abs(m.values[n][w] + a.values[n][w] - f.values[n][w]) <= eps
         for n in range(f.horizon + 1)
         for w in range(f.atom_count)
     )

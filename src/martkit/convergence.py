@@ -35,7 +35,7 @@ from .measure import (
     _twin,
     _weighted,
 )
-from .crossings import Band, _check_time, _counts, _scaled
+from .crossings import Band, _counts, _scaled
 from .processes import (
     Classification,
     Filtration,
@@ -46,7 +46,7 @@ from .processes import (
     _check_process,
     _violations,
 )
-from .scalars import Scalar, coerce_scalar, tolerance
+from .scalars import Scalar, coerce_scalar, integer, tolerance
 
 __all__ = [
     "MaximalInequalityReport",
@@ -98,7 +98,7 @@ def check_maximal_inequality(
     lam = coerce_scalar(level, space.mode)
     if not lam > 0:
         raise ValueError("the maximal inequality needs a level > 0")
-    n = _check_time(f.horizon, n, "n")
+    n = integer(n, "n", 0, f.horizon)
     cls = classification if classification is not None else classify(space, f, F, tol=tol)
     if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
         raise ValueError("the maximal inequality requires a submartingale or martingale")
@@ -139,8 +139,7 @@ def limit_process_estimate(
     estimate is the final value and the atom is marked converged; otherwise
     the estimate defaults to 0.
     """
-    if not 1 <= window <= f.horizon + 1:
-        raise ValueError("window must cover between 1 and horizon+1 values")
+    window = integer(window, "window", 1, f.horizon + 1)
     tol = coerce_scalar(tol, space.mode)
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -162,6 +161,7 @@ def limit_process_estimate(
 
 def geometric_checkpoints(horizon: int) -> tuple:
     """1, 2, 4, ... capped by and always including the horizon."""
+    horizon = integer(horizon, "horizon")
     out = []
     n = 1
     while n < horizon:
@@ -424,7 +424,7 @@ def fatou_norm_check(
         raise ValueError(
             f"f does not reach g at the horizon (first mismatch at atom {w})"
         )
-    start = _check_time(f.horizon, f.horizon // 2 if tail_start is None else tail_start, "tail_start")
+    start = integer(f.horizon // 2 if tail_start is None else tail_start, "tail_start", 0, f.horizon)
     _check_rv(space, f.at(0))
     rows, scale = _twin(f)
     powered, scale, p = _powers(space.mode, abs(rows), scale, p)

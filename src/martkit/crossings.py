@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, floor
-from operator import index
 from typing import Iterable, Optional
 
 import numpy as np
@@ -54,6 +53,7 @@ from .processes import Classification, Filtration, MartingaleClass, Process, cla
 from .scalars import (
     Scalar,
     coerce_scalar,
+    integer,
     positive_part,
     tolerance,
 )
@@ -196,27 +196,6 @@ def _shifted(bd: Band, f: Process, rows: np.ndarray, low) -> tuple:
     return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
 
 
-def _check_time(horizon: int, t, name: str) -> int:
-    """The time ``name`` = t as a Python int in 0..horizon: ints and numpy
-    integers pass; bools and non-integers raise TypeError."""
-    if isinstance(t, bool) or not hasattr(type(t), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {t!r}")
-    t = index(t)
-    if not 0 <= t <= horizon:
-        raise ValueError(f"{name} must lie within the horizon")
-    return t
-
-
-def _check_bound(horizon: int, N, n=0) -> tuple:
-    """(N, n) as Python ints: N a time (``_check_time``), n an integer >= 0."""
-    if isinstance(n, bool):
-        raise TypeError("n must be an integer, not a bool")
-    n = index(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _check_time(horizon, N, "N"), n
-
-
 def _counts(bd: Band, scaled: tuple, N: int, events: Optional[list] = None) -> np.ndarray:
     """``upcrossings_before`` of a coerced band as an int64 array over atoms,
     from ``_scaled``'s (rows, low, high), recording ``_count_upcrossings``'
@@ -260,7 +239,7 @@ def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
     """Chain rows at bound N, up to (and including) the first repeat: an
     atom's rows end at the first k with sigma_k >= N or with the chain stuck
     at sigma_k, so its bounded chain has k + 2 sigma rows."""
-    N, _ = _check_bound(f.horizon, N)
+    N = integer(N, "N", 0, f.horizon)
     sigma, tau, limit = _legs(band, f, N)
     rows = 3 + int(sigma[2].max(initial=-1))
     return CrossingTable(sigma=_rows(sigma, limit, 0, rows), tau=_rows(tau, limit, 0, rows), N=N)
@@ -268,7 +247,7 @@ def crossing_table(band: Band, f: Process, N: int) -> CrossingTable:
 
 def _leg_row(band: Band, f: Process, N: int, n: int, which: int) -> tuple:
     """Row n of sigma (which = 0) or tau (which = 1) at bound N."""
-    N, n = _check_bound(f.horizon, N, n)
+    N, n = integer(N, "N", 0, f.horizon), integer(n, "n")
     legs = _legs(band, f, N)
     n = min(n, N)  # no atom has more than N times before N: row N is the limit
     return _rows(legs[which], legs[2], n, n + 1)[0]
@@ -287,7 +266,7 @@ def lower_crossing(band: Band, f: Process, N: int, n: int) -> tuple:
 
 def upcrossings_before(band: Band, f: Process, N: int) -> tuple:
     """Largest n in 0..N with sigma_n < N, per atom (0 when N = 0)."""
-    N, _ = _check_bound(f.horizon, N)
+    N = integer(N, "N", 0, f.horizon)
     bd = band.coerced(f.mode)
     return tuple(_counts(bd, _scaled(bd, f), N).tolist())
 
@@ -346,7 +325,7 @@ def check_upcrossing_estimate(
     """
     _require_submartingale(space, f, F, classification, tol)
     _check_rv(space, f.at(0))
-    N, _ = _check_bound(f.horizon, N)
+    N = integer(N, "N", 0, f.horizon)
     bd = band.coerced(f.mode)
     scaled = _scaled(bd, f)
     rows, low, _ = scaled

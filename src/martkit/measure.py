@@ -35,6 +35,7 @@ from .scalars import (
     Scalar,
     check_same_mode,
     coerce_values,
+    integer,
     tolerance,
     zero,
 )
@@ -74,8 +75,7 @@ class FiniteMeasureSpace:
     @staticmethod
     def uniform(n: int, mode: Mode = "exact") -> "FiniteMeasureSpace":
         """Uniform probability space on n atoms."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = integer(n, "n", 1)
         return FiniteMeasureSpace((Fraction(1, n) if mode == "exact" else 1.0 / n,) * n, mode)
 
     @property
@@ -204,7 +204,7 @@ class RandomVariable:
 
     @staticmethod
     def constant(c: Scalar, n: int, mode: Mode) -> "RandomVariable":
-        return RandomVariable.from_values([c] * n, mode)
+        return RandomVariable.from_values([c] * integer(n, "n"), mode)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -250,7 +250,7 @@ class RandomVariable:
 def indicator(s: AtomSet, n: int, mode: Mode) -> RandomVariable:
     one = Fraction(1) if mode == "exact" else 1.0
     z = zero(mode)
-    return RandomVariable(tuple(one if i in s else z for i in range(n)), mode)
+    return RandomVariable(tuple(one if i in s else z for i in range(integer(n, "n"))), mode)
 
 
 def _check_rv(space: FiniteMeasureSpace, f: RandomVariable) -> None:
@@ -447,18 +447,17 @@ class Partition:
 
     @staticmethod
     def trivial(n: int) -> "Partition":
-        return Partition((0,) * n)
+        return Partition((0,) * integer(n, "n", 1))
 
     @staticmethod
     def singletons(n: int) -> "Partition":
-        return Partition(tuple(range(n)))
+        return Partition(tuple(range(integer(n, "n", 1))))
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]], n: int | None = None) -> "Partition":
         blocks = [sorted(b) for b in blocks]
         atoms = [a for b in blocks for a in b]
-        if n is None:
-            n = len(atoms)
+        n = len(atoms) if n is None else integer(n, "n", 1)
         if sorted(atoms) != list(range(n)):
             raise ValueError("blocks must partition atoms 0..n-1 exactly")
         block_of = [0] * n

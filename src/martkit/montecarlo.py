@@ -46,17 +46,16 @@ horizon 32, 0.88-1.02 at 40 and 0.72-0.96 at 48, hence the cut at 40.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .crossings import _check_bound, _count_upcrossings_runs
+from .crossings import _count_upcrossings_runs
 from .measure import FiniteMeasureSpace
 from .processes import Process, natural_filtration
-from .scalars import Mode, Scalar, coerce_scalar
+from .scalars import Mode, Scalar, coerce_scalar, integer
 
 __all__ = [
     "FairWalk",
@@ -137,11 +136,8 @@ class PolyaUrn:
     initial_black: int = 1
 
     def __post_init__(self) -> None:
-        counts = (self.initial_red, self.initial_black)
-        if not all(isinstance(c, numbers.Integral) for c in counts):
-            raise TypeError("urn counts must be integers")
-        if self.initial_red < 1 or self.initial_black < 1:
-            raise ValueError("urn counts must be positive")
+        for name in ("initial_red", "initial_black"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1))
         # sample() divides by the ball count n0 + t as a float, which is exact
         # while it stays below 2**53; no path array is long enough to climb
         # from 2**52 to there
@@ -301,10 +297,8 @@ def _require_model(model) -> None:
         raise TypeError(f"unknown model {model!r}")
 
 
-def _check_seed(seed: int) -> None:
-    # Philox keys are uint64: the vectorised kernel would wrap where numpy raises
-    if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must fit in 64 bits")
+# Philox keys are uint64: the vectorised kernel would wrap where numpy raises
+_SEED_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -315,12 +309,11 @@ class RunConfig:
     checkpoint_schedule: tuple = ()
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if self.trials < 1 or self.horizon < 0:
-            raise ValueError("need trials >= 1 and horizon >= 0")
-        for c in self.checkpoint_schedule:
-            if not 0 <= c <= self.horizon:
-                raise ValueError("checkpoints must lie within the horizon")
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0, _SEED_MAX))
+        object.__setattr__(self, "trials", integer(self.trials, "trials", 1))
+        object.__setattr__(self, "horizon", integer(self.horizon, "horizon"))
+        schedule = tuple(integer(c, "checkpoint_schedule", 0, self.horizon) for c in self.checkpoint_schedule)
+        object.__setattr__(self, "checkpoint_schedule", schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +333,7 @@ def exhaustive_space(
     exact mode), the process tracks each path's value history, and the
     filtration is the natural one generated by those histories.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    horizon = integer(horizon, "horizon")
     _require_model(model)
     # breadth-first unroll: level n holds (state, weight, value history) per
     # partial path, in branch-digit order
@@ -373,9 +365,8 @@ def exhaustive_space(
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based stream for one trial; independent of scheduling."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
-    )
+    key = [integer(seed, "seed", 0, _SEED_MAX), integer(trial, "trial", 0, _SEED_MAX)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy implements it: round
@@ -466,8 +457,7 @@ def _uniform_block(seed: int, start: int, count: int, horizon: int) -> np.ndarra
 def _run_blocks(work: Callable[[int, int], object], trials: int, block_size: int) -> list:
     """``work(start, count)`` for consecutive blocks of ``block_size`` trials,
     run in trial order on the calling thread."""
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
+    block_size = integer(block_size, "block_size", 1)
     return [work(s, min(block_size, trials - s)) for s in range(0, trials, block_size)]
 
 
@@ -506,15 +496,15 @@ def count_upcrossings_batch(paths: np.ndarray, a: float, b: float, N: Optional[i
     (uniforms, steps and output) that the sampler holds for a block; on a
     ``FairWalk`` block it peaks at the masks' 3.  Band edges are float
     scalars: NaN and +-inf raise, where their comparisons would count no
-    upcrossing at all.  N is checked as ``upcrossings_before`` checks it:
-    bools and non-integers raise TypeError.
+    upcrossing at all.  N goes through ``scalars.integer`` in 0..horizon, as
+    ``upcrossings_before``'s does.
     """
     if not (isinstance(paths, np.ndarray) and paths.ndim == 2 and paths.shape[1] >= 1):
         shape = getattr(paths, "shape", type(paths).__name__)
         raise ValueError(f"paths must be a 2-D array of shape (trials, horizon + 1), got {shape}")
     a, b = coerce_scalar(a, "float"), coerce_scalar(b, "float")
     horizon = paths.shape[1] - 1
-    N, _ = _check_bound(horizon, horizon if N is None else N)
+    N = integer(horizon if N is None else N, "N", 0, horizon)
     return _count_upcrossings_runs(paths, a, b, N)
 
 
@@ -548,8 +538,8 @@ def simulate_stats(
     calling thread; ``workers`` is accepted for compatibility and ignored.
     """
     trials, horizon = config.trials, config.horizon
-    if window is not None and not 1 <= window <= horizon + 1:
-        raise ValueError("window must cover between 1 and horizon+1 values")
+    if window is not None:
+        window = integer(window, "window", 1, horizon + 1)
     _require_model(model)
     bands = tuple((coerce_scalar(a, "float"), coerce_scalar(b, "float")) for a, b in bands)
     schedule = tuple(config.checkpoint_schedule)

@@ -34,7 +34,7 @@ from .measure import (
     _measurable,
     _twin,
 )
-from .scalars import Mode, Scalar, check_same_mode, coerce_values, tolerance, zero
+from .scalars import Mode, Scalar, check_same_mode, coerce_values, integer, tolerance, zero
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class Filtration:
 
     @staticmethod
     def constant(p: Partition, horizon: int, ambient: Partition | None = None) -> "Filtration":
-        return Filtration.of([p] * (horizon + 1), ambient)
+        return Filtration.of([p] * (integer(horizon, "horizon") + 1), ambient)
 
     @property
     def horizon(self) -> int:
@@ -328,8 +328,9 @@ def doob_decomposition(
 
     predictable_part[n] = sum_{k<n} (condexp(f_{k+1} | steps[k]) - f_k),
     martingale_part = f - predictable_part.  The identity f = m + p holds
-    bitwise by construction; the classification facts (m is a martingale,
-    p is predictable, p is nondecreasing iff f is a submartingale) are
+    exactly in exact mode; in float mode m and p are rounded, so m + p equals
+    f only within ``tolerance("float")``.  The classification facts (m is a
+    martingale, p is predictable, p is nondecreasing iff f is a submartingale) are
     verified by the test suite, not assumed here.  In exact mode m_n is
     formed once per cell of ``_running_sums``, which for adapted input is a
     block of steps[n], where m_n is constant.

@@ -97,6 +97,26 @@ def coerce_scalar(x: Scalar, mode: Mode) -> Scalar:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def integer(x, name: str, low: int = 0, high: Optional[int] = None) -> int:
+    """The integer argument ``name`` = x as a Python int in low..high (no
+    upper end when high is None).
+
+    Every time, bound, horizon, window, count and seed the library takes goes
+    through here, as mathlib's are all naturals.  Ints and numpy or other
+    ``numbers.Integral`` values pass; bools and non-integers (``2.0``,
+    ``Fraction(1)``, ``"2"``) raise TypeError, and a value out of range raises
+    ValueError, both naming the argument.
+    """
+    if type(x) is not int:  # the builtin first: an ABC check is slow
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {x!r}")
+        x = int(x)
+    if x < low or (high is not None and x > high):
+        span = f"be >= {low}" if high is None else f"lie in {low}..{high}"
+        raise ValueError(f"{name} must {span}, got {x}")
+    return x
+
+
 def coerce_values(values: Iterable[Scalar], mode: Mode) -> tuple:
     return tuple(coerce_scalar(v, mode) for v in values)
 

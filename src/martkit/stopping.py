@@ -21,10 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .crossings import _check_time
 from .measure import FiniteMeasureSpace, _check_rv, _measurable, _threshold, _twin, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, classify, is_adapted
-from .scalars import INF, Scalar, coerce_scalar, tolerance
+from .scalars import INF, Scalar, coerce_scalar, integer, tolerance
 
 __all__ = [
     "StoppingTime",
@@ -79,17 +78,15 @@ class ValuePredicate:
 
 @dataclass(frozen=True)
 class StoppingTime:
-    """Per-atom time, possibly INF.  Validity is a property of a filtration,
-    checked by :func:`is_stopping_time`, not enforced here."""
+    """Per-atom time, possibly INF.  Finite times go through
+    ``scalars.integer`` and are stored as Python ints.  Validity is a property
+    of a filtration, checked by :func:`is_stopping_time`, not enforced here."""
 
     time_of: tuple
 
     def __post_init__(self) -> None:
-        for t in self.time_of:
-            if t == INF:
-                continue
-            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-                raise ValueError(f"stopping time values must be naturals or INF, got {t!r}")
+        times = tuple(INF if t == INF else integer(t, "stopping time value") for t in self.time_of)
+        object.__setattr__(self, "time_of", times)
 
     @staticmethod
     def of(values) -> "StoppingTime":
@@ -97,7 +94,8 @@ class StoppingTime:
 
     @staticmethod
     def constant(n, atom_count: int) -> "StoppingTime":
-        return StoppingTime(time_of=(n,) * atom_count)
+        n = n if n == INF else integer(n, "n")
+        return StoppingTime(time_of=(n,) * integer(atom_count, "atom_count"))
 
     @property
     def atom_count(self) -> int:
@@ -141,7 +139,7 @@ def _first_entry(f: Process, s: ValuePredicate, n) -> tuple:
     """(entered, first) over atoms: whether the path lies in ``s`` at some
     time >= n, and the first such time (n where there is none), from one mask
     over the twin with the ends of ``s`` on its scale (``_threshold``)."""
-    n = _check_time(f.horizon, n, "n")
+    n = integer(n, "n", 0, f.horizon)
     rows, scale = _twin(f)
     rows = rows[n:]
     inside = np.ones(rows.shape, dtype=bool)
@@ -158,7 +156,7 @@ def hitting(f: Process, s: ValuePredicate, n: int, m: int) -> tuple:
     Per atom: the least j in [n, m] with s(f_j); if there is none, or the
     window is empty (n > m), the window end m.  Always finite.
     """
-    m = _check_time(f.horizon, m, "m")
+    m = integer(m, "m", 0, f.horizon)
     entered, first = _first_entry(f, s, n)
     return tuple(np.where(entered & (first <= m), first, m).tolist())
 

@@ -50,7 +50,7 @@ from .measure import (
     _twin,
     _weighted,
 )
-from .scalars import INF, RootValue, Scalar, coerce_scalar
+from .scalars import INF, RootValue, Scalar, coerce_scalar, integer
 
 __all__ = [
     "FunctionFamily",
@@ -450,6 +450,7 @@ def vitali_empirical(
     """
     if p == INF or p < 1:
         raise ValueError("Vitali diagnostics need p in [1, inf)")
+    horizon = integer(horizon, "horizon", 1)
     members = []
     for f in fam_sequence:
         members.append(f)
@@ -507,8 +508,7 @@ def vitali_empirical(
 
 def _spike_family(horizon: int, mode: str, mass_power: int) -> tuple:
     """Spike n of height n on atom n-1, of mass 1/n^mass_power; limit 0."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = integer(horizon, "horizon", 1)
     zero = coerce_scalar(0, mode)
     weights, members = [], []
     for n in range(1, horizon + 1):

@@ -451,6 +451,21 @@ def test_doob_passes_a_submartingale_whose_drift_falls_only_on_a_null_block(tmp_
     assert "predictable_part_nondecreasing,true" in (out_dir / "null__d.csv").read_text()
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "biased_walk", "p_up": "3/5", "horizon": 8},
+    {"kind": "polya", "initial_red": 2, "initial_black": 3, "horizon": 6},
+    {"kind": "fair_walk", "step": "1/10", "horizon": 8},
+], ids=["biased_walk", "polya", "fair_walk"])
+def test_float_doob_compares_within_the_tolerance(model, tmp_path, capsys):
+    # m + a == f and the drift rows were once compared bit for bit, so rounding failed these
+    doc = {"name": "fd", "mode": "float", "model": model,
+           "checks": [{"name": "d", "op": "doob_decomposition"}]}
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 0
+    assert "[PASS] d: decomposition valid" in capsys.readouterr().out
+    assert "false" not in (out_dir / "fd__d.csv").read_text()
+
+
 @pytest.mark.parametrize("horizon, bands", [(2, "-1/2,1/2"), (3, "-1/2,1/2"), (3, "-1,1"),
                                             (4, "-1/2,1/2;0,1")])
 @pytest.mark.parametrize("mode", ["exact", "float"])

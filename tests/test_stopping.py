@@ -196,8 +196,8 @@ def test_threshold_coercion_keeps_its_errors():
     (True, 2, TypeError, "n must be an integer, got True"),
     (0, 2.0, TypeError, "m must be an integer, got 2.0"),
     (Fraction(1), 2, TypeError, "n must be an integer"),
-    (-1, 2, ValueError, "n must lie within the horizon"),
-    (0, 3, ValueError, "m must lie within the horizon"),
+    (-1, 2, ValueError, r"n must lie in 0\.\.2, got -1$"),
+    (0, 3, ValueError, r"m must lie in 0\.\.2, got 3$"),
 ])
 def test_hitting_windows_take_integer_times_within_the_horizon(n, m, error, text):
     # a bool n once ran as 1, and a float m failed inside range() without naming m
