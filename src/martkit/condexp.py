@@ -271,13 +271,12 @@ def check_set_integral_characterization(
     f: RandomVariable,
     sub: Partition,
     ambient: Partition | None = None,
-    tol: float | None = None,
 ) -> CharacterizationReport:
     """Verify the defining property: block integrals of condexp match f's.
 
     For every block B of ``sub``: integral of condexp(f | sub) over B equals
     the integral of f over B.  Exact mode demands equality; float mode allows
-    the default absolute tolerance.
+    the absolute slack ``tolerance("float")``.
     """
     ce = condexp(space, f, sub, ambient)
     kernel = _Kernel(space, (sub,))
@@ -287,7 +286,7 @@ def check_set_integral_characterization(
     else:
         sums = [s.tolist() for s in sums]
     worst = max(abs(a - b) for a, b in zip(*sums))
-    limit = tolerance(space.mode, tol)
+    limit = tolerance(space.mode)
     return CharacterizationReport(holds=worst <= limit, worst_block_gap=worst)
 
 
@@ -309,7 +308,6 @@ def condexp_properties(
     alpha: Scalar = 1,
     beta: Scalar = 1,
     ambient: Partition | None = None,
-    tol: float | None = None,
 ) -> CondexpPropertiesReport:
     """Check linearity, the tower rule, and monotonicity, all a.e.
 
@@ -328,16 +326,16 @@ def condexp_properties(
     lin_rhs = condexp(space, f, sub_fine, ambient).scale(alpha) + condexp(
         space, g, sub_fine, ambient
     ).scale(beta)
-    linearity = ae_equal(space, lin_lhs, lin_rhs, tol)
+    linearity = ae_equal(space, lin_lhs, lin_rhs)
 
     tower_lhs = condexp(space, condexp(space, f, sub_fine, ambient), sub_coarse, ambient)
     tower_rhs = condexp(space, f, sub_coarse, ambient)
-    tower = ae_equal(space, tower_lhs, tower_rhs, tol)
+    tower = ae_equal(space, tower_lhs, tower_rhs)
 
-    premise = ae_le(space, f, g, tol)
+    premise = ae_le(space, f, g)
     if premise:
         mono = ae_le(
-            space, condexp(space, f, sub_fine, ambient), condexp(space, g, sub_fine, ambient), tol
+            space, condexp(space, f, sub_fine, ambient), condexp(space, g, sub_fine, ambient)
         )
     else:
         mono = True
@@ -355,9 +353,8 @@ def condexp_agreement_witness(
     f: RandomVariable,
     sub: Partition,
     ambient: Partition | None = None,
-    tol: float | None = None,
 ) -> int | None:
     """First positive-weight atom where the two constructions disagree."""
     return ae_witness(
-        space, condexp(space, f, sub, ambient), condexp_l2(space, f, sub, ambient), "eq", tol
+        space, condexp(space, f, sub, ambient), condexp_l2(space, f, sub, ambient), "eq"
     )

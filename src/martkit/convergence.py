@@ -44,6 +44,7 @@ from .processes import (
     classify,
     filtration_sup,
     _check_process,
+    _require_class,
     _violations,
 )
 from .scalars import Scalar, coerce_scalar, integer, tolerance
@@ -91,7 +92,6 @@ def check_maximal_inequality(
     n: int,
     level: Scalar,
     classification: Optional[Classification] = None,
-    tol: Optional[float] = None,
 ) -> MaximalInequalityReport:
     """lambda * mu{max_{k<=n} f_k >= lambda} <= integral of f_n over the set,
     for submartingales and lambda > 0."""
@@ -99,16 +99,15 @@ def check_maximal_inequality(
     if not lam > 0:
         raise ValueError("the maximal inequality needs a level > 0")
     n = integer(n, "n", 0, f.horizon)
-    cls = classification if classification is not None else classify(space, f, F, tol=tol)
-    if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
-        raise ValueError("the maximal inequality requires a submartingale or martingale")
+    _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE,
+                   "the maximal inequality requires a submartingale or martingale")
     _check_rv(space, f.at(n))
     rows, scale = _twin(f)
     level_set = rows[: n + 1].max(axis=0) >= _threshold(space.mode, lam, scale, ceil)
     mass = _weighted(space, level_set[None])[0]
     lhs = lam * mass
     rhs = _weighted(space, np.where(level_set, rows[n], 0)[None], scale)[0]
-    eps = tolerance(space.mode, tol)
+    eps = tolerance(space.mode)
     return MaximalInequalityReport(
         n=n, level=lam, set_mass=mass, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps
     )
@@ -276,9 +275,8 @@ def check_l1_convergence_a(
     terminal modulus is not small the assertion is vacuous (holds=True) and
     the gaps are still reported; this is the negative-control reading.
     """
-    cls = classification if classification is not None else classify(space, f, F)
-    if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
-        raise ValueError("check (a) requires a submartingale or martingale")
+    _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE,
+                   "check (a) requires a submartingale or martingale")
     _check_rv(space, f.at(0))
     est = limit_process_estimate(space, f, F, tol=tol, window=window)
     cps = geometric_checkpoints(f.horizon)
@@ -311,19 +309,19 @@ def check_l1_convergence_b(
     space: FiniteMeasureSpace,
     f: Process,
     F: Filtration,
-    tol: Optional[float] = None,
+    *,  # keyword-only, so a stray fourth argument cannot pass as a classification
     classification: Optional[Classification] = None,
     allow_non_martingale: bool = False,
 ) -> L1ConvergenceBReport:
     """Martingale representation at the horizon: f_n = condexp(f_N | steps[n])
     a.e. for every n (the finite-filtration limit process is f_N itself)."""
     _check_process(space, f, F)
-    cls = classification if classification is not None else classify(space, f, F, tol=tol)
+    cls = classification if classification is not None else classify(space, f, F)
     if cls.kind != MartingaleClass.MARTINGALE and not allow_non_martingale:
         raise ValueError("check (b) is a martingale statement; classification says otherwise")
     kernel = _Kernel(space, F.steps)
     rows = kernel.rows(f)
-    found = _violations(kernel, rows, f.horizon, f.horizon, 0, tol, kernel.unadapted(rows) is None)
+    found = _violations(kernel, rows, f.horizon, f.horizon, 0, kernel.unadapted(rows) is None)
     witness = next(((n, min(a for a in w if a is not None)) for (n, _), w in sorted(found.items())
                     if w != (None, None)), None)
     return L1ConvergenceBReport(holds=witness is None, witness=witness, kind=cls.kind)
@@ -354,7 +352,6 @@ def check_levy_upward(
     space: FiniteMeasureSpace,
     g: RandomVariable,
     F: Filtration,
-    tol: Optional[float] = None,
 ) -> LevyUpwardReport:
     """d_n = snorm(condexp(g | steps[n]) - g, 1): requires g measurable with
     respect to the filtration's sup; reports d_horizon = 0 as ``final_zero``
@@ -381,7 +378,7 @@ def check_levy_upward(
         ce = np.array([kernel.condexp(row, n) for n in range(F.horizon, -1, -1)])
         d = _lp_norms(space, abs(ce - row), 1, 1)
     d.reverse()
-    eps = tolerance(space.mode, tol)
+    eps = tolerance(space.mode)
     monotone = all(d[i + 1] <= d[i] + eps for i in range(len(d) - 1))
     final_zero = d[-1] <= eps
     return LevyUpwardReport(
@@ -408,18 +405,17 @@ def fatou_norm_check(
     f: Process,
     g: RandomVariable,
     p: Scalar,
-    tol: Optional[float] = None,
     tail_start: Optional[int] = None,
 ) -> FatouReport:
     """snorm(g, p) <= inf over the tail window of snorm(f_n, p).
 
     The tail infimum is the finite-horizon liminf surrogate; the window
     defaults to the second half of the horizon.  Precondition: f_horizon
-    agrees with g on positive-weight atoms (exact in exact mode, within tol
-    in float mode), the computable shadow of "f_n converges to g a.e.".
+    agrees with g on positive-weight atoms (exact in exact mode, within
+    ``tolerance("float")`` in float mode), the computable shadow of "f_n
+    converges to g a.e.".
     """
-    eps = tolerance(space.mode, tol)
-    w = ae_witness(space, f.at(f.horizon), g, "eq", tol=tol)
+    w = ae_witness(space, f.at(f.horizon), g, "eq")
     if w is not None:
         raise ValueError(
             f"f does not reach g at the horizon (first mismatch at atom {w})"
@@ -435,7 +431,7 @@ def fatou_norm_check(
     if space.mode == "exact":
         holds = bool(limit_norm <= surrogate)
     else:
-        holds = bool(limit_norm <= surrogate + eps)
+        holds = bool(limit_norm <= surrogate + tolerance("float"))
     return FatouReport(
         limit_norm=limit_norm,
         surrogate=surrogate,

@@ -49,7 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .measure import FiniteMeasureSpace, _check_rv, _threshold, _twin, _weighted
-from .processes import Classification, Filtration, MartingaleClass, Process, classify
+from .processes import Classification, Filtration, MartingaleClass, Process, _require_class
 from .scalars import (
     Scalar,
     coerce_scalar,
@@ -285,18 +285,7 @@ def upcrossings(band: Band, f: Process) -> tuple:
 # The upcrossing estimate
 # ---------------------------------------------------------------------------
 
-
-def _require_submartingale(
-    space: FiniteMeasureSpace,
-    f: Process,
-    F: Filtration,
-    classification: Optional[Classification],
-    tol: Optional[float],
-) -> Classification:
-    cls = classification if classification is not None else classify(space, f, F, tol=tol)
-    if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
-        raise ValueError("the upcrossing estimate requires a submartingale or martingale")
-    return cls
+_ESTIMATE_GATE = "the upcrossing estimate requires a submartingale or martingale"
 
 
 @dataclass(frozen=True)
@@ -316,14 +305,13 @@ def check_upcrossing_estimate(
     F: Filtration,
     N: int,
     classification: Optional[Classification] = None,
-    tol: Optional[float] = None,
 ) -> UpcrossingEstimateReport:
     """(b - a) * mu[U_N] <= mu[(f_N - a)^+] for submartingales.
 
     a >= b is allowed: the left side is then nonpositive and the right side
     nonnegative, so the inequality is automatic.
     """
-    _require_submartingale(space, f, F, classification, tol)
+    _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE, _ESTIMATE_GATE)
     _check_rv(space, f.at(0))
     N = integer(N, "N", 0, f.horizon)
     bd = band.coerced(f.mode)
@@ -331,7 +319,7 @@ def check_upcrossing_estimate(
     rows, low, _ = scaled
     lhs = (bd.b - bd.a) * _weighted(space, _counts(bd, scaled, N)[None])[0]
     rhs = _weighted(space, *_shifted(bd, f, rows[[N]], low))[0]
-    eps = tolerance(space.mode, tol)
+    eps = tolerance(space.mode)
     return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
 
 
@@ -352,7 +340,6 @@ def check_upcrossing_estimate_sup(
     f: Process,
     F: Filtration,
     classification: Optional[Classification] = None,
-    tol: Optional[float] = None,
     check_classification: bool = True,
 ) -> UpcrossingSupReport:
     """Sup form: (b-a)^+ * lintegral(upcrossings) <= sup_N lintegral((f_N - a)^+).
@@ -363,7 +350,7 @@ def check_upcrossing_estimate_sup(
     inequality is not guaranteed then).
     """
     if check_classification:
-        _require_submartingale(space, f, F, classification, tol)
+        _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE, _ESTIMATE_GATE)
     _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
     coeff = positive_part(bd.b - bd.a)
@@ -373,7 +360,7 @@ def check_upcrossing_estimate_sup(
     rhs = _weighted(space, *_shifted(bd, f, rows, low))
     best_n = max(range(len(rhs)), key=rhs.__getitem__)  # the first largest
     best = rhs[best_n]
-    eps = tolerance(space.mode, tol)
+    eps = tolerance(space.mode)
     return UpcrossingSupReport(
         a=bd.a,
         b=bd.b,

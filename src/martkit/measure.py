@@ -18,6 +18,7 @@ Fraction(1, 1)
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -106,9 +107,12 @@ class FiniteMeasureSpace:
         return tuple(i for i, w in enumerate(self.weights) if w > 0)
 
     def check_atoms(self, s: AtomSet) -> None:
-        for a in s:
-            if not (isinstance(a, int) and 0 <= a < self.atom_count):
-                raise ValueError(f"atom {a!r} outside range 0..{self.atom_count - 1}")
+        _atoms(s, self.atom_count)
+
+
+def _atoms(s: AtomSet, n: int) -> set:
+    """The atoms of s as ints, each passed through ``integer`` for 0..n-1."""
+    return {integer(a, "atom", 0, n - 1) for a in s}
 
 
 def _integer_twin(mode: Mode, values, shape: tuple) -> tuple:
@@ -248,9 +252,11 @@ class RandomVariable:
 
 
 def indicator(s: AtomSet, n: int, mode: Mode) -> RandomVariable:
+    n = integer(n, "n")
+    s = _atoms(s, n)
     one = Fraction(1) if mode == "exact" else 1.0
     z = zero(mode)
-    return RandomVariable(tuple(one if i in s else z for i in range(integer(n, "n"))), mode)
+    return RandomVariable(tuple(one if i in s else z for i in range(n)), mode)
 
 
 def _check_rv(space: FiniteMeasureSpace, f: RandomVariable) -> None:
@@ -273,15 +279,24 @@ def _twin(x) -> tuple:
     return x._matrix, 1
 
 
+def _real_exponent(p, name: str = "p"):
+    """p as an exponent: inf or a real >= 1.  A bool or a non-real raises
+    TypeError, and NaN (which fails every comparison) or a value below 1
+    ValueError, both naming the exponent."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise TypeError(f"{name} must be a real >= 1 or inf, got {p!r}")
+    if not p >= 1:
+        raise ValueError(f"{name} must be >= 1 or inf, got {p!r}")
+    return p
+
+
 def _exponent(mode: Mode, p):
     """p checked for a norm: inf, or else an integer >= 1 in exact mode (a
     whole Fraction as an int) and a real >= 1 in float mode."""
-    if p != INF and mode == "exact":
+    if _real_exponent(p) != INF and mode == "exact":
         p = int(p) if isinstance(p, Fraction) and p.denominator == 1 else p
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        if not isinstance(p, int):
             raise ValueError(f"exact-mode norms require integer p >= 1 or inf, got {p!r}")
-    elif p != INF and float(p) < 1:
-        raise ValueError(f"norms require p >= 1, got {p!r}")
     return p
 
 
@@ -362,18 +377,17 @@ def ae_witness(
     f: RandomVariable,
     g: RandomVariable,
     relation: str = "eq",
-    tol: float | None = None,
 ) -> int | None:
     """First positive-weight atom violating f <relation> g, or None.
 
     relation is one of "eq", "le", "ge".  Exact mode compares exactly; float
-    mode allows absolute tolerance ``tol`` (default 1e-9).
+    mode allows the absolute slack ``tolerance("float")`` (DEFAULT_FLOAT_TOL).
     """
     if relation not in ("eq", "le", "ge"):
         raise ValueError(f"unknown relation {relation!r}; expected 'eq', 'le' or 'ge'")
     _check_rv(space, f)
     _check_rv(space, g)
-    t = tolerance(space.mode, tol)
+    t = tolerance(space.mode)
     for i, w in enumerate(space.weights):
         if w == 0:
             continue
@@ -384,12 +398,12 @@ def ae_witness(
     return None
 
 
-def ae_equal(space, f, g, tol: float | None = None) -> bool:
-    return ae_witness(space, f, g, "eq", tol) is None
+def ae_equal(space, f, g) -> bool:
+    return ae_witness(space, f, g, "eq") is None
 
 
-def ae_le(space, f, g, tol: float | None = None) -> bool:
-    return ae_witness(space, f, g, "le", tol) is None
+def ae_le(space, f, g) -> bool:
+    return ae_witness(space, f, g, "le") is None
 
 
 # ---------------------------------------------------------------------------

@@ -238,12 +238,12 @@ class Classification:
         return self.adapted and self.witness_against(asserted) is None
 
 
-def _violations(kernel, rows, j: int, top: int, low: int, tol, adapted: bool = True) -> dict:
+def _violations(kernel, rows, j: int, top: int, low: int, adapted: bool = True) -> dict:
     """{(i, j): (first atom below, first atom above)} for i = top down to low:
     the first positive-weight atoms where E[f_j | steps[i]] lies below or above
     f_i by more than the tolerance, or None.  One comparison per block of
     positive mass, or per positive-weight atom when f is not adapted."""
-    t = tolerance(kernel.mode, tol)
+    t = tolerance(kernel.mode)
     out = {}
     for i, sums in kernel.tower(rows[j], top, low):
         at = kernel.rep[i] if adapted else kernel.positive
@@ -257,7 +257,6 @@ def classify(
     f: Process,
     F: Filtration,
     pairs: str = "all",
-    tol: float | None = None,
 ) -> Classification:
     """Classify f against F as (sub/super)martingale or none, with witnesses.
 
@@ -277,7 +276,7 @@ def classify(
         return Classification(MartingaleClass.NONE, False, witness, None, None)
     found: dict = {}
     for j in range(1, f.horizon + 1):
-        found.update(_violations(kernel, rows, j, j - 1, 0 if pairs == "all" else j - 1, tol))
+        found.update(_violations(kernel, rows, j, j - 1, 0 if pairs == "all" else j - 1))
     ordered = sorted(found.items())  # (i, j) order: the first violation of each side wins
     sub_violation = next(((i, j, w[0]) for (i, j), w in ordered if w[0] is not None), None)
     super_violation = next(((i, j, w[1]) for (i, j), w in ordered if w[1] is not None), None)
@@ -290,6 +289,15 @@ def classify(
     else:
         kind = MartingaleClass.NONE
     return Classification(kind, True, None, sub_violation, super_violation)
+
+
+def _require_class(space, f: Process, F: Filtration, classification, kind, message: str) -> Classification:
+    """A theorem check's gate: ``classification``, or ``classify(space, f, F)``
+    when it is None; raises ValueError(message) unless f is at least ``kind``."""
+    cls = classification if classification is not None else classify(space, f, F)
+    if not cls.is_at_least(kind):
+        raise ValueError(message)
+    return cls
 
 
 # ---------------------------------------------------------------------------

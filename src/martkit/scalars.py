@@ -36,17 +36,14 @@ Scalar = Union[Fraction, int, float]
 
 INF = math.inf
 
-# Tolerance used by float-mode "almost everywhere" comparisons when the caller
-# does not pass one.  Exact mode never consults it.
+# The slack of every float-mode comparison: it absorbs rounding only, so it
+# is fixed per mode rather than per call.  Exact mode never consults it.
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-def tolerance(mode: Mode, tol: Optional[float] = None) -> Scalar:
-    """Comparison slack for a mode: 0 in exact mode; in float mode ``tol``,
-    or DEFAULT_FLOAT_TOL when it is None."""
-    if mode == "exact":
-        return 0
-    return DEFAULT_FLOAT_TOL if tol is None else tol
+def tolerance(mode: Mode) -> Scalar:
+    """Comparison slack of a mode: 0 in exact mode, DEFAULT_FLOAT_TOL in float mode."""
+    return 0 if mode == "exact" else DEFAULT_FLOAT_TOL
 
 
 class ModeError(TypeError):

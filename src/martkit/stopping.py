@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .measure import FiniteMeasureSpace, _check_rv, _measurable, _threshold, _twin, _weighted
-from .processes import Classification, Filtration, MartingaleClass, Process, classify, is_adapted
+from .processes import Classification, Filtration, MartingaleClass, Process, _require_class, is_adapted
 from .scalars import INF, Scalar, coerce_scalar, integer, tolerance
 
 __all__ = [
@@ -205,7 +205,6 @@ def check_optional_stopping(
     tau: StoppingTime,
     sigma: StoppingTime,
     classification: Optional[Classification] = None,
-    tol: Optional[float] = None,
 ) -> OptionalStoppingReport:
     """Fair-game check: for a (sub)martingale and bounded stopping times
     tau <= sigma, the stopped expectations satisfy mu[f_tau] <= mu[f_sigma],
@@ -219,14 +218,13 @@ def check_optional_stopping(
         raise ValueError("optional stopping requires tau <= sigma pointwise")
     if not (is_stopping_time(tau, F) and is_stopping_time(sigma, F)):
         raise ValueError("both times must be stopping times for the filtration")
-    cls = classification if classification is not None else classify(space, f, F, tol=tol)
-    if not cls.is_at_least(MartingaleClass.SUBMARTINGALE):
-        raise ValueError("optional stopping requires a submartingale or martingale")
+    cls = _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE,
+                         "optional stopping requires a submartingale or martingale")
     _check_rv(space, f.at(0))
     rows, scale = _twin(f)
     atoms = np.arange(f.atom_count)
     lhs, rhs = _weighted(space, rows[[tau.time_of, sigma.time_of], atoms], scale)
-    eps = tolerance(space.mode, tol)
+    eps = tolerance(space.mode)
     is_mart = cls.kind == MartingaleClass.MARTINGALE
     return OptionalStoppingReport(
         lhs=lhs,

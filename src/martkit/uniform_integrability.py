@@ -46,6 +46,7 @@ from .measure import (
     _lp_norms,
     _mask,
     _powers,
+    _real_exponent,
     _threshold,
     _twin,
     _weighted,
@@ -89,8 +90,7 @@ class FunctionFamily:
                 raise ValueError("family members must match the space's mode")
             if len(m.values) != self.space.atom_count:
                 raise ValueError("family members must live on the space's atoms")
-        if self.p != INF and self.p < 1:
-            raise ValueError("exponent must be >= 1 or INF")
+        _real_exponent(self.p)
 
     @staticmethod
     def of(space: FiniteMeasureSpace, members: Iterable[RandomVariable], p: Scalar = 1) -> "FunctionFamily":
@@ -392,7 +392,7 @@ def _c_grid(fam: FunctionFamily) -> tuple:
 def check_p_monotonicity(fam: FunctionFamily, p: Scalar, q: Scalar) -> PMonotonicityReport:
     """modulus_p(C) <= modulus_q(C) * mu(Omega)^(1/p - 1/q) over the C grid
     0, m/4, m/2, 3m/4, m, m+1 (m the largest |value| of any member)."""
-    if p < 1 or q < p:
+    if not _real_exponent(p) <= _real_exponent(q, "q"):
         raise ValueError("exponents must satisfy 1 <= p <= q")
     fam_p = FunctionFamily(space=fam.space, members=fam.members, p=p)
     fam_q = FunctionFamily(space=fam.space, members=fam.members, p=q)
@@ -448,7 +448,7 @@ def vitali_empirical(
     truncation (final value <= VITALI_DECAY_RATIO * initial), not proofs,
     in measure at eps = 1/2 and UI over C = 0, 1, 2, 4, ... up to max |f_n|.
     """
-    if p == INF or p < 1:
+    if _real_exponent(p) == INF:
         raise ValueError("Vitali diagnostics need p in [1, inf)")
     horizon = integer(horizon, "horizon", 1)
     members = []

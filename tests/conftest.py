@@ -6,9 +6,11 @@ seeded loops.  All exact-mode values are small Fractions to keep
 denominators bounded.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
+import martkit
 from martkit import (
     FiniteMeasureSpace,
     Filtration,
@@ -142,3 +144,18 @@ def random_predictable_bounded(rng: random.Random, space, F: Filtration, R: Frac
                 row[a] = c
         rows.append(row)
     return Process.from_values(rows, "exact")
+
+
+def public_entry_points():
+    """(name, callable) for every callable of ``martkit.__all__``, with each
+    class's constructor and static methods."""
+    for name in martkit.__all__:
+        obj = getattr(martkit, name)
+        if inspect.isclass(obj):
+            if not issubclass(obj, BaseException):
+                yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, staticmethod):
+                    yield f"{name}.{attr}", member.__func__
+        elif callable(obj):
+            yield name, obj

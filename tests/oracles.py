@@ -206,14 +206,14 @@ def _key(v, mode):
     return struct.pack("<d", v) if mode == "float" else v
 
 
-def classify_by_pairs(space, f, F, pairs="all", tol=None):
+def classify_by_pairs(space, f, F, pairs="all"):
     """Adaptedness block by block, then condexp(f_j | steps[i]) against f_i at
     every positive-weight atom, pairs in (i, j) order."""
     for n in range(f.horizon + 1):
         for block in F.steps[n].blocks():
             if len({_key(f.values[n][a], f.mode) for a in block}) > 1:
                 return Classification(MartingaleClass.NONE, False, (n, block[0]), None, None)
-    t = tolerance(space.mode, tol)
+    t = tolerance(space.mode)
     sub = sup = None
     for i in range(f.horizon + 1):
         for j in range(i, f.horizon + 1 if pairs == "all" else min(i + 2, f.horizon + 1)):
@@ -256,11 +256,11 @@ def levy_distances(space, g, F):
     )
 
 
-def l1b_witness(space, f, F, tol=None):
+def l1b_witness(space, f, F):
     """First (n, atom) where f_n and condexp(f_N | steps[n]) differ a.e."""
     last = f.at(f.horizon)
     for n in range(f.horizon + 1):
-        w = ae_witness(space, f.at(n), condexp(space, last, F.steps[n], F.ambient), "eq", tol)
+        w = ae_witness(space, f.at(n), condexp(space, last, F.steps[n], F.ambient), "eq")
         if w is not None:
             return (n, w)
     return None

@@ -169,21 +169,19 @@ def _same(a, b):
     assert repr(a) == repr(b)
 
 
-@given(seeds, st.sampled_from(["exact", "float"]), st.sampled_from([None, 0.0]))
+@given(seeds, st.sampled_from(["exact", "float"]))
 @settings(max_examples=300, deadline=None)
-def test_routed_functions_equal_the_per_pair_loops(seed, mode, tol):
+def test_routed_functions_equal_the_per_pair_loops(seed, mode):
     space, f, F, g, S, kind = _instance(seed, mode)
     for pairs in ("all", "consecutive"):
-        _same(classify(space, f, F, pairs=pairs, tol=tol),
-              oracles.classify_by_pairs(space, f, F, pairs=pairs, tol=tol))
+        _same(classify(space, f, F, pairs=pairs), oracles.classify_by_pairs(space, f, F, pairs=pairs))
     dd = doob_decomposition(space, f, F)
     _same((dd.martingale_part.values, dd.predictable_part.values),
           oracles.doob_by_steps(space, f, F))
-    _same(check_levy_upward(space, g, F, tol=tol).d, oracles.levy_distances(space, g, F))
-    cls = classify(space, f, F, tol=tol)
-    rep = check_l1_convergence_b(space, f, F, tol=tol, classification=cls,
+    _same(check_levy_upward(space, g, F).d, oracles.levy_distances(space, g, F))
+    rep = check_l1_convergence_b(space, f, F, classification=classify(space, f, F),
                                  allow_non_martingale=True)
-    _same(rep.witness, oracles.l1b_witness(space, f, F, tol=tol))
+    _same(rep.witness, oracles.l1b_witness(space, f, F))
     _same(predictable_sum(space, S).values, oracles.event_sums(space, S, compensated=False))
     _same(borel_cantelli_martingale(space, S).values,
           oracles.event_sums(space, S, compensated=True))

@@ -149,6 +149,12 @@ class TestL1Criteria:
         assert rep.witness is None
         assert rep.kind is MartingaleClass.MARTINGALE
 
+    def test_a_positional_slack_is_refused(self):
+        # a stale fourth argument would otherwise land in ``classification``
+        sp, f, F = fair_walk_two_steps()
+        with pytest.raises(TypeError, match="positional argument"):
+            check_l1_convergence_b(sp, f, F, 1e-9)
+
     def test_drift_breaks_closure_with_a_witness(self):
         sp, f, F = fair_walk_two_steps()
         rows = [[v + n for v in row] for n, row in enumerate(f.values)]

@@ -1,5 +1,5 @@
-"""One integer rule: every time, bound, horizon, window, count and seed that
-the library takes goes through ``scalars.integer``.
+"""One integer rule: every time, bound, horizon, window, count, seed and atom
+that the library takes goes through ``scalars.integer``.
 
 ``RULE`` lists each (entry point, integer argument) pair with a call that
 varies only that argument, a valid value and an out-of-range one.  Every pair
@@ -18,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import martkit
+from conftest import public_entry_points
 from martkit import (
     Band,
+    EventSequence,
     FairWalk,
     FiniteMeasureSpace,
     Filtration,
@@ -47,6 +48,9 @@ from martkit import (
     indicator,
     limit_process_estimate,
     lower_crossing,
+    measure,
+    set_integral,
+    set_measurable_wrt,
     shrinking_spike_family,
     simulate,
     simulate_stats,
@@ -63,6 +67,8 @@ AT_LEAST_1 = ValuePredicate.at_least(1)
 PATHS = simulate(FairWalk(), RunConfig(seed=1, trials=4, horizon=6)).values
 SPIKES, SPIKE_MEMBERS, SPIKE_LIMIT = shrinking_spike_family(4, "exact")
 EVENTS = IndependentEvents(lambda n: 0.5)
+SPACE_4 = FiniteMeasureSpace.uniform(4)
+TRIVIAL_TO_SINGLETONS = Filtration.of([Partition.trivial(4), Partition.singletons(4)])
 
 
 def _bc(**kw):
@@ -78,6 +84,12 @@ RULE = [
     ("Partition.from_blocks", "n", lambda x: Partition.from_blocks([[0, 1], [2]], x), 3, 0),
     ("RandomVariable.constant", "n", lambda x: RandomVariable.constant(Fraction(1), x, "exact"), 3, -1),
     ("indicator", "n", lambda x: indicator(frozenset({0}), x, "exact"), 3, -1),
+    ("indicator", "atom", lambda x: indicator({x}, 4, "exact"), 1, 7),
+    ("measure", "atom", lambda x: measure(SPACE_4, {x}), 1, 4),
+    ("set_integral", "atom", lambda x: set_integral(SPACE_4, RandomVariable.exact([1, 2, 3, 4]), {x}), 1, -1),
+    ("set_measurable_wrt", "atom", lambda x: set_measurable_wrt({x}, Partition.trivial(4)), 1, 5),
+    ("EventSequence", "atom",
+     lambda x: EventSequence((frozenset(), frozenset({x})), TRIVIAL_TO_SINGLETONS), 1, 99),
     ("Filtration.constant", "horizon", lambda x: Filtration.constant(Partition.trivial(2), x), 2, -1),
     ("StoppingTime", "stopping time value", lambda x: StoppingTime.of([0, x]), 2, -1),
     ("StoppingTime.constant", "n", lambda x: StoppingTime.constant(x, 3), 2, -1),
@@ -181,26 +193,11 @@ def test_out_of_range_values_raise_a_value_error_naming_the_argument(entry, arg,
         call(bad)
 
 
-def _entry_points():
-    """(name, callable) for every callable of ``martkit.__all__``, with each
-    class's constructor and static methods."""
-    for name in martkit.__all__:
-        obj = getattr(martkit, name)
-        if inspect.isclass(obj):
-            if not issubclass(obj, BaseException):
-                yield name, obj
-            for attr, member in vars(obj).items():
-                if isinstance(member, staticmethod):
-                    yield f"{name}.{attr}", member.__func__
-        elif callable(obj):
-            yield name, obj
-
-
 def test_every_integer_parameter_of_the_public_api_takes_the_rule():
     covered = {(entry, arg) for entry, arg, *_ in RULE}
     found = {
         (name, param)
-        for name, fn in _entry_points()
+        for name, fn in public_entry_points()
         for param in inspect.signature(fn).parameters
         if param in INTEGER_NAMES
     }

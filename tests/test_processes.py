@@ -6,12 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from martkit import (
+    Band,
+    BiasedWalk,
+    Classification,
     FairWalk,
     Filtration,
     FiniteMeasureSpace,
     MartingaleClass,
     Partition,
     Process,
+    StoppingTime,
+    check_l1_convergence_a,
+    check_maximal_inequality,
+    check_optional_stopping,
+    check_upcrossing_estimate,
+    check_upcrossing_estimate_sup,
     classify,
     doob_decomposition,
     exhaustive_space,
@@ -224,3 +233,27 @@ def test_integral_of_martingale_is_flat():
     sp, f, F = fair_walk_two_steps()
     vals = [integral(sp, f.at(n)) for n in range(3)]
     assert vals == [Fraction(0)] * 3
+
+
+DOWNWARD = exhaustive_space(BiasedWalk(Fraction(1, 4)), 3)  # a strict supermartingale
+BAND_0_1 = Band(0, 1)
+GATES = [
+    ("the upcrossing estimate", lambda sp, f, F, c: check_upcrossing_estimate(sp, BAND_0_1, f, F, 3, c)),
+    ("the upcrossing estimate", lambda sp, f, F, c: check_upcrossing_estimate_sup(sp, BAND_0_1, f, F, c)),
+    ("the maximal inequality", lambda sp, f, F, c: check_maximal_inequality(sp, f, F, 3, 1, c)),
+    (r"check \(a\)", lambda sp, f, F, c: check_l1_convergence_a(sp, f, F, (), 0, 1, c)),
+    ("optional stopping", lambda sp, f, F, c: check_optional_stopping(
+        sp, f, F, StoppingTime.constant(0, 8), StoppingTime.constant(3, 8), c)),
+]
+
+
+@pytest.mark.parametrize("text, check", GATES, ids=[
+    "upcrossing_estimate", "upcrossing_estimate_sup", "maximal_inequality", "l1_convergence_a",
+    "optional_stopping"])
+def test_each_gate_refuses_a_supermartingale_in_its_own_words(text, check):
+    sp, f, F = DOWNWARD
+    assert classify(sp, f, F).kind is MartingaleClass.SUPERMARTINGALE
+    with pytest.raises(ValueError, match=f"^{text} requires a submartingale or martingale$"):
+        check(sp, f, F, None)
+    # a given classification is used as it stands, not recomputed
+    check(sp, f, F, Classification(MartingaleClass.MARTINGALE, True, None, None, None))

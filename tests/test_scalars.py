@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue
+import martkit
+from conftest import public_entry_points
+from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue, tolerance
+from martkit.processes import _violations
 from martkit.scalars import coerce_scalar, parse_rational, positive_part
 
 
@@ -75,6 +79,38 @@ def test_rational_round_trip_property(num, den):
 
 def test_default_float_tol_is_pinned():
     assert DEFAULT_FLOAT_TOL == 1e-9
+
+
+def test_the_slack_is_fixed_per_mode():
+    assert tolerance("exact") == 0
+    assert tolerance("float") == DEFAULT_FLOAT_TOL
+
+
+# the functions whose comparisons read the slack; none may take it per call
+SLACK_TAKERS = [getattr(martkit, name) for name in (
+    "ae_witness", "ae_equal", "ae_le", "check_set_integral_characterization", "condexp_properties",
+    "condexp_agreement_witness", "classify", "check_maximal_inequality", "check_l1_convergence_b",
+    "check_levy_upward", "fatou_norm_check", "check_upcrossing_estimate",
+    "check_upcrossing_estimate_sup", "check_optional_stopping", "tolerance",
+)] + [_violations]
+
+
+@pytest.mark.parametrize("fn", SLACK_TAKERS, ids=lambda fn: fn.__name__)
+def test_no_call_overrides_the_slack(fn):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        inspect.signature(fn).bind_partial(tol=1e-3)
+
+
+def test_every_public_tol_is_a_required_input():
+    # the slack is tolerance(mode); a ``tol`` the caller must give is a
+    # theorem's own bound (the limit estimate's oscillation window)
+    tols = {
+        name: param.default is param.empty
+        for name, fn in public_entry_points()
+        for param in [inspect.signature(fn).parameters.get("tol")]
+        if param is not None
+    }
+    assert tols == {"limit_process_estimate": True, "check_l1_convergence_a": True}
 
 
 def test_inf_sentinel():

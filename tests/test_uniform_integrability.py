@@ -81,6 +81,28 @@ def test_p_monotonicity_on_a_stored_int_maximum():
     assert rep.rows[0][1:4] == (Fraction(2), RootValue.of(8, 2), RootValue.of(8, 2))
 
 
+FLOAT_SPACE = FiniteMeasureSpace.uniform(4, "float")
+FLOAT_MEMBER = RandomVariable.from_values([4.0, 1.0, 0.5, 0.0], "float")
+FLOAT_FAMILY = FunctionFamily.of(FLOAT_SPACE, [FLOAT_MEMBER], 2)
+
+
+@pytest.mark.parametrize("x, error", [(float("nan"), ValueError), (True, TypeError), ("2", TypeError)],
+                         ids=["nan", "bool", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("p", lambda x: snorm(FLOAT_SPACE, FLOAT_MEMBER, x)),
+    ("p", lambda x: FunctionFamily.of(FLOAT_SPACE, [FLOAT_MEMBER], x)),
+    ("p", lambda x: vitali_empirical(FLOAT_SPACE, [FLOAT_MEMBER], FLOAT_MEMBER, x, 1)),
+    ("p", lambda x: check_p_monotonicity(FLOAT_FAMILY, x, 2)),
+    ("q", lambda x: check_p_monotonicity(FLOAT_FAMILY, 1, x)),
+], ids=["snorm", "FunctionFamily", "vitali_empirical", "check_p_monotonicity-p", "check_p_monotonicity-q"])
+def test_nan_and_bool_exponents_raise_naming_the_exponent(name, call, x, error):
+    # NaN fails every ``p < 1`` test and True passes as 1: a NaN family once
+    # read as uniformly integrable, with moduli and an L1 bound of 0.0; float
+    # ``snorm`` took the string "2" as 2.0
+    with pytest.raises(error, match=f"^{name} must be "):
+        call(x)
+
+
 @pytest.mark.parametrize("check", [
     lambda fam: probabilist_modulus(fam, 0),
     lambda fam: ui_moduli(fam),
