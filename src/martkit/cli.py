@@ -77,7 +77,7 @@ from .processes import (
     is_predictable,
     natural_filtration,
 )
-from .scalars import INF, Mode, coerce_scalar, tolerance
+from .scalars import INF, Mode, at_most, close, coerce_scalar
 from .stopping import StoppingTime, check_optional_stopping
 from .uniform_integrability import (
     FunctionFamily,
@@ -618,13 +618,9 @@ def _check_upcrossing_estimate(ctx, p):
     return _sides(check_upcrossing_estimate(ctx.space(), p["band"], p["process"], p["filtration"], p["N"]))
 
 
-@_op("upcrossing_estimate_sup", {"band": _BAND, "process": _PROCESS, "filtration": _FILTRATION,
-                                 "check_classification": _Key(_bool, True)})
+@_op("upcrossing_estimate_sup", {"band": _BAND, "process": _PROCESS, "filtration": _FILTRATION})
 def _check_upcrossing_estimate_sup(ctx, p):
-    return _sides(check_upcrossing_estimate_sup(
-        ctx.space(), p["band"], p["process"], p["filtration"],
-        check_classification=p["check_classification"],
-    ))
+    return _sides(check_upcrossing_estimate_sup(ctx.space(), p["band"], p["process"], p["filtration"]))
 
 
 @_op("band_translation", {"band": _BAND, "process": _PROCESS})
@@ -676,10 +672,11 @@ def _check_doob(ctx, p):
     is_mart = classify(ctx.space(), m, F).kind == MartingaleClass.MARTINGALE
     pred = is_predictable(a, F)
     live = ctx.space().positive_atoms()  # the drift need only be nondecreasing a.e.
-    eps = tolerance(ctx.mode)  # float parts are rounded: m = f - a only within it
-    nondec = all(a.values[n][w] <= a.values[n + 1][w] + eps for n in range(a.horizon) for w in live)
+    # float parts are rounded: m = f - a only within the slack
+    nondec = all(at_most(a.values[n][w], a.values[n + 1][w], ctx.mode)
+                 for n in range(a.horizon) for w in live)
     recon = all(
-        abs(m.values[n][w] + a.values[n][w] - f.values[n][w]) <= eps
+        close(m.values[n][w] + a.values[n][w], f.values[n][w], ctx.mode)
         for n in range(f.horizon + 1)
         for w in range(f.atom_count)
     )

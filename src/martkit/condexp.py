@@ -43,7 +43,7 @@ from .measure import (
     _check_rv,
     _unmeasured,
 )
-from .scalars import Scalar, tolerance, zero
+from .scalars import Scalar, at_most, zero
 
 
 def _default_ambient(space: FiniteMeasureSpace, ambient: Partition | None) -> Partition:
@@ -275,8 +275,7 @@ def check_set_integral_characterization(
     """Verify the defining property: block integrals of condexp match f's.
 
     For every block B of ``sub``: integral of condexp(f | sub) over B equals
-    the integral of f over B.  Exact mode demands equality; float mode allows
-    the absolute slack ``tolerance("float")``.
+    the integral of f over B, the worst gap decided by ``scalars.at_most``.
     """
     ce = condexp(space, f, sub, ambient)
     kernel = _Kernel(space, (sub,))
@@ -286,8 +285,7 @@ def check_set_integral_characterization(
     else:
         sums = [s.tolist() for s in sums]
     worst = max(abs(a - b) for a, b in zip(*sums))
-    limit = tolerance(space.mode)
-    return CharacterizationReport(holds=worst <= limit, worst_block_gap=worst)
+    return CharacterizationReport(holds=at_most(worst, 0, space.mode), worst_block_gap=worst)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,12 @@ from .processes import (
     Filtration,
     MartingaleClass,
     Process,
-    classify,
     filtration_sup,
     _check_process,
     _require_class,
     _violations,
 )
-from .scalars import Scalar, coerce_scalar, integer, tolerance
+from .scalars import Scalar, at_most, coerce_scalar, integer
 
 __all__ = [
     "MaximalInequalityReport",
@@ -107,9 +106,8 @@ def check_maximal_inequality(
     mass = _weighted(space, level_set[None])[0]
     lhs = lam * mass
     rhs = _weighted(space, np.where(level_set, rows[n], 0)[None], scale)[0]
-    eps = tolerance(space.mode)
     return MaximalInequalityReport(
-        n=n, level=lam, set_mass=mass, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps
+        n=n, level=lam, set_mass=mass, lhs=lhs, rhs=rhs, holds=at_most(lhs, rhs, space.mode)
     )
 
 
@@ -225,7 +223,7 @@ def ae_convergence_diagnostic(
                 bound = (coerce_scalar(l1_bound, space.mode) + abs(bd.a) * total) / (
                     bd.b - bd.a
                 )
-                chain_rows.append((band, mu_u, bound, bool(mu_u <= bound)))
+                chain_rows.append((band, mu_u, bound, bool(at_most(mu_u, bound, space.mode))))
 
     cps = geometric_checkpoints(f.horizon)
     gaps = _lp_norms(space, abs(rows[list(cps[1:])] - rows[list(cps[:-1])]), scale, 1)
@@ -285,8 +283,7 @@ def check_l1_convergence_a(
     gaps = tuple(_lp_norms(space, abs(rows[list(cps)] - limit), scale, 1))
     ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= UI_SMALL
     trend_ok = all(float(gaps[i + 1]) <= float(gaps[i]) for i in range(len(gaps) - 1))
-    eps = tolerance(space.mode)
-    final_below = gaps[-1] <= coerce_scalar(tol, space.mode) + eps
+    final_below = at_most(gaps[-1], coerce_scalar(tol, space.mode), space.mode)
     holds = (not ui_small) or bool(final_below)
     return L1ConvergenceAReport(
         checkpoints=cps,
@@ -311,14 +308,14 @@ def check_l1_convergence_b(
     F: Filtration,
     *,  # keyword-only, so a stray fourth argument cannot pass as a classification
     classification: Optional[Classification] = None,
-    allow_non_martingale: bool = False,
 ) -> L1ConvergenceBReport:
     """Martingale representation at the horizon: f_n = condexp(f_N | steps[n])
-    a.e. for every n (the finite-filtration limit process is f_N itself)."""
+    a.e. for every n (the finite-filtration limit process is f_N itself).
+    Gated like every theorem check: ``classification``, or ``classify`` when
+    it is None, must say martingale."""
     _check_process(space, f, F)
-    cls = classification if classification is not None else classify(space, f, F)
-    if cls.kind != MartingaleClass.MARTINGALE and not allow_non_martingale:
-        raise ValueError("check (b) is a martingale statement; classification says otherwise")
+    cls = _require_class(space, f, F, classification, MartingaleClass.MARTINGALE,
+                         "check (b) is a martingale statement; classification says otherwise")
     kernel = _Kernel(space, F.steps)
     rows = kernel.rows(f)
     found = _violations(kernel, rows, f.horizon, f.horizon, 0, kernel.unadapted(rows) is None)
@@ -378,9 +375,8 @@ def check_levy_upward(
         ce = np.array([kernel.condexp(row, n) for n in range(F.horizon, -1, -1)])
         d = _lp_norms(space, abs(ce - row), 1, 1)
     d.reverse()
-    eps = tolerance(space.mode)
-    monotone = all(d[i + 1] <= d[i] + eps for i in range(len(d) - 1))
-    final_zero = d[-1] <= eps
+    monotone = all(at_most(d[i + 1], d[i], space.mode) for i in range(len(d) - 1))
+    final_zero = at_most(d[-1], 0, space.mode)
     return LevyUpwardReport(
         d=tuple(d), monotone=monotone, final_zero=bool(final_zero), holds=monotone and final_zero
     )
@@ -411,9 +407,9 @@ def fatou_norm_check(
 
     The tail infimum is the finite-horizon liminf surrogate; the window
     defaults to the second half of the horizon.  Precondition: f_horizon
-    agrees with g on positive-weight atoms (exact in exact mode, within
-    ``tolerance("float")`` in float mode), the computable shadow of "f_n
-    converges to g a.e.".
+    agrees with g on positive-weight atoms (``ae_witness``), the computable
+    shadow of "f_n converges to g a.e.".  Both comparisons are the mode's
+    one rule, ``scalars.at_most``, which orders exact root forms exactly.
     """
     w = ae_witness(space, f.at(f.horizon), g, "eq")
     if w is not None:
@@ -427,15 +423,10 @@ def fatou_norm_check(
     curve = tuple(_lp_norms(space, powered, scale, p, lambda n, a: abs(f.values[n][a])))
     surrogate = min(curve[start:])  # the first least
     limit_norm = snorm(space, g, p)
-    # exact-mode norms can be irrational root forms; compare directly there
-    if space.mode == "exact":
-        holds = bool(limit_norm <= surrogate)
-    else:
-        holds = bool(limit_norm <= surrogate + tolerance("float"))
     return FatouReport(
         limit_norm=limit_norm,
         surrogate=surrogate,
         tail_start=start,
         curve=curve,
-        holds=holds,
+        holds=bool(at_most(limit_norm, surrogate, space.mode)),
     )

@@ -50,13 +50,7 @@ import numpy as np
 
 from .measure import FiniteMeasureSpace, _check_rv, _threshold, _twin, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, _require_class
-from .scalars import (
-    Scalar,
-    coerce_scalar,
-    integer,
-    positive_part,
-    tolerance,
-)
+from .scalars import Scalar, at_most, coerce_scalar, integer, positive_part
 
 __all__ = [
     "Band",
@@ -319,8 +313,8 @@ def check_upcrossing_estimate(
     rows, low, _ = scaled
     lhs = (bd.b - bd.a) * _weighted(space, _counts(bd, scaled, N)[None])[0]
     rhs = _weighted(space, *_shifted(bd, f, rows[[N]], low))[0]
-    eps = tolerance(space.mode)
-    return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=lhs <= rhs + eps)
+    holds = at_most(lhs, rhs, space.mode)
+    return UpcrossingEstimateReport(a=bd.a, b=bd.b, N=N, lhs=lhs, rhs=rhs, holds=holds)
 
 
 @dataclass(frozen=True)
@@ -340,17 +334,14 @@ def check_upcrossing_estimate_sup(
     f: Process,
     F: Filtration,
     classification: Optional[Classification] = None,
-    check_classification: bool = True,
 ) -> UpcrossingSupReport:
-    """Sup form: (b-a)^+ * lintegral(upcrossings) <= sup_N lintegral((f_N - a)^+).
+    """Sup form: (b-a)^+ * lintegral(upcrossings) <= sup_N lintegral((f_N - a)^+),
+    for submartingales, through the same gate as the fixed-N estimate.
 
     On a finite horizon every count and integral is finite, so the extended
-    product with 0 * inf = 0 is the plain product.  ``check_classification=False``
-    skips the submartingale gate and evaluates the arithmetic only (the
-    inequality is not guaranteed then).
+    product with 0 * inf = 0 is the plain product.
     """
-    if check_classification:
-        _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE, _ESTIMATE_GATE)
+    _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE, _ESTIMATE_GATE)
     _check_rv(space, f.at(0))
     bd = band.coerced(f.mode)
     coeff = positive_part(bd.b - bd.a)
@@ -360,7 +351,6 @@ def check_upcrossing_estimate_sup(
     rhs = _weighted(space, *_shifted(bd, f, rows, low))
     best_n = max(range(len(rhs)), key=rhs.__getitem__)  # the first largest
     best = rhs[best_n]
-    eps = tolerance(space.mode)
     return UpcrossingSupReport(
         a=bd.a,
         b=bd.b,
@@ -368,7 +358,7 @@ def check_upcrossing_estimate_sup(
         lhs=lhs,
         rhs=best,
         argmax_n=best_n,
-        holds=lhs <= best + eps,
+        holds=at_most(lhs, best, space.mode),
     )
 
 

@@ -34,10 +34,11 @@ from .scalars import (
     ModeError,
     RootValue,
     Scalar,
+    at_most,
     check_same_mode,
+    close,
     coerce_values,
     integer,
-    tolerance,
     zero,
 )
 
@@ -100,8 +101,8 @@ class FiniteMeasureSpace:
         return _weighted(self, np.ones((1, self.atom_count), dtype=bool))[0]
 
     def is_probability(self) -> bool:
-        """Total mass 1: exactly in exact mode, within DEFAULT_FLOAT_TOL in float mode."""
-        return abs(self.total - 1) <= tolerance(self.mode)
+        """Total mass 1, decided by ``scalars.close``."""
+        return close(self.total, 1, self.mode)
 
     def positive_atoms(self) -> tuple:
         return tuple(i for i, w in enumerate(self.weights) if w > 0)
@@ -305,14 +306,18 @@ def _powers(mode: Mode, absolute: np.ndarray, scale: int, p) -> tuple:
     ``scale``: |f| itself at p = 1 and at p = inf (where norms take the
     essential sup).  Exact mode takes integer powers over scale^p.  Float
     mode takes p as a float and Python's ``**`` value by value, which
-    numpy's ``**`` misses in the last bit on some values."""
+    numpy's ``**`` misses in the last bit on some values; a power past the
+    float range raises ValueError naming p, as a non-finite input would."""
     p = _exponent(mode, p)
     if p == 1 or p == INF:
         return absolute, scale, p
     if mode == "exact":
         return absolute**p, scale**p, p
     p = float(p)
-    out = np.array([x**p for x in absolute.ravel().tolist()]).reshape(absolute.shape)
+    try:
+        out = np.array([x**p for x in absolute.ravel().tolist()]).reshape(absolute.shape)
+    except OverflowError:
+        raise ValueError(f"|f|^p overflows a float at p = {p}") from None
     out.flags.writeable = False
     return out, scale, p
 
@@ -380,20 +385,19 @@ def ae_witness(
 ) -> int | None:
     """First positive-weight atom violating f <relation> g, or None.
 
-    relation is one of "eq", "le", "ge".  Exact mode compares exactly; float
-    mode allows the absolute slack ``tolerance("float")`` (DEFAULT_FLOAT_TOL).
+    relation is one of "eq", "le", "ge", decided on d = f - g by the mode's
+    rule ``scalars.at_most``: at_most(d, 0) for "le", at_most(-d, 0) for "ge", both for "eq".
     """
     if relation not in ("eq", "le", "ge"):
         raise ValueError(f"unknown relation {relation!r}; expected 'eq', 'le' or 'ge'")
     _check_rv(space, f)
     _check_rv(space, g)
-    t = tolerance(space.mode)
     for i, w in enumerate(space.weights):
         if w == 0:
             continue
         d = f.values[i] - g.values[i]
-        ok = abs(d) <= t if relation == "eq" else d <= t if relation == "le" else -d <= t
-        if not ok:
+        if not ((relation == "ge" or at_most(d, 0, space.mode))
+                and (relation == "le" or at_most(-d, 0, space.mode))):
             return i
     return None
 

@@ -292,12 +292,17 @@ def classify(
 
 
 def _require_class(space, f: Process, F: Filtration, classification, kind, message: str) -> Classification:
-    """A theorem check's gate: ``classification``, or ``classify(space, f, F)``
-    when it is None; raises ValueError(message) unless f is at least ``kind``."""
-    cls = classification if classification is not None else classify(space, f, F)
-    if not cls.is_at_least(kind):
+    """The one hypothesis gate of the theorem checks: ``classification``, or
+    ``classify(space, f, F)`` when it is None; raises ValueError(message)
+    unless f is at least ``kind``, and TypeError when ``classification`` is
+    neither a Classification nor None."""
+    if classification is None:
+        classification = classify(space, f, F)
+    elif not isinstance(classification, Classification):
+        raise TypeError(f"classification must be a Classification or None, got {classification!r}")
+    if not classification.is_at_least(kind):
         raise ValueError(message)
-    return cls
+    return classification
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def doob_decomposition(
     predictable_part[n] = sum_{k<n} (condexp(f_{k+1} | steps[k]) - f_k),
     martingale_part = f - predictable_part.  The identity f = m + p holds
     exactly in exact mode; in float mode m and p are rounded, so m + p equals
-    f only within ``tolerance("float")``.  The classification facts (m is a
+    f only within the float slack (``scalars.close``).  The classification facts (m is a
     martingale, p is predictable, p is nondecreasing iff f is a submartingale) are
     verified by the test suite, not assumed here.  In exact mode m_n is
     formed once per cell of ``_running_sums``, which for adapted input is a

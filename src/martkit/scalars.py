@@ -46,6 +46,17 @@ def tolerance(mode: Mode) -> Scalar:
     return 0 if mode == "exact" else DEFAULT_FLOAT_TOL
 
 
+def at_most(x, y, mode: Mode):
+    """x <= y as every check decides it: exactly in exact mode (RootValues too), as
+    x <= y + DEFAULT_FLOAT_TOL in float mode.  Scalars or numpy arrays."""
+    return x <= y if mode == "exact" else x <= y + DEFAULT_FLOAT_TOL
+
+
+def close(x, y, mode: Mode):
+    """x = y as every check decides it: ``at_most(abs(x - y), 0, mode)``."""
+    return at_most(abs(x - y), 0, mode)
+
+
 class ModeError(TypeError):
     """Raised when exact and float quantities meet in one computation."""
 

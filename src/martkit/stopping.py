@@ -23,7 +23,7 @@ import numpy as np
 
 from .measure import FiniteMeasureSpace, _check_rv, _measurable, _threshold, _twin, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, _require_class, is_adapted
-from .scalars import INF, Scalar, coerce_scalar, integer, tolerance
+from .scalars import INF, Scalar, at_most, close, coerce_scalar, integer
 
 __all__ = [
     "StoppingTime",
@@ -224,12 +224,11 @@ def check_optional_stopping(
     rows, scale = _twin(f)
     atoms = np.arange(f.atom_count)
     lhs, rhs = _weighted(space, rows[[tau.time_of, sigma.time_of], atoms], scale)
-    eps = tolerance(space.mode)
     is_mart = cls.kind == MartingaleClass.MARTINGALE
     return OptionalStoppingReport(
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs + eps,
+        holds=at_most(lhs, rhs, space.mode),
         is_martingale=is_mart,
-        equality_holds=abs(rhs - lhs) <= eps,
+        equality_holds=close(rhs, lhs, space.mode),
     )

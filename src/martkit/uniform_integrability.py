@@ -51,7 +51,7 @@ from .measure import (
     _twin,
     _weighted,
 )
-from .scalars import INF, RootValue, Scalar, coerce_scalar, integer
+from .scalars import INF, RootValue, Scalar, at_most, coerce_scalar, integer
 
 __all__ = [
     "FunctionFamily",
@@ -164,14 +164,12 @@ def probabilist_modulus(fam: FunctionFamily, C: Scalar) -> Scalar:
 
 
 def _knapsack_items(space: FiniteMeasureSpace, f: RandomVariable, p: Scalar) -> list:
-    """(weight, value) pairs for atoms that can contribute: w > 0, w*|f|^p > 0."""
-    items = []
-    for w_idx in range(space.atom_count):
-        w = space.weights[w_idx]
-        v = abs(f.values[w_idx])
-        if w > 0 and v > 0:
-            items.append((w, w * v**p))
-    return items
+    """(weight, value) pairs for atoms that can contribute: w > 0, w*|f|^p > 0.
+    A float power past the float range raises ValueError naming p."""
+    try:
+        return [(w, w * abs(v) ** p) for w, v in zip(space.weights, f.values) if w > 0 and abs(v) > 0]
+    except OverflowError:
+        raise ValueError(f"|f|^p overflows a float at p = {p}") from None
 
 
 def _knapsack_exhaustive(items: Sequence[tuple], capacity: Scalar, mode: str) -> Scalar:
@@ -359,7 +357,8 @@ def check_bridging_inequality(
         (lhs, C * mass + tail)
         for lhs, tail in zip(_norms(fam, coerce_scalar(0, fam.space.mode), A), _norms(fam, C))
     )
-    return BridgingReport(C=C, set_mass=mass, rows=rows, holds=all(lhs <= rhs for lhs, rhs in rows))
+    holds = all(at_most(lhs, rhs, fam.space.mode) for lhs, rhs in rows)
+    return BridgingReport(C=C, set_mass=mass, rows=rows, holds=holds)
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,7 @@ def check_p_monotonicity(fam: FunctionFamily, p: Scalar, q: Scalar) -> PMonotoni
         mp = probabilist_modulus(fam_p, C)
         mq = probabilist_modulus(fam_q, C)
         bound = mq * factor
-        row_ok = bool(mp <= bound)
+        row_ok = bool(at_most(mp, bound, fam.space.mode))
         rows.append((C, mp, mq, bound, row_ok))
         ok = ok and row_ok
     return PMonotonicityReport(p=p, q=q, factor=factor, rows=tuple(rows), holds=ok)

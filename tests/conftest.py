@@ -12,13 +12,19 @@ from fractions import Fraction
 
 import martkit
 from martkit import (
+    Classification,
     FiniteMeasureSpace,
     Filtration,
+    MartingaleClass,
     Partition,
     Process,
     RandomVariable,
     condexp,
 )
+
+# Passed as ``classification=``, this asserts the martingale premise without
+# computing it, so a check's arithmetic runs on a process the gate would refuse.
+ASSUMED_MARTINGALE = Classification(MartingaleClass.MARTINGALE, True, None, None, None)
 
 
 def random_fraction(rng: random.Random, lo: int = -4, hi: int = 4, max_den: int = 6) -> Fraction:

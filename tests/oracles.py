@@ -206,6 +206,12 @@ def _key(v, mode):
     return struct.pack("<d", v) if mode == "float" else v
 
 
+def condexp_gaps(space, f, F, i, j):
+    """condexp(f_j | steps[i]) - f_i at every positive-weight atom, ascending."""
+    ce = condexp(space, f.at(j), F.steps[i], F.ambient)
+    return [c - v for c, v, w in zip(ce.values, f.values[i], space.weights) if w != 0]
+
+
 def classify_by_pairs(space, f, F, pairs="all"):
     """Adaptedness block by block, then condexp(f_j | steps[i]) against f_i at
     every positive-weight atom, pairs in (i, j) order."""
@@ -214,14 +220,11 @@ def classify_by_pairs(space, f, F, pairs="all"):
             if len({_key(f.values[n][a], f.mode) for a in block}) > 1:
                 return Classification(MartingaleClass.NONE, False, (n, block[0]), None, None)
     t = tolerance(space.mode)
+    live = [atom for atom, w in enumerate(space.weights) if w != 0]
     sub = sup = None
     for i in range(f.horizon + 1):
         for j in range(i, f.horizon + 1 if pairs == "all" else min(i + 2, f.horizon + 1)):
-            ce = condexp(space, f.at(j), F.steps[i], F.ambient)
-            for atom, w in enumerate(space.weights):
-                if w == 0:
-                    continue
-                d = ce.values[atom] - f.values[i][atom]
+            for atom, d in zip(live, condexp_gaps(space, f, F, i, j)):
                 if sub is None and d < -t:
                     sub = (i, j, atom)
                 if sup is None and d > t:

@@ -34,12 +34,14 @@ from martkit import (
     set_integral,
 )
 from conftest import (
+    ASSUMED_MARTINGALE,
     random_filtration,
     random_fraction,
     random_martingale,
     random_space,
     random_submartingale,
 )
+from martkit.condexp import _Kernel
 import oracles
 
 seeds = st.integers(0, 10**9)
@@ -170,6 +172,26 @@ def _same(a, b):
 
 
 @given(seeds, st.sampled_from(["exact", "float"]))
+@settings(max_examples=200, deadline=None)
+def test_kernel_gaps_equal_the_condexp_differences(seed, mode):
+    # classify reads only the signs of these gaps against the mode's slack, so
+    # float gaps are held to condexp(f_j | steps[i]) - f_i bit for bit: a kernel
+    # change that moves a block average by less than the slack still shows
+    space, f, F = _instance(seed, mode)[:3]
+    kernel = _Kernel(space, F.steps)
+    rows = kernel.rows(f)
+    sign = lambda x: (x > 0) - (x < 0)
+    for j in range(f.horizon + 1):
+        for i, sums in kernel.tower(rows[j], j, 0):
+            got = kernel.gaps(rows[j], sums, i, rows[i], kernel.positive).tolist()
+            want = oracles.condexp_gaps(space, f, F, i, j)
+            if mode == "float":
+                _same(got, want)
+            else:  # exact gaps carry a positive factor, so their signs are the facts
+                assert [sign(g) for g in got] == [sign(d) for d in want]
+
+
+@given(seeds, st.sampled_from(["exact", "float"]))
 @settings(max_examples=300, deadline=None)
 def test_routed_functions_equal_the_per_pair_loops(seed, mode):
     space, f, F, g, S, kind = _instance(seed, mode)
@@ -179,8 +201,7 @@ def test_routed_functions_equal_the_per_pair_loops(seed, mode):
     _same((dd.martingale_part.values, dd.predictable_part.values),
           oracles.doob_by_steps(space, f, F))
     _same(check_levy_upward(space, g, F).d, oracles.levy_distances(space, g, F))
-    rep = check_l1_convergence_b(space, f, F, classification=classify(space, f, F),
-                                 allow_non_martingale=True)
+    rep = check_l1_convergence_b(space, f, F, classification=ASSUMED_MARTINGALE)
     _same(rep.witness, oracles.l1b_witness(space, f, F))
     _same(predictable_sum(space, S).values, oracles.event_sums(space, S, compensated=False))
     _same(borel_cantelli_martingale(space, S).values,

@@ -257,8 +257,8 @@ def test_non_finite_check_floats_exit_two(key, tmp_path, capsys):
 @pytest.mark.parametrize("check, mode, path", [
     ({"op": "upcrossing_estimate", "band": ["-1/2", "1/2"], "n": 2}, "exact", ".n: unknown key"),
     ({"op": "upcrossing_estimate", "band": ["-1/2", "1/2"], "bogus": 7}, "exact", ".bogus: unknown key"),
-    ({"op": "upcrossing_estimate_sup", "band": ["-1/2", "1/2"], "check_classification": "false"},
-     "exact", ".check_classification: expected true or false"),
+    ({"op": "upcrossing_estimate_sup", "band": ["-1/2", "1/2"], "check_classification": False},
+     "exact", ".check_classification: unknown key"),
     ({"op": "vitali", "family": {"builtin": "shrinking_spike", "horizon": 4},
       "expect_lp_decay": "true"}, "float", ".expect_lp_decay: expected true or false"),
     (dict(MC_STATS, violation_ks=[1.5]), "float", ".violation_ks[0]: expected an integer"),
@@ -464,6 +464,28 @@ def test_float_doob_compares_within_the_tolerance(model, tmp_path, capsys):
     assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 0
     assert "[PASS] d: decomposition valid" in capsys.readouterr().out
     assert "false" not in (out_dir / "fd__d.csv").read_text()
+
+
+def test_float_hoelder_equality_passes(tmp_path, capsys):
+    # Hoelder's inequality holds with equality on a constant member; rounding
+    # missed it by 2 ulp, and this scenario once printed [FAIL] and exited 1
+    doc = {"name": "h", "mode": "float", "space": {"weights": [0.7, 0.1, 0.3], "mode": "float"},
+           "checks": [{"name": "pm", "op": "p_monotonicity", "family": {"members": [[-1, -1, -1]]},
+                       "p": 1, "q": 2}]}
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "[PASS] pm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check", [
+    {"op": "p_monotonicity", "family": {"members": [[1e200, 1]]}, "p": 1, "q": 2},
+    {"op": "ui_curves", "family": {"members": [[1e300, 1]], "p": 3}, "deltas": [0.5], "cs": [0]},
+], ids=["p_monotonicity", "ui_curves"])
+def test_a_float_power_past_the_range_exits_two(check, tmp_path, capsys):
+    # both once escaped as OverflowError tracebacks with exit 1
+    code, err = run_checks(tmp_path, capsys, [dict(check, name="c")],
+                           space={"weights": [0.5, 0.5], "mode": "float"})
+    assert code == 2
+    assert "$.checks[0]: |f|^p overflows a float at p = " in err
 
 
 @pytest.mark.parametrize("horizon, bands", [(2, "-1/2,1/2"), (3, "-1/2,1/2"), (3, "-1,1"),

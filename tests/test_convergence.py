@@ -26,11 +26,12 @@ from martkit import (
     geometric_checkpoints,
     limit_process_estimate,
     probabilist_curve,
+    snorm,
     FunctionFamily,
     INF,
     classify,
 )
-from conftest import random_filtration, random_fraction, random_rv, random_space, random_submartingale
+from conftest import ASSUMED_MARTINGALE, random_filtration, random_fraction, random_rv, random_space, random_submartingale
 from oracles import limit_estimate_by_atoms, norm_curve_by_rows
 
 seeds = st.integers(0, 10**9)
@@ -159,10 +160,11 @@ class TestL1Criteria:
         sp, f, F = fair_walk_two_steps()
         rows = [[v + n for v in row] for n, row in enumerate(f.values)]
         g = Process.from_values(rows, "exact")
-        rep = check_l1_convergence_b(sp, g, F, allow_non_martingale=True)
+        rep = check_l1_convergence_b(sp, g, F, classification=ASSUMED_MARTINGALE)
         assert not rep.holds
         assert rep.witness == (0, 0)
-        assert rep.kind is MartingaleClass.SUBMARTINGALE
+        assert rep.kind is MartingaleClass.MARTINGALE  # the kind passed in
+        assert classify(sp, g, F).kind is MartingaleClass.SUBMARTINGALE
 
     def test_conditional_criterion_on_a_settled_process(self):
         sp, f, F = fair_walk_two_steps()
@@ -285,6 +287,29 @@ class TestDiagnostic:
         assert d.bounded_fraction == Fraction(1)
         assert d.unbounded_measure == Fraction(0)
         assert d.chain_bounds == ((band, Fraction(0), Fraction(3, 2), True),)
+
+    @staticmethod
+    def _rise(weights, top, mode):
+        # every atom goes 0 -> top -> top: one upcrossing of (0, top) each, so
+        # mu[U] = mu(Omega) = ||f_2||_1 / top and the chain bound is an equality
+        sp = FiniteMeasureSpace.from_weights(weights, mode)
+        f = Process.from_values([[0] * len(weights), [top] * len(weights), [top] * len(weights)], mode)
+        return sp, f, Filtration.constant(Partition.trivial(len(weights)), 2), Band(0, top)
+
+    def test_chain_bound_compares_within_the_float_slack(self):
+        sp, f, F, band = self._rise([0.5, 0.4], 0.7, "float")
+        d = ae_convergence_diagnostic(sp, f, F, 1.0, [band], l1_bound=snorm(sp, f.at(2), 1))
+        ((_, mu_u, bound, holds),) = d.chain_bounds
+        assert mu_u > bound  # rounding bites: the bound once failed by 1 ulp
+        assert holds
+
+    def test_exact_chain_bound_takes_no_slack(self):
+        sp, f, F, band = self._rise([Fraction(1, 2), Fraction(2, 5)], Fraction(7, 10), "exact")
+        R = snorm(sp, f.at(2), 1)
+        assert R == Fraction(63, 100)
+        for bound, holds in ((R, True), (R - Fraction(1, 10**12), False)):
+            d = ae_convergence_diagnostic(sp, f, F, 1, [band], l1_bound=bound)
+            assert d.chain_bounds[0][1:] == (Fraction(9, 10), bound / Fraction(7, 10), holds)
 
     def test_tight_cutoff_halves_the_mass(self):
         sp, f, F = fair_walk_two_steps()

@@ -29,7 +29,7 @@ from martkit import (
     upcrossings_before,
     upper_crossing,
 )
-from conftest import random_filtration, random_fraction, random_space, random_submartingale
+from conftest import ASSUMED_MARTINGALE, random_filtration, random_fraction, random_space, random_submartingale
 from oracles import crossing_chain_recursion, upcrossings_by_recursion, upcrossings_state_machine
 
 seeds = st.integers(0, 10**9)
@@ -112,7 +112,7 @@ def test_sup_form_fails_without_the_submartingale_premise():
     # crossing count 2, which is the point of requiring the premise
     sp = FiniteMeasureSpace.from_weights([1])
     F = Filtration.constant(Partition.trivial(1), 13)
-    rep = check_upcrossing_estimate_sup(sp, UNIT_BAND, reference_process(), F, check_classification=False)
+    rep = check_upcrossing_estimate_sup(sp, UNIT_BAND, reference_process(), F, classification=ASSUMED_MARTINGALE)
     assert not rep.holds
     assert rep.lhs == Fraction(2)
     assert rep.rhs == Fraction(3, 2)

@@ -342,7 +342,7 @@ def test_every_sum_is_the_left_to_right_sum(mode, data):
     for N in range(horizon + 1):
         rep = check_upcrossing_estimate(sp, band, f, F, N, classification=passed)
         cases += zip((rep.lhs, rep.rhs), estimate_sides(sp, a, b, f, N))
-    rep = check_upcrossing_estimate_sup(sp, band, f, F, check_classification=False)
+    rep = check_upcrossing_estimate_sup(sp, band, f, F, classification=passed)
     cases += zip((rep.coefficient, rep.lhs, rep.rhs), estimate_sup_sides(sp, a, b, f))
 
     level = data.draw(values.filter(lambda v: v > 0))

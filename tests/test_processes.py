@@ -17,6 +17,7 @@ from martkit import (
     Process,
     StoppingTime,
     check_l1_convergence_a,
+    check_l1_convergence_b,
     check_maximal_inequality,
     check_optional_stopping,
     check_upcrossing_estimate,
@@ -237,23 +238,47 @@ def test_integral_of_martingale_is_flat():
 
 DOWNWARD = exhaustive_space(BiasedWalk(Fraction(1, 4)), 3)  # a strict supermartingale
 BAND_0_1 = Band(0, 1)
+SUB = "requires a submartingale or martingale"
 GATES = [
-    ("the upcrossing estimate", lambda sp, f, F, c: check_upcrossing_estimate(sp, BAND_0_1, f, F, 3, c)),
-    ("the upcrossing estimate", lambda sp, f, F, c: check_upcrossing_estimate_sup(sp, BAND_0_1, f, F, c)),
-    ("the maximal inequality", lambda sp, f, F, c: check_maximal_inequality(sp, f, F, 3, 1, c)),
-    (r"check \(a\)", lambda sp, f, F, c: check_l1_convergence_a(sp, f, F, (), 0, 1, c)),
-    ("optional stopping", lambda sp, f, F, c: check_optional_stopping(
+    (f"the upcrossing estimate {SUB}", lambda sp, f, F, c: check_upcrossing_estimate(sp, BAND_0_1, f, F, 3, c)),
+    (f"the upcrossing estimate {SUB}", lambda sp, f, F, c: check_upcrossing_estimate_sup(sp, BAND_0_1, f, F, c)),
+    (f"the maximal inequality {SUB}", lambda sp, f, F, c: check_maximal_inequality(sp, f, F, 3, 1, c)),
+    (rf"check \(a\) {SUB}", lambda sp, f, F, c: check_l1_convergence_a(sp, f, F, (), 0, 1, c)),
+    (f"optional stopping {SUB}", lambda sp, f, F, c: check_optional_stopping(
         sp, f, F, StoppingTime.constant(0, 8), StoppingTime.constant(3, 8), c)),
+    (r"check \(b\) is a martingale statement; classification says otherwise",
+     lambda sp, f, F, c: check_l1_convergence_b(sp, f, F, classification=c)),
 ]
+GATE_IDS = ["upcrossing_estimate", "upcrossing_estimate_sup", "maximal_inequality", "l1_convergence_a",
+            "optional_stopping", "l1_convergence_b"]
 
 
-@pytest.mark.parametrize("text, check", GATES, ids=[
-    "upcrossing_estimate", "upcrossing_estimate_sup", "maximal_inequality", "l1_convergence_a",
-    "optional_stopping"])
+@pytest.mark.parametrize("text, check", GATES, ids=GATE_IDS)
 def test_each_gate_refuses_a_supermartingale_in_its_own_words(text, check):
     sp, f, F = DOWNWARD
     assert classify(sp, f, F).kind is MartingaleClass.SUPERMARTINGALE
-    with pytest.raises(ValueError, match=f"^{text} requires a submartingale or martingale$"):
+    with pytest.raises(ValueError, match=f"^{text}$"):
         check(sp, f, F, None)
     # a given classification is used as it stands, not recomputed
     check(sp, f, F, Classification(MartingaleClass.MARTINGALE, True, None, None, None))
+
+
+@pytest.mark.parametrize("check", [check for _, check in GATES], ids=GATE_IDS)
+def test_each_gate_refuses_what_is_not_a_classification(check):
+    # each once failed inside the gate: "martingale" with AttributeError:
+    # 'str' object has no attribute 'is_at_least'
+    sp, f, F = DOWNWARD
+    for bad in ("martingale", 3, MartingaleClass.MARTINGALE):
+        with pytest.raises(TypeError, match=f"^classification must be a Classification or None, got {bad!r}$"):
+            check(sp, f, F, bad)
+
+
+@pytest.mark.parametrize("check, option", [
+    (lambda sp, f, F, **kw: check_upcrossing_estimate_sup(sp, BAND_0_1, f, F, **kw), "check_classification"),
+    (lambda sp, f, F, **kw: check_l1_convergence_b(sp, f, F, **kw), "allow_non_martingale"),
+], ids=["upcrossing_estimate_sup", "l1_convergence_b"])
+def test_no_option_skips_the_gate(check, option):
+    # ``classification=`` is the one way past the premise
+    sp, f, F = DOWNWARD
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{option}'"):
+        check(sp, f, F, **{option: option == "allow_non_martingale"})

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import martkit
 from conftest import public_entry_points
 from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue, tolerance
 from martkit.processes import _violations
-from martkit.scalars import coerce_scalar, parse_rational, positive_part
+from martkit.scalars import at_most, close, coerce_scalar, parse_rational, positive_part
 
 
 def test_exact_mode_rejects_floats():
@@ -111,6 +113,43 @@ def test_every_public_tol_is_a_required_input():
         if param is not None
     }
     assert tols == {"limit_process_estimate": True, "check_l1_convergence_a": True}
+
+
+def test_at_most_and_close_are_the_one_comparison_rule():
+    assert at_most(Fraction(1, 3), Fraction(1, 3), "exact")
+    assert not at_most(Fraction(10**12 + 1, 10**12), 1, "exact")  # no slack in exact mode
+    assert at_most(RootValue.of(2, 2), Fraction(142, 100), "exact")
+    assert not at_most(RootValue.of(2, 2), Fraction(141, 100), "exact")
+    assert at_most(1.0 + 1e-9, 1.0, "float") and not at_most(1.0 + 2e-9, 1.0, "float")
+    assert at_most(-5.0, 0, "float")
+    assert at_most(np.array([1.0, 1.0 + 2e-9]), 1.0, "float").tolist() == [True, False]
+    assert close(1.0, 1.0 + 5e-10, "float") and close(1.0 + 5e-10, 1.0, "float")
+    assert not close(1.0, 1.0 + 2e-9, "float")
+    assert close(Fraction(1, 3), Fraction(2, 6), "exact")
+    assert not close(Fraction(1, 3), Fraction(10**12 + 1, 3 * 10**12), "exact")
+
+
+SRC = Path(martkit.__file__).parent
+
+
+def test_only_scalars_reads_the_slack():
+    # every comparison goes through at_most/close; classify's sign test in
+    # processes._violations is the one other reader of tolerance(mode)
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if called == "tolerance" and (path.name, scopes.get(id(node))) != ("processes.py", "_violations"):
+                readers.append(f"{path.name}:{node.lineno} calls tolerance")
+            if isinstance(node, (ast.Name, ast.Attribute)) and "DEFAULT_FLOAT_TOL" in (
+                    getattr(node, "id", None), getattr(node, "attr", None)):
+                readers.append(f"{path.name}:{node.lineno} reads DEFAULT_FLOAT_TOL")
+    assert readers == []
 
 
 def test_inf_sentinel():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,36 @@ def test_p_monotonicity_on_a_stored_int_maximum():
     assert rep.rows[0][1:4] == (Fraction(2), RootValue.of(8, 2), RootValue.of(8, 2))
 
 
+def test_p_monotonicity_compares_within_the_float_slack():
+    # Hoelder's inequality holds with equality on a constant member; the
+    # rounded sides once missed it by 2 ulp and the check failed
+    sp = FiniteMeasureSpace.from_weights([0.7, 0.1, 0.3], "float")
+    fam = FunctionFamily.of(sp, [RandomVariable.from_values([-1, -1, -1], "float")], 1)
+    rep = check_p_monotonicity(fam, 1, 2)
+    assert any(mp > bound for _, mp, _, bound, _ in rep.rows)  # rounding bites
+    assert rep.holds
+
+
+@given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6), st.floats(-10.0, 10.0),
+       st.floats(1.0, 8.0), st.floats(0.0, 8.0))
+@settings(max_examples=200, deadline=None)
+def test_hoelder_holds_on_constant_members(weights, c, p, extra):
+    sp = FiniteMeasureSpace.from_weights(weights, "float")
+    fam = FunctionFamily.of(sp, [RandomVariable.from_values([c] * len(weights), "float")], p)
+    assert check_p_monotonicity(fam, p, p + extra).holds
+
+
+def test_bridging_compares_within_the_float_slack():
+    # C one ulp above the member's constant 0.9, so both sides are 0.9 mu(A)
+    # up to rounding; the left side once came out 1 ulp above the right
+    sp = FiniteMeasureSpace.from_weights([0.8, 0.6], "float")
+    fam = FunctionFamily.of(sp, [RandomVariable.from_values([0.9, 0.9], "float")], 1)
+    rep = check_bridging_inequality(fam, math.nextafter(0.9, math.inf), frozenset({0, 1}))
+    ((lhs, rhs),) = rep.rows
+    assert lhs > rhs  # rounding bites
+    assert rep.holds
+
+
 FLOAT_SPACE = FiniteMeasureSpace.uniform(4, "float")
 FLOAT_MEMBER = RandomVariable.from_values([4.0, 1.0, 0.5, 0.0], "float")
 FLOAT_FAMILY = FunctionFamily.of(FLOAT_SPACE, [FLOAT_MEMBER], 2)
@@ -101,6 +132,21 @@ def test_nan_and_bool_exponents_raise_naming_the_exponent(name, call, x, error):
     # ``snorm`` took the string "2" as 2.0
     with pytest.raises(error, match=f"^{name} must be "):
         call(x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: snorm(fam.space, fam.members[0], fam.p),
+    lambda fam: analyst_modulus(fam, 0.5),
+    lambda fam: probabilist_modulus(fam, 0.0),
+    lambda fam: ui_moduli(fam).l1_bound,
+], ids=["snorm", "analyst_modulus", "probabilist_modulus", "ui_moduli"])
+def test_a_float_power_past_the_range_raises_naming_p(call):
+    # Python's ** once raised OverflowError: (34, 'Numerical result out of range')
+    sp = FiniteMeasureSpace.from_weights([0.5, 0.5], "float")
+    member = RandomVariable.from_values([1e300, 1.0], "float")
+    with pytest.raises(ValueError, match=r"^\|f\|\^p overflows a float at p = 3"):
+        call(FunctionFamily.of(sp, [member], 3))
+    assert 5e299 <= call(FunctionFamily.of(sp, [member], 1)) < math.inf  # p = 1 stays finite
 
 
 @pytest.mark.parametrize("check", [
