@@ -97,6 +97,7 @@ from .processes import (
     Process,
     classify,
     doob_decomposition,
+    doob_witnesses,
     filtration_sup,
     is_adapted,
     is_predictable,
@@ -151,7 +152,7 @@ __all__ = [
     "condexp_agreement_witness", "condexp_l2", "condexp_properties",
     # processes
     "Classification", "DoobDecomposition", "Filtration", "MartingaleClass",
-    "Process", "classify", "doob_decomposition", "filtration_sup",
+    "Process", "classify", "doob_decomposition", "doob_witnesses", "filtration_sup",
     "is_adapted", "is_predictable", "natural_filtration", "stochastic_integral",
     # stopping
     "OptionalStoppingReport", "StoppingTime", "ValuePredicate",

@@ -73,11 +73,10 @@ from .processes import (
     MartingaleClass,
     Process,
     classify,
-    doob_decomposition,
-    is_predictable,
+    doob_witnesses,
     natural_filtration,
 )
-from .scalars import INF, Mode, at_most, close, coerce_scalar
+from .scalars import INF, Mode, at_most, coerce_scalar
 from .stopping import StoppingTime, check_optional_stopping
 from .uniform_integrability import (
     FunctionFamily,
@@ -577,6 +576,11 @@ def _sides(rep) -> CheckResult:
     return CheckResult(rep.holds, detail, ("field", "value"), _fields(rep))
 
 
+def _place(w: tuple, sep: str = " ") -> str:
+    """A witness as key=value pairs: (i, j, atom) of a time pair, or (n, atom)."""
+    return sep.join(f"{k}={v}" for k, v in zip(("i", "j", "atom") if len(w) == 3 else ("n", "atom"), w))
+
+
 _KIND_NAMES = {
     "martingale": MartingaleClass.MARTINGALE,
     "submartingale": MartingaleClass.SUBMARTINGALE,
@@ -590,11 +594,10 @@ def _check_classify(ctx, p):
     holds = c.is_at_least(p["assert"])
     rows = [("kind", c.kind.name.lower()), ("adapted", c.adapted), ("holds", holds)]
     detail = f"kind={c.kind.name.lower()}"
-    if not holds:
+    if not holds:  # an unadapted f, or a pair against the asserted class
         w = c.witness_against(p["assert"])
-        if w is not None:
-            rows.append(("witness", f"i={w[0]} j={w[1]} atom={w[2]}"))
-            detail += f" witness=(i={w[0]}, j={w[1]}, atom={w[2]})"
+        rows.append(("witness", _place(w)))
+        detail += f" witness=({_place(w, ', ')})"
     return CheckResult(holds, detail, ("field", "value"), rows)
 
 
@@ -666,29 +669,16 @@ def _check_maximal_inequality(ctx, p):
 
 @_op("doob_decomposition", {"process": _PROCESS, "filtration": _FILTRATION})
 def _check_doob(ctx, p):
-    f, F = p["process"], p["filtration"]
-    dd = doob_decomposition(ctx.space(), f, F)
-    m, a = dd.martingale_part, dd.predictable_part
-    is_mart = classify(ctx.space(), m, F).kind == MartingaleClass.MARTINGALE
-    pred = is_predictable(a, F)
-    live = ctx.space().positive_atoms()  # the drift need only be nondecreasing a.e.
-    # float parts are rounded: m = f - a only within the slack
-    nondec = all(at_most(a.values[n][w], a.values[n + 1][w], ctx.mode)
-                 for n in range(a.horizon) for w in live)
-    recon = all(
-        close(m.values[n][w] + a.values[n][w], f.values[n][w], ctx.mode)
-        for n in range(f.horizon + 1)
-        for w in range(f.atom_count)
-    )
-    holds = is_mart and pred and nondec and recon
-    rows = [
-        ("martingale_part_is_martingale", is_mart),
-        ("predictable_part_is_predictable", pred),
-        ("predictable_part_nondecreasing", nondec),
-        ("reconstruction_exact", recon),
-        ("holds", holds),
-    ]
-    return CheckResult(holds, "decomposition valid" if holds else "postcondition failed", ("field", "value"), rows)
+    names = ("martingale_part_is_martingale", "predictable_part_is_predictable",
+             "predictable_part_nondecreasing", "reconstruction_exact")
+    witnesses = doob_witnesses(ctx.space(), p["process"], p["filtration"])
+    failed = [(name, w) for name, w in zip(names, witnesses) if w is not None]
+    rows = [(name, w is None) for name, w in zip(names, witnesses)] + [("holds", not failed)]
+    if not failed:
+        return CheckResult(True, "decomposition valid", ("field", "value"), rows)
+    name, w = failed[0]
+    rows.append(("witness", _place(w)))
+    return CheckResult(False, f"{name} fails: witness=({_place(w, ', ')})", ("field", "value"), rows)
 
 
 @_op("levy_upward", {"g": _Key(_rv, alt=("g_at", _at)), "filtration": _FILTRATION})
@@ -711,7 +701,7 @@ def _check_l1_convergence_b(ctx, p):
     rows = [("holds", rep.holds), ("kind", rep.kind)]
     detail = "closed by final value" if rep.holds else f"witness={rep.witness}"
     if rep.witness is not None:
-        rows.append(("witness", f"n={rep.witness[0]} atom={rep.witness[1]}"))
+        rows.append(("witness", _place(rep.witness)))
     return CheckResult(rep.holds, detail, ("field", "value"), rows)
 
 
@@ -756,16 +746,16 @@ def _check_p_monotonicity(ctx, p):
                    "probabilist_final_at_most": _Key(_scalar, None)})
 def _check_ui_curves(ctx, p):
     moduli = ui_moduli(p["family"])
-    deltas, cs = p["deltas"], p["cs"]
-    rows = [("l1_bound", "", moduli.l1_bound)]
-    rows += [("analyst", d, moduli.analyst(d)) for d in deltas]
-    rows += [("probabilist", c, moduli.probabilist(c)) for c in cs]
-    holds = True
-    if p["analyst_final_at_most"] is not None and deltas:
-        holds = holds and not (moduli.analyst(deltas[-1]) > p["analyst_final_at_most"])
-    if p["probabilist_final_at_most"] is not None and cs:
-        holds = holds and not (moduli.probabilist(cs[-1]) > p["probabilist_final_at_most"])
-    return CheckResult(holds, f"l1_bound={_fmt(moduli.l1_bound)}", ("kind", "x", "modulus"), rows)
+    analyst = [("analyst", d, moduli.analyst(d)) for d in p["deltas"]]
+    probabilist = [("probabilist", c, moduli.probabilist(c)) for c in p["cs"]]
+    detail = [f"l1_bound={_fmt(moduli.l1_bound)}"]
+    for curve, x_name, bound in ((analyst, "delta", p["analyst_final_at_most"]),
+                                 (probabilist, "C", p["probabilist_final_at_most"])):
+        if curve and bound is not None and not at_most(curve[-1][2], bound, ctx.mode):
+            kind, x, value = curve[-1]
+            detail.append(f"{kind}({x_name}={_fmt(x)})={_fmt(value)} > {_fmt(bound)}")
+    rows = [("l1_bound", "", moduli.l1_bound), *analyst, *probabilist]
+    return CheckResult(len(detail) == 1, " ".join(detail), ("kind", "x", "modulus"), rows)
 
 
 @_op("vitali", {"family": _Key(_builtin_family), "expect_lp_decay": _Key(_bool, None),
@@ -824,13 +814,14 @@ def _check_mc_stats(ctx, p):
         factor = p["decay_factor_min"]
         if factor is not None and len(fractions) >= 2:
             # zero tail already decayed past measurement
-            ok = all(
-                nxt == 0.0 or prev / max(nxt, 1e-300) >= factor
-                for prev, nxt in zip(fractions, fractions[1:])
-            )
+            ks = p["violation_ks"]
+            broken = next((f" at band=({a},{b}) k={k}->{k2}"
+                           for k, k2, prev, nxt in zip(ks, ks[1:], fractions, fractions[1:])
+                           if not (nxt == 0.0 or prev / max(nxt, 1e-300) >= factor)), "")
+            ok = not broken
             rows.append((f"band=({a},{b}) decay_ok", factor, ok))
             holds = holds and ok
-            detail_bits.append(f"decay_ok={ok}")
+            detail_bits.append(f"decay_ok={ok}{broken}")
     detail = " ".join(detail_bits) if detail_bits else f"final_mean={final_mean}"
     return CheckResult(holds, detail, ("stat", "param", "value"), rows)
 

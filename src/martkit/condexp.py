@@ -41,6 +41,7 @@ from .measure import (
     ae_witness,
     partition_le,
     _check_rv,
+    _twin,
     _unmeasured,
 )
 from .scalars import Scalar, at_most, zero
@@ -56,11 +57,11 @@ class _Kernel:
     are the partition's own block table, derived once when it was built;
     ``rep[k]`` (the first positive-weight atom of each block of positive
     mass) and ``mass[k]`` (the block masses) depend on the weights, so they
-    are built inside each call and never kept.  A row
-    is a float64 array in float mode and, in exact mode, the pair (integer
-    numerators, common denominator) that its data derived once
-    (``measure._integer_twin``); exact weights come from the space's own
-    twin.  Block sums run in ascending atom order: ``np.bincount`` in float
+    are built inside each call and never kept.  A row is a row of its data's
+    twin (``measure._twin``): a float64 array in float mode and, in exact
+    mode, the pair (integer numerators, common denominator) derived once;
+    exact weights come from the space's own twin.  Adaptedness is not the
+    kernel's: ``processes._first_unmeasured`` scans it from the twin.  Block sums run in ascending atom order: ``np.bincount`` in float
     mode, sums of integer products in exact mode, so a Fraction is built only
     per block average."""
 
@@ -82,11 +83,9 @@ class _Kernel:
         return g._numerators if self.exact else np.array(g.values, dtype=float)
 
     def rows(self, f) -> list:
-        """The rows of a process, over one denominator in exact mode."""
-        if not self.exact:
-            return [np.array(r, dtype=float) for r in f.values]
-        nums, den = f._numerators
-        return [(row, den) for row in nums]
+        """The rows of a process's twin, over one denominator in exact mode."""
+        nums, den = _twin(f)
+        return list(nums) if not self.exact else [(row, den) for row in nums]
 
     def _add(self, terms, k: int) -> list:
         out = [0] * len(self.first[k])
@@ -111,14 +110,6 @@ class _Kernel:
     def unmeasured(self, row, k: int) -> int | None:
         """``measure._unmeasured`` on step k: None when ``row`` is measurable."""
         return _unmeasured(row[0] if self.exact else row, self.mode, self.of[k], self.first[k])
-
-    def unadapted(self, rows) -> tuple | None:
-        """(n, atom) for the first row n not measurable at step n, or None."""
-        for n, row in enumerate(rows):
-            atom = self.unmeasured(row, n)
-            if atom is not None:
-                return n, atom
-        return None
 
     def tower(self, row, top: int, low: int):
         """(i, block integrals of row over steps[i]) for i = top down to low.

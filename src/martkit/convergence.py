@@ -43,6 +43,7 @@ from .processes import (
     Process,
     filtration_sup,
     _check_process,
+    _first_unmeasured,
     _require_class,
     _violations,
 )
@@ -318,7 +319,7 @@ def check_l1_convergence_b(
                          "check (b) is a martingale statement; classification says otherwise")
     kernel = _Kernel(space, F.steps)
     rows = kernel.rows(f)
-    found = _violations(kernel, rows, f.horizon, f.horizon, 0, kernel.unadapted(rows) is None)
+    found = _violations(kernel, rows, f.horizon, f.horizon, 0, _first_unmeasured(f, F.steps, 0) is None)
     witness = next(((n, min(a for a in w if a is not None)) for (n, _), w in sorted(found.items())
                     if w != (None, None)), None)
     return L1ConvergenceBReport(holds=witness is None, witness=witness, kind=cls.kind)

@@ -142,12 +142,17 @@ def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> li
     with the space's weight numerators, one Fraction per row.  Float rows add
     left to right from +0.0 (``_float_sums``).  An atom that a row leaves out
     holds 0 and adds a signed zero, which leaves a sum started at +0.0 as it
-    is."""
+    is.  A float sum of finite rows past the float range raises ValueError,
+    as ``_powers`` does for a power."""
     if space.mode == "exact":
         weights, unit = space._numerators
         weights = weights.tolist()
         return [Fraction(sum(map(mul, weights, row)), unit * scale) for row in rows.tolist()]
-    return _float_sums(space._weight_vector * rows).tolist()
+    with np.errstate(over="ignore"):  # an overflow raises below, naming itself
+        sums = _float_sums(space._weight_vector * rows)
+    if not np.isfinite(sums).all() and np.isfinite(rows).all():
+        raise ValueError("a weighted sum of finite values overflows a float")
+    return sums.tolist()
 
 
 def _float_sums(terms: np.ndarray) -> np.ndarray:
@@ -239,10 +244,6 @@ class RandomVariable:
     def scale(self, c: Scalar) -> "RandomVariable":
         c = coerce_values([c], self.mode)[0]
         return RandomVariable(tuple(c * v for v in self.values), self.mode)
-
-    def shift(self, c: Scalar) -> "RandomVariable":
-        c = coerce_values([c], self.mode)[0]
-        return RandomVariable(tuple(v + c for v in self.values), self.mode)
 
     def __abs__(self) -> "RandomVariable":
         return RandomVariable(tuple(abs(v) for v in self.values), self.mode)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import lcm
 from typing import Iterable
 
 import numpy as np
@@ -31,10 +32,10 @@ from .measure import (
     partition_le,
     _frozen_floats,
     _integer_twin,
-    _measurable,
     _twin,
+    _unmeasured,
 )
-from .scalars import Mode, Scalar, check_same_mode, coerce_values, integer, tolerance, zero
+from .scalars import Mode, Scalar, at_most, check_same_mode, close, coerce_values, integer, tolerance, zero
 
 
 @dataclass(frozen=True)
@@ -159,21 +160,26 @@ def _check_process(space: FiniteMeasureSpace, f: Process, F: Filtration) -> None
         raise ValueError(f"process horizon {f.horizon} != filtration horizon {F.horizon}")
 
 
-def is_adapted(f: Process, F: Filtration) -> bool:
-    if f.horizon != F.horizon or f.atom_count != F.atom_count:
+def _first_unmeasured(f: Process, steps, lag: int) -> tuple | None:
+    """(n, ``measure._unmeasured``'s atom) for the first row n of f's twin not measurable
+    at step max(n - lag, 0), or None: lag 0 scans adaptedness, lag 1 predictability."""
+    if len(steps) != len(f.values) or steps[0].atom_count != f.atom_count:
         raise ValueError("process and filtration shapes differ")
-    keys = _twin(f)[0]
-    return all(_measurable(keys[n], f.mode, F.steps[n]) for n in range(f.horizon + 1))
+    for n, row in enumerate(_twin(f)[0]):
+        step = steps[max(n - lag, 0)]
+        atom = _unmeasured(row, f.mode, step._of, step._first)
+        if atom is not None:
+            return n, atom
+    return None
+
+
+def is_adapted(f: Process, F: Filtration) -> bool:
+    return _first_unmeasured(f, F.steps, 0) is None
 
 
 def is_predictable(c: Process, F: Filtration) -> bool:
     """c_0 measurable at step 0 and c_{n+1} measurable at step n."""
-    if c.horizon != F.horizon or c.atom_count != F.atom_count:
-        raise ValueError("process and filtration shapes differ")
-    keys = _twin(c)[0]
-    if not _measurable(keys[0], c.mode, F.steps[0]):
-        return False
-    return all(_measurable(keys[n + 1], c.mode, F.steps[n]) for n in range(c.horizon))
+    return _first_unmeasured(c, F.steps, 1) is None
 
 
 def filtration_sup(F: Filtration) -> Partition:
@@ -269,11 +275,11 @@ def classify(
     _check_process(space, f, F)
     if pairs not in ("all", "consecutive"):
         raise ValueError("pairs must be 'all' or 'consecutive'")
-    kernel = _Kernel(space, F.steps)
-    rows = kernel.rows(f)
-    witness = kernel.unadapted(rows)
+    witness = _first_unmeasured(f, F.steps, 0)
     if witness is not None:
         return Classification(MartingaleClass.NONE, False, witness, None, None)
+    kernel = _Kernel(space, F.steps)
+    rows = kernel.rows(f)
     found: dict = {}
     for j in range(1, f.horizon + 1):
         found.update(_violations(kernel, rows, j, j - 1, 0 if pairs == "all" else j - 1))
@@ -344,7 +350,7 @@ def doob_decomposition(
     exactly in exact mode; in float mode m and p are rounded, so m + p equals
     f only within the float slack (``scalars.close``).  The classification facts (m is a
     martingale, p is predictable, p is nondecreasing iff f is a submartingale) are
-    verified by the test suite, not assumed here.  In exact mode m_n is
+    decided by ``doob_witnesses``, not assumed here.  In exact mode m_n is
     formed once per cell of ``_running_sums``, which for adapted input is a
     block of steps[n], where m_n is constant.
     """
@@ -363,6 +369,24 @@ def doob_decomposition(
             per_cell.append(Fraction(y * q.denominator - q.numerator * den, den * q.denominator))
         mart.append(tuple(map(per_cell.__getitem__, cell_of.tolist())))
     return DoobDecomposition(Process(tuple(mart), f.mode), predictable)
+
+
+def doob_witnesses(space: FiniteMeasureSpace, f: Process, F: Filtration) -> tuple:
+    """Doob's facts on ``doob_decomposition(space, f, F) = (m, a)``, each its first
+    failing place or None: m is a martingale (``classify``'s witness), then the
+    first (n, atom) in row-major order where a_n is not measurable at step n - 1,
+    falls below a_{n-1} at positive weight, or m_n + a_n != f_n by the mode's rule."""
+    dd = doob_decomposition(space, f, F)
+    twins = [_twin(x) for x in (dd.martingale_part, dd.predictable_part, f)]
+    den = lcm(*(scale for _, scale in twins))
+    m, a, g = (values * (den // scale) for values, scale in twins)
+    live = list(space.positive_atoms())
+    falls = np.argwhere(~at_most(a[:-1, live], a[1:, live], f.mode)).tolist()
+    differs = np.argwhere(~close(m + a, g, f.mode)).tolist()
+    return (classify(space, dd.martingale_part, F).witness_against(MartingaleClass.MARTINGALE),
+            _first_unmeasured(dd.predictable_part, F.steps, 1),
+            (falls[0][0] + 1, live[falls[0][1]]) if falls else None,
+            tuple(differs[0]) if differs else None)
 
 
 def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
@@ -391,11 +415,8 @@ def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
             acc = acc + a if b is None else acc + a - b
             out.append(tuple(acc.tolist()))
         return tuple(out), None
-    if kernel.unadapted(rows) is None:
-        cells = kernel.of, kernel.first
-    else:
-        atoms = [np.arange(f.atom_count)] * len(rows)
-        cells = atoms, atoms
+    atoms = [np.arange(f.atom_count)] * len(rows)
+    cells = (kernel.of, kernel.first) if _first_unmeasured(f, kernel.steps, 0) is None else (atoms, atoms)
     nums, den = f._numerators
     level, acc = 0, [zero("exact")] * len(cells[1][0])
     out = [tuple(map(acc.__getitem__, cells[0][0].tolist()))]

@@ -47,6 +47,13 @@ intersections, ``meet_blocks`` the connected components of the overlapping
 blocks, ``refines`` asks whether every Q-block lies inside a P-block, and
 ``canonical_labels`` numbers the blocks by their least atom.
 
+``doob_facts_by_entries`` is the check the CLI ran on Doob's decomposition
+before ``doob_witnesses`` decided it in the library: the martingale part
+classified by the per-pair loops, the drift's blocks at step max(n - 1, 0)
+grouped by hand, then one ``at_most`` per (time, positive-weight atom) and
+one ``close`` per (time, atom), each scan stopping at its first failing
+entry in row-major order.
+
 ``condexp_l2_dense`` is the dense Gram assembly that ``condexp_l2`` used
 before it walked each atom's nonzero basis entries: k dense indicator
 vectors and k^2 + k inner products over every atom.  It shares only
@@ -68,13 +75,14 @@ from martkit import (
     RootValue,
     ae_witness,
     condexp,
+    doob_decomposition,
     indicator,
     partition_le,
     snorm,
     tolerance,
 )
 from martkit.condexp import _solve_linear
-from martkit.scalars import zero
+from martkit.scalars import at_most, close, zero
 
 
 def upcrossings_state_machine(values, a, b, N):
@@ -249,6 +257,25 @@ def doob_by_steps(space, f, F):
         pred.append(tuple(acc))
     mart = tuple(tuple(v - p for v, p in zip(fr, pr)) for fr, pr in zip(f.values, pred))
     return mart, tuple(pred)
+
+
+def doob_facts_by_entries(space, f, F):
+    """The four Doob facts of ``doob_decomposition(space, f, F) = (m, a)``, each
+    as its first failing place or None: m's martingale witness, the first
+    (n, first atom of a block) where a_n is not constant on a block of
+    steps[max(n - 1, 0)], the first (n, positive-weight atom) with a_n below
+    a_{n-1}, and the first (n, atom) where m + a and f differ."""
+    dd = doob_decomposition(space, f, F)
+    m, a = dd.martingale_part, dd.predictable_part
+    live = space.positive_atoms()
+    mart = classify_by_pairs(space, m, F).witness_against(MartingaleClass.MARTINGALE)
+    pred = next(((n, block[0]) for n in range(a.horizon + 1) for block in F.steps[max(n - 1, 0)].blocks()
+                 if len({_key(a.values[n][w], a.mode) for w in block}) > 1), None)
+    falls = next(((n + 1, w) for n in range(a.horizon) for w in live
+                  if not at_most(a.values[n][w], a.values[n + 1][w], f.mode)), None)
+    differs = next(((n, w) for n in range(f.horizon + 1) for w in range(f.atom_count)
+                    if not close(m.values[n][w] + a.values[n][w], f.values[n][w], f.mode)), None)
+    return mart, pred, falls, differs
 
 
 def levy_distances(space, g, F):

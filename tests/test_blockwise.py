@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from martkit import (
     EventSequence,
     FiniteMeasureSpace,
+    Filtration,
     Partition,
     Process,
     RandomVariable,
@@ -28,6 +29,7 @@ from martkit import (
     classify,
     condexp,
     doob_decomposition,
+    doob_witnesses,
     integral,
     measure,
     predictable_sum,
@@ -206,3 +208,18 @@ def test_routed_functions_equal_the_per_pair_loops(seed, mode):
     _same(predictable_sum(space, S).values, oracles.event_sums(space, S, compensated=False))
     _same(borel_cantelli_martingale(space, S).values,
           oracles.event_sums(space, S, compensated=True))
+
+
+@given(seeds, st.sampled_from(["exact", "float"]), st.sampled_from([None, 0, -1]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_doob_witnesses_equal_the_entry_loops(seed, mode, constant, large):
+    # each witness is its fact's first failing entry in row-major order, so the
+    # facts and holds equal the per-entry loops the CLI once ran.  A constant
+    # filtration at the finest step keeps f adapted and makes its drift f_n - f_0;
+    # float values near 3^20 round m = f - a by more than the slack, so m + a = f fails
+    space, f, F = _instance(seed, mode)[:3]
+    if constant is not None:
+        F = Filtration.constant(F.steps[constant], F.horizon)
+    if large and mode == "float":
+        f = Process(tuple(tuple(v * 3**20 for v in row) for row in f.values), "float")
+    _same(doob_witnesses(space, f, F), oracles.doob_facts_by_entries(space, f, F))

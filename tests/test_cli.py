@@ -476,16 +476,21 @@ def test_float_hoelder_equality_passes(tmp_path, capsys):
     assert "[PASS] pm" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("check", [
-    {"op": "p_monotonicity", "family": {"members": [[1e200, 1]]}, "p": 1, "q": 2},
-    {"op": "ui_curves", "family": {"members": [[1e300, 1]], "p": 3}, "deltas": [0.5], "cs": [0]},
-], ids=["p_monotonicity", "ui_curves"])
-def test_a_float_power_past_the_range_exits_two(check, tmp_path, capsys):
-    # both once escaped as OverflowError tracebacks with exit 1
+@pytest.mark.parametrize("check, weights, message", [
+    ({"op": "p_monotonicity", "family": {"members": [[1e200, 1]]}, "p": 1, "q": 2},
+     [0.5, 0.5], "|f|^p overflows a float at p = "),
+    ({"op": "ui_curves", "family": {"members": [[1e300, 1]], "p": 3}, "deltas": [0.5], "cs": [0]},
+     [0.5, 0.5], "|f|^p overflows a float at p = "),
+    ({"op": "p_monotonicity", "family": {"members": [[1.3e154, 1.3e154]]}, "p": 1, "q": 2},
+     [1.0, 1.0], "a weighted sum of finite values overflows a float"),
+], ids=["p_monotonicity", "ui_curves", "sum"])
+def test_a_float_power_or_sum_past_the_range_exits_two(check, weights, message, tmp_path, capsys):
+    # the powers once escaped as OverflowError tracebacks with exit 1; the sum
+    # read inf, so p-monotonicity held on the row (0.0, 2.6e+154, inf, inf, True)
     code, err = run_checks(tmp_path, capsys, [dict(check, name="c")],
-                           space={"weights": [0.5, 0.5], "mode": "float"})
+                           space={"weights": weights, "mode": "float"})
     assert code == 2
-    assert "$.checks[0]: |f|^p overflows a float at p = " in err
+    assert f"$.checks[0]: {message}" in err
 
 
 @pytest.mark.parametrize("horizon, bands", [(2, "-1/2,1/2"), (3, "-1/2,1/2"), (3, "-1,1"),
@@ -682,3 +687,89 @@ def test_subcommand_errors_name_the_flag(argv, flag, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(out_dir)]) == 2
     assert f"error: {flag}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("keys, code, text", [
+    ({"deltas": [0.4], "analyst_final_at_most": 0.3}, 0, "[PASS] u"),
+    ({"cs": [0], "probabilist_final_at_most": 0.3}, 0, "[PASS] u"),
+    ({"deltas": [0.5, 0.4], "analyst_final_at_most": 0.25}, 1,
+     "[FAIL] u: l1_bound=0.30000000000000004 analyst(delta=0.4)=0.30000000000000004 > 0.25"),
+], ids=["analyst", "probabilist", "too_small"])
+def test_float_ui_curves_bounds_read_the_slack(keys, code, text, tmp_path, capsys):
+    # both moduli are 0.1 + 0.2 = 0.30000000000000004; the bounds were once
+    # compared with a raw >, so the first two printed [FAIL] and exited 1
+    check = {"name": "u", "op": "ui_curves", "family": {"members": [[1, 1]]}, **keys}
+    doc = {"name": "ui", "mode": "float", "space": {"weights": [0.1, 0.2], "mode": "float"}, "checks": [check]}
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(tmp_path / "out")]) == code
+    assert text in capsys.readouterr().out
+
+
+def test_an_unadapted_process_fails_classify_and_doob_with_a_time_witness(tmp_path, capsys):
+    # classify's witness row once assumed an (i, j, atom) pair and raised IndexError here
+    doc = {"name": "u", "mode": "exact", "space": {"mode": "exact", "weights": ["1/2", "1/2"]},
+           "process": {"values": [["0", "1"], ["1", "1"]]},
+           "filtration": {"atoms": 2, "steps": [[[0, 1]], [[0], [1]]]},
+           "checks": [{"name": "c", "op": "classify", "assert": "martingale"},
+                      {"name": "d", "op": "doob_decomposition"}]}
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] c: kind=none witness=(n=0, atom=0)" in out
+    assert "[FAIL] d: martingale_part_is_martingale fails: witness=(n=0, atom=0)" in out
+    assert (out_dir / "u__d.csv").read_text().splitlines() == [
+        "field,value", "martingale_part_is_martingale,false", "predictable_part_is_predictable,false",
+        "predictable_part_nondecreasing,true", "reconstruction_exact,true", "holds,false", "witness,n=0 atom=0"]
+
+
+# Every op in CHECK_OPS has a failing scenario below, whose [FAIL] line must
+# name where the check failed, or is listed with the reason it cannot fail.
+CANNOT_FAIL = {
+    **dict.fromkeys(["upcrossing_estimate", "upcrossing_estimate_sup", "optional_stopping",
+                     "maximal_inequality", "l1_convergence_b"],
+                    "gated theorem check: exits 2 when the process is not a (sub)martingale, "
+                    "and the statement holds on every process the gate admits"),
+    **dict.fromkeys(["condexp_agreement", "set_integral_characterization", "bridging", "p_monotonicity"],
+                    "holds for every input"),
+    "crossing_table": "a table of crossing times, with no statement to fail",
+    "levy_upward": "fails only through its monotone flag, which is not part of Levy's theorem",
+}
+_SPIKE = {"builtin": "shrinking_spike", "horizon": 4}
+FAILING = {  # op: (scenario keys, check keys, text of the [FAIL] line)
+    "classify": ({"mode": "exact", "model": {"kind": "biased_walk", "p_up": "3/4", "horizon": 2}},
+                 {"assert": "martingale"}, "witness=(i=0, j=1, atom=0)"),
+    # 0.8999999999999999 - 0.2 rounds to 0.9 - 0.2, so only the shifted path crosses
+    "band_translation": ({"mode": "float"},
+                         {"band": [0.2, 0.9], "process": {"values": [[-0.8], [0.8999999999999999], [0.9]]}},
+                         "mismatch at N=2, atom 0"),
+    "doob_decomposition": ({"mode": "exact", "model": {"kind": "biased_walk", "p_up": "1/4", "horizon": 2}},
+                           {}, "predictable_part_nondecreasing fails: witness=(n=1, atom=0)"),
+    "ae_convergence": ({"mode": "exact", "model": {"kind": "fair_walk", "horizon": 4}},
+                       {"cutoff": "4", "bands": [["0", "1"]], "l1_bound": "0"},
+                       "chain bound fails at a=0 b=1: mu[U]=3/4 > 0"),
+    "ui_curves": ({"mode": "exact"}, {"family": _SPIKE, "deltas": ["1/4"], "analyst_final_at_most": "0"},
+                  "analyst(delta=1/4)=1/2 > 0"),
+    "vitali": ({"mode": "float"}, {"family": _SPIKE, "expect_lp_decay": True}, "lp_decay=False"),
+    "mc_stats": ({"mode": "float", "seed": 3},
+                 {"model": {"kind": "fair_walk"}, "trials": 200, "horizon": 16, "bands": [[-0.5, 0.5]],
+                  "violation_ks": [1, 2], "decay_factor_min": 1e6},
+                 "decay_ok=False at band=(-0.5,0.5) k=1->2"),
+    "borel_cantelli": ({"mode": "float", "seed": 3},
+                       {"model": {"kind": "independent", "prob": 0.5}, "horizon": 8, "trials": 20,
+                        "min_match": 1.5}, "match_fraction=1.0"),
+}
+
+
+def test_every_op_has_a_failing_scenario_or_a_reason():
+    assert not FAILING.keys() & CANNOT_FAIL.keys()
+    assert sorted(FAILING.keys() | CANNOT_FAIL.keys()) == sorted(CHECK_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(FAILING))
+def test_a_failing_check_names_its_witness(op, tmp_path, capsys):
+    top, check, witness = FAILING[op]
+    doc = {"name": "f", **top, "checks": [{"name": "c", "op": op, **check}]}
+    out_dir = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "s.json", doc), "--out-dir", str(out_dir)]) == 1
+    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL] c: ")]
+    assert len(fail) == 1 and witness in fail[0]
+    assert (out_dir / "f__c.csv").read_text().count("\n") >= 2

@@ -149,6 +149,21 @@ def test_a_float_power_past_the_range_raises_naming_p(call):
     assert 5e299 <= call(FunctionFamily.of(sp, [member], 1)) < math.inf  # p = 1 stays finite
 
 
+@pytest.mark.parametrize("call", [
+    lambda fam: snorm(fam.space, fam.members[0], 2),
+    lambda fam: ui_moduli(fam).l1_bound,
+    lambda fam: check_p_monotonicity(fam, 1, 2),
+], ids=["snorm", "ui_moduli", "check_p_monotonicity"])
+def test_a_float_sum_past_the_range_raises(call):
+    # each square is finite but their sum is not: the norms read inf, and
+    # p-monotonicity held on the row (0.0, 2.6e+154, inf, inf, True)
+    sp = FiniteMeasureSpace.from_weights([1.0, 1.0], "float")
+    member = RandomVariable.from_values([1.3e154, 1.3e154], "float")
+    with pytest.raises(ValueError, match="^a weighted sum of finite values overflows a float$"):
+        call(FunctionFamily.of(sp, [member], 2))
+    assert snorm(sp, member, 1) == 2.6e154  # a finite sum stays as it was
+
+
 @pytest.mark.parametrize("check", [
     lambda fam: probabilist_modulus(fam, 0),
     lambda fam: ui_moduli(fam),
