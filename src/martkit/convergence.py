@@ -28,6 +28,7 @@ from .measure import (
     ae_witness,
     snorm,
     _check_rv,
+    _distance,
     _lp_norms,
     _mask,
     _powers,
@@ -227,7 +228,7 @@ def ae_convergence_diagnostic(
                 chain_rows.append((band, mu_u, bound, bool(at_most(mu_u, bound, space.mode))))
 
     cps = geometric_checkpoints(f.horizon)
-    gaps = _lp_norms(space, abs(rows[list(cps[1:])] - rows[list(cps[:-1])]), scale, 1)
+    gaps = _lp_norms(space, _distance(rows[list(cps[1:])], rows[list(cps[:-1])]), scale, 1)
     return ConvergenceDiagnostic(
         cutoff=cutoff,
         bounded_fraction=bounded_fraction,
@@ -281,7 +282,7 @@ def check_l1_convergence_a(
     cps = geometric_checkpoints(f.horizon)
     rows, scale = _twin(f)
     limit = np.where(_mask(f.atom_count, est.converged_mask), rows[-1], 0)
-    gaps = tuple(_lp_norms(space, abs(rows[list(cps)] - limit), scale, 1))
+    gaps = tuple(_lp_norms(space, _distance(rows[list(cps)], limit), scale, 1))
     ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= UI_SMALL
     trend_ok = all(float(gaps[i + 1]) <= float(gaps[i]) for i in range(len(gaps) - 1))
     final_below = at_most(gaps[-1], coerce_scalar(tol, space.mode), space.mode)
@@ -374,7 +375,7 @@ def check_levy_upward(
         d = [_l1_distance(kernel, row, sums, n) for n, sums in kernel.tower(row, F.horizon, 0)]
     else:
         ce = np.array([kernel.condexp(row, n) for n in range(F.horizon, -1, -1)])
-        d = _lp_norms(space, abs(ce - row), 1, 1)
+        d = _lp_norms(space, _distance(ce, row), 1, 1)
     d.reverse()
     monotone = all(at_most(d[i + 1], d[i], space.mode) for i in range(len(d) - 1))
     final_zero = at_most(d[-1], 0, space.mode)

@@ -155,6 +155,18 @@ def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> li
     return sums.tolist()
 
 
+def _distance(x: np.ndarray, y) -> np.ndarray:
+    """|x - y| of twin entries on one scale.  A float difference of finite
+    entries past the float range raises ValueError, as ``_weighted`` does for
+    a sum: its inf would pass as a distance."""
+    with np.errstate(over="ignore"):  # an overflow raises below, naming itself
+        out = abs(x - y)
+    if (out.dtype == float and not np.isfinite(out).all()
+            and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("a difference of finite values overflows a float")
+    return out
+
+
 def _float_sums(terms: np.ndarray) -> np.ndarray:
     """Each row of a float64 array added left to right from +0.0 along the
     last axis, the order of ``_Kernel``'s block sums (``np.sum`` adds

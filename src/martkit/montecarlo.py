@@ -2,11 +2,13 @@
 
 Each model dataclass below states its law once per face:
 
-* ``start(mode)``, ``branches(n, state, mode)`` (the (probability, next
-  state) pairs of step n >= 1, up / red / occur first) and ``value(state,
-  mode)``, which ``exhaustive_space`` unrolls into a finite measure space
-  (atom = path, weight = path probability, exact Fractions in exact mode),
-  the coordinate value process, and its natural filtration.
+* ``start(mode)``, ``transitions(n, mode)`` (step n >= 1's map from a state
+  to its (probability, next state) pairs, up / red / occur first; a model's
+  constant parameters are coerced to the mode once per step, not once per
+  node) and ``value(state, mode)``, which ``exhaustive_space`` unrolls into a
+  finite measure space (atom = path, weight = path probability, exact
+  Fractions in exact mode), the coordinate value process, and its natural
+  filtration.
 * ``sample(u)``, which turns a (trials, horizon) block of uniforms into
   float64 paths: the walks, the urn and IndependentEvents with array
   operations over the block, BettingProcess and CustomSpec by calling their
@@ -53,8 +55,8 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .crossings import _count_upcrossings_runs
-from .measure import FiniteMeasureSpace
-from .processes import Process, natural_filtration
+from .measure import FiniteMeasureSpace, Partition, _first_appearance, _value_keys
+from .processes import Filtration, Process
 from .scalars import Mode, Scalar, coerce_scalar, integer
 
 __all__ = [
@@ -100,10 +102,10 @@ class BiasedWalk:
     def start(self, mode: Mode):
         return coerce_scalar(0, mode)
 
-    def branches(self, n: int, state, mode: Mode) -> list:
-        p = coerce_scalar(self.p_up, mode)
-        s = coerce_scalar(self.step, mode)
-        return [(p, state + s), (1 - p, state - s)]
+    def transitions(self, n: int, mode: Mode) -> Callable:
+        p, s = coerce_scalar(self.p_up, mode), coerce_scalar(self.step, mode)
+        q = 1 - p
+        return lambda state: [(p, state + s), (q, state - s)]
 
     def value(self, state, mode: Mode) -> Scalar:
         return state
@@ -147,10 +149,12 @@ class PolyaUrn:
     def start(self, mode: Mode):
         return (self.initial_red, self.initial_black)
 
-    def branches(self, n: int, state, mode: Mode) -> list:
-        r, b = state
-        p_red = self.value(state, mode)
-        return [(p_red, (r + 1, b)), (1 - p_red, (r, b + 1))]
+    def transitions(self, n: int, mode: Mode) -> Callable:
+        def branches(state) -> list:
+            r, b = state
+            p_red = self.value(state, mode)
+            return [(p_red, (r + 1, b)), (1 - p_red, (r, b + 1))]
+        return branches
 
     def value(self, state, mode: Mode) -> Scalar:
         r, b = state
@@ -184,11 +188,14 @@ class BettingProcess:
     def start(self, mode: Mode):
         return (coerce_scalar(self.initial_wealth, mode), ())
 
-    def branches(self, n: int, state, mode: Mode) -> list:
+    def transitions(self, n: int, mode: Mode) -> Callable:
         half = Fraction(1, 2) if mode == "exact" else 0.5
-        wealth, hist = state
-        stake = coerce_scalar(self.stake_rule(n, hist), mode)
-        return [(half, (wealth + stake, hist + (1,))), (half, (wealth - stake, hist + (-1,)))]
+
+        def branches(state) -> list:
+            wealth, hist = state
+            stake = coerce_scalar(self.stake_rule(n, hist), mode)
+            return [(half, (wealth + stake, hist + (1,))), (half, (wealth - stake, hist + (-1,)))]
+        return branches
 
     def value(self, state, mode: Mode) -> Scalar:
         return state[0]
@@ -233,9 +240,10 @@ class IndependentEvents:
     def start(self, mode: Mode):
         return 0  # occurrences so far
 
-    def branches(self, n: int, state, mode: Mode) -> list:
+    def transitions(self, n: int, mode: Mode) -> Callable:
         p = coerce_scalar(self.prob(n), mode)
-        return [(p, state + 1), (1 - p, state)]
+        q = 1 - p
+        return lambda state: [(p, state + 1), (q, state)]
 
     def value(self, state, mode: Mode) -> Scalar:
         return coerce_scalar(state, mode)
@@ -261,11 +269,13 @@ class CustomSpec:
     def start(self, mode: Mode):
         return self.initial_state
 
-    def branches(self, n: int, state, mode: Mode) -> list:
-        out = [(coerce_scalar(p, mode), s) for p, s in self.transition(n, state)]
-        if not out:
-            raise ValueError("CustomSpec transition produced no branches")
-        return out
+    def transitions(self, n: int, mode: Mode) -> Callable:
+        def branches(state) -> list:
+            out = [(coerce_scalar(p, mode), s) for p, s in self.transition(n, state)]
+            if not out:
+                raise ValueError("CustomSpec transition produced no branches")
+            return out
+        return branches
 
     def value(self, state, mode: Mode) -> Scalar:
         return coerce_scalar(self.value_of(state), mode)
@@ -331,31 +341,52 @@ def exhaustive_space(
     Atoms are leaves in depth-first branch order (first-listed branch first),
     weights are products of branch probabilities (summing to 1 exactly in
     exact mode), the process tracks each path's value history, and the
-    filtration is the natural one generated by those histories.
+    filtration is the natural one generated by those histories, read off the
+    tree: F_n is generated by (f_0, ..., f_n), which on a path tree is a
+    function of the level-n node.  So each level-n node gets a class, the
+    first-appearance number over the level of (its parent's class,
+    ``_value_keys`` of its value), and leaf w's block in F_n is the class of
+    its level-n ancestor.  Each node covers a contiguous run of leaves, in
+    node order, so these labels are canonical as they stand.  It equals
+    ``natural_filtration(process)``, the generic route, without a join.
     """
     horizon = integer(horizon, "horizon")
     _require_model(model)
-    # breadth-first unroll: level n holds (state, weight, value history) per
-    # partial path, in branch-digit order
-    init = model.start(mode)
-    level = [(init, coerce_scalar(1, mode), (model.value(init, mode),))]
+    # level-by-level unroll in branch-digit order: per level the node values
+    # and classes, and below the root each node's parent index
+    states, weights = [model.start(mode)], [coerce_scalar(1, mode)]
+    values, classes, parents = [[model.value(states[0], mode)]], [(0,)], []
     for n in range(1, horizon + 1):
-        nxt = []
-        for state, wgt, hist in level:
-            for p, s2 in model.branches(n, state, mode):
-                nxt.append((s2, wgt * p, hist + (model.value(s2, mode),)))
+        branches = model.transitions(n, mode)
+        nxt, wgts, vals, parent = [], [], [], []
+        for i, (state, wgt) in enumerate(zip(states, weights)):
+            for p, s2 in branches(state):
+                nxt.append(s2)
+                wgts.append(wgt * p)
+                vals.append(model.value(s2, mode))
+                parent.append(i)
             if len(nxt) > EXHAUSTIVE_LEAF_CAP:
                 raise ValueError(
                     f"path tree exceeds the {EXHAUSTIVE_LEAF_CAP}-leaf cap at depth {n}"
                 )
-        level = nxt
-    weights = [wgt for _, wgt, _ in level]
-    space = FiniteMeasureSpace.from_weights(weights, mode)
-    rows = tuple(
-        tuple(level[w][2][n] for w in range(len(level))) for n in range(horizon + 1)
-    )
-    f = Process(values=rows, mode=mode)
-    return space, f, natural_filtration(f)
+        keys = _value_keys(vals, mode).tolist()
+        classes.append(_first_appearance(zip(map(classes[-1].__getitem__, parent), keys)))
+        values.append(vals)
+        parents.append(np.array(parent, dtype=np.intp))
+        states, weights = nxt, wgts
+    # leaf w's level-n ancestor, from the leaves upward: one gather per level
+    # for the row (an object array keeps each value as it is) and the labels
+    ancestor = np.arange(len(weights))
+    rows, steps = [None] * (horizon + 1), [None] * (horizon + 1)
+    for n in range(horizon, -1, -1):
+        rows[n] = tuple(np.array(values[n], dtype=object)[ancestor].tolist())
+        steps[n] = Partition(tuple(np.array(classes[n])[ancestor].tolist()))
+        if n:
+            ancestor = parents[n - 1][ancestor]
+    # products of coerced probabilities are already the mode's scalars
+    space = FiniteMeasureSpace(tuple(weights), mode)
+    f = Process(values=tuple(rows), mode=mode)
+    return space, f, Filtration(tuple(steps), Partition.singletons(len(weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -352,14 +352,16 @@ def doob_decomposition(
     martingale, p is predictable, p is nondecreasing iff f is a submartingale) are
     decided by ``doob_witnesses``, not assumed here.  In exact mode m_n is
     formed once per cell of ``_running_sums``, which for adapted input is a
-    block of steps[n], where m_n is constant.
+    block of steps[n], where m_n is constant; in float mode m is one numpy
+    difference of f's and p's float matrices.
     """
     _check_process(space, f, F)
     kernel = _Kernel(space, F.steps)
-    pred, cells = _running_sums(kernel, f, 0)
+    pred, matrix, cells = _running_sums(kernel, f, 0)
     predictable = Process(pred, f.mode)
     if cells is None:
-        return DoobDecomposition(martingale_part=f - predictable, predictable_part=predictable)
+        mart = (f._matrix - matrix).tolist()
+        return DoobDecomposition(Process(tuple(map(tuple, mart)), f.mode), predictable)
     nums, den = f._numerators
     mart = []
     for cell_of, first, row, pred_row in zip(*cells, nums, pred):
@@ -390,12 +392,13 @@ def doob_witnesses(space: FiniteMeasureSpace, f: Process, F: Filtration) -> tupl
 
 
 def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
-    """(rows 0..horizon, cells) of the running sums over k < n of the
+    """(rows 0..horizon, matrix, cells) of the running sums over k < n of the
     increments ce_k - f_k (lag 0, Doob's predictable part), f_{k+1} - ce_k
     (lag 1, the compensated count) or ce_k alone (lag None), where ce_k =
     condexp(f_{k+1} | steps[k]), averaged from the atoms.
 
-    Float input is summed at every atom, and ``cells`` is None.  Exact input
+    Float input is summed at every atom, ``matrix`` holds the rows as one
+    float64 array, and ``cells`` is None.  Exact input
     is summed once per cell, in integers up to one Fraction per cell: over
     f's denominator den, ce_k on a block B of steps[k] is n_B / (m_B den),
     with n_B, m_B the block integral and mass (the row's own numerator and 1
@@ -407,14 +410,12 @@ def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
     and each cell's first atom, and a cell's atoms share its sum."""
     rows = kernel.rows(f)
     if not kernel.exact:
-        acc = np.zeros(f.atom_count)
-        out = [tuple(acc.tolist())]
+        acc = np.zeros((len(rows), f.atom_count))
         for k in range(f.horizon):
             ce = kernel.condexp(rows[k + 1], k)
             a, b = (ce, rows[k]) if lag == 0 else (rows[k + 1], ce) if lag == 1 else (ce, None)
-            acc = acc + a if b is None else acc + a - b
-            out.append(tuple(acc.tolist()))
-        return tuple(out), None
+            acc[k + 1] = acc[k] + a if b is None else acc[k] + a - b
+        return tuple(map(tuple, acc.tolist())), acc, None
     atoms = [np.arange(f.atom_count)] * len(rows)
     cells = (kernel.of, kernel.first) if _first_unmeasured(f, kernel.steps, 0) is None else (atoms, atoms)
     nums, den = f._numerators
@@ -439,4 +440,4 @@ def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
                                     a.denominator * d))
         level, acc = new, new_acc
         out.append(tuple(map(acc.__getitem__, cells[0][new].tolist())))
-    return tuple(out), cells
+    return tuple(out), None, cells

@@ -323,3 +323,37 @@ def test_geometric_checkpoints_double_up_to_the_horizon():
     assert geometric_checkpoints(100) == (1, 2, 4, 8, 16, 32, 64, 100)
     assert geometric_checkpoints(8) == (1, 2, 4, 8)
     assert geometric_checkpoints(1) == (1,)
+
+
+def _float_space(*weights):
+    return FiniteMeasureSpace.from_weights(weights, "float")
+
+
+def _steps(*blocks):
+    return Filtration.of(Partition.of(b) for b in blocks)
+
+
+# each entry is finite, but one difference of two is past the float range
+ROW_DIFFERENCES = {
+    # |f_2 - f_1| = 2e308 at atom 0
+    "ae_convergence": lambda x: ae_convergence_diagnostic(
+        _float_space(0.5, 0.5), Process.from_values([[x, 0], [-x, 0], [x, 0]], "float"),
+        _steps([0, 1], [0, 1], [0, 1]), 1, []).cauchy_gap,
+    # |condexp(g | trivial) - g| = 0.75x + 1.5x at atom 1
+    "levy_upward": lambda x: check_levy_upward(
+        _float_space(0.75, 0.25), RandomVariable.from_values([1.5 * x, -1.5 * x], "float"),
+        _steps([0, 0], [0, 1])).d,
+    # a submartingale converged at both atoms: |f_1 - f_2| = 2e308 at atom 0
+    "l1_convergence_a": lambda x: check_l1_convergence_a(
+        _float_space(0.5, 0.5), Process.from_values([[-x, -x], [-x, -x], [x, -x]], "float"),
+        _steps([0, 0], [0, 0], [0, 1]), [(0, 0.0)], 0.1, 1).gaps,
+}
+
+
+@pytest.mark.parametrize("site", list(ROW_DIFFERENCES))
+def test_a_float_row_difference_past_the_range_raises(site):
+    # each once returned inf as a distance, with only numpy's overflow warning
+    call = ROW_DIFFERENCES[site]
+    with pytest.raises(ValueError, match="^a difference of finite values overflows a float$"):
+        call(1e308)
+    assert all(x < INF for row in call(1e300) for x in (row if isinstance(row, tuple) else [row]))

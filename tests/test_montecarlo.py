@@ -26,6 +26,7 @@ from martkit import (
     classify,
     count_upcrossings_batch,
     exhaustive_space,
+    natural_filtration,
     simulate,
     simulate_stats,
     trial_rng,
@@ -82,6 +83,75 @@ class TestExhaustiveUnroll:
         )
         sp, f, F = exhaustive_space(spec, 2, mode="exact")
         assert f.values[2] == (Fraction(2), Fraction(0), Fraction(0), Fraction(-2))
+
+    def test_the_leaf_cap_raises_mid_level_at_its_depth(self):
+        """3^10 = 59049 leaves fit under the 65536-leaf cap; depth 11 exceeds it at
+        its 21846th node, long before that level's 59049 nodes have branched."""
+        calls = Counter()
+
+        def transition(n, s):
+            calls[n] += 1
+            return ((1, s), (1, s), (1, s))
+
+        msg = "path tree exceeds the 65536-leaf cap at depth 11"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            exhaustive_space(CustomSpec(0, transition, lambda s: s), 12)
+        assert montecarlo.EXHAUSTIVE_LEAF_CAP == 65536
+        assert calls[10] == 3**9 and calls[11] == 65536 // 3 + 1 and 12 not in calls
+
+
+VALUE_POOLS = {"exact": [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3)],
+               "float": [0.0, -0.0, 1.0, 0.5]}
+
+
+@st.composite
+def random_trees(draw):
+    """A CustomSpec over paths of branch digits: 1-3 branches per node,
+    probabilities from a pool with 0, values from a small pool (so they repeat
+    across siblings and cousins, float 0.0 beside -0.0); plus the tree's mode,
+    horizon, and each node's probability and value."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    horizon = draw(st.integers(0, 4))
+    values = {(): draw(st.sampled_from(VALUE_POOLS[mode]))}
+    probs, level = {}, [()]
+    for _ in range(horizon):
+        nxt = []
+        for path in level:
+            for digit in range(draw(st.integers(1, 3))):
+                child = path + (digit,)
+                probs[child] = draw(st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1]))
+                values[child] = draw(st.sampled_from(VALUE_POOLS[mode]))
+                nxt.append(child)
+        level = nxt
+    children = {}
+    for child in probs:
+        children.setdefault(child[:-1], []).append(child)
+    spec = CustomSpec((), lambda n, s: [(probs[c], c) for c in children[s]], values.__getitem__)
+    return spec, mode, horizon, probs, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_trees())
+def test_the_unroll_equals_the_generic_route(tree):
+    """The filtration read off the tree is ``natural_filtration`` of the rows;
+    the atoms are the leaves in depth-first order, each weighing the product of
+    its branch probabilities and carrying its value history; no twin is derived."""
+    spec, mode, horizon, probs, values = tree
+    sp, f, F = exhaustive_space(spec, horizon, mode)
+    twins = ("_numerators", "_matrix", "_weight_vector")
+    assert not any(t in vars(o) for o in (sp, f) for t in twins)
+    assert F == natural_filtration(f)
+    leaves = sorted(p for p in values if len(p) == horizon)  # depth-first = lexicographic
+    one = Fraction(1) if mode == "exact" else 1.0
+    weights = []
+    for leaf in leaves:
+        w = one
+        for k in range(1, horizon + 1):
+            w = w * (Fraction(probs[leaf[:k]]) if mode == "exact" else float(probs[leaf[:k]]))
+        weights.append(w)
+    assert list(map(repr, sp.weights)) == list(map(repr, weights))
+    histories = [tuple(repr(values[leaf[:k]]) for k in range(horizon + 1)) for leaf in leaves]
+    assert [tuple(map(repr, f.path(w))) for w in range(len(leaves))] == histories
 
 
 class TestDeterminism:

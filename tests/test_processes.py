@@ -221,6 +221,26 @@ def test_doob_decomposition_is_unique_by_construction():
     assert d1.predictable_part.values == d2.predictable_part.values
 
 
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_float_martingale_part_is_bit_for_bit_the_process_difference(seed):
+    """Float m = f - p is one numpy subtraction; it equals ``Process.__sub__``'s
+    Python float subtraction entry for entry, sign of zero and type included,
+    on random weights, filtrations and values over 600 binary orders of magnitude."""
+    rng = random.Random(seed)
+    sp = random_space(rng, max_atoms=8)
+    sp = FiniteMeasureSpace.from_weights([float(w) for w in sp.weights], "float")
+    F = random_filtration(rng, sp.atom_count, horizon=rng.randint(1, 4))
+    pool = [0.0, -0.0, 1.0, -3.5]
+    rows = [[rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-1, 1) * 2.0 ** rng.randint(-300, 300)
+             for _ in range(sp.atom_count)] for _ in range(F.horizon + 1)]
+    f = Process.from_values(rows, "float")
+    dec = doob_decomposition(sp, f, F)
+    want = f - dec.predictable_part
+    assert all(type(v) is float for row in dec.martingale_part.values for v in row)
+    assert list(map(repr, sum(dec.martingale_part.values, ()))) == list(map(repr, sum(want.values, ())))
+
+
 def test_natural_filtration_tracks_the_path():
     f = Process.from_values([[0, 0, 0], [1, 1, 2], [1, 3, 2]], "exact")
     F = natural_filtration(f)
