@@ -104,7 +104,7 @@ from .processes import (
     natural_filtration,
     stochastic_integral,
 )
-from .scalars import DEFAULT_FLOAT_TOL, INF, Mode, ModeError, RootValue, Scalar, tolerance
+from .scalars import DEFAULT_FLOAT_TOL, INF, Mode, ModeError, RootValue, Scalar
 from .stopping import (
     OptionalStoppingReport,
     StoppingTime,
@@ -122,7 +122,6 @@ from .uniform_integrability import (
     BridgingReport,
     FunctionFamily,
     PMonotonicityReport,
-    UIModuli,
     VitaliReport,
     analyst_modulus,
     check_bridging_inequality,
@@ -131,7 +130,6 @@ from .uniform_integrability import (
     probabilist_curve,
     probabilist_modulus,
     shrinking_spike_family,
-    ui_moduli,
     vitali_empirical,
 )
 
@@ -140,7 +138,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # scalars
-    "INF", "Mode", "ModeError", "RootValue", "Scalar", "DEFAULT_FLOAT_TOL", "tolerance",
+    "INF", "Mode", "ModeError", "RootValue", "Scalar", "DEFAULT_FLOAT_TOL",
     # measure
     "FiniteMeasureSpace", "Partition", "RandomVariable", "ae_equal", "ae_le",
     "ae_witness", "generated_partition", "indicator", "integral",
@@ -166,11 +164,11 @@ __all__ = [
     "check_upcrossing_estimate_sup", "crossing_table", "lower_crossing",
     "upcrossings", "upcrossings_before", "upper_crossing",
     # uniform integrability
-    "BridgingReport", "FunctionFamily", "PMonotonicityReport", "UIModuli",
+    "BridgingReport", "FunctionFamily", "PMonotonicityReport",
     "VitaliReport", "analyst_modulus",
     "check_bridging_inequality", "check_p_monotonicity",
     "fixed_mass_spike_family", "probabilist_curve", "probabilist_modulus",
-    "shrinking_spike_family", "ui_moduli", "vitali_empirical",
+    "shrinking_spike_family", "vitali_empirical",
     # convergence
     "ConvergenceDiagnostic", "FatouReport", "L1ConvergenceAReport",
     "L1ConvergenceBReport", "LevyUpwardReport", "LimitEstimate",

@@ -80,11 +80,12 @@ from .scalars import INF, Mode, at_most, coerce_scalar
 from .stopping import StoppingTime, check_optional_stopping
 from .uniform_integrability import (
     FunctionFamily,
+    analyst_modulus,
     check_bridging_inequality,
     check_p_monotonicity,
     fixed_mass_spike_family,
+    probabilist_modulus,
     shrinking_spike_family,
-    ui_moduli,
     vitali_empirical,
 )
 
@@ -745,16 +746,17 @@ def _check_p_monotonicity(ctx, p):
                    "analyst_final_at_most": _Key(_scalar, None),
                    "probabilist_final_at_most": _Key(_scalar, None)})
 def _check_ui_curves(ctx, p):
-    moduli = ui_moduli(p["family"])
-    analyst = [("analyst", d, moduli.analyst(d)) for d in p["deltas"]]
-    probabilist = [("probabilist", c, moduli.probabilist(c)) for c in p["cs"]]
-    detail = [f"l1_bound={_fmt(moduli.l1_bound)}"]
+    fam = p["family"]
+    l1_bound = probabilist_modulus(fam, 0)  # the norm bound, first: its errors come first
+    analyst = [("analyst", d, analyst_modulus(fam, d)) for d in p["deltas"]]
+    probabilist = [("probabilist", c, probabilist_modulus(fam, c)) for c in p["cs"]]
+    detail = [f"l1_bound={_fmt(l1_bound)}"]
     for curve, x_name, bound in ((analyst, "delta", p["analyst_final_at_most"]),
                                  (probabilist, "C", p["probabilist_final_at_most"])):
         if curve and bound is not None and not at_most(curve[-1][2], bound, ctx.mode):
             kind, x, value = curve[-1]
             detail.append(f"{kind}({x_name}={_fmt(x)})={_fmt(value)} > {_fmt(bound)}")
-    rows = [("l1_bound", "", moduli.l1_bound), *analyst, *probabilist]
+    rows = [("l1_bound", "", l1_bound), *analyst, *probabilist]
     return CheckResult(len(detail) == 1, " ".join(detail), ("kind", "x", "modulus"), rows)
 
 

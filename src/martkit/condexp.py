@@ -94,11 +94,18 @@ class _Kernel:
         return out
 
     def sums(self, row, k: int):
-        """Integrals over the blocks of step k: floats, or (numerators, denominator)."""
+        """Integrals over the blocks of step k: floats, or (numerators, denominator).
+        A float integral of finite values past the float range raises
+        ValueError, as ``measure._weighted`` does: its inf, or the NaN of inf
+        and -inf terms, would pass as a block average."""
         if self.exact:
             nums, den = row
             return self._add(map(mul, self.weights, nums.tolist()), k), self.unit * den
-        return np.bincount(self.of[k], weights=self.weights * row, minlength=len(self.first[k]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming itself
+            sums = np.bincount(self.of[k], weights=self.weights * row, minlength=len(self.first[k]))
+        if not np.isfinite(sums).all():
+            raise ValueError("a weighted sum of finite values overflows a float")
+        return sums
 
     def means(self, sums, k: int) -> np.ndarray:
         """Block averages from block integrals; 0 on blocks of mass zero."""

@@ -284,7 +284,7 @@ def check_l1_convergence_a(
     limit = np.where(_mask(f.atom_count, est.converged_mask), rows[-1], 0)
     gaps = tuple(_lp_norms(space, _distance(rows[list(cps)], limit), scale, 1))
     ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= UI_SMALL
-    trend_ok = all(float(gaps[i + 1]) <= float(gaps[i]) for i in range(len(gaps) - 1))
+    trend_ok = all(at_most(gaps[i + 1], gaps[i], space.mode) for i in range(len(gaps) - 1))
     final_below = at_most(gaps[-1], coerce_scalar(tol, space.mode), space.mode)
     holds = (not ui_small) or bool(final_below)
     return L1ConvergenceAReport(

@@ -260,10 +260,6 @@ class RandomVariable:
     def __abs__(self) -> "RandomVariable":
         return RandomVariable(tuple(abs(v) for v in self.values), self.mode)
 
-    def positive_part(self) -> "RandomVariable":
-        z = zero(self.mode)
-        return RandomVariable(tuple(v if v > z else z for v in self.values), self.mode)
-
 
 def indicator(s: AtomSet, n: int, mode: Mode) -> RandomVariable:
     n = integer(n, "n")

@@ -35,7 +35,7 @@ from .measure import (
     _twin,
     _unmeasured,
 )
-from .scalars import Mode, Scalar, at_most, check_same_mode, close, coerce_values, integer, tolerance, zero
+from .scalars import Mode, Scalar, at_most, check_same_mode, close, coerce_values, integer, zero
 
 
 @dataclass(frozen=True)
@@ -247,14 +247,15 @@ class Classification:
 def _violations(kernel, rows, j: int, top: int, low: int, adapted: bool = True) -> dict:
     """{(i, j): (first atom below, first atom above)} for i = top down to low:
     the first positive-weight atoms where E[f_j | steps[i]] lies below or above
-    f_i by more than the tolerance, or None.  One comparison per block of
-    positive mass, or per positive-weight atom when f is not adapted."""
-    t = tolerance(kernel.mode)
+    f_i by more than the mode's slack (``scalars.at_most``), or None.  One
+    comparison per block of positive mass, or per positive-weight atom when f
+    is not adapted."""
     out = {}
     for i, sums in kernel.tower(rows[j], top, low):
         at = kernel.rep[i] if adapted else kernel.positive
         d = kernel.gaps(rows[j], sums, i, rows[i], at)
-        out[i, j] = tuple(int(at[m].min()) if m.any() else None for m in (d < -t, d > t))
+        below, above = ~at_most(0, d, kernel.mode), ~at_most(d, 0, kernel.mode)
+        out[i, j] = tuple(int(at[m].min()) if m.any() else None for m in (below, above))
     return out
 
 

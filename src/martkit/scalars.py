@@ -41,11 +41,6 @@ INF = math.inf
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-def tolerance(mode: Mode) -> Scalar:
-    """Comparison slack of a mode: 0 in exact mode, DEFAULT_FLOAT_TOL in float mode."""
-    return 0 if mode == "exact" else DEFAULT_FLOAT_TOL
-
-
 def at_most(x, y, mode: Mode):
     """x <= y as every check decides it: exactly in exact mode (RootValues too), as
     x <= y + DEFAULT_FLOAT_TOL in float mode.  Scalars or numpy arrays."""

@@ -15,14 +15,15 @@ up to EXHAUSTIVE_ATOM_LIMIT items and branch-and-bound above it.  Above
 HARD_ATOM_CAP contributing atoms every solver raises rather than truncate the
 search, and a forced subset search raises above EXHAUSTIVE_ATOM_LIMIT.
 
-The probabilist's modulus, the norm bound, the bridging inequality, the
-p-monotonicity check and the Vitali diagnostics read a family's twin, the
-(members x atoms) array it derives once: in float mode the read-only float64
-matrices f, |f| and |f|^p, with |f|^p taken by Python's ``**`` as ``snorm``
-takes it; in exact mode the integer numerators over one denominator.
-Truncation at C is the mask |f| >= C, a member's norm the p-th root of its
-row's weighted sum (``measure._lp_norms``, the rule behind ``snorm``), and
-Vitali's differences one array f - g.
+The probabilist's modulus (at C = 0 the family's norm bound, the sup of its
+members' p-norms), the bridging inequality, the p-monotonicity check and the
+Vitali diagnostics read a family's twin, the (members x atoms) array it
+derives once: in float mode the read-only float64 matrices f, |f| and |f|^p,
+with |f|^p taken by Python's ``**`` as ``snorm`` takes it; in exact mode the
+integer numerators over one denominator.  Truncation at C is the mask
+|f| >= C, a member's norm the p-th root of its row's weighted sum
+(``measure._lp_norms``, the rule behind ``snorm``), and Vitali's differences
+one array f - g.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ from .scalars import INF, RootValue, Scalar, at_most, coerce_scalar, integer
 
 __all__ = [
     "FunctionFamily",
-    "UIModuli",
     "analyst_modulus",
     "probabilist_modulus",
-    "ui_moduli",
     "probabilist_curve",
     "BridgingReport",
     "check_bridging_inequality",
@@ -303,27 +302,8 @@ def analyst_modulus(
 
 
 # ---------------------------------------------------------------------------
-# Moduli bundle and curves
+# Curves
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UIModuli:
-    """Callable moduli plus the family's uniform norm bound."""
-
-    family: FunctionFamily
-    l1_bound: Scalar  # sup over members of snorm(member, p)
-
-    def analyst(self, delta: Scalar) -> Scalar:
-        return analyst_modulus(self.family, delta)
-
-    def probabilist(self, C: Scalar) -> Scalar:
-        return probabilist_modulus(self.family, C)
-
-
-def ui_moduli(fam: FunctionFamily) -> UIModuli:
-    z = coerce_scalar(0, fam.space.mode)
-    return UIModuli(family=fam, l1_bound=max([z, *_norms(fam, z)]))
 
 
 def probabilist_curve(fam: FunctionFamily, cs: Sequence[Scalar]) -> tuple:
@@ -373,10 +353,15 @@ class PMonotonicityReport:
 def _holder_factor(space: FiniteMeasureSpace, p, q) -> Scalar:
     if space.mode == "float":
         return float(space.total) ** (1.0 / p - 1.0 / q)
-    if p != int(p) or q != int(q):
+    if p == INF:  # and so q = INF: mu(Omega)^0
+        return Fraction(1)
+    if p != int(p) or (q != INF and q != int(q)):
         raise ValueError("exact mode restricts exponents to integers")
-    p, q = int(p), int(q)
-    root = RootValue.of(Fraction(space.total) ** (q - p), p * q)
+    p = int(p)
+    if q == INF:
+        root = RootValue.of(space.total, p)
+    else:
+        root = RootValue.of(Fraction(space.total) ** (int(q) - p), p * int(q))
     return root.as_fraction() if root.is_rational() else root
 
 

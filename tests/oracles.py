@@ -67,6 +67,7 @@ from itertools import combinations
 import numpy as np
 
 from martkit import (
+    DEFAULT_FLOAT_TOL,
     INF,
     Classification,
     MartingaleClass,
@@ -79,7 +80,6 @@ from martkit import (
     indicator,
     partition_le,
     snorm,
-    tolerance,
 )
 from martkit.condexp import _solve_linear
 from martkit.scalars import at_most, close, zero
@@ -227,7 +227,7 @@ def classify_by_pairs(space, f, F, pairs="all"):
         for block in F.steps[n].blocks():
             if len({_key(f.values[n][a], f.mode) for a in block}) > 1:
                 return Classification(MartingaleClass.NONE, False, (n, block[0]), None, None)
-    t = tolerance(space.mode)
+    t = 0 if space.mode == "exact" else DEFAULT_FLOAT_TOL
     live = [atom for atom, w in enumerate(space.weights) if w != 0]
     sub = sup = None
     for i in range(f.horizon + 1):

@@ -12,6 +12,8 @@ denominators, and some are built directly with whole numbers left as ints.
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from martkit import (
     EventSequence,
     FiniteMeasureSpace,
     Filtration,
+    MartingaleClass,
     Partition,
     Process,
     RandomVariable,
@@ -32,6 +35,7 @@ from martkit import (
     doob_witnesses,
     integral,
     measure,
+    natural_filtration,
     predictable_sum,
     set_integral,
 )
@@ -223,3 +227,30 @@ def test_doob_witnesses_equal_the_entry_loops(seed, mode, constant, large):
     if large and mode == "float":
         f = Process(tuple(tuple(v * 3**20 for v in row) for row in f.values), "float")
     _same(doob_witnesses(space, f, F), oracles.doob_facts_by_entries(space, f, F))
+
+
+@pytest.mark.parametrize("x, kind", [
+    (1e-9, MartingaleClass.MARTINGALE),
+    (-1e-9, MartingaleClass.MARTINGALE),
+    (np.nextafter(1e-9, 1.0), MartingaleClass.SUBMARTINGALE),
+    (np.nextafter(-1e-9, -1.0), MartingaleClass.SUPERMARTINGALE),
+], ids=["slack", "-slack", "ulp_past_slack", "ulp_past_-slack"])
+def test_the_slack_edge_decides_like_the_per_pair_loops(x, kind):
+    # _violations reads the slack through scalars.at_most, the oracle as d < -t
+    # and d > t: on one atom the gap of (0, x) is x itself, so the float edge
+    # and one ulp past it decide the kind and the witnesses
+    space = FiniteMeasureSpace.from_weights([1.0], "float")
+    f = Process.from_path([0.0, float(x)], "float")
+    F = natural_filtration(f)
+    want = oracles.classify_by_pairs(space, f, F)
+    assert want.kind is kind
+    for pairs in ("all", "consecutive"):
+        _same(classify(space, f, F, pairs=pairs), want)
+    rep = check_l1_convergence_b(space, f, F, classification=ASSUMED_MARTINGALE)
+    _same(rep.witness, oracles.l1b_witness(space, f, F))
+    if kind is MartingaleClass.MARTINGALE:
+        assert check_l1_convergence_b(space, f, F) == rep
+    else:
+        assert rep.witness == (0, 0)
+        with pytest.raises(ValueError, match="martingale statement"):
+            check_l1_convergence_b(space, f, F)

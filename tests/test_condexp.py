@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from martkit import (
     FairWalk,
     FiniteMeasureSpace,
+    MartingaleClass,
     Partition,
+    Process,
     RandomVariable,
     ae_equal,
     check_set_integral_characterization,
@@ -17,8 +19,10 @@ from martkit import (
     condexp_agreement_witness,
     condexp_l2,
     condexp_properties,
+    classify,
     exhaustive_space,
     integral,
+    natural_filtration,
     set_integral,
 )
 from conftest import nested_partition_pair, random_rv, random_space
@@ -123,6 +127,20 @@ def test_characterization_flags_a_perturbed_candidate():
     rep = check_set_integral_characterization(sp, f, sub)
     assert rep.holds
 
+
+
+@pytest.mark.parametrize("call, finite", [
+    (lambda sp, f: condexp(sp, f.at(1), Partition.trivial(2)).values, (0.0, 0.0)),
+    (lambda sp, f: classify(sp, f, natural_filtration(f)).kind, MartingaleClass.MARTINGALE),
+], ids=["condexp", "classify"])
+def test_a_float_block_sum_past_the_range_raises(call, finite):
+    # weights 1e10 times values +-1e300 are inf and -inf, whose sum is NaN:
+    # condexp once returned (nan, nan), and classify read a martingale only
+    # because NaN fails both of its comparisons
+    sp = FiniteMeasureSpace.from_weights([1e10, 1e10], "float")
+    with pytest.raises(ValueError, match="^a weighted sum of finite values overflows a float$"):
+        call(sp, Process.from_values([[0.0, 0.0], [1e300, -1e300]], "float"))
+    assert call(sp, Process.from_values([[0.0, 0.0], [1e290, -1e290]], "float")) == finite
 
 def test_non_nested_sub_returns_zero_function():
     # the averaging route's fallback when sub is not below ambient

@@ -30,6 +30,7 @@ from martkit import (
     FunctionFamily,
     INF,
     classify,
+    natural_filtration,
 )
 from conftest import ASSUMED_MARTINGALE, random_filtration, random_fraction, random_rv, random_space, random_submartingale
 from oracles import limit_estimate_by_atoms, norm_curve_by_rows
@@ -190,6 +191,20 @@ class TestL1Criteria:
         assert rep.gaps == (Fraction(1), Fraction(4, 3), Fraction(0))
         assert rep.ui_small and rep.final_below_tol and not rep.trend_ok
         assert rep.holds
+
+    @pytest.mark.parametrize("mode, last, rises", [
+        ("exact", 1 + Fraction(1, 10**20), True),
+        ("float", 1 + 1e-12, False),  # within the float slack
+        ("float", 1 + 1e-8, True),
+    ], ids=["exact_rise_of_1e-20", "float_rise_within_the_slack", "float_rise_past_the_slack"])
+    def test_the_trend_is_decided_by_the_one_comparison_rule(self, mode, last, rises):
+        # trend_ok once compared float() casts, so an exact rise from 1 to
+        # 1 + 10^-20 read as no rise
+        sp = FiniteMeasureSpace.from_weights([1], mode)
+        f = Process.from_path([0, 1, last], mode)
+        rep = check_l1_convergence_a(sp, f, natural_filtration(f), (), tol=0, window=2)
+        assert rep.gaps == (1, last)
+        assert rep.trend_ok is not rises
 
 
 class TestFatou:

@@ -42,7 +42,6 @@ from martkit import (
     lower_crossing,
     probabilist_modulus,
     shrinking_spike_family,
-    ui_moduli,
     upper_crossing,
     vitali_empirical,
 )
@@ -132,7 +131,6 @@ def test_a_family_derives_its_twin_once_and_outside_equality():
     assert all(type(n) is int for n in nums.ravel().tolist()) and not nums.flags.writeable
     with pytest.raises(ValueError):
         nums[0, 0] = 1
-    ui_moduli(fam)
     check_p_monotonicity(fam, 1, 2)
     assert fam._numerators is vars(fam)["_numerators"] and fam._numerators[0] is nums
     assert (repr(fam), hash(fam)) == before and fam == twin
@@ -177,7 +175,7 @@ def test_exact_moduli_are_the_per_atom_forms(data, p):
     fam, C = data.draw(families(p))
     space, members = fam.space, fam.members
     assert _typed(probabilist_modulus(fam, C)) == _typed(probabilist_by_atoms(space, members, p, C))
-    assert _typed(ui_moduli(fam).l1_bound) == _typed(probabilist_by_atoms(space, members, p, Fraction(0)))
+    assert _typed(probabilist_modulus(fam, 0)) == _typed(probabilist_by_atoms(space, members, p, Fraction(0)))
     if p == 1:
         A = frozenset(data.draw(st.sets(st.integers(0, space.atom_count - 1))))
         rep = check_bridging_inequality(fam, C, A)

@@ -34,7 +34,6 @@ from martkit import (
     probabilist_modulus,
     shrinking_spike_family,
     snorm,
-    ui_moduli,
     vitali_empirical,
 )
 from oracles import bridging_norms_by_atoms, probabilist_by_atoms, vitali_curves_by_atoms
@@ -73,7 +72,7 @@ def test_moduli_are_bitwise_the_per_atom_forms(data, p):
     fam, C = data.draw(families(p))
     space, members = fam.space, fam.members
     assert _hex(probabilist_modulus(fam, C)) == _hex(probabilist_by_atoms(space, members, p, C))
-    assert _hex(ui_moduli(fam).l1_bound) == _hex(probabilist_by_atoms(space, members, p, 0.0))
+    assert _hex(probabilist_modulus(fam, 0)) == _hex(probabilist_by_atoms(space, members, p, 0.0))
     if p == 1:
         A = frozenset(data.draw(st.sets(st.integers(0, space.atom_count - 1))))
         rep = check_bridging_inequality(fam, C, A)
@@ -158,7 +157,6 @@ def test_exact_data_never_builds_a_matrix(monkeypatch):
     check_upcrossing_estimate_sup(space, Band(0, 2), f, F, classification=cls)
     fam = FunctionFamily(space, f.rows(), 2)
     probabilist_modulus(fam, 1)
-    ui_moduli(fam)
     check_p_monotonicity(fam, 1, 2)
     check_bridging_inequality(FunctionFamily(space, f.rows(), 1), 1, frozenset({0, 3}))
     vitali_empirical(space, f.rows(), f.at(4), 1, 5)
@@ -213,5 +211,5 @@ def test_exact_estimates_sum_the_integer_twins(monkeypatch):
     assert "_numerators" in vars(f) and "_numerators" in vars(space)
     assert "_numerators" not in vars(fam)
     assert probabilist_modulus(fam, 4) == Fraction(1, 4)
-    assert ui_moduli(fam).l1_bound == 1  # the first spike, height 1 on mass 1
+    assert probabilist_modulus(fam, 0) == 1  # the norm bound: the first spike, height 1 on mass 1
     assert fam._numerators is vars(fam)["_numerators"] and "_numerators" in vars(sp)

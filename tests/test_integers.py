@@ -125,7 +125,6 @@ RULE = [
     ("RunConfig", "seed", lambda x: RunConfig(x, 2, 4), 7, 1 << 64),
     ("RunConfig", "trials", lambda x: RunConfig(7, x, 4), 2, 0),
     ("RunConfig", "horizon", lambda x: RunConfig(7, 2, x), 4, -1),
-    ("RunConfig", "checkpoint_schedule", lambda x: RunConfig(7, 2, 4, (x,)), 2, 5),
     ("trial_rng", "seed", lambda x: trial_rng(x, 0).random(4), 7, -1),
     ("trial_rng", "trial", lambda x: trial_rng(7, x).random(4), 3, 1 << 64),
     ("simulate_stats", "window", lambda x: simulate_stats(FairWalk(), RunConfig(1, 4, 6), window=x), 3, 8),

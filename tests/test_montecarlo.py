@@ -175,7 +175,7 @@ class TestDeterminism:
         assert np.array_equal(a.values, b.values[:10])
 
     def test_stats_ignore_scheduling(self):
-        cfg = RunConfig(seed=21, trials=900, horizon=64, checkpoint_schedule=(1, 8, 64))
+        cfg = RunConfig(seed=21, trials=900, horizon=64)
         band = (-0.5, 0.5)
         base = simulate_stats(FairWalk(), cfg, window=16, bands=[band], block_size=1024)
         alt = simulate_stats(FairWalk(), cfg, window=16, bands=[band], block_size=77)
@@ -185,7 +185,6 @@ class TestDeterminism:
             assert np.array_equal(base.sup_abs, other.sup_abs)
             assert np.array_equal(base.window_osc, other.window_osc)
             assert np.array_equal(base.band_counts[band], other.band_counts[band])
-            assert np.array_equal(base.checkpoint_values, other.checkpoint_values)
 
 
     def test_callbacks_run_on_the_calling_thread(self):
@@ -297,11 +296,11 @@ class TestBlockSamplers:
             def sample(self, u):
                 return np.ascontiguousarray(super().sample(u))
 
-        cfg = RunConfig(seed=9, trials=70, horizon=CUT + 30, checkpoint_schedule=(0, 5, CUT + 30))
+        cfg = RunConfig(seed=9, trials=70, horizon=CUT + 30)
         bands = [(0.4, 0.6), (0.6, 0.4)]
         f_order = simulate_stats(PolyaUrn(2, 3), cfg, window=20, bands=bands, block_size=32)
         c_order = simulate_stats(COrderUrn(2, 3), cfg, window=20, bands=bands, block_size=32)
-        for name in ("final", "sup_abs", "window_osc", "checkpoint_values"):
+        for name in ("final", "sup_abs", "window_osc"):
             assert np.array_equal(getattr(f_order, name), getattr(c_order, name))
         for band in bands:
             assert np.array_equal(f_order.band_counts[band], c_order.band_counts[band])
@@ -543,13 +542,14 @@ CALLBACK_MODELS = [
 @pytest.mark.parametrize("horizon", [40, CUT + 22])
 @pytest.mark.parametrize("model, path_of", CALLBACK_MODELS, ids=["betting", "custom"])
 def test_callback_paths_match_a_per_trial_recomputation(model, path_of, horizon):
-    cfg = RunConfig(seed=17, trials=30, horizon=horizon, checkpoint_schedule=tuple(range(horizon + 1)))
+    cfg = RunConfig(seed=17, trials=30, horizon=horizon)
     want = np.array([path_of(model, trial_rng(17, t).random(horizon)) for t in range(30)])
     assert np.array_equal(simulate(model, cfg).values, want)
     for block_size in (1, 7, 1024):
-        stats = simulate_stats(model, cfg, block_size=block_size)
-        assert np.array_equal(stats.checkpoint_values.T, want)
+        stats = simulate_stats(model, cfg, window=horizon + 1, block_size=block_size)
         assert np.array_equal(stats.final, want[:, -1])
+        assert np.array_equal(stats.sup_abs, np.abs(want).max(axis=1))
+        assert np.array_equal(stats.window_osc, want.max(axis=1) - want.min(axis=1))
 
 
 @pytest.mark.parametrize("call", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import martkit
 from conftest import public_entry_points
-from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue, tolerance
+from martkit import DEFAULT_FLOAT_TOL, INF, ModeError, RandomVariable, RootValue
 from martkit.processes import _violations
 from martkit.scalars import at_most, close, coerce_scalar, parse_rational, positive_part
 
@@ -84,8 +84,10 @@ def test_default_float_tol_is_pinned():
 
 
 def test_the_slack_is_fixed_per_mode():
-    assert tolerance("exact") == 0
-    assert tolerance("float") == DEFAULT_FLOAT_TOL
+    # no slack in exact mode, DEFAULT_FLOAT_TOL to the last bit in float mode
+    assert not at_most(Fraction(1, 10**30), 0, "exact")
+    assert at_most(DEFAULT_FLOAT_TOL, 0, "float")
+    assert not at_most(np.nextafter(DEFAULT_FLOAT_TOL, 1.0), 0, "float")
 
 
 # the functions whose comparisons read the slack; none may take it per call
@@ -93,7 +95,7 @@ SLACK_TAKERS = [getattr(martkit, name) for name in (
     "ae_witness", "ae_equal", "ae_le", "check_set_integral_characterization", "condexp_properties",
     "condexp_agreement_witness", "classify", "check_maximal_inequality", "check_l1_convergence_b",
     "check_levy_upward", "fatou_norm_check", "check_upcrossing_estimate",
-    "check_upcrossing_estimate_sup", "check_optional_stopping", "tolerance",
+    "check_upcrossing_estimate_sup", "check_optional_stopping",
 )] + [_violations]
 
 
@@ -104,7 +106,7 @@ def test_no_call_overrides_the_slack(fn):
 
 
 def test_every_public_tol_is_a_required_input():
-    # the slack is tolerance(mode); a ``tol`` the caller must give is a
+    # the slack is the mode's; a ``tol`` the caller must give is a
     # theorem's own bound (the limit estimate's oscillation window)
     tols = {
         name: param.default is param.empty
@@ -133,23 +135,20 @@ SRC = Path(martkit.__file__).parent
 
 
 def test_only_scalars_reads_the_slack():
-    # every comparison goes through at_most/close; classify's sign test in
-    # processes._violations is the one other reader of tolerance(mode)
+    # every comparison goes through at_most/close, classify's sign test in
+    # processes._violations too: no module but scalars reads the slack, and
+    # nothing calls a second reader such as the deleted tolerance(mode)
     readers = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "scalars.py":
-            continue
-        tree = ast.parse(path.read_text())
-        scopes = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             func = node.func if isinstance(node, ast.Call) else None
-            called = getattr(func, "id", getattr(func, "attr", None))
-            if called == "tolerance" and (path.name, scopes.get(id(node))) != ("processes.py", "_violations"):
+            if getattr(func, "id", getattr(func, "attr", None)) == "tolerance":
                 readers.append(f"{path.name}:{node.lineno} calls tolerance")
-            if isinstance(node, (ast.Name, ast.Attribute)) and "DEFAULT_FLOAT_TOL" in (
+            if path.name != "scalars.py" and isinstance(node, (ast.Name, ast.Attribute)) and "DEFAULT_FLOAT_TOL" in (
                     getattr(node, "id", None), getattr(node, "attr", None)):
                 readers.append(f"{path.name}:{node.lineno} reads DEFAULT_FLOAT_TOL")
     assert readers == []
+    assert not hasattr(martkit.scalars, "tolerance")
 
 
 def test_inf_sentinel():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from martkit import (
     FiniteMeasureSpace,
+    INF,
     FunctionFamily,
     RandomVariable,
     RootValue,
@@ -18,7 +19,6 @@ from martkit import (
     probabilist_modulus,
     shrinking_spike_family,
     snorm,
-    ui_moduli,
     vitali_empirical,
 )
 from martkit.uniform_integrability import EXHAUSTIVE_ATOM_LIMIT, HARD_ATOM_CAP
@@ -35,22 +35,21 @@ def spike_family():
 
 
 def test_analyst_modulus_reference_values():
-    mod = ui_moduli(spike_family())
-    assert mod.analyst(Fraction(1, 4)) == Fraction(5, 2)
-    assert mod.analyst(Fraction(0)) == Fraction(0)
+    fam = spike_family()
+    assert analyst_modulus(fam, Fraction(1, 4)) == Fraction(5, 2)
+    assert analyst_modulus(fam, Fraction(0)) == Fraction(0)
     # delta at or above the total mass admits the whole space
-    assert mod.analyst(Fraction(1)) == Fraction(13, 4)
-    assert mod.analyst(Fraction(2)) == Fraction(13, 4)
-    assert mod.l1_bound == Fraction(13, 4)
+    assert analyst_modulus(fam, Fraction(1)) == Fraction(13, 4)
+    assert analyst_modulus(fam, Fraction(2)) == Fraction(13, 4)
 
 
 def test_probabilist_modulus_reference_values():
-    mod = ui_moduli(spike_family())
-    assert mod.probabilist(Fraction(5)) == Fraction(5, 2)
-    assert mod.probabilist(Fraction(0)) == Fraction(13, 4)
+    fam = spike_family()
+    assert probabilist_modulus(fam, Fraction(5)) == Fraction(5, 2)
+    assert probabilist_modulus(fam, Fraction(0)) == Fraction(13, 4)  # the norm bound
     # the cut keeps atoms with |f| at the threshold
-    assert mod.probabilist(Fraction(10)) == Fraction(5, 2)
-    assert mod.probabilist(Fraction(11)) == Fraction(0)
+    assert probabilist_modulus(fam, Fraction(10)) == Fraction(5, 2)
+    assert probabilist_modulus(fam, Fraction(11)) == Fraction(0)
 
 
 def test_bridging_reference_values():
@@ -90,6 +89,25 @@ def test_p_monotonicity_compares_within_the_float_slack():
     rep = check_p_monotonicity(fam, 1, 2)
     assert any(mp > bound for _, mp, _, bound, _ in rep.rows)  # rounding bites
     assert rep.holds
+
+
+@pytest.mark.parametrize("p, q, factor", [
+    (1, INF, Fraction(3, 4)),
+    (2, INF, RootValue.of(Fraction(3, 4), 2)),
+    (INF, INF, Fraction(1)),
+])
+def test_p_monotonicity_up_to_the_sup_norm(p, q, factor):
+    # the exact factor mu(Omega)^(1/p - 1/q) took int(q) and raised
+    # OverflowError at q = inf, where float mode gave mu(Omega)^(1/p)
+    reps = {}
+    for mode in ("exact", "float"):
+        sp = FiniteMeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4)], mode)
+        reps[mode] = check_p_monotonicity(FunctionFamily.of(sp, [RandomVariable.from_values([1, -3], mode)], 1), p, q)
+    exact, flt = reps["exact"], reps["float"]
+    assert exact.factor == factor and exact.holds and flt.holds
+    assert float(exact.factor) == pytest.approx(flt.factor, rel=1e-15)
+    for want, got in zip(exact.rows, flt.rows, strict=True):
+        assert [float(x) for x in want[:4]] == pytest.approx(got[:4], rel=1e-15) and want[4] == got[4]
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6), st.floats(-10.0, 10.0),
@@ -138,8 +156,7 @@ def test_nan_and_bool_exponents_raise_naming_the_exponent(name, call, x, error):
     lambda fam: snorm(fam.space, fam.members[0], fam.p),
     lambda fam: analyst_modulus(fam, 0.5),
     lambda fam: probabilist_modulus(fam, 0.0),
-    lambda fam: ui_moduli(fam).l1_bound,
-], ids=["snorm", "analyst_modulus", "probabilist_modulus", "ui_moduli"])
+], ids=["snorm", "analyst_modulus", "probabilist_modulus"])
 def test_a_float_power_past_the_range_raises_naming_p(call):
     # Python's ** once raised OverflowError: (34, 'Numerical result out of range')
     sp = FiniteMeasureSpace.from_weights([0.5, 0.5], "float")
@@ -151,9 +168,9 @@ def test_a_float_power_past_the_range_raises_naming_p(call):
 
 @pytest.mark.parametrize("call", [
     lambda fam: snorm(fam.space, fam.members[0], 2),
-    lambda fam: ui_moduli(fam).l1_bound,
+    lambda fam: probabilist_modulus(fam, 0),
     lambda fam: check_p_monotonicity(fam, 1, 2),
-], ids=["snorm", "ui_moduli", "check_p_monotonicity"])
+], ids=["snorm", "probabilist_modulus", "check_p_monotonicity"])
 def test_a_float_sum_past_the_range_raises(call):
     # each square is finite but their sum is not: the norms read inf, and
     # p-monotonicity held on the row (0.0, 2.6e+154, inf, inf, True)
@@ -166,10 +183,9 @@ def test_a_float_sum_past_the_range_raises(call):
 
 @pytest.mark.parametrize("check", [
     lambda fam: probabilist_modulus(fam, 0),
-    lambda fam: ui_moduli(fam),
     lambda fam: vitali_empirical(fam.space, fam.members, fam.members[0], fam.p, 2),
     lambda fam: analyst_modulus(fam, Fraction(1, 2)),
-], ids=["probabilist_modulus", "ui_moduli", "vitali_empirical", "analyst_modulus"])
+], ids=["probabilist_modulus", "vitali_empirical", "analyst_modulus"])
 def test_exact_norms_refuse_a_fractional_exponent(check):
     # int ** Fraction(3, 2) silently gives a float; analyst_modulus once
     # raised a TypeError from its knapsack's density sort instead
