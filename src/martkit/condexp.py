@@ -8,8 +8,8 @@ measurable, and 0 on blocks of measure zero.  Its averages come from
 ``_Kernel``, the blockwise kernel it shares with classification, the Doob
 decomposition, Levy's upward theorem and the predictable sums: float block
 sums run in ascending atom order; exact ones add products of the integer
-numerators that the space and the data each derived once
-(``measure._integer_twin``), so a Fraction is built only per block average;
+numerators that the space and the data each derived once (their twins,
+``measure._derived``), so a Fraction is built only per block average;
 and exact filtration-wide work folds the block integrals of step k+1 into
 those of step k (the tower rule).
 
@@ -41,7 +41,6 @@ from .measure import (
     ae_witness,
     partition_le,
     _check_rv,
-    _twin,
     _unmeasured,
 )
 from .scalars import Scalar, at_most, zero
@@ -57,35 +56,29 @@ class _Kernel:
     are the partition's own block table, derived once when it was built;
     ``rep[k]`` (the first positive-weight atom of each block of positive
     mass) and ``mass[k]`` (the block masses) depend on the weights, so they
-    are built inside each call and never kept.  A row is a row of its data's
-    twin (``measure._twin``): a float64 array in float mode and, in exact
-    mode, the pair (integer numerators, common denominator) derived once;
-    exact weights come from the space's own twin.  Adaptedness is not the
-    kernel's: ``processes._first_unmeasured`` scans it from the twin.  Block sums run in ascending atom order: ``np.bincount`` in float
-    mode, sums of integer products in exact mode, so a Fraction is built only
-    per block average."""
+    are built inside each call and never kept.  A row is (entries, scale) in
+    both modes: a random variable's twin, or a row of a process's twin with
+    its scale (``measure._derived``), float64 entries over 1 or integer
+    numerators over their common denominator; the weights are the space's
+    own twin.  Adaptedness is not the kernel's: ``processes._first_unmeasured``
+    scans it from the twin.  Block sums run in ascending atom order:
+    ``np.bincount`` in float mode, sums of integer products in exact mode, so
+    a Fraction is built only per block average."""
 
     def __init__(self, space: FiniteMeasureSpace, steps: Sequence[Partition]) -> None:
         self.mode, self.exact, self.steps = space.mode, space.mode == "exact", steps
-        if self.exact:
-            weights, self.unit = space._numerators
-            self.weights = weights.tolist()
-        else:
-            weights = self.weights = space._weight_vector
+        weights, self.unit = space._twin
+        self.weights = weights.tolist() if self.exact else weights
         self.positive = np.flatnonzero(weights != 0)  # weights are >= 0
         self.of, self.first = [p._of for p in steps], [p._first for p in steps]
         self.rep = [self.positive[np.unique(of[self.positive], return_index=True)[1]] for of in self.of]
-        self.mass = [(self._add(self.weights, k), self.unit) if self.exact else self.sums(1.0, k)
+        self.mass = [(self._add(self.weights, k), self.unit) if self.exact else self.sums((1.0, 1), k)
                      for k in range(len(steps))]
 
-    def row(self, g: RandomVariable):
-        """The row of a random variable."""
-        return g._numerators if self.exact else np.array(g.values, dtype=float)
-
     def rows(self, f) -> list:
-        """The rows of a process's twin, over one denominator in exact mode."""
-        nums, den = _twin(f)
-        return list(nums) if not self.exact else [(row, den) for row in nums]
+        """The rows of a process's twin, each with the twin's scale."""
+        entries, scale = f._twin
+        return [(row, scale) for row in entries]
 
     def _add(self, terms, k: int) -> list:
         out = [0] * len(self.first[k])
@@ -93,30 +86,31 @@ class _Kernel:
             out[b] += t
         return out
 
-    def sums(self, row, k: int):
-        """Integrals over the blocks of step k: floats, or (numerators, denominator).
-        A float integral of finite values past the float range raises
-        ValueError, as ``measure._weighted`` does: its inf, or the NaN of inf
-        and -inf terms, would pass as a block average."""
+    def sums(self, row, k: int) -> tuple:
+        """Integrals over the blocks of step k, as (entries, scale) like a row:
+        a float64 array over 1, or a list of integers over the weights' and
+        the row's scales.  A float integral of finite values past the float
+        range raises ValueError, as ``measure._weighted`` does: its inf, or the
+        NaN of inf and -inf terms, would pass as a block average."""
+        entries, scale = row
         if self.exact:
-            nums, den = row
-            return self._add(map(mul, self.weights, nums.tolist()), k), self.unit * den
+            return self._add(map(mul, self.weights, entries.tolist()), k), self.unit * scale
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming itself
-            sums = np.bincount(self.of[k], weights=self.weights * row, minlength=len(self.first[k]))
+            sums = np.bincount(self.of[k], weights=self.weights * entries, minlength=len(self.first[k]))
         if not np.isfinite(sums).all():
             raise ValueError("a weighted sum of finite values overflows a float")
-        return sums
+        return sums, scale
 
     def means(self, sums, k: int) -> np.ndarray:
         """Block averages from block integrals; 0 on blocks of mass zero."""
-        if not self.exact:
-            return np.divide(sums, self.mass[k], out=np.zeros(len(sums)), where=self.mass[k] != 0)
         (s, d), (m, e) = sums, self.mass[k]
+        if not self.exact:
+            return np.divide(s, m, out=np.zeros(len(s)), where=m != 0)
         return np.array([Fraction(x * e, d * y) if y else Fraction(0) for x, y in zip(s, m)])
 
     def unmeasured(self, row, k: int) -> int | None:
         """``measure._unmeasured`` on step k: None when ``row`` is measurable."""
-        return _unmeasured(row[0] if self.exact else row, self.mode, self.of[k], self.first[k])
+        return _unmeasured(row[0], self.mode, self.of[k], self.first[k])
 
     def tower(self, row, top: int, low: int):
         """(i, block integrals of row over steps[i]) for i = top down to low.
@@ -133,13 +127,13 @@ class _Kernel:
                 sums = self.sums(row, i)
             yield i, sums
 
-    def averages(self, row: np.ndarray, sums, k: int) -> np.ndarray:
+    def averages(self, row, sums, k: int) -> np.ndarray:
         """Float condexp(row | steps[k]) per block, from the row's block
         integrals: the row's own values where it is measurable, else the
         block averages."""
-        return row[self.first[k]] if self.unmeasured(row, k) is None else self.means(sums, k)
+        return row[0][self.first[k]] if self.unmeasured(row, k) is None else self.means(sums, k)
 
-    def condexp(self, row: np.ndarray, k: int) -> np.ndarray:
+    def condexp(self, row, k: int) -> np.ndarray:
         """Float condexp(row | steps[k]) at every atom."""
         return self.averages(row, self.sums(row, k), k)[self.of[k]]
 
@@ -150,7 +144,7 @@ class _Kernel:
         a positive factor, so only the sign counts there; no Fraction is built."""
         blocks = self.of[i][at]
         if not self.exact:
-            return self.averages(row, sums, i)[blocks] - low[at]
+            return self.averages(row, sums, i)[blocks] - low[0][at]
         s, m = (np.array(x[0], dtype=object)[blocks] for x in (sums, self.mass[i]))
         return s - low[0][at] * m
 
@@ -175,7 +169,7 @@ def condexp(
     if not partition_le(sub, ambient):
         return RandomVariable.constant(0, space.atom_count, space.mode)
     kernel = _Kernel(space, (sub,))
-    row = kernel.row(f)
+    row = f._twin
     if kernel.unmeasured(row, 0) is None:
         return f
     means = kernel.means(kernel.sums(row, 0), 0)
@@ -277,11 +271,8 @@ def check_set_integral_characterization(
     """
     ce = condexp(space, f, sub, ambient)
     kernel = _Kernel(space, (sub,))
-    sums = [kernel.sums(kernel.row(g), 0) for g in (ce, f)]
-    if kernel.exact:  # (numerators by block, denominator)
-        sums = [[Fraction(n, d) for n in nums] for nums, d in sums]
-    else:
-        sums = [s.tolist() for s in sums]
+    sums = [kernel.sums(g._twin, 0) for g in (ce, f)]
+    sums = [[Fraction(n, d) for n in s] if kernel.exact else s.tolist() for s, d in sums]
     worst = max(abs(a - b) for a, b in zip(*sums))
     return CharacterizationReport(holds=at_most(worst, 0, space.mode), worst_block_gap=worst)
 

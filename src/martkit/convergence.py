@@ -33,7 +33,6 @@ from .measure import (
     _mask,
     _powers,
     _threshold,
-    _twin,
     _weighted,
 )
 from .crossings import Band, _counts, _scaled
@@ -103,7 +102,7 @@ def check_maximal_inequality(
     _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE,
                    "the maximal inequality requires a submartingale or martingale")
     _check_rv(space, f.at(n))
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     level_set = rows[: n + 1].max(axis=0) >= _threshold(space.mode, lam, scale, ceil)
     mass = _weighted(space, level_set[None])[0]
     lhs = lam * mass
@@ -142,7 +141,7 @@ def limit_process_estimate(
     tol = coerce_scalar(tol, space.mode)
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     tail = rows[f.horizon + 1 - window:]
     converged = (tail.max(axis=0) - tail.min(axis=0) <= _threshold(space.mode, tol, scale, floor)).tolist()
     z = coerce_scalar(0, space.mode)
@@ -198,7 +197,7 @@ def ae_convergence_diagnostic(
     """
     _check_rv(space, f.at(0))
     cutoff = coerce_scalar(cutoff, space.mode)
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     unbounded = abs(rows).max(axis=0) > _threshold(space.mode, cutoff, scale, floor)
     unbounded_measure = _weighted(space, unbounded[None])[0]
     total = space.total
@@ -280,7 +279,7 @@ def check_l1_convergence_a(
     _check_rv(space, f.at(0))
     est = limit_process_estimate(space, f, F, tol=tol, window=window)
     cps = geometric_checkpoints(f.horizon)
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     limit = np.where(_mask(f.atom_count, est.converged_mask), rows[-1], 0)
     gaps = tuple(_lp_norms(space, _distance(rows[list(cps)], limit), scale, 1))
     ui_small = bool(ui_modulus_curve) and float(ui_modulus_curve[-1][1]) <= UI_SMALL
@@ -368,14 +367,14 @@ def check_levy_upward(
     if F.atom_count != space.atom_count:
         raise ValueError("atom counts differ between space and filtration")
     kernel = _Kernel(space, F.steps)
-    row = kernel.row(g)
+    row = g._twin
     if kernel.unmeasured(row, F.horizon) is not None:  # the sup of monotone steps is the last
         raise ValueError("Levy upward requires g measurable w.r.t. the filtration's sup")
     if kernel.exact:
         d = [_l1_distance(kernel, row, sums, n) for n, sums in kernel.tower(row, F.horizon, 0)]
     else:
         ce = np.array([kernel.condexp(row, n) for n in range(F.horizon, -1, -1)])
-        d = _lp_norms(space, _distance(ce, row), 1, 1)
+        d = _lp_norms(space, _distance(ce, row[0]), 1, 1)
     d.reverse()
     monotone = all(at_most(d[i + 1], d[i], space.mode) for i in range(len(d) - 1))
     final_zero = at_most(d[-1], 0, space.mode)
@@ -420,7 +419,7 @@ def fatou_norm_check(
         )
     start = integer(f.horizon // 2 if tail_start is None else tail_start, "tail_start", 0, f.horizon)
     _check_rv(space, f.at(0))
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     powered, scale, p = _powers(space.mode, abs(rows), scale, p)
     curve = tuple(_lp_norms(space, powered, scale, p, lambda n, a: abs(f.values[n][a])))
     surrogate = min(curve[start:])  # the first least

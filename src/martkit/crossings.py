@@ -14,9 +14,11 @@ is then nonpositive.
 One state machine (``_count_upcrossings``) gives the path-space counts, the
 crossing times and the band translation identity.  It steps through times
 0..N-1 with array operations over every atom at once, reading only the masks
-"value <= a" and "value >= b".  Float masks compare one array of the rows;
-exact masks compare the process's integer numerators (``Process._numerators``)
-with the band edges moved onto their scale, so no ``Fraction`` is compared.
+"value <= a" and "value >= b".  Both compare the process's twin
+(``Process._twin``) with the band edges moved onto its scale
+(``measure._threshold``): float64 entries with the edges themselves, integer
+numerators with the edges times the twin's scale, rounded, so no
+``Fraction`` is compared.
 On request it also records when a row closes a leg (a sigma), arms (a tau)
 and first sits on both sides of a band with a >= b; ``crossing_table``,
 ``upper_crossing`` and ``lower_crossing`` rank those events per atom and clip
@@ -32,10 +34,10 @@ Path spaces keep the stepped machine: the crossing times need its per-time
 events, and at path-space sizes it is the faster of the two (float H = 12,
 4096 atoms: about 0.1 ms against 0.3-0.4 ms from run starts).
 
-A float process derives its rows once as a read-only float64 matrix
-(``Process._matrix``); the float masks slice it.  The estimates take both
-sides from the process's twin and the space's weights, through the one
-weighted sum of :mod:`martkit.measure`: the left side from the counts array,
+A process derives its twin once, as a read-only array (``measure._derived``),
+and the masks slice it.  The estimates take both sides from the process's
+twin and the space's weights, through the one weighted sum of
+:mod:`martkit.measure`: the left side from the counts array,
 each right side mu[(f_N - a)^+] from row N, and the sup form's H + 1 right
 sides from one pass over the rows.
 """
@@ -48,7 +50,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, _check_rv, _threshold, _twin, _weighted
+from .measure import FiniteMeasureSpace, _check_rv, _threshold, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, _require_class
 from .scalars import Scalar, at_most, coerce_scalar, integer, positive_part
 
@@ -174,7 +176,7 @@ def _scaled(bd: Band, f: Process) -> tuple:
     coerced to f's mode, moved onto the twin's scale (``measure._threshold``),
     so that v <= a iff its entry is <= low and v >= b iff it is >= high.  In
     exact mode no Fraction is compared."""
-    rows, den = _twin(f)
+    rows, den = f._twin
     return rows, _threshold(f.mode, bd.a, den, floor), _threshold(f.mode, bd.b, den, ceil)
 
 
@@ -186,7 +188,7 @@ def _shifted(bd: Band, f: Process, rows: np.ndarray, low) -> tuple:
     (n q - p den)^+ over the scale den q."""
     if f.mode == "float":
         return np.where(rows > low, rows - low, 0.0), 1
-    a, den = bd.a, f._numerators[1]
+    a, den = bd.a, f._twin[1]
     return np.where(rows > low, rows * a.denominator - a.numerator * den, 0), den * a.denominator
 
 

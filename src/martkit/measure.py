@@ -58,8 +58,7 @@ class FiniteMeasureSpace:
     mode: Mode
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}; expected 'exact' or 'float'")
+        _known_mode(self.mode)
         if len(self.weights) < 1:
             raise ValueError("a measure space needs at least one atom")
         for w in self.weights:
@@ -85,16 +84,9 @@ class FiniteMeasureSpace:
         return len(self.weights)
 
     @cached_property
-    def _weight_vector(self) -> np.ndarray:
-        """The weights as one read-only float64 vector, derived at most once
-        from the immutable tuple; float spaces only."""
-        return _frozen_floats(self.mode, self.weights, (self.atom_count,))
-
-    @cached_property
-    def _numerators(self) -> tuple:
-        """The weights as integer numerators over one common denominator,
-        derived at most once from the immutable tuple; exact spaces only."""
-        return _integer_twin(self.mode, self.weights, (self.atom_count,))
+    def _twin(self) -> tuple:
+        """The weights' ``_derived`` form, built at most once."""
+        return _derived(self.mode, self.weights, (self.atom_count,))
 
     @property
     def total(self) -> Scalar:
@@ -116,23 +108,35 @@ def _atoms(s: AtomSet, n: int) -> set:
     return {integer(a, "atom", 0, n - 1) for a in s}
 
 
-def _integer_twin(mode: Mode, values, shape: tuple) -> tuple:
-    """Exact ``values`` as (a read-only object array of the given shape of
-    Python-int numerators, their common denominator): the derived form that
-    exact spaces, random variables and processes build at most once.  Over
-    one denominator, two numerators are equal exactly when the values are,
-    and a sum of w * v over both forms is a sum of integers.  This is where
-    a value that is not an int or a Fraction raises ModeError."""
-    if mode != "exact":
-        raise ModeError("only exact data has integer numerators")
-    try:
-        nums, dens = (list(map(attrgetter(name), values)) for name in ("numerator", "denominator"))
-    except AttributeError:
-        raise ModeError("non-rational value in exact mode; pass Fractions or ints") from None
-    den = lcm(*set(dens))
-    out = np.array([n * (den // d) for n, d in zip(nums, dens)], dtype=object).reshape(shape)
+def _known_mode(mode: Mode) -> None:
+    """Refuse a mode other than "exact" and "float", as every object's
+    constructor does, so ``_derived`` meets no other."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
+
+
+def _derived(mode: Mode, values, shape: tuple) -> tuple:
+    """The twin of ``values`` (a flat sequence, or rows when ``shape`` has two
+    axes): (entries, scale), a read-only array of the given shape whose
+    entries over ``scale`` are the values.  Float entries are float64 over 1.
+    Exact entries are Python-int numerators over their lcm, so two entries are
+    equal exactly when the values are, and a sum of w * v over two twins is a
+    sum of integers.  The one builder of the twins that spaces, random
+    variables, processes and function families keep, each at most once; a
+    value that is not an int or a Fraction raises ModeError here."""
+    if mode == "float":  # from the rows as given: flattening first costs more
+        out, scale = np.array(values, dtype=float).reshape(shape), 1
+    else:
+        _known_mode(mode)  # so exact, the one other mode
+        flat = values if len(shape) == 1 else [v for row in values for v in row]
+        try:
+            nums, dens = (list(map(attrgetter(name), flat)) for name in ("numerator", "denominator"))
+        except AttributeError:
+            raise ModeError("non-rational value in exact mode; pass Fractions or ints") from None
+        scale = lcm(*set(dens))
+        out = np.array([n * (scale // d) for n, d in zip(nums, dens)], dtype=object).reshape(shape)
     out.flags.writeable = False
-    return out, den
+    return out, scale
 
 
 def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> list:
@@ -144,12 +148,12 @@ def _weighted(space: FiniteMeasureSpace, rows: np.ndarray, scale: int = 1) -> li
     holds 0 and adds a signed zero, which leaves a sum started at +0.0 as it
     is.  A float sum of finite rows past the float range raises ValueError,
     as ``_powers`` does for a power."""
+    weights, unit = space._twin
     if space.mode == "exact":
-        weights, unit = space._numerators
         weights = weights.tolist()
         return [Fraction(sum(map(mul, weights, row)), unit * scale) for row in rows.tolist()]
     with np.errstate(over="ignore"):  # an overflow raises below, naming itself
-        sums = _float_sums(space._weight_vector * rows)
+        sums = _float_sums(weights * rows)
     if not np.isfinite(sums).all() and np.isfinite(rows).all():
         raise ValueError("a weighted sum of finite values overflows a float")
     return sums.tolist()
@@ -173,17 +177,6 @@ def _float_sums(terms: np.ndarray) -> np.ndarray:
     pairwise).  The running sum starts at the first term, and adding it to
     +0.0 turns a -0.0 into +0.0.  ``.tolist()`` gives Python floats."""
     return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
-
-
-def _frozen_floats(mode: Mode, rows, shape: tuple) -> np.ndarray:
-    """Float ``rows`` as one read-only float64 array of the given shape: the
-    derived form that float spaces, processes and function families build at
-    most once.  Exact data never gets one."""
-    if mode != "float":
-        raise ModeError("only float data has a float64 matrix")
-    out = np.array(rows, dtype=float).reshape(shape)
-    out.flags.writeable = False
-    return out
 
 
 def _threshold(mode: Mode, c: Scalar, scale: int, rounding: Callable) -> Scalar:
@@ -216,6 +209,9 @@ class RandomVariable:
     values: tuple
     mode: Mode
 
+    def __post_init__(self) -> None:
+        _known_mode(self.mode)
+
     @staticmethod
     def from_values(values: Iterable[Scalar], mode: Mode) -> "RandomVariable":
         return RandomVariable(coerce_values(values, mode), mode)
@@ -232,11 +228,10 @@ class RandomVariable:
         return len(self.values)
 
     @cached_property
-    def _numerators(self) -> tuple:
-        """``values`` as integer numerators over one common denominator,
-        derived at most once; exact random variables only.  Not a field, so
+    def _twin(self) -> tuple:
+        """The values' ``_derived`` form, built at most once.  Not a field, so
         equality, hashing and ``repr`` ignore it."""
-        return _integer_twin(self.mode, self.values, (len(self.values),))
+        return _derived(self.mode, self.values, (len(self.values),))
 
     def __getitem__(self, i: int) -> Scalar:
         return self.values[i]
@@ -275,18 +270,6 @@ def _check_rv(space: FiniteMeasureSpace, f: RandomVariable) -> None:
         raise ValueError(
             f"random variable has {len(f)} values but the space has {space.atom_count} atoms"
         )
-
-
-def _twin(x) -> tuple:
-    """(entries, scale) of a random variable or process: its integer
-    numerators and their common denominator in exact mode; in float mode the
-    process's ``_matrix``, or a fresh float64 vector of a random variable's
-    values, over 1."""
-    if x.mode == "exact":
-        return x._numerators
-    if isinstance(x, RandomVariable):
-        return np.array(x.values, dtype=float), 1
-    return x._matrix, 1
 
 
 def _real_exponent(p, name: str = "p"):
@@ -343,9 +326,10 @@ def _lp_norms(space: FiniteMeasureSpace, powered: np.ndarray, scale: int, p, pic
             return [total ** (1.0 / p) for total in totals]
         roots = [RootValue.of(total, p) for total in totals]
         return [root.as_fraction() if root.is_rational() else root for root in roots]
+    weights = space._twin[0]
     if space.mode == "float":
-        return np.where(space._weight_vector > 0, powered, 0.0).max(axis=-1, initial=0.0).tolist()
-    positive = np.flatnonzero(space._numerators[0] > 0)
+        return np.where(weights > 0, powered, 0.0).max(axis=-1, initial=0.0).tolist()
+    positive = np.flatnonzero(weights > 0)
     if not positive.size:
         return [Fraction(0)] * len(powered)
     firsts = positive[[row.index(max(row)) for row in powered[:, positive].tolist()]]
@@ -355,7 +339,7 @@ def _lp_norms(space: FiniteMeasureSpace, powered: np.ndarray, scale: int, p, pic
 def integral(space: FiniteMeasureSpace, f: RandomVariable) -> Scalar:
     """Integral of f over the whole space."""
     _check_rv(space, f)
-    values, scale = _twin(f)
+    values, scale = f._twin
     return _weighted(space, values[None], scale)[0]
 
 
@@ -363,7 +347,7 @@ def set_integral(space: FiniteMeasureSpace, f: RandomVariable, s: AtomSet) -> Sc
     """Integral of f over the atom set s, summed in ascending atom order."""
     _check_rv(space, f)
     space.check_atoms(s)
-    values, scale = _twin(f)
+    values, scale = f._twin
     return _weighted(space, np.where(_mask(space.atom_count, s), values, 0)[None], scale)[0]
 
 
@@ -376,7 +360,7 @@ def snorm(space: FiniteMeasureSpace, f: RandomVariable, p) -> Scalar | RootValue
     :class:`RootValue` in root form.  Float mode accepts any real p >= 1.
     """
     _check_rv(space, f)
-    values, scale = _twin(f)
+    values, scale = f._twin
     powered, scale, p = _powers(space.mode, abs(values), scale, p)
     return _lp_norms(space, powered[None], scale, p, lambda _, a: abs(f.values[a]))[0]
 

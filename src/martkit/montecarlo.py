@@ -58,7 +58,7 @@ import numpy as np
 from .crossings import _count_upcrossings_runs
 from .measure import FiniteMeasureSpace, Partition, _first_appearance, _value_keys
 from .processes import Filtration, Process
-from .scalars import Mode, Scalar, coerce_scalar, integer
+from .scalars import Mode, Scalar, coerce_scalar, integer, parse_rational
 
 __all__ = [
     "FairWalk",
@@ -88,6 +88,16 @@ _URN_MAX_BALLS = 1 << 52
 # ---------------------------------------------------------------------------
 
 
+def _parse_text(model, *names) -> None:
+    """Set each named "p/q" string parameter of a frozen model to its Fraction
+    (``scalars.parse_rational``), once, at construction; numbers stay as
+    given."""
+    for name in names:
+        value = getattr(model, name)
+        if isinstance(value, str):
+            object.__setattr__(model, name, parse_rational(value))
+
+
 @dataclass(frozen=True)
 class BiasedWalk:
     """Walk from 0 that steps +step with probability p_up, else -step."""
@@ -96,6 +106,7 @@ class BiasedWalk:
     step: Scalar = 1
 
     def __post_init__(self) -> None:
+        _parse_text(self, "p_up", "step")
         if not 0 <= self.p_up <= 1:
             raise ValueError("p_up must lie in [0, 1]")
         coerce_scalar(self.step, "float")  # a NaN or infinite step raises
@@ -186,6 +197,9 @@ class BettingProcess:
     stake_rule: Callable[[int, tuple], Scalar]
     initial_wealth: Scalar = 0
 
+    def __post_init__(self) -> None:
+        _parse_text(self, "initial_wealth")
+
     def start(self, mode: Mode):
         return (coerce_scalar(self.initial_wealth, mode), ())
 
@@ -224,6 +238,12 @@ class IndependentEvents:
     n-1.  The coordinate value process counts occurrences so far."""
 
     prob_schedule: Union[Callable[[int], Scalar], Sequence[Scalar]]
+
+    def __post_init__(self) -> None:
+        schedule = self.prob_schedule
+        if not callable(schedule) and any(isinstance(p, str) for p in schedule):
+            object.__setattr__(self, "prob_schedule",
+                               tuple(parse_rational(p) if isinstance(p, str) else p for p in schedule))
 
     def prob(self, n: int) -> Scalar:
         if callable(self.prob_schedule):

@@ -30,9 +30,8 @@ from .measure import (
     join,
     meet,
     partition_le,
-    _frozen_floats,
-    _integer_twin,
-    _twin,
+    _derived,
+    _known_mode,
     _unmeasured,
 )
 from .scalars import Mode, Scalar, at_most, check_same_mode, close, coerce_values, integer, zero
@@ -85,6 +84,7 @@ class Process:
     mode: Mode
 
     def __post_init__(self) -> None:
+        _known_mode(self.mode)
         if len(self.values) < 1:
             raise ValueError("a process needs at least one time row")
         widths = {len(row) for row in self.values}
@@ -115,20 +115,10 @@ class Process:
         return len(self.values[0])
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
-        """``values`` as one read-only (times x atoms) float64 matrix, derived
-        at most once from the immutable rows; float processes only.  Not a
-        field, so equality and hashing ignore it."""
-        return _frozen_floats(self.mode, self.values, (len(self.values), self.atom_count))
-
-    @cached_property
-    def _numerators(self) -> tuple:
-        """``values`` as one read-only (times x atoms) object array of integer
-        numerators over one common denominator, derived at most once; exact
-        processes only.  Not a field, so equality, hashing and ``repr``
-        ignore it."""
-        return _integer_twin(self.mode, [v for row in self.values for v in row],
-                             (len(self.values), self.atom_count))
+    def _twin(self) -> tuple:
+        """The rows' ``measure._derived`` form, (times x atoms), built at most
+        once.  Not a field, so equality, hashing and ``repr`` ignore it."""
+        return _derived(self.mode, self.values, (len(self.values), self.atom_count))
 
     def at(self, n: int) -> RandomVariable:
         return RandomVariable(self.values[n], self.mode)
@@ -165,7 +155,7 @@ def _first_unmeasured(f: Process, steps, lag: int) -> tuple | None:
     at step max(n - lag, 0), or None: lag 0 scans adaptedness, lag 1 predictability."""
     if len(steps) != len(f.values) or steps[0].atom_count != f.atom_count:
         raise ValueError("process and filtration shapes differ")
-    for n, row in enumerate(_twin(f)[0]):
+    for n, row in enumerate(f._twin[0]):
         step = steps[max(n - lag, 0)]
         atom = _unmeasured(row, f.mode, step._of, step._first)
         if atom is not None:
@@ -361,9 +351,9 @@ def doob_decomposition(
     pred, matrix, cells = _running_sums(kernel, f, 0)
     predictable = Process(pred, f.mode)
     if cells is None:
-        mart = (f._matrix - matrix).tolist()
+        mart = (f._twin[0] - matrix).tolist()
         return DoobDecomposition(Process(tuple(map(tuple, mart)), f.mode), predictable)
-    nums, den = f._numerators
+    nums, den = f._twin
     mart = []
     for cell_of, first, row, pred_row in zip(*cells, nums, pred):
         per_cell = []
@@ -380,7 +370,7 @@ def doob_witnesses(space: FiniteMeasureSpace, f: Process, F: Filtration) -> tupl
     first (n, atom) in row-major order where a_n is not measurable at step n - 1,
     falls below a_{n-1} at positive weight, or m_n + a_n != f_n by the mode's rule."""
     dd = doob_decomposition(space, f, F)
-    twins = [_twin(x) for x in (dd.martingale_part, dd.predictable_part, f)]
+    twins = [x._twin for x in (dd.martingale_part, dd.predictable_part, f)]
     den = lcm(*(scale for _, scale in twins))
     m, a, g = (values * (den // scale) for values, scale in twins)
     live = list(space.positive_atoms())
@@ -414,12 +404,12 @@ def _running_sums(kernel: _Kernel, f: Process, lag) -> tuple:
         acc = np.zeros((len(rows), f.atom_count))
         for k in range(f.horizon):
             ce = kernel.condexp(rows[k + 1], k)
-            a, b = (ce, rows[k]) if lag == 0 else (rows[k + 1], ce) if lag == 1 else (ce, None)
+            a, b = (ce, rows[k][0]) if lag == 0 else (rows[k + 1][0], ce) if lag == 1 else (ce, None)
             acc[k + 1] = acc[k] + a if b is None else acc[k] + a - b
         return tuple(map(tuple, acc.tolist())), acc, None
     atoms = [np.arange(f.atom_count)] * len(rows)
     cells = (kernel.of, kernel.first) if _first_unmeasured(f, kernel.steps, 0) is None else (atoms, atoms)
-    nums, den = f._numerators
+    nums, den = f._twin
     level, acc = 0, [zero("exact")] * len(cells[1][0])
     out = [tuple(map(acc.__getitem__, cells[0][0].tolist()))]
     for k in range(f.horizon):

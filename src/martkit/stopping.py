@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, _check_rv, _measurable, _threshold, _twin, _weighted
+from .measure import FiniteMeasureSpace, _check_rv, _measurable, _threshold, _weighted
 from .processes import Classification, Filtration, MartingaleClass, Process, _require_class, is_adapted
 from .scalars import INF, Scalar, at_most, close, coerce_scalar, integer
 
@@ -140,7 +140,7 @@ def _first_entry(f: Process, s: ValuePredicate, n) -> tuple:
     time >= n, and the first such time (n where there is none), from one mask
     over the twin with the ends of ``s`` on its scale (``_threshold``)."""
     n = integer(n, "n", 0, f.horizon)
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     rows = rows[n:]
     inside = np.ones(rows.shape, dtype=bool)
     if s.low is not None:
@@ -221,7 +221,7 @@ def check_optional_stopping(
     cls = _require_class(space, f, F, classification, MartingaleClass.SUBMARTINGALE,
                          "optional stopping requires a submartingale or martingale")
     _check_rv(space, f.at(0))
-    rows, scale = _twin(f)
+    rows, scale = f._twin
     atoms = np.arange(f.atom_count)
     lhs, rhs = _weighted(space, rows[[tau.time_of, sigma.time_of], atoms], scale)
     is_mart = cls.kind == MartingaleClass.MARTINGALE

@@ -17,13 +17,13 @@ search, and a forced subset search raises above EXHAUSTIVE_ATOM_LIMIT.
 
 The probabilist's modulus (at C = 0 the family's norm bound, the sup of its
 members' p-norms), the bridging inequality, the p-monotonicity check and the
-Vitali diagnostics read a family's twin, the (members x atoms) array it
-derives once: in float mode the read-only float64 matrices f, |f| and |f|^p,
-with |f|^p taken by Python's ``**`` as ``snorm`` takes it; in exact mode the
-integer numerators over one denominator.  Truncation at C is the mask
-|f| >= C, a member's norm the p-th root of its row's weighted sum
-(``measure._lp_norms``, the rule behind ``snorm``), and Vitali's differences
-one array f - g.
+Vitali diagnostics read a family's twin, the read-only (members x atoms)
+array it derives once (``measure._derived``): float64 entries over 1, or
+integer numerators over their lcm.  From it the family keeps |f| and |f|^p
+once (``_powered``), a float |f|^p taken by Python's ``**`` as ``snorm``
+takes it.  Truncation at C is the mask |f| >= C, a member's norm the p-th
+root of its row's weighted sum (``measure._lp_norms``, the rule behind
+``snorm``), and Vitali's differences one array f - g.
 """
 
 from __future__ import annotations
@@ -41,15 +41,13 @@ from .measure import (
     RandomVariable,
     measure,
     _check_rv,
-    _frozen_floats,
+    _derived,
     _exponent,
-    _integer_twin,
     _lp_norms,
     _mask,
     _powers,
     _real_exponent,
     _threshold,
-    _twin,
     _weighted,
 )
 from .scalars import INF, RootValue, Scalar, at_most, coerce_scalar, integer
@@ -96,39 +94,28 @@ class FunctionFamily:
         return FunctionFamily(space=space, members=tuple(members), p=p)
 
     @cached_property
-    def _matrices(self) -> tuple:
-        """(f, |f|, |f|^p) as read-only (members x atoms) float64 matrices,
-        derived at most once; float families only.  Not fields, so equality
-        and hashing ignore them."""
-        values = _frozen_floats(
-            self.space.mode, [f.values for f in self.members], (len(self.members), self.space.atom_count)
-        )
-        absolute = np.abs(values)
-        absolute.flags.writeable = False
-        return values, absolute, _powers("float", absolute, 1, self.p)[0]
+    def _twin(self) -> tuple:
+        """The members' values' ``measure._derived`` form, (members x atoms),
+        built at most once.  Not a field, so equality, hashing and ``repr``
+        ignore it."""
+        return _derived(self.space.mode, [f.values for f in self.members],
+                        (len(self.members), self.space.atom_count))
 
     @cached_property
-    def _numerators(self) -> tuple:
-        """The members' values as one read-only (members x atoms) object array
-        of integer numerators over one common denominator, derived at most
-        once; exact families only.  Not a field, so equality, hashing and
-        ``repr`` ignore it."""
-        return _integer_twin(self.space.mode, [v for f in self.members for v in f.values],
-                             (len(self.members), self.space.atom_count))
+    def _powered(self) -> tuple:
+        """(|f|, |f|^p, its scale, p) from the twin by ``measure._powers``,
+        built at most once, so a float |f|^p is taken once by Python's ``**``."""
+        values, scale = self._twin
+        absolute = abs(values)
+        absolute.flags.writeable = False
+        return (absolute, *_powers(self.space.mode, absolute, scale, self.p))
 
 
 def _norms(fam: FunctionFamily, C: Scalar, atoms: Optional[frozenset] = None) -> list:
     """snorm(f * 1{|f| >= C} * 1_atoms, p) for each member f, over every atom
-    when ``atoms`` is None, from the family's twin: its float matrices over 1,
-    or its integer numerators and their powers."""
-    if fam.space.mode == "float":
-        _, absolute, powered = fam._matrices
-        scale, power_scale, p = 1, 1, fam.p if fam.p == INF else float(fam.p)
-    else:
-        values, scale = fam._numerators
-        absolute = abs(values)
-        powered, power_scale, p = _powers("exact", absolute, scale, fam.p)
-    keep = absolute >= _threshold(fam.space.mode, C, scale, ceil)
+    when ``atoms`` is None, from the family's twin and its ``_powered``."""
+    absolute, powered, power_scale, p = fam._powered
+    keep = absolute >= _threshold(fam.space.mode, C, fam._twin[1], ceil)
     if atoms is not None:
         keep &= _mask(fam.space.atom_count, atoms)
     kept = lambda r, a: abs(fam.members[r].values[a]) if keep[r, a] else Fraction(0)
@@ -136,12 +123,11 @@ def _norms(fam: FunctionFamily, C: Scalar, atoms: Optional[frozenset] = None) ->
 
 
 def _largest_abs(fam: FunctionFamily) -> Scalar:
-    """The largest |value| of any member, 0 for a family without members: a
-    Fraction in exact mode, from the integer twin."""
-    if fam.space.mode == "float":
-        return fam._matrices[1].max(initial=0.0).item()
-    values, den = fam._numerators
-    return Fraction(abs(values).max(initial=0), den)
+    """The largest |value| of any member, 0 for a family without members,
+    from the twin: a float, or a Fraction in exact mode."""
+    values, scale = fam._twin
+    top = abs(values).max(initial=0)
+    return Fraction(top, scale) if fam.space.mode == "exact" else top.item()
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +435,8 @@ def vitali_empirical(
         _check_rv(space, f)
     fam = FunctionFamily(space=space, members=tuple(members), p=p)
 
-    values, scale = (fam._matrices[0], 1) if mode == "float" else fam._numerators
-    limit, limit_scale = _twin(g)
+    values, scale = fam._twin
+    limit, limit_scale = g._twin
     unit = lcm(scale, limit_scale)
     if unit != 1:  # exact twins over different denominators: move both onto their lcm
         values, limit = values * (unit // scale), limit * (unit // limit_scale)

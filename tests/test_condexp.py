@@ -239,7 +239,7 @@ def test_projection_route_shares_no_blockwise_kernel(monkeypatch):
         raise AssertionError("condexp_l2 reached a kernel of the averaging route")
 
     monkeypatch.setattr(condexp_module, "_Kernel", forbidden)
-    for name in ("_integer_twin", "_weighted"):
+    for name in ("_derived", "_weighted"):
         monkeypatch.setattr(measure_module, name, forbidden)
     sp = FiniteMeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     f = RandomVariable.from_values([2, 6, 5], "exact")

@@ -1,8 +1,8 @@
-"""Float families, spaces and processes read one derived float64 matrix.
+"""Float families, spaces and processes read one derived float64 twin.
 
 The UI moduli and the upcrossing estimates take their float results from
-read-only matrices that each object derives at most once, summed left to
-right.  These tests hold them bit for bit to the per-atom forms in
+read-only float64 twins over 1 that each object derives at most once, summed
+left to right.  These tests hold them bit for bit to the per-atom forms in
 ``oracles.py``, pin the derived data's contract, and check that the float
 routes no longer reach the per-atom weighted sum.
 """
@@ -22,7 +22,6 @@ from martkit import (
     FairWalk,
     FiniteMeasureSpace,
     FunctionFamily,
-    ModeError,
     Process,
     RandomVariable,
     check_bridging_inequality,
@@ -121,38 +120,40 @@ def _float_walk():
     return space, f, F, classify(space, f, F)
 
 
-def test_derived_matrices_are_built_once_and_read_only():
-    space, f, F, cls = _float_walk()
+def test_float_twins_are_built_once_and_read_only():
+    space, f, F = exhaustive_space(FairWalk(), 5, "float")
+    assert "_twin" not in vars(space) and "_twin" not in vars(f)  # set-up derives none
+    cls = classify(space, f, F)
     for N in (2, 5):
         check_upcrossing_estimate(space, Band(-1.0, 1.0), f, F, N, classification=cls)
     check_upcrossing_estimate_sup(space, Band(0.0, 2.0), f, F, classification=cls)
-    assert f._matrix is f._matrix is vars(f)["_matrix"]
-    assert space._weight_vector is vars(space)["_weight_vector"]
+    assert f._twin is f._twin is vars(f)["_twin"]
+    assert space._twin is vars(space)["_twin"]
     fam = FunctionFamily(space, f.rows(), 2.5)
     probabilist_modulus(fam, 1.0)
     probabilist_modulus(fam, 2.0)
-    assert fam._matrices is vars(fam)["_matrices"]
-    arrays = (f._matrix, space._weight_vector) + fam._matrices
-    assert f._matrix.shape == (6, 32) and all(m.shape == (6, 32) for m in fam._matrices)
+    assert fam._twin is vars(fam)["_twin"] and fam._powered is vars(fam)["_powered"]
+    assert f._twin[1] == space._twin[1] == fam._twin[1] == fam._powered[2] == 1
+    arrays = (f._twin[0], space._twin[0], fam._twin[0]) + fam._powered[:2]
+    assert f._twin[0].shape == (6, 32) and all(m.shape == (6, 32) for m in arrays[2:])
     for m in arrays:
         assert m.dtype == np.float64 and not m.flags.writeable
         with pytest.raises(ValueError):
             m[(0,) * m.ndim] = 1.0
-    assert f._matrix.tolist() == [list(row) for row in f.values]
+    assert f._twin[0].tolist() == [list(row) for row in f.values]
 
 
-def test_exact_data_never_builds_a_matrix(monkeypatch):
+def test_exact_data_never_builds_a_float_twin(monkeypatch):
     space, f, F = exhaustive_space(FairWalk(), 4, "exact")
     cls = classify(space, f, F)
-    for obj, name in ((f, "_matrix"), (space, "_weight_vector")):
-        with pytest.raises(ModeError):
-            getattr(obj, name)
+    derived = measure._derived
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("exact data reached the float64 matrices")
+    def exact_only(mode, values, shape):
+        assert mode == "exact", "exact data reached the float64 twin"
+        return derived(mode, values, shape)
 
     for module in (measure, processes, uniform_integrability):
-        monkeypatch.setattr(module, "_frozen_floats", forbidden)
+        monkeypatch.setattr(module, "_derived", exact_only)
     check_upcrossing_estimate(space, Band(-1, 1), f, F, 3, classification=cls)
     check_upcrossing_estimate_sup(space, Band(0, 2), f, F, classification=cls)
     fam = FunctionFamily(space, f.rows(), 2)
@@ -160,21 +161,25 @@ def test_exact_data_never_builds_a_matrix(monkeypatch):
     check_p_monotonicity(fam, 1, 2)
     check_bridging_inequality(FunctionFamily(space, f.rows(), 1), 1, frozenset({0, 3}))
     vitali_empirical(space, f.rows(), f.at(4), 1, 5)
-    for obj, name in ((f, "_matrix"), (space, "_weight_vector"), (fam, "_matrices")):
-        assert name not in vars(obj)
+    for obj in (f, space, fam):
+        assert obj._twin[0].dtype == object and not obj._twin[0].flags.writeable
 
 
 def test_derived_data_leaves_equality_and_hashing_alone():
     rows = [[0.0, -0.0, 1.5], [2.0, 0.25, -3.0]]
     a, b = Process.from_values(rows, "float"), Process.from_values(rows, "float")
-    a._matrix
+    a._twin
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert [fld.name for fld in dataclasses.fields(Process)] == ["values", "mode"]
     assert a != Process.from_values([[0.0, -0.0, 1.5], [2.0, 0.5, -3.0]], "float")
     space = FiniteMeasureSpace((0.5, 0.5, 0.0), "float")
-    space._weight_vector
+    space._twin
     assert space == FiniteMeasureSpace((0.5, 0.5, 0.0), "float")
     assert hash(space) == hash(FiniteMeasureSpace((0.5, 0.5, 0.0), "float"))
+    g = RandomVariable((0.0, -0.0), "float")
+    g._twin
+    assert g == RandomVariable((0.0, -0.0), "float") and "_twin" not in repr(g)
+    assert [fld.name for fld in dataclasses.fields(RandomVariable)] == ["values", "mode"]
 
 
 def test_float_routes_skip_the_per_atom_sum(monkeypatch):
@@ -205,11 +210,11 @@ def test_exact_estimates_sum_the_integer_twins(monkeypatch):
     def forbidden(self):
         raise AssertionError("an exact route derived a random variable's twin")
 
-    monkeypatch.setattr(RandomVariable, "_numerators", property(forbidden))
+    monkeypatch.setattr(RandomVariable, "_twin", property(forbidden))
     check_upcrossing_estimate(space, Band(-1, 1), f, F, 3, classification=cls)
     check_upcrossing_estimate_sup(space, Band(-1, 1), f, F, classification=cls)
-    assert "_numerators" in vars(f) and "_numerators" in vars(space)
-    assert "_numerators" not in vars(fam)
+    assert "_twin" in vars(f) and "_twin" in vars(space)
+    assert "_twin" not in vars(fam)
     assert probabilist_modulus(fam, 4) == Fraction(1, 4)
     assert probabilist_modulus(fam, 0) == 1  # the norm bound: the first spike, height 1 on mass 1
-    assert fam._numerators is vars(fam)["_numerators"] and "_numerators" in vars(sp)
+    assert fam._twin is vars(fam)["_twin"] and "_twin" in vars(sp)

@@ -1,3 +1,4 @@
+import importlib
 import random
 import struct
 from fractions import Fraction
@@ -41,6 +42,8 @@ from martkit import (
 )
 from conftest import nested_partition_pair, random_partition, random_rv, random_space
 from oracles import estimate_sides, estimate_sup_sides, left_to_right, lp_norm, maximal_sides
+
+measure_module = importlib.import_module("martkit.measure")
 
 seeds = st.integers(0, 10**9)
 
@@ -187,6 +190,20 @@ def test_space_rejects_an_unknown_mode_at_construction():
     # "banana" once built, and failed only at a later coerce_scalar
     with pytest.raises(ValueError, match="unknown mode 'banana'; expected 'exact' or 'float'"):
         FiniteMeasureSpace((0.5, 0.5), "banana")
+
+
+@pytest.mark.parametrize("build", [
+    lambda mode: RandomVariable((1,), mode),
+    lambda mode: Process(((1,),), mode),
+], ids=["RandomVariable", "Process"])
+def test_data_rejects_an_unknown_mode_at_construction(build):
+    # "exakt" once built, so a twin met a mode it has no branch for
+    message = "^unknown mode 'exakt'; expected 'exact' or 'float'$"
+    with pytest.raises(ValueError, match=message):
+        build("exakt")
+    with pytest.raises(ValueError, match=message):
+        measure_module._derived("exakt", (1,), (1,))
+    assert build("exact")._twin[1] == build("float")._twin[1] == 1
 
 
 def test_indicator_and_set_measurability():

@@ -138,8 +138,7 @@ def test_the_unroll_equals_the_generic_route(tree):
     its branch probabilities and carrying its value history; no twin is derived."""
     spec, mode, horizon, probs, values = tree
     sp, f, F = exhaustive_space(spec, horizon, mode)
-    twins = ("_numerators", "_matrix", "_weight_vector")
-    assert not any(t in vars(o) for o in (sp, f) for t in twins)
+    assert not any("_twin" in vars(o) for o in (sp, f))
     assert F == natural_filtration(f)
     leaves = sorted(p for p in values if len(p) == horizon)  # depth-first = lexicographic
     one = Fraction(1) if mode == "exact" else 1.0
@@ -316,6 +315,30 @@ def test_walk_rejects_a_non_finite_step(step):
     # such a walk once simulated NaN finals and counted 0 upcrossings
     with pytest.raises(ValueError, match="non-finite"):
         BiasedWalk(Fraction(1, 2), step)
+
+
+def _half_stake(n, history):
+    return Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text, number", [
+    (lambda: BiasedWalk("601/1024"), lambda: BiasedWalk(Fraction(601, 1024))),
+    (lambda: BiasedWalk(Fraction(1, 2), step="1/2"), lambda: BiasedWalk(Fraction(1, 2), step=Fraction(1, 2))),
+    (lambda: FairWalk(step="3/2"), lambda: FairWalk(step=Fraction(3, 2))),
+    (lambda: BettingProcess(_half_stake, initial_wealth="1/2"),
+     lambda: BettingProcess(_half_stake, initial_wealth=Fraction(1, 2))),
+    (lambda: IndependentEvents(("1/2", "1/3", 1)), lambda: IndependentEvents((Fraction(1, 2), Fraction(1, 3), 1))),
+], ids=["BiasedWalk-p_up", "BiasedWalk-step", "FairWalk-step", "BettingProcess-initial_wealth",
+        "IndependentEvents-schedule"])
+def test_a_rational_string_parameter_reads_as_its_fraction(text, number):
+    # the string forms once raised TypeError at construction or
+    # "could not convert string to float" in sample
+    model, twin = text(), number()
+    assert model == twin
+    for mode in ("exact", "float"):
+        assert exhaustive_space(model, 3, mode) == exhaustive_space(twin, 3, mode)
+    u = trial_rng(5, 0).random((8, 3))
+    assert np.array_equal(model.sample(u), twin.sample(u))
 
 
 @pytest.mark.parametrize("red, black", [(1.0, 1), (1, Fraction(3, 2))])

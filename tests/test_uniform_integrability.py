@@ -110,6 +110,21 @@ def test_p_monotonicity_up_to_the_sup_norm(p, q, factor):
         assert [float(x) for x in want[:4]] == pytest.approx(got[:4], rel=1e-15) and want[4] == got[4]
 
 
+@pytest.mark.parametrize("mode, values, own_p", [
+    ("float", [1e300, 1.0], 3),
+    ("exact", [1, Fraction(1, 3)], Fraction(3, 2)),
+], ids=["float-overflowing", "exact-fractional"])
+def test_p_monotonicity_reads_no_power_at_the_familys_own_p(mode, values, own_p):
+    # the check compares exponents p and q; its C grid once took the
+    # largest |value| from the float |f|^p at the family's own p, so
+    # 1e300^3 raised "|f|^p overflows a float at p = 3.0" though no norm
+    # of the check takes that power
+    sp = FiniteMeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 2)], mode)
+    fam = FunctionFamily.of(sp, [RandomVariable.from_values(values, mode)], own_p)
+    rep = check_p_monotonicity(fam, 1, 1)
+    assert rep.holds and rep.rows[4][0] == max(abs(v) for v in fam.members[0].values)
+
+
 @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6), st.floats(-10.0, 10.0),
        st.floats(1.0, 8.0), st.floats(0.0, 8.0))
 @settings(max_examples=200, deadline=None)
